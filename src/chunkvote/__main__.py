@@ -1,0 +1,6 @@
+"""Run the command line front end: ``python -m chunkvote``."""
+
+from .cli import cli_entry
+
+if __name__ == "__main__":
+    cli_entry()

@@ -123,6 +123,41 @@ def io_corpus(corpus: Corpus) -> Corpus:
 # nearest neighbour
 
 @dataclass(frozen=True)
+class KnnIndex:
+    """Bitsets over a k-NN memory, bit i standing for ``memory[i]``.
+
+    ``order`` holds the slots of positive weight, heaviest first (ties by
+    slot index), and ``postings[j]`` maps each value of slot ``order[j]``
+    to the items holding it.  Zero-weight slots are left out: a mismatch
+    on them adds 0.0, which leaves every distance unchanged.
+    ``distances`` caches the distance of each mismatch slot mask met so
+    far.
+    """
+
+    order: tuple[int, ...]
+    postings: tuple[dict[str, int], ...]
+    labels: dict[str, int]
+    everything: int
+    distances: dict[int, float]
+
+
+def _bitset(positions: list[int]) -> int:
+    """Int with the given ascending bit positions set."""
+    buffer = bytearray(positions[-1] // 8 + 1)
+    for i in positions:
+        buffer[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buffer, "little")
+
+
+def _group_positions(values) -> dict[str, int]:
+    """Each distinct value with the bitset of the positions holding it."""
+    groups: dict[str, list[int]] = {}
+    for i, value in enumerate(values):
+        groups.setdefault(value, []).append(i)
+    return {value: _bitset(positions) for value, positions in groups.items()}
+
+
+@dataclass(frozen=True)
 class KnnModel:
     kind = "knn"
     memory: tuple[tuple[FeatureVector, str], ...]
@@ -131,9 +166,32 @@ class KnnModel:
     class_counts: Mapping[str, int]
     slot_names: tuple[str, ...]
     window: WindowConfig | None = None
+    # Built on the first prediction; never compared, printed or saved.
+    index: KnnIndex | None = field(default=None, init=False, compare=False, repr=False)
 
     def predict(self, vector: FeatureVector) -> str:
         return predict_knn(self, vector)
+
+    def search_index(self) -> KnnIndex:
+        """The model's ``KnnIndex``, built and kept on first use."""
+        if self.index is None:
+            weights = self.weights
+            order = tuple(sorted((s for s, w in enumerate(weights) if w > 0),
+                                 key=lambda s: (-weights[s], s)))
+            index = KnnIndex(
+                order=order,
+                postings=tuple(_group_positions(v[s] for v, _ in self.memory) for s in order),
+                labels=_group_positions(label for _, label in self.memory),
+                everything=(1 << len(self.memory)) - 1,
+                distances={},
+            )
+            object.__setattr__(self, "index", index)
+        return self.index
+
+
+def valid_knn_weights(weights: Sequence[float]) -> bool:
+    """Whether every weight is finite and non-negative."""
+    return all(math.isfinite(w) and w >= 0.0 for w in weights)
 
 
 def train_knn(
@@ -143,7 +201,11 @@ def train_knn(
     weighting: str = "gain_ratio",
     window: WindowConfig | None = None,
 ) -> KnnModel:
-    """Store the dataset verbatim together with per slot relevance weights."""
+    """Store the dataset verbatim together with per slot relevance weights.
+
+    Given ``weights`` must be finite and non-negative, which the exact
+    search in ``predict_knn`` relies on.
+    """
     if not dataset.items:
         raise TrainingError("cannot train on an empty dataset")
     if k < 1:
@@ -152,6 +214,8 @@ def train_knn(
         weights = _slot_weights(dataset, weighting)
     elif len(weights) != dataset.arity:
         raise ValidationError(f"{len(weights)} weights for arity {dataset.arity}")
+    elif not valid_knn_weights(weights):
+        raise ValidationError(f"k-NN weights must be finite and non-negative, got {tuple(weights)}")
     return KnnModel(
         memory=dataset.items,
         weights=tuple(weights),
@@ -162,29 +226,83 @@ def train_knn(
     )
 
 
+def _mask_distance(weights: tuple[float, ...], mask: int) -> float:
+    # Summed in slot order, exactly as a slot by slot comparison would.
+    d = 0.0
+    for slot, w in enumerate(weights):
+        if mask >> slot & 1:
+            d += w
+    return d
+
+
 def predict_knn(model: KnnModel, vector: FeatureVector) -> str:
     """Majority class over the k nearest distance values.
 
     The distance between two vectors is the sum of the weights of the
     slots on which they disagree; all items sharing one of the k smallest
     distinct distances vote.
+
+    The search is exact.  It walks the slots heaviest first, splitting the
+    current item bitset into the items that match the query on the slot
+    and those that do not, matches first.  A branch is cut once its
+    mismatch weight exceeds the k-th smallest distance found so far, with
+    a relative slack of 1e-9 so that no tie is cut.  Each surviving leaf's
+    distance is summed from its mismatch mask in slot order, so equal
+    distances compare equal exactly as in a brute-force scan.
     """
     if len(vector) != len(model.slot_names):
         raise ValidationError(f"vector arity {len(vector)}, model expects {len(model.slot_names)}")
-    by_distance: dict[float, Counter] = {}
+    index = model.search_index()
     weights = model.weights
-    for item_vector, label in model.memory:
-        d = 0.0
-        for w, a, b in zip(weights, vector, item_vector):
-            if a != b:
-                d += w
-        tally = by_distance.get(d)
-        if tally is None:
-            tally = by_distance[d] = Counter()
-        tally[label] += 1
-    votes: Counter = Counter()
-    for distance in sorted(by_distance)[: model.k]:
-        votes.update(by_distance[distance])
+    order = index.order
+    depth_end = len(order)
+    matching = [postings.get(vector[s], 0) for s, postings in zip(order, index.postings)]
+    costs = [weights[s] for s in order]
+    bits = [1 << s for s in order]
+    distances = index.distances
+    k = model.k
+    nearest: dict[float, int] = {}  # the k smallest distances so far -> their items
+    bound = math.inf
+
+    def leaf(items: int, mask: int) -> None:
+        nonlocal bound
+        d = distances.get(mask)
+        if d is None:
+            d = distances[mask] = _mask_distance(weights, mask)
+        if d in nearest:
+            nearest[d] |= items
+            return
+        if len(nearest) == k:
+            worst = max(nearest)
+            if d > worst:
+                return
+            del nearest[worst]
+        nearest[d] = items
+        if len(nearest) == k:
+            bound = max(nearest) * (1.0 + 1e-9)
+
+    def search(depth: int, items: int, mask: int, spent: float) -> None:
+        if depth == depth_end:
+            leaf(items, mask)
+            return
+        match = items & matching[depth]
+        if match:
+            search(depth + 1, match, mask, spent)
+        rest = items ^ match
+        if rest:
+            spent += costs[depth]
+            if spent <= bound:
+                search(depth + 1, rest, mask | bits[depth], spent)
+
+    search(0, index.everything, 0, 0.0)
+    near = 0
+    for items in nearest.values():
+        near |= items
+    votes = {}
+    for label, items in index.labels.items():
+        n = (near & items).bit_count()
+        if n:
+            votes[label] = n
     return pick_best(votes, model.class_counts)
 
 

@@ -21,6 +21,7 @@ from .learners import (
     Rule,
     RuleSetModel,
     TrainedModel,
+    valid_knn_weights,
 )
 
 FORMAT_NAME = "chunker-model"
@@ -182,21 +183,30 @@ def _load_knn(lines, class_counts, slot_names, window) -> KnnModel:
     k_line = _fields(lines, "k")
     if k_line[0] != "k" or len(k_line) != 2:
         raise ParseError("expected a k line")
+    k = int(k_line[1])
+    if k < 1:
+        raise ParseError(f"k must be >= 1, got {k}")
     weights_line = _fields(lines, "weights")
     if weights_line[0] != "weights" or len(weights_line) != len(slot_names) + 1:
         raise ParseError("expected one weight per slot")
+    weights = tuple(float(w) for w in weights_line[1:])
+    if not valid_knn_weights(weights):
+        raise ParseError(f"k-NN weights must be finite and non-negative: {' '.join(weights_line[1:])}")
+    # Equal values share one string object; a memory repeats them heavily.
+    pool: dict[str, str] = {}
+    share = pool.setdefault
     memory = []
     for line in lines:
         if not line.strip():
             continue
-        fields = line.split()
+        fields = [share(f, f) for f in line.split()]
         if fields[0] != "item" or len(fields) != len(slot_names) + 2:
             raise ParseError(f"bad item line {line!r}")
         memory.append((tuple(fields[2:]), fields[1]))
     return KnnModel(
         memory=tuple(memory),
-        weights=tuple(float(w) for w in weights_line[1:]),
-        k=int(k_line[1]),
+        weights=weights,
+        k=k,
         class_counts=class_counts,
         slot_names=slot_names,
         window=window,

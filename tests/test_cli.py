@@ -1,13 +1,18 @@
 """End to end checks of the command line front end.
 
-Every test drives ``main(argv)`` directly on files under tmp_path and
-compares against the library calls the commands wrap.
+Most tests drive ``main(argv)`` directly on files under tmp_path and
+compare against the library calls the commands wrap; a few run
+``python -m chunkvote`` as a child process.
 """
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chunkvote
 from chunkvote import (
     Corpus,
     LearnerSpec,
@@ -57,6 +62,15 @@ def out_path(files, name="out.txt"):
     return str(files.dir / name)
 
 
+def run_module(args, hash_seed="0"):
+    """``python -m chunkvote`` in a child process, importing this checkout."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    src = str(Path(chunkvote.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "chunkvote", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestParsing:
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -104,6 +118,11 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             cli_entry()
         assert exc.value.code == 0
+
+    def test_module_entry_point(self):
+        done = run_module(["--help"])
+        assert done.returncode == 0
+        assert "combine" in done.stdout
 
 
 class TestConvert:
@@ -219,6 +238,30 @@ class TestTrainTagEval:
             assert main(["train", train, "--learner", "maxent", "--iterations", "20",
                          "-o", target]) == 0
         assert (files.dir / "m1.txt").read_bytes() == (files.dir / "m2.txt").read_bytes()
+
+    def test_knn_output_does_not_depend_on_the_hash_seed(self, files):
+        train = files("train.conll", TINY_TRAIN)
+        outputs = []
+        for seed in ("1", "2"):
+            model_path = out_path(files, f"knn{seed}.model")
+            tagged_path = out_path(files, f"knn{seed}.conll")
+            assert run_module(["train", train, "--learner", "knn", "-o", model_path],
+                              seed).returncode == 0
+            assert run_module(["tag", model_path, train, "-o", tagged_path],
+                              seed).returncode == 0
+            outputs.append((Path(model_path).read_bytes(), Path(tagged_path).read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_knn_model_with_a_nan_weight_is_a_data_error(self, files, capsys):
+        train = files("train.conll", TINY_TRAIN)
+        model_path = out_path(files, "knn.model")
+        assert main(["train", train, "--learner", "knn", "-o", model_path]) == 0
+        text = Path(model_path).read_text()
+        lines = ["weights nan " + line.split(None, 2)[2] if line.startswith("weights ")
+                 else line for line in text.splitlines()]
+        Path(model_path).write_text("\n".join(lines) + "\n")
+        assert main(["tag", model_path, train, "-o", out_path(files)]) == 2
+        assert "finite and non-negative" in capsys.readouterr().err
 
     def test_learner_is_required(self, files, capsys):
         train = files("train.conll", TINY_TRAIN)

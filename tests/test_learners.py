@@ -19,7 +19,9 @@ from chunkvote import (
     ValidationError,
     WindowConfig,
     corpus_to_dataset,
+    dumps_model,
     extract_chunks,
+    loads_model,
     predict_igtree,
     predict_knn,
     predict_maxent,
@@ -173,6 +175,9 @@ class TestKnn:
             train_knn(data, k=0)
         with pytest.raises(ValidationError):
             train_knn(data, weights=(1.0, 2.0))
+        for bad in (math.nan, math.inf, -math.inf, -0.5):
+            with pytest.raises(ValidationError, match="finite and non-negative"):
+                train_knn(data, weights=(bad,))
         with pytest.raises(TrainingError):
             train_knn(Dataset((), ("s0",)))
         with pytest.raises(ConfigError):
@@ -193,6 +198,134 @@ class TestKnn:
                 model.memory, model.weights, model.k, query, model.class_counts
             )
             assert predict_knn(model, query) == expected
+
+
+def assert_knn_exact(model, queries):
+    for query in queries:
+        expected = oracle_knn(model.memory, model.weights, model.k, query, model.class_counts)
+        assert predict_knn(model, query) == expected, query
+
+
+def skewed_choice(r, values):
+    """Earlier values far more often, like a word frequency list."""
+    return values[min(int(r.expovariate(4.0 / len(values))), len(values) - 1)]
+
+
+def window_shaped_data(r, size):
+    """Ten slots shaped like the default window: four word slots over a
+    skewed vocabulary, four pos slots, two chunk tag slots, with every
+    fifth row a copy of an earlier one."""
+    words = [f"w{i}" for i in range(40)]
+    tags = ["NN", "DT", "JJ", "VB", "IN", "CD", "RB", "."]
+    chunks = ["B-NP", "I-NP", "B-VP", "B-PP", "O"]
+    rows = []
+    for _ in range(size):
+        if rows and r.random() < 0.2:
+            rows.append(r.choice(rows))
+            continue
+        vector = (
+            [skewed_choice(r, words) for _ in range(4)]
+            + [skewed_choice(r, tags) for _ in range(4)]
+            + [r.choice(chunks) for _ in range(2)]
+        )
+        rows.append((vector, r.choice(chunks)))
+    return dataset(rows), words + tags + chunks
+
+
+def nearby_queries(r, model, n, pool):
+    """Memory vectors with up to four slots changed, unseen values included."""
+    queries = []
+    for _ in range(n):
+        query = list(r.choice(model.memory)[0])
+        for _ in range(r.randint(0, 4)):
+            query[r.randrange(len(query))] = r.choice(pool + ["unseen"])
+        queries.append(tuple(query))
+    return queries
+
+
+class TestKnnExactness:
+    """The branch-and-bound search against the brute-force oracle."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_window_shaped_data(self, k):
+        r = datagen.rng(40_000 + k)
+        data, values = window_shaped_data(r, 400)
+        model = train_knn(data, k=k)
+        assert_knn_exact(model, nearby_queries(r, model, 150, values))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stacked_shaped_data(self, k):
+        # four system tags plus the pos tag, mostly agreeing with the gold tag
+        r = datagen.rng(41_000 + k)
+        chunks = ["B-NP", "I-NP", "B-VP", "O"]
+        rows = []
+        for _ in range(500):
+            gold = r.choice(chunks)
+            systems = [gold if r.random() < 0.85 else r.choice(chunks) for _ in range(4)]
+            rows.append((systems + [r.choice(("NN", "DT", "VB"))], gold))
+        model = train_knn(dataset(rows), k=k)
+        assert len({v for v, _ in model.memory}) < len(model.memory) // 2
+        assert_knn_exact(model, nearby_queries(r, model, 200, chunks + ["NN", "JJ"]))
+
+    def test_distances_are_summed_in_slot_order(self):
+        # (0.1 + 0.2) + 0.3 is 0.6000000000000001, not 0.6: the X item is
+        # strictly nearer than the Y item, so at k=1 it votes alone, even
+        # though heaviest-first order sums the Y item's weights to 0.6.
+        weights = (0.1, 0.2, 0.3, 0.6)
+        assert (0.1 + 0.2) + 0.3 != 0.6 == (0.3 + 0.2) + 0.1
+        model = train_knn(dataset([
+            (["a", "b", "c", "z"], "X"),
+            (["z", "z", "z", "d"], "Y"),
+            (["z", "z", "z", "z"], "Y"),
+        ]), k=1, weights=weights)
+        assert predict_knn(model, ("a", "b", "c", "d")) == "X"
+        r = datagen.rng(42_000)
+        rows = [([r.choice("ab") for _ in range(4)], r.choice("XYZ")) for _ in range(60)]
+        for k in (1, 2, 3, 4):
+            model = train_knn(dataset(rows), k=k, weights=weights)
+            assert_knn_exact(model, [tuple(r.choice("abc") for _ in range(4)) for _ in range(80)])
+
+    def test_a_tie_is_not_cut_by_rounding(self):
+        # Both items lie at 0.7 in slot order, but heaviest-first order sums
+        # the Y item's weights to 0.7000000000000001; the search meets the
+        # X item first and must still reach the Y item, whose class then
+        # wins the tie on frequency.
+        weights = (0.1, 0.4, 0.2, 0.35, 0.35)
+        assert (0.1 + 0.4) + 0.2 == 0.35 + 0.35 < (0.4 + 0.2) + 0.1
+        model = train_knn(dataset([
+            (["a", "b", "c", "z", "z"], "X"),
+            (["z", "z", "z", "d", "e"], "Y"),
+            (["z", "z", "z", "z", "z"], "Y"),
+        ]), k=1, weights=weights)
+        assert predict_knn(model, ("a", "b", "c", "d", "e")) == "Y"
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equal_weights_make_many_ties(self, k):
+        r = datagen.rng(43_000 + k)
+        data = random_dataset(r, 200, 6, values=("a", "b", "c"))
+        model = train_knn(data, k=k, weights=(1.0,) * 6)
+        queries = [tuple(r.choice("abcd") for _ in range(6)) for _ in range(100)]
+        assert_knn_exact(model, queries)
+
+    @pytest.mark.parametrize("weights", [(0.0, 1.0, 0.0, 0.5, 0.0), (0.0,) * 5])
+    def test_zero_weight_slots(self, weights):
+        r = datagen.rng(44_000)
+        data = random_dataset(r, 120, 5)
+        for k in (1, 2):
+            model = train_knn(data, k=k, weights=weights)
+            queries = [tuple(r.choice("abcde") for _ in range(5)) for _ in range(60)]
+            assert_knn_exact(model, queries)
+
+    def test_reused_model_still_round_trips(self):
+        r = datagen.rng(45_000)
+        data, values = window_shaped_data(r, 300)
+        model = train_knn(data, k=2)
+        text = dumps_model(model)
+        assert_knn_exact(model, nearby_queries(r, model, 300, values))
+        assert model.index is not None
+        assert dumps_model(model) == text
+        assert loads_model(text) == model
+        assert "index" not in repr(model)
 
 
 class TestIGTree:

@@ -74,6 +74,13 @@ class TestRoundTrip:
         model = train_knn(dataset(rows), k=r.randint(1, 3))
         assert loads_model(dumps_model(model)) == model
 
+    def test_loaded_knn_values_share_one_string(self, tiny_corpus):
+        model = loads_model(dumps_model(trained("knn", tiny_corpus)))
+        by_value = {}
+        for vector, label in model.memory:
+            for value in vector + (label,):
+                assert by_value.setdefault(value, value) is value
+
 
 class TestFileTargets:
     def test_path_roundtrip(self, tmp_path, tiny_corpus):
@@ -135,6 +142,19 @@ class TestMalformedInput:
         lines = [line + " extra" if line.startswith("item ") else line for line in lines]
         with pytest.raises(ParseError, match="bad item line"):
             loads_model("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.5"])
+    def test_knn_weights_must_be_finite_and_non_negative(self, tiny_corpus, bad):
+        # replace the first slot's weight
+        lines = [f"weights {bad} " + line.split(None, 2)[2] if line.startswith("weights ")
+                 else line for line in self.good(tiny_corpus).splitlines()]
+        with pytest.raises(ParseError, match="finite and non-negative"):
+            loads_model("\n".join(lines) + "\n")
+
+    def test_knn_k_must_be_positive(self, tiny_corpus):
+        text = self.good(tiny_corpus).replace("k 2", "k 0", 1)
+        with pytest.raises(ParseError, match="k must be >= 1"):
+            loads_model(text)
 
     def test_rule_premise_count_mismatch(self, tiny_corpus):
         text = self.good(tiny_corpus, "rules")
