@@ -26,7 +26,6 @@ from .corpus import (
     with_tags,
 )
 from .errors import ConfigError, ValidationError
-from .features import WindowConfig
 from .learners import TrainedModel, tag_sentence
 
 HEAD_CHOICES = ("last", "first")
@@ -106,7 +105,6 @@ def cascade_bracket(
     tagger: TrainedModel | Callable[[Sentence], list[str]],
     max_depth: int = 5,
     head: str = "last",
-    window: WindowConfig | None = None,
 ) -> NestedSentence:
     """Run a flat chunker repeatedly, collapsing found chunks each round.
 
@@ -123,7 +121,7 @@ def cascade_bracket(
         tag = tagger
     else:
         def tag(s: Sentence) -> list[str]:
-            return tag_sentence(tagger, s, window)
+            return tag_sentence(tagger, s)
     current = strip_tags(sentence)
     mapping = identity_map(len(sentence))
     found: dict[ChunkSpan, None] = {}

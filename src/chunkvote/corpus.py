@@ -29,6 +29,10 @@ from .errors import ParseError, ValidationError
 # rebuilt from prediction tables.  Alignment checks accept it as a wildcard.
 PLACEHOLDER_WORD = "_"
 
+# Reserved feature value for window positions outside the sentence
+# (``chunkvote.features``).  Tokens may not use it as a word or pos tag.
+PAD = "__PAD__"
+
 _TAG_RE = re.compile(r"O|[BI]-[A-Za-z0-9]+")
 _FIELD_RE = re.compile(r"\S+")
 _BRACKET_RE = re.compile(r"((?:\([A-Za-z0-9]+)*)\*(\)*)")
@@ -65,8 +69,12 @@ class Token:
             raise ValidationError(f"bad word {self.word!r}: must be non-empty without whitespace")
         if not self.pos or not _FIELD_RE.fullmatch(self.pos):
             raise ValidationError(f"bad pos tag {self.pos!r}: must be non-empty without whitespace")
+        if PAD in (self.word, self.pos):
+            raise ValidationError(f"{PAD} is reserved for padding and cannot be a word or pos tag")
         if self.chunk_tag is not None and not _TAG_RE.fullmatch(self.chunk_tag):
             raise ValidationError(f"bad chunk tag {self.chunk_tag!r}: expected O, B-TYPE or I-TYPE")
+        if self.chunk_tag in ("B-O", "I-O"):
+            raise ValidationError(f"bad chunk tag {self.chunk_tag!r}: chunk type O is reserved")
 
 
 @dataclass(frozen=True)

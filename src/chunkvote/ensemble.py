@@ -664,8 +664,13 @@ def combine_corpus(
     With ``bracket_level`` the systems' chunk starts and ends are voted on
     separately and chunks are rebuilt from the surviving brackets;
     otherwise each token's tags are voted on directly.  Words are taken
-    from ``words`` when given, else a placeholder is written.
+    from ``words`` when given, else a placeholder is written.  ``weights``
+    must cover every system of the table.
     """
+    if weights is not None:
+        missing = [name for name in table.systems if name not in weights.systems]
+        if missing:
+            raise ValidationError(f"weights have no estimates for systems: {' '.join(missing)}")
     if bracket_level:
         outputs = {
             name: [extract_chunks(tags) for tags in table.column(name)]

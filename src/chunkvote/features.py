@@ -12,14 +12,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, Sentence
+from .corpus import PAD, Corpus, Sentence
 from .errors import ConfigError, TrainingError, ValidationError
-
-# Reserved slot value for positions outside the sentence.  Corpora must not
-# use it as a word, pos tag or chunk tag.
-PAD = "__PAD__"
 
 
 @dataclass(frozen=True)
@@ -61,33 +58,36 @@ class WindowConfig:
             left_chunk_tags=3, complex_pairs=True,
         )
 
-    def _pos_offsets(self) -> list[int]:
-        offsets = list(range(-self.left_pos, 0))
-        if self.use_focus_pos:
-            offsets.append(0)
-        offsets.extend(range(1, self.right_pos + 1))
-        return offsets
+    @cached_property
+    def _layout(self) -> tuple[tuple[tuple[str, int], ...], tuple[tuple[int, int], ...], tuple[str, ...]]:
+        """The slot layout, computed once per config.
 
-    def _pair_names(self) -> list[tuple[str, str]]:
+        One ``(source, offset)`` pair per plain slot, source ``w`` (word),
+        ``p`` (pos tag) or ``t`` (left chunk tag); one ``(i, j)`` pair per
+        ``complex_pairs`` slot, indexing the plain slots it joins; and the
+        slot names.
+        """
+
+        def run(source: str, left: int, focus: bool, right: int) -> list[tuple[str, int]]:
+            return [(source, off) for off in range(-left, right + 1) if off or focus]
+
+        plain = (
+            run("w", self.left_words, self.use_focus_word, self.right_words)
+            + run("p", self.left_pos, self.use_focus_pos, self.right_pos)
+            + run("t", self.left_chunk_tags, False, 0)
+        )
+        names = [f"{source}[{off:+d}]" for source, off in plain]
         pairs = []
-        pos_offsets = self._pos_offsets()
-        for a, b in zip(pos_offsets, pos_offsets[1:]):
-            if b - a == 1:
-                pairs.append((f"p[{a:+d}]", f"p[{b:+d}]"))
-        if self.left_chunk_tags >= 1 and self.use_focus_pos:
-            pairs.append(("t[-1]", "p[+0]"))
-        return pairs
+        if self.complex_pairs:
+            pos = [i for i, (source, _) in enumerate(plain) if source == "p"]
+            pairs = [(i, j) for i, j in zip(pos, pos[1:]) if plain[j][1] - plain[i][1] == 1]
+            if self.left_chunk_tags >= 1 and self.use_focus_pos:
+                pairs.append((names.index("t[-1]"), names.index("p[+0]")))
+            names += [f"{names[i]}&{names[j]}" for i, j in pairs]
+        return tuple(plain), tuple(pairs), tuple(names)
 
     def slot_names(self) -> tuple[str, ...]:
-        names = [f"w[{i:+d}]" for i in range(-self.left_words, 0)]
-        if self.use_focus_word:
-            names.append("w[+0]")
-        names.extend(f"w[{i:+d}]" for i in range(1, self.right_words + 1))
-        names.extend(f"p[{i:+d}]" for i in self._pos_offsets())
-        names.extend(f"t[{i:+d}]" for i in range(-self.left_chunk_tags, 0))
-        if self.complex_pairs:
-            names.extend(f"{a}&{b}" for a, b in self._pair_names())
-        return tuple(names)
+        return self._layout[2]
 
 
 FeatureVector = tuple[str, ...]
@@ -111,31 +111,18 @@ def make_features(
     if len(predicted_tags) != index:
         raise ValidationError(f"need {index} left chunk tags, got {len(predicted_tags)}")
 
-    def word(i: int) -> str:
-        return sentence.tokens[i].word if 0 <= i < n else PAD
-
-    def pos(i: int) -> str:
-        return sentence.tokens[i].pos if 0 <= i < n else PAD
-
-    def left_tag(i: int) -> str:
-        return predicted_tags[i] if i >= 0 else PAD
-
-    values = [word(index + off) for off in range(-config.left_words, 0)]
-    if config.use_focus_word:
-        values.append(word(index))
-    values.extend(word(index + off) for off in range(1, config.right_words + 1))
-    pos_values = {off: pos(index + off) for off in config._pos_offsets()}
-    values.extend(pos_values[off] for off in config._pos_offsets())
-    tag_values = {off: left_tag(index + off) for off in range(-config.left_chunk_tags, 0)}
-    values.extend(tag_values[off] for off in range(-config.left_chunk_tags, 0))
-    if config.complex_pairs:
-        named = {}
-        for off, v in pos_values.items():
-            named[f"p[{off:+d}]"] = v
-        for off, v in tag_values.items():
-            named[f"t[{off:+d}]"] = v
-        for a, b in config._pair_names():
-            values.append(f"{named[a]}|{named[b]}")
+    plain, pairs, _ = config._layout
+    tokens = sentence.tokens
+    values = []
+    for source, off in plain:
+        i = index + off
+        if source == "t":
+            values.append(predicted_tags[i] if i >= 0 else PAD)
+        elif 0 <= i < n:
+            values.append(tokens[i].word if source == "w" else tokens[i].pos)
+        else:
+            values.append(PAD)
+    values.extend(f"{values[i]}|{values[j]}" for i, j in pairs)
     return tuple(values)
 
 

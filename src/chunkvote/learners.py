@@ -728,11 +728,7 @@ def train_rules(
 TrainedModel = BaselineModel | KnnModel | IGTreeModel | MaxEntModel | RuleSetModel
 
 
-def tag_sentence(
-    model: TrainedModel,
-    sentence: Sentence,
-    config: WindowConfig | None = None,
-) -> list[str]:
+def tag_sentence(model: TrainedModel, sentence: Sentence) -> list[str]:
     """Tag one sentence left to right.
 
     Windowed models see their own previous decisions as the left chunk tag
@@ -740,9 +736,9 @@ def tag_sentence(
     """
     if isinstance(model, BaselineModel):
         return [model.predict_pos(token.pos) for token in sentence.tokens]
-    window = config or model.window
+    window = model.window
     if window is None:
-        raise ConfigError("model carries no window configuration, pass one explicitly")
+        raise ConfigError("model carries no window configuration")
     tags: list[str] = []
     for i in range(len(sentence)):
         vector = make_features(sentence, i, window, tags)

@@ -8,6 +8,7 @@ and then one kind specific table.  Numbers are written with full precision
 
 from __future__ import annotations
 
+import math
 from typing import IO, Iterator
 
 from .errors import ParseError
@@ -143,6 +144,8 @@ def _loads_model(text: str) -> TrainedModel:
         if line[0] != "slots":
             raise ParseError("expected a slots line")
         slot_names = tuple(line[1:])
+        if window is not None and slot_names != window.slot_names():
+            raise ParseError("slots line does not match the window")
 
     if kind == "baseline":
         return _load_baseline(lines, class_counts)
@@ -162,6 +165,20 @@ def _fields(lines: Iterator[str], what: str) -> list[str]:
         if line.strip():
             return line.split()
     raise ParseError(f"unexpected end of model file while reading {what}")
+
+
+def _slot(raw: str, slot_names: tuple[str, ...]) -> int:
+    slot = int(raw)
+    if not 0 <= slot < len(slot_names):
+        raise ParseError(f"slot {slot} outside the {len(slot_names)} slots")
+    return slot
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ParseError(f"number must be finite, got {raw}")
+    return value
 
 
 def _load_baseline(lines, class_counts) -> BaselineModel:
@@ -217,6 +234,9 @@ def _load_igtree(lines, class_counts, slot_names, window) -> IGTreeModel:
     order_line = _fields(lines, "order")
     if order_line[0] != "order":
         raise ParseError("expected an order line")
+    order = tuple(int(s) for s in order_line[1:])
+    if sorted(order) != list(range(len(slot_names))):
+        raise ParseError("order line must list every slot index once")
 
     def read_node() -> IGTreeNode:
         fields = _fields(lines, "node")
@@ -232,7 +252,7 @@ def _load_igtree(lines, class_counts, slot_names, window) -> IGTreeModel:
         return IGTreeNode(default, children)
 
     return IGTreeModel(
-        feature_order=tuple(int(s) for s in order_line[1:]),
+        feature_order=order,
         root=read_node(),
         class_counts=class_counts,
         slot_names=slot_names,
@@ -257,12 +277,12 @@ def _load_maxent(lines, class_counts, slot_names, window) -> MaxEntModel:
         fields = line.split()
         if fields[0] != "feature" or len(fields) != 5:
             raise ParseError(f"bad feature line {line!r}")
-        weights[(int(fields[1]), fields[2], fields[3])] = float(fields[4])
+        weights[(_slot(fields[1], slot_names), fields[2], fields[3])] = _finite(fields[4])
     return MaxEntModel(
         weights=weights,
         classes=tuple(classes_line[1:]),
         constant=int(constant_line[1]),
-        correction=float(correction_line[1]),
+        correction=_finite(correction_line[1]),
         class_counts=class_counts,
         slot_names=slot_names,
         window=window,
@@ -284,9 +304,9 @@ def _load_rules(lines, class_counts, slot_names, window) -> RuleSetModel:
         if len(fields) != 5 + 2 * n_premises:
             raise ParseError(f"rule line premise count mismatch: {line!r}")
         premises = tuple(
-            (int(fields[5 + 2 * i]), fields[6 + 2 * i]) for i in range(n_premises)
+            (_slot(fields[5 + 2 * i], slot_names), fields[6 + 2 * i]) for i in range(n_premises)
         )
-        rules.append(Rule(premises, fields[1], float(fields[2]), int(fields[3])))
+        rules.append(Rule(premises, fields[1], _finite(fields[2]), int(fields[3])))
     return RuleSetModel(
         rules=tuple(rules),
         default_class=default_line[1],

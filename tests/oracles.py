@@ -231,3 +231,29 @@ def oracle_gain_ratio(items, slot):
     if split == 0.0:
         return 0.0
     return min(1.0, max(0.0, oracle_information_gain(items, slot)) / split)
+
+
+def oracle_features(sentence, index, slot_names, tags):
+    """Each slot's value read off its name alone.
+
+    ``w[-2]`` is the word two tokens left of ``index``, ``p[+0]`` the
+    focus pos tag, ``t[-1]`` the previous entry of ``tags``; a position
+    outside the sentence reads ``__PAD__``.  ``a&b`` joins the values of
+    slots ``a`` and ``b`` with ``|``.
+    """
+
+    def value(name):
+        if "&" in name:
+            left, right = name.split("&")
+            return value(left) + "|" + value(right)
+        source, offset = name[0], int(name[2:-1])
+        if source == "t":
+            column = list(tags)
+        elif source == "w":
+            column = [token.word for token in sentence.tokens]
+        else:
+            column = [token.pos for token in sentence.tokens]
+        position = index + offset
+        return column[position] if 0 <= position < len(column) else "__PAD__"
+
+    return tuple(value(name) for name in slot_names)

@@ -35,6 +35,7 @@ from chunkvote import (
     write_conll,
     write_nested,
     write_table,
+    write_weights,
 )
 from chunkvote.cli import main
 
@@ -101,6 +102,12 @@ class TestParsing:
         bad = files("bad.conll", "the DT\n\n")
         assert main(["baseline", bad, bad]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["__PAD__ NN B-NP", "dog __PAD__ B-NP", "dog NN B-O"])
+    def test_reserved_values_are_a_data_error(self, files, capsys, row):
+        train = files("train.conll", TINY_TRAIN + row + "\n\n")
+        assert main(["train", train, "--learner", "igtree", "-o", out_path(files)]) == 2
+        assert "reserved" in capsys.readouterr().err
 
     def test_internal_errors_exit_three(self, files, capsys, monkeypatch):
         import chunkvote.cli as cli
@@ -263,6 +270,29 @@ class TestTrainTagEval:
         assert main(["tag", model_path, train, "-o", out_path(files)]) == 2
         assert "finite and non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("learner, prefix, field, value", [
+        ("maxent", "correction ", 1, "nan"),
+        ("maxent", "feature ", 4, "inf"),
+        ("maxent", "feature ", 1, "50"),
+        ("igtree", "order ", 1, "50"),
+        ("igtree", "slots ", 1, "w[-9]"),
+        ("rules", "rule ", 2, "nan"),
+        ("rules", "rule ", 5, "50"),
+    ])
+    def test_malformed_model_is_a_data_error(self, files, capsys, learner, prefix, field, value):
+        train = files("train.conll", TINY_TRAIN)
+        model_path = out_path(files, "model.txt")
+        assert main(["train", train, "--learner", learner, "--iterations", "5",
+                     "-o", model_path]) == 0
+        lines = Path(model_path).read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        fields = lines[at].split()
+        fields[field] = value
+        lines[at] = " ".join(fields)
+        Path(model_path).write_text("\n".join(lines) + "\n")
+        assert main(["tag", model_path, train, "-o", out_path(files)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_learner_is_required(self, files, capsys):
         train = files("train.conll", TINY_TRAIN)
         assert main(["train", train]) == 1
@@ -331,6 +361,20 @@ class TestTableCommands:
             cv_tuning_table(TINY_CORPUS, specs, folds=2)
         )
 
+    def test_cv_tune_output_does_not_depend_on_the_hash_seed(self, files):
+        train = files("train.conll", TINY_TRAIN)
+        outputs = []
+        for seed in ("1", "2"):
+            table_path = out_path(files, f"table{seed}.txt")
+            result = run_module([
+                "cv-tune", train, "--system", "near=knn,k=3", "--system", "tree=igtree",
+                "--system", "me=maxent,iterations=5", "--system", "rul=rules",
+                "--folds", "3", "-o", table_path,
+            ], seed)
+            assert result.returncode == 0, result.stderr
+            outputs.append(Path(table_path).read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_weights_round_trip(self, files):
         table_path = build_table(files)
         weights_path = out_path(files, "weights.txt")
@@ -384,6 +428,24 @@ class TestCombineCommand:
             "combine", table_path, "--method", "tot-precision", "--tuning", table_path,
             "-o", out,
         ]) == 0
+
+    def test_weights_must_cover_the_table_systems(self, files, capsys):
+        table_path = build_table(files)
+        table = read_table((files.dir / "table.txt").read_text())
+        renamed = type(table)(("a", "b"), table.sentences)
+        other = files("other.weights", write_weights(estimate_weights(renamed)))
+        assert main(["combine", table_path, "--method", "tot-precision",
+                     "--weights", other]) == 2
+        assert "no estimates for systems: base tree" in capsys.readouterr().err
+        # weights for a superset of the table's systems stay usable
+        base_only = type(table)(("base",), tuple(
+            tuple(type(row)(row.pos, row.preds[:1], row.gold) for row in rows)
+            for rows in table.sentences
+        ))
+        subset = files("subset.txt", write_table(base_only))
+        full = files("full.weights", write_weights(estimate_weights(table)))
+        assert main(["combine", subset, "--method", "tot-precision", "--weights", full,
+                     "-o", out_path(files)]) == 0
 
     def test_weights_and_tuning_conflict(self, files, capsys):
         table_path = build_table(files)

@@ -56,6 +56,22 @@ class TestDataModel:
         Token("dog", "NN", "O")
         Token("dog", "NN")
 
+    @pytest.mark.parametrize("word, pos, tag", [
+        ("__PAD__", "NN", "B-NP"),
+        ("dog", "__PAD__", "B-NP"),
+        ("dog", "NN", "B-O"),
+        ("dog", "NN", "I-O"),
+    ])
+    def test_token_rejects_reserved_values(self, word, pos, tag):
+        with pytest.raises(ValidationError, match="reserved"):
+            Token(word, pos, tag)
+        with pytest.raises(ValidationError, match="line 2"):
+            parse_conll(f"the DT B-NP\n{word} {pos} {tag}\n\n", TagScheme.IOB1)
+
+    def test_reserved_values_only_match_whole_fields(self):
+        Token("__PAD__x", "_PAD_", "B-OBJ")
+        Token("dog", "NN", "I-NPO")
+
     def test_sentence_properties(self):
         s = Sentence((Token("the", "DT", "B-NP"), Token("dog", "NN", "I-NP")))
         assert len(s) == 2

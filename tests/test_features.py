@@ -17,7 +17,12 @@ from chunkvote import (
 
 import datagen
 from conftest import make_sentence
-from oracles import oracle_entropy, oracle_gain_ratio, oracle_information_gain
+from oracles import (
+    oracle_entropy,
+    oracle_features,
+    oracle_gain_ratio,
+    oracle_information_gain,
+)
 
 
 def dataset(rows):
@@ -32,6 +37,24 @@ def random_dataset(r, size, arity, values=("a", "b", "c"), labels=("X", "Y")):
         for _ in range(size)
     ]
     return dataset(rows)
+
+
+WINDOW_GRID = {
+    "default": WindowConfig(),
+    "maxent": WindowConfig.maxent_window(),
+    "pairs-without-focus-pos": WindowConfig(use_focus_pos=False, complex_pairs=True),
+    "pairs-without-left-tags": WindowConfig(left_chunk_tags=0, complex_pairs=True),
+    "no-left-tags": WindowConfig(left_chunk_tags=0),
+    "no-focus-word": WindowConfig(use_focus_word=False, right_words=2),
+    "tags-only": WindowConfig(
+        left_words=0, right_words=0, use_focus_word=False,
+        left_pos=0, right_pos=0, use_focus_pos=False, left_chunk_tags=3,
+    ),
+    "wide-pos-pairs": WindowConfig(
+        left_words=0, right_words=0, left_pos=4, right_pos=3, left_chunk_tags=1,
+        complex_pairs=True,
+    ),
+}
 
 
 class TestWindowConfig:
@@ -58,6 +81,15 @@ class TestWindowConfig:
         assert "w[+0]" not in names
         assert "p[+0]" not in names
 
+    def test_pairs_join_only_adjacent_pos_slots(self):
+        config = WindowConfig(
+            left_words=0, right_words=0, use_focus_word=False,
+            use_focus_pos=False, left_chunk_tags=1, complex_pairs=True,
+        )
+        assert config.slot_names() == (
+            "p[-2]", "p[-1]", "p[+1]", "t[-1]", "p[-2]&p[-1]",
+        )
+
     def test_rejects_negative_and_empty_windows(self):
         with pytest.raises(ConfigError):
             WindowConfig(left_words=-1)
@@ -68,7 +100,9 @@ class TestWindowConfig:
             )
 
     def test_pad_value(self):
-        assert PAD == "__PAD__"
+        from chunkvote.features import PAD as features_pad
+
+        assert PAD == features_pad == "__PAD__"
 
 
 class TestMakeFeatures:
@@ -88,10 +122,18 @@ class TestMakeFeatures:
         got = make_features(self.SENT, 2, WindowConfig(), ("B-NP", "I-NP"))
         assert got == ("the", "dog", "sat", PAD, "DT", "NN", "VBD", PAD, "B-NP", "I-NP")
 
-    def test_vector_matches_slot_names_in_length(self):
-        for config in (WindowConfig(), WindowConfig.maxent_window()):
-            got = make_features(self.SENT, 1, config, ("B-NP",))
-            assert len(got) == len(config.slot_names())
+    @pytest.mark.parametrize("config", WINDOW_GRID.values(), ids=WINDOW_GRID.keys())
+    def test_vector_matches_slot_names_in_length(self, config):
+        sentence = make_sentence([
+            ("the", "DT", "B-NP"), ("old", "JJ", "I-NP"), ("dog", "NN", "I-NP"),
+            ("sat", "VBD", "B-VP"), ("down", "RP", "O"),
+        ])
+        names = config.slot_names()
+        for i in range(len(sentence)):
+            tags = sentence.chunk_tags[:i]
+            got = make_features(sentence, i, config, tags)
+            assert len(got) == len(names)
+            assert got == oracle_features(sentence, i, names, tags)
 
     def test_pair_slots_join_their_parts(self):
         config = WindowConfig(

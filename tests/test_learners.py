@@ -595,18 +595,12 @@ class TestTagSentence:
         sentence = make_untagged([("x", "A"), ("y", "A"), ("z", "A")])
         assert tag_sentence(model, sentence) == ["B-NP", "I-NP", "B-NP"]
 
-    def test_window_argument_overrides_the_stored_window(self, tiny_corpus):
-        window = WindowConfig()
-        data = corpus_to_dataset(tiny_corpus, window)
-        bare = train_knn(data, k=1)
+    def test_model_without_a_window_cannot_tag(self, tiny_corpus):
+        bare = train_knn(corpus_to_dataset(tiny_corpus, WindowConfig()), k=1)
         assert bare.window is None
         sentence = tiny_corpus.sentences[0]
         with pytest.raises(ConfigError):
             tag_sentence(bare, make_untagged([(t.word, t.pos) for t in sentence.tokens]))
-        got = tag_sentence(
-            bare, make_untagged([(t.word, t.pos) for t in sentence.tokens]), window
-        )
-        assert got == list(sentence.chunk_tags)
 
     @pytest.mark.parametrize("learner", ["knn", "igtree"])
     def test_memorising_learners_reproduce_unambiguous_training_data(

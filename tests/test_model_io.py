@@ -3,6 +3,7 @@ import io
 import pytest
 
 from chunkvote import (
+    ChunkvoteError,
     LearnerSpec,
     ParseError,
     WindowConfig,
@@ -10,6 +11,8 @@ from chunkvote import (
     load_model,
     loads_model,
     save_model,
+    strip_tags,
+    tag_sentence,
     train_knn,
 )
 
@@ -166,3 +169,97 @@ class TestMalformedInput:
     def test_empty_input(self):
         with pytest.raises(ParseError, match="unexpected end"):
             loads_model("")
+
+    def replace_line(self, text, prefix, line):
+        lines = text.splitlines()
+        at = next(i for i, old in enumerate(lines) if old.startswith(prefix))
+        return "\n".join(lines[:at] + [line] + lines[at + 1:]) + "\n"
+
+    @pytest.mark.parametrize("order", [
+        "order 50 5 2 9 1 7 3 4 0 8", "order 6 5 2", "order 6 6 2 9 1 7 3 4 0 8", "order",
+    ])
+    def test_igtree_order_must_permute_the_slots(self, tiny_corpus, order):
+        text = self.replace_line(self.good(tiny_corpus, "igtree"), "order ", order)
+        with pytest.raises(ParseError, match="order line"):
+            loads_model(text)
+
+    @pytest.mark.parametrize("slot", ["10", "-1"])
+    def test_rule_premise_slot_must_be_a_slot(self, tiny_corpus, slot):
+        text = self.good(tiny_corpus, "rules")
+        text = self.replace_line(text, "rule ", f"rule O 1.0 6 1 {slot} NN")
+        with pytest.raises(ParseError, match="outside the 10 slots"):
+            loads_model(text)
+
+    def test_maxent_feature_slot_must_be_a_slot(self, tiny_corpus):
+        text = self.replace_line(self.good(tiny_corpus, "maxent"), "feature ",
+                                 "feature 21 __PAD__ B-NP 0.5")
+        with pytest.raises(ParseError, match="outside the 21 slots"):
+            loads_model(text)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind, prefix, line", [
+        ("maxent", "correction ", "correction {}"),
+        ("maxent", "feature ", "feature 0 __PAD__ B-NP {}"),
+        ("rules", "rule ", "rule O {} 6 1 6 ."),
+    ])
+    def test_numbers_must_be_finite(self, tiny_corpus, kind, prefix, line, bad):
+        text = self.replace_line(self.good(tiny_corpus, kind), prefix, line.format(bad))
+        with pytest.raises(ParseError, match="finite"):
+            loads_model(text)
+
+    @pytest.mark.parametrize("kind", ["knn", "igtree", "maxent", "rules"])
+    def test_slots_must_match_the_window(self, tiny_corpus, kind):
+        text = self.good(tiny_corpus, kind)
+        slots = next(line for line in text.splitlines() if line.startswith("slots "))
+        for changed in (slots.replace("w[-2]", "w[-9]"), slots + " p[+5]"):
+            with pytest.raises(ParseError, match="slots line"):
+                loads_model(self.replace_line(text, "slots ", changed))
+
+
+def mutate(r, text):
+    """One random edit of a model file.  Half the edits replace one field
+    by a value that readers often mishandle; the rest delete, double or
+    swap a line, or delete a field or copy one from elsewhere."""
+    lines = [line.split() for line in text.splitlines()]
+    at = r.randrange(len(lines))
+    line = lines[at]
+    edit = r.randrange(10)
+    if edit == 0:
+        del lines[at]
+    elif edit == 1:
+        lines.insert(at, list(line))
+    elif edit == 2:
+        other = r.randrange(len(lines))
+        lines[at], lines[other] = lines[other], line
+    elif line and edit == 3:
+        del line[r.randrange(len(line))]
+    elif line and edit == 4:
+        donor = r.choice([fields for fields in lines if fields])
+        line[r.randrange(len(line))] = r.choice(donor)
+    elif line:
+        line[r.randrange(len(line))] = r.choice([
+            "nan", "inf", "-inf", "1e308", "-1", "0", "1", "10", "21", "50", "x",
+            "__PAD__", "B-NP", "left_words=-1", "left_words=9", "complex_pairs=1",
+        ])
+    return "\n".join(" ".join(fields) for fields in lines) + "\n"
+
+
+class TestMutatedModels:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_only_chunkvote_errors_escape(self, kind, tiny_corpus):
+        r = datagen.rng(31_000 + ALL_KINDS.index(kind))
+        text = dumps_model(trained(kind, tiny_corpus))
+        sentences = [strip_tags(s) for s in tiny_corpus.sentences]
+        loaded = 0
+        for _ in range(1000):
+            mutated = mutate(r, text)
+            for _ in range(r.randrange(2)):
+                mutated = mutate(r, mutated)
+            try:
+                model = loads_model(mutated)
+                loaded += 1
+                for sentence in sentences:
+                    tag_sentence(model, sentence)
+            except ChunkvoteError:
+                pass
+        assert loaded > 0
