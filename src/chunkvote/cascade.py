@@ -26,7 +26,6 @@ from .corpus import (
     with_tags,
 )
 from .errors import ConfigError, ValidationError
-from .learners import TrainedModel, tag_sentence
 
 HEAD_CHOICES = ("last", "first")
 
@@ -102,31 +101,27 @@ def collapse(
 
 def cascade_bracket(
     sentence: Sentence,
-    tagger: TrainedModel | Callable[[Sentence], list[str]],
+    tagger: Callable[[Sentence], list[str]],
     max_depth: int = 5,
     head: str = "last",
 ) -> NestedSentence:
     """Run a flat chunker repeatedly, collapsing found chunks each round.
 
-    ``tagger`` is either a trained model or any callable from a sentence
-    to a tag list.  Spans are translated to original token offsets and
-    accumulated as a set.  The cascade stops when a round contributes no
-    span it has not seen before, when everything has collapsed into a
-    single token, or after ``max_depth`` rounds; a chunker stuck re-deriving
-    the same brackets therefore terminates after one wasted round.
+    ``tagger`` maps a sentence to its tag list, for a trained model
+    ``functools.partial(tag_sentence, model)``.  Spans are translated to
+    original token offsets and accumulated as a set.  The cascade stops
+    when a round contributes no span it has not seen before, when
+    everything has collapsed into a single token, or after ``max_depth``
+    rounds; a chunker stuck re-deriving the same brackets therefore
+    terminates after one wasted round.
     """
     if max_depth < 1:
         raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
-    if callable(tagger):
-        tag = tagger
-    else:
-        def tag(s: Sentence) -> list[str]:
-            return tag_sentence(tagger, s)
     current = strip_tags(sentence)
     mapping = identity_map(len(sentence))
     found: dict[ChunkSpan, None] = {}
     for _ in range(max_depth):
-        tags = tag(current)
+        tags = tagger(current)
         level_spans = extract_chunks(tags)
         if not level_spans:
             break

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 bad input data, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -231,8 +232,7 @@ def _cmd_baseline(args) -> None:
     train = _read_corpus(args.train, args.scheme, 3, strict=True)
     test = _read_corpus(args.test, args.scheme, args.columns, strict=False)
     model = train_baseline(train, io_encoding=args.io_encoding)
-    sentences = tuple(with_tags(s, tag_sentence(model, s)) for s in test.sentences)
-    _write_text(args.output, write_conll(Corpus(sentences, TagScheme(args.scheme))))
+    _write_tagged(args.output, model, test, args.scheme)
 
 
 def _cmd_train(args) -> None:
@@ -259,10 +259,13 @@ def _cmd_train(args) -> None:
 def _cmd_tag(args) -> None:
     model = loads_model(_read_text(args.model))
     corpus = _read_corpus(args.input, args.scheme, args.columns, strict=False)
-    sentences = tuple(
-        with_tags(s, tag_sentence(model, strip_tags(s))) for s in corpus.sentences
-    )
-    _write_text(args.output, write_conll(Corpus(sentences, TagScheme(args.scheme))))
+    _write_tagged(args.output, model, corpus, args.scheme)
+
+
+def _write_tagged(path, model, corpus: Corpus, scheme: str) -> None:
+    """Tag every sentence of ``corpus``, replacing any tags it has."""
+    sentences = tuple(with_tags(s, tag_sentence(model, s)) for s in corpus.sentences)
+    _write_text(path, write_conll(Corpus(sentences, TagScheme(scheme))))
 
 
 def _cmd_eval(args) -> None:
@@ -338,10 +341,10 @@ def _cmd_best_n(args) -> None:
 
 
 def _cmd_cascade(args) -> None:
-    model = loads_model(_read_text(args.model))
+    tagger = functools.partial(tag_sentence, loads_model(_read_text(args.model)))
     corpus = _read_corpus(args.input, "iob1", args.columns, strict=False)
     nested = [
-        cascade_bracket(strip_tags(s), model, max_depth=args.max_depth, head=args.head)
+        cascade_bracket(strip_tags(s), tagger, max_depth=args.max_depth, head=args.head)
         for s in corpus.sentences
     ]
     _write_text(args.output, write_nested(nested))

@@ -33,7 +33,7 @@ PLACEHOLDER_WORD = "_"
 # (``chunkvote.features``).  Tokens may not use it as a word or pos tag.
 PAD = "__PAD__"
 
-_TAG_RE = re.compile(r"O|[BI]-[A-Za-z0-9]+")
+_TAG_RE = re.compile(r"O|[BI]-(?!O\Z)[A-Za-z0-9]+")
 _FIELD_RE = re.compile(r"\S+")
 _BRACKET_RE = re.compile(r"((?:\([A-Za-z0-9]+)*)\*(\)*)")
 _OPENER_RE = re.compile(r"\(([A-Za-z0-9]+)")
@@ -71,10 +71,16 @@ class Token:
             raise ValidationError(f"bad pos tag {self.pos!r}: must be non-empty without whitespace")
         if PAD in (self.word, self.pos):
             raise ValidationError(f"{PAD} is reserved for padding and cannot be a word or pos tag")
-        if self.chunk_tag is not None and not _TAG_RE.fullmatch(self.chunk_tag):
-            raise ValidationError(f"bad chunk tag {self.chunk_tag!r}: expected O, B-TYPE or I-TYPE")
-        if self.chunk_tag in ("B-O", "I-O"):
-            raise ValidationError(f"bad chunk tag {self.chunk_tag!r}: chunk type O is reserved")
+        if self.chunk_tag is not None:
+            check_chunk_tag(self.chunk_tag)
+
+
+def check_chunk_tag(tag: str) -> None:
+    """Raise ValidationError unless ``tag`` is O, B-TYPE or I-TYPE with a TYPE other than O."""
+    if not _TAG_RE.fullmatch(tag):
+        raise ValidationError(
+            f"bad chunk tag {tag!r}: expected O, B-TYPE or I-TYPE; chunk type O is reserved"
+        )
 
 
 @dataclass(frozen=True)

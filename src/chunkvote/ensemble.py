@@ -23,6 +23,7 @@ from .corpus import (
     Sentence,
     TagScheme,
     Token,
+    check_chunk_tag,
     extract_chunks,
     tags_from_chunks,
 )
@@ -72,7 +73,8 @@ class PredictionTable:
         for name in self.systems:
             if name in _RESERVED_COLUMNS:
                 raise ValidationError(f"system name {name!r} is reserved")
-        gold_flags = set()
+        golds = set()
+        preds = set()
         for rows in self.sentences:
             if not rows:
                 raise ValidationError("empty sentence in prediction table")
@@ -81,9 +83,12 @@ class PredictionTable:
                     raise ValidationError(
                         f"row has {len(row.preds)} predictions for {len(self.systems)} systems"
                     )
-                gold_flags.add(row.gold is not None)
-        if len(gold_flags) > 1:
+                golds.add(row.gold)
+                preds.update(row.preds)
+        if None in golds and len(golds) > 1:
             raise ValidationError("gold tags must be present on every row or on none")
+        for tag in preds | golds - {None}:  # each distinct cell once
+            check_chunk_tag(tag)
 
     @property
     def has_gold(self) -> bool:

@@ -2,7 +2,8 @@
 
 Five learner kinds are provided:
 
-* ``baseline``: the most frequent chunk tag per pos tag;
+* ``baseline``: the most frequent chunk tag per pos tag, trained as an
+  ``igtree`` over the focus pos tag alone;
 * ``knn``: nearest neighbour classification over the stored training
   items, slots weighted by gain ratio, where k counts distance values
   rather than items;
@@ -24,11 +25,11 @@ and prediction are fully deterministic.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .corpus import Corpus, Sentence, TagScheme, Token, tag_parts
+from .corpus import Corpus, Sentence, TagScheme, Token
 from .errors import ConfigError, TrainingError, ValidationError
 from .features import (
     Dataset,
@@ -67,41 +68,7 @@ def _slot_weights(dataset: Dataset, weighting: str) -> tuple[float, ...]:
 
 
 #---------------------------------------------------------------------------
-# baseline
-
-@dataclass(frozen=True)
-class BaselineModel:
-    kind = "baseline"
-    table: Mapping[str, str]
-    fallback: str
-    class_counts: Mapping[str, int]
-    window: None = None
-
-    def predict_pos(self, pos: str) -> str:
-        return self.table.get(pos, self.fallback)
-
-
-def train_baseline(corpus: Corpus, io_encoding: bool = False) -> BaselineModel:
-    """Most frequent chunk tag per pos tag, corpus-wide modal tag as fallback."""
-    if not corpus.sentences:
-        raise TrainingError("cannot train on an empty corpus")
-    per_pos: dict[str, Counter] = defaultdict(Counter)
-    overall: Counter = Counter()
-    for si, sentence in enumerate(corpus.sentences, start=1):
-        for token in sentence.tokens:
-            if token.chunk_tag is None:
-                raise TrainingError(f"sentence {si} has untagged tokens")
-            tag = _io_tag(token.chunk_tag) if io_encoding else token.chunk_tag
-            per_pos[token.pos][tag] += 1
-            overall[tag] += 1
-    table = {pos: pick_best(counts, overall) for pos, counts in per_pos.items()}
-    return BaselineModel(table, pick_best(overall, overall), dict(overall))
-
-
-def _io_tag(tag: str) -> str:
-    marker, label = tag_parts(tag)
-    return f"I-{label}" if marker == "B" else tag
-
+# io encoding
 
 def io_corpus(corpus: Corpus) -> Corpus:
     """Rewrite every B tag as an I tag, keeping only an inside/outside split.
@@ -112,7 +79,7 @@ def io_corpus(corpus: Corpus) -> Corpus:
     sentences = []
     for sentence in corpus.sentences:
         tokens = tuple(
-            Token(t.word, t.pos, None if t.chunk_tag is None else _io_tag(t.chunk_tag))
+            Token(t.word, t.pos, t.chunk_tag and t.chunk_tag.replace("B-", "I-", 1))
             for t in sentence.tokens
         )
         sentences.append(Sentence(tokens))
@@ -725,7 +692,7 @@ def train_rules(
 #---------------------------------------------------------------------------
 # sentence tagging and learner specs
 
-TrainedModel = BaselineModel | KnnModel | IGTreeModel | MaxEntModel | RuleSetModel
+TrainedModel = KnnModel | IGTreeModel | MaxEntModel | RuleSetModel
 
 
 def tag_sentence(model: TrainedModel, sentence: Sentence) -> list[str]:
@@ -734,8 +701,6 @@ def tag_sentence(model: TrainedModel, sentence: Sentence) -> list[str]:
     Windowed models see their own previous decisions as the left chunk tag
     context, so the output is deterministic for a deterministic model.
     """
-    if isinstance(model, BaselineModel):
-        return [model.predict_pos(token.pos) for token in sentence.tokens]
     window = model.window
     if window is None:
         raise ConfigError("model carries no window configuration")
@@ -747,6 +712,11 @@ def tag_sentence(model: TrainedModel, sentence: Sentence) -> list[str]:
 
 
 LEARNER_KINDS = ("baseline", "knn", "igtree", "maxent", "rules")
+
+# The per pos tag baseline is an igtree over the focus pos tag alone.
+BASELINE_WINDOW = WindowConfig(
+    left_words=0, right_words=0, left_pos=0, right_pos=0, left_chunk_tags=0, use_focus_word=False,
+)
 
 
 @dataclass(frozen=True)
@@ -773,6 +743,8 @@ class LearnerSpec:
             raise ConfigError("io_encoding is only supported for the baseline and rules learners")
 
     def resolved_window(self) -> WindowConfig:
+        if self.learner == "baseline":
+            return BASELINE_WINDOW
         if self.window is not None:
             return self.window
         if self.learner == "maxent":
@@ -780,16 +752,12 @@ class LearnerSpec:
         return WindowConfig()
 
     def train(self, corpus: Corpus) -> TrainedModel:
-        if self.learner == "baseline":
-            return train_baseline(corpus, io_encoding=self.io_encoding)
         window = self.resolved_window()
         if self.io_encoding:
             corpus = io_corpus(corpus)
         dataset = corpus_to_dataset(corpus, window)
         if self.learner == "knn":
             return train_knn(dataset, k=self.k, weighting=self.weighting, window=window)
-        if self.learner == "igtree":
-            return train_igtree(dataset, weighting=self.weighting, window=window)
         if self.learner == "maxent":
             return train_maxent(
                 dataset,
@@ -798,4 +766,11 @@ class LearnerSpec:
                 cutoff=self.cutoff,
                 window=window,
             )
-        return train_rules(dataset, threshold=self.threshold, window=window)
+        if self.learner == "rules":
+            return train_rules(dataset, threshold=self.threshold, window=window)
+        return train_igtree(dataset, weighting=self.weighting, window=window)
+
+
+def train_baseline(corpus: Corpus, io_encoding: bool = False) -> IGTreeModel:
+    """Most frequent chunk tag per pos tag, corpus-wide modal tag as fallback."""
+    return LearnerSpec("baseline", "baseline", io_encoding=io_encoding).train(corpus)

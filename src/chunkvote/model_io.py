@@ -14,7 +14,7 @@ from typing import IO, Iterator
 from .errors import ParseError
 from .features import WindowConfig
 from .learners import (
-    BaselineModel,
+    BASELINE_WINDOW,
     IGTreeModel,
     IGTreeNode,
     KnnModel,
@@ -60,18 +60,21 @@ def _parse_window(fields: list[str]) -> WindowConfig | None:
 
 
 def dumps_model(model: TrainedModel) -> str:
-    lines = [f"{FORMAT_NAME} {FORMAT_VERSION}", f"kind {model.kind}"]
+    """The model's file text; an igtree over ``BASELINE_WINDOW`` is written
+    as a ``baseline`` model, whose table lists each leaf by its pos tag."""
+    baseline = isinstance(model, IGTreeModel) and model.window == BASELINE_WINDOW
+    lines = [f"{FORMAT_NAME} {FORMAT_VERSION}", f"kind {'baseline' if baseline else model.kind}"]
     for tag in sorted(model.class_counts):
         lines.append(f"class {tag} {model.class_counts[tag]}")
-    lines.append(_window_line(model.window))
-    if not isinstance(model, BaselineModel):
-        lines.append("slots " + " ".join(model.slot_names))
+    lines.append(_window_line(None if baseline else model.window))
+    if baseline:
+        lines.append(f"fallback {model.root.default}")
+        for pos in sorted(model.root.children):
+            lines.append(f"pos {pos} {model.root.children[pos].default}")
+        return "\n".join(lines) + "\n"
+    lines.append("slots " + " ".join(model.slot_names))
 
-    if isinstance(model, BaselineModel):
-        lines.append(f"fallback {model.fallback}")
-        for pos in sorted(model.table):
-            lines.append(f"pos {pos} {model.table[pos]}")
-    elif isinstance(model, KnnModel):
+    if isinstance(model, KnnModel):
         lines.append(f"k {model.k}")
         lines.append("weights " + " ".join(repr(w) for w in model.weights))
         for vector, label in model.memory:
@@ -137,18 +140,22 @@ def _loads_model(text: str) -> TrainedModel:
     if line[0] != "window":
         raise ParseError("expected a window line after the class counts")
     window = _parse_window(line[1:])
-
-    slot_names: tuple[str, ...] = ()
-    if kind != "baseline":
-        line = _fields(lines, "slots")
-        if line[0] != "slots":
-            raise ParseError("expected a slots line")
-        slot_names = tuple(line[1:])
-        if window is not None and slot_names != window.slot_names():
-            raise ParseError("slots line does not match the window")
-
     if kind == "baseline":
         return _load_baseline(lines, class_counts)
+
+    line = _fields(lines, "slots")
+    if line[0] != "slots":
+        raise ParseError("expected a slots line")
+    slot_names = tuple(line[1:])
+    # A window has at least one slot per plain slot (every field but
+    # complex_pairs counts them), so an outsized one is rejected before
+    # slot_names() builds its layout.
+    if window is not None and (
+        sum(int(getattr(window, name)) for name in _WINDOW_FIELDS[:-1]) > len(slot_names)
+        or window.slot_names() != slot_names
+    ):
+        raise ParseError("slots line does not match the window")
+
     if kind == "knn":
         return _load_knn(lines, class_counts, slot_names, window)
     if kind == "igtree":
@@ -181,19 +188,25 @@ def _finite(raw: str) -> float:
     return value
 
 
-def _load_baseline(lines, class_counts) -> BaselineModel:
+def _load_baseline(lines, class_counts) -> IGTreeModel:
     fallback = _fields(lines, "fallback")
     if fallback[0] != "fallback" or len(fallback) != 2:
         raise ParseError("expected a fallback line")
-    table = {}
+    leaves = {}
     for line in lines:
         if not line.strip():
             continue
         fields = line.split()
         if fields[0] != "pos" or len(fields) != 3:
             raise ParseError(f"bad pos line {line!r}")
-        table[fields[1]] = fields[2]
-    return BaselineModel(table, fallback[1], class_counts)
+        leaves[fields[1]] = IGTreeNode(fields[2], {})
+    return IGTreeModel(
+        feature_order=(0,),
+        root=IGTreeNode(fallback[1], leaves),
+        class_counts=class_counts,
+        slot_names=BASELINE_WINDOW.slot_names(),
+        window=BASELINE_WINDOW,
+    )
 
 
 def _load_knn(lines, class_counts, slot_names, window) -> KnnModel:

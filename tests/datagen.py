@@ -166,3 +166,29 @@ def random_weights(r, systems, tags):
         pair_prob=pair_prob,
         tag_counts={t: r.randint(0, 50) for t in tags},
     )
+
+
+def mutate(r, text, values):
+    """One random edit of a line based file.  Half the edits replace one
+    field by one of ``values``, chosen as values that readers often
+    mishandle; the rest delete, double or swap a line, or delete a field
+    or copy one from elsewhere."""
+    lines = [line.split() for line in text.splitlines()]
+    at = r.randrange(len(lines))
+    line = lines[at]
+    edit = r.randrange(10)
+    if edit == 0:
+        del lines[at]
+    elif edit == 1:
+        lines.insert(at, list(line))
+    elif edit == 2:
+        other = r.randrange(len(lines))
+        lines[at], lines[other] = lines[other], line
+    elif line and edit == 3:
+        del line[r.randrange(len(line))]
+    elif line and edit == 4:
+        donor = r.choice([fields for fields in lines if fields])
+        line[r.randrange(len(line))] = r.choice(donor)
+    elif line:
+        line[r.randrange(len(line))] = r.choice(values)
+    return "\n".join(" ".join(fields) for fields in lines) + "\n"

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from chunkvote import (
@@ -16,6 +18,7 @@ from chunkvote import (
     identity_map,
     properly_nested,
     scheme_violation,
+    tag_sentence,
     translate_span,
 )
 from chunkvote.cascade import translate_local
@@ -315,5 +318,5 @@ class TestCascadeBracket:
     def test_trained_model_end_to_end(self, money_example):
         corpus = cascade_training_corpus([money_example])
         model = LearnerSpec("tree", "igtree").train(corpus)
-        got = cascade_bracket(Sentence(money_example.tokens), model)
+        got = cascade_bracket(Sentence(money_example.tokens), functools.partial(tag_sentence, model))
         assert got == money_example

@@ -6,8 +6,10 @@ compare against the library calls the commands wrap; a few run
 """
 
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -63,13 +65,19 @@ def out_path(files, name="out.txt"):
     return str(files.dir / name)
 
 
-def run_module(args, hash_seed="0"):
-    """``python -m chunkvote`` in a child process, importing this checkout."""
+def run_module(args, hash_seed="0", memory_limit=None):
+    """``python -m chunkvote`` in a child process, importing this checkout,
+    with its address space capped at ``memory_limit`` bytes if given."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     src = str(Path(chunkvote.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit))
+
     return subprocess.run([sys.executable, "-m", "chunkvote", *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap if memory_limit else None)
 
 
 class TestParsing:
@@ -203,6 +211,18 @@ class TestBaselineCommand:
         seen = {t for s in tagged.sentences for t in s.chunk_tags}
         assert not any(t.startswith("B-") for t in seen)
 
+    @pytest.mark.parametrize("io", [[], ["--io-encoding"]])
+    def test_equals_train_and_tag(self, files, io):
+        train = files("train.conll", TINY_TRAIN)
+        test = files("test.conll", TWO_COL + "a FW\nbig JJ\n\n")
+        model = out_path(files, "base.model")
+        assert main(["baseline", train, test, "--columns", "2", *io,
+                     "-o", out_path(files, "baseline.conll")]) == 0
+        assert main(["train", train, "--learner", "baseline", *io, "-o", model]) == 0
+        assert main(["tag", model, test, "--columns", "2",
+                     "-o", out_path(files, "tag.conll")]) == 0
+        assert (files.dir / "baseline.conll").read_bytes() == (files.dir / "tag.conll").read_bytes()
+
 
 class TestTrainTagEval:
     def test_pipeline_matches_the_library(self, files):
@@ -292,6 +312,21 @@ class TestTrainTagEval:
         Path(model_path).write_text("\n".join(lines) + "\n")
         assert main(["tag", model_path, train, "-o", out_path(files)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_outsized_window_is_rejected_before_it_is_built(self, files):
+        train = files("train.conll", TINY_TRAIN)
+        model_path = out_path(files, "model.txt")
+        assert main(["train", train, "--learner", "igtree", "-o", model_path]) == 0
+        text = Path(model_path).read_text().replace("left_words=2", "left_words=100000000", 1)
+        Path(model_path).write_text(text)
+        # A layout of 10^8 slots takes tens of GB to build; the cap turns
+        # building it into a MemoryError (exit 3) instead.
+        start = time.perf_counter()
+        done = run_module(["tag", model_path, train], memory_limit=1 << 30)
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 2
+        assert "slots line" in done.stderr
+        assert elapsed < 5
 
     def test_learner_is_required(self, files, capsys):
         train = files("train.conll", TINY_TRAIN)
@@ -458,6 +493,12 @@ class TestCombineCommand:
         table_path = build_table(files)
         assert main(["combine", table_path, "--method", "tag-precision"]) == 1
         assert "needs --weights or --tuning" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bracket_level", [[], ["--bracket-level"]])
+    def test_reserved_chunk_type_in_a_table_is_a_data_error(self, files, capsys, bracket_level):
+        table = files("table.txt", "pos a b c\nDT B-O B-O B-NP\nNN I-O I-O I-NP\n\n")
+        assert main(["combine", table, *bracket_level, "-o", out_path(files)]) == 2
+        assert "chunk type O is reserved" in capsys.readouterr().err
 
     def test_bracket_level_majority_only(self, files, capsys):
         table_path = build_table(files)

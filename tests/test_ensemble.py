@@ -3,6 +3,7 @@ import pytest
 from chunkvote import (
     AlignmentError,
     ChunkSpan,
+    ChunkvoteError,
     CombinerWeights,
     ConfigError,
     Corpus,
@@ -325,6 +326,69 @@ class TestWeightsIO:
             read_weights("combiner-weights 1\nwibble x y\n")
         with pytest.raises(ParseError, match="bad number"):
             read_weights("combiner-weights 1\naccuracy m1 high\n")
+
+
+# field values that table and weights readers often mishandle
+READER_VALUES = (
+    "nan", "inf", "-inf", "1e308", "-1", "0", "1", "x", "gold", "pos", "system",
+    "B-NP", "I-O", "B-O", "O-NP", "__PAD__", "a", "b",
+)
+
+
+def fuzz_table():
+    """Eight random sentences with gold tags and three noisy systems."""
+    gold, preds = datagen.random_table_data(datagen.rng(41_000), 8, ["a", "b", "c"], TAGS)
+    sentences = [
+        [(pos, tuple(preds[n][si][ti] for n in "abc")) for ti, (pos, _) in enumerate(rows)]
+        for si, rows in enumerate(gold)
+    ]
+    return table_from_rows(["a", "b", "c"], sentences, [[tag for _, tag in rows] for rows in gold])
+
+
+def combine_every_way(table, weights):
+    """Every combination a reader's output feeds; only ChunkvoteError may escape."""
+    combine_corpus(table, bracket_level=True, weights=weights)
+    for method in VOTING_METHODS:
+        if weights is not None or method == "majority":
+            combine_corpus(table, method=method, weights=weights)
+
+
+class TestMutatedReaders:
+    def test_only_chunkvote_errors_escape_read_table(self):
+        r = datagen.rng(42_000)
+        text = write_table(fuzz_table())
+        read = 0
+        for _ in range(1000):
+            mutated = datagen.mutate(r, text, READER_VALUES)
+            for _ in range(r.randrange(2)):
+                mutated = datagen.mutate(r, mutated, READER_VALUES)
+            try:
+                table = read_table(mutated)
+                read += 1
+                weights = estimate_weights(table) if table.has_gold else None
+                combine_every_way(table, weights)
+                if table.has_gold:
+                    best_n_select(table, 2)
+            except ChunkvoteError:
+                pass
+        assert read > 0
+
+    def test_only_chunkvote_errors_escape_read_weights(self):
+        r = datagen.rng(43_000)
+        table = fuzz_table()
+        text = write_weights(estimate_weights(table))
+        read = 0
+        for _ in range(1000):
+            mutated = datagen.mutate(r, text, READER_VALUES)
+            for _ in range(r.randrange(2)):
+                mutated = datagen.mutate(r, mutated, READER_VALUES)
+            try:
+                weights = read_weights(mutated)
+                read += 1
+                combine_every_way(table, weights)
+            except ChunkvoteError:
+                pass
+        assert read > 0
 
 
 class TestVote:

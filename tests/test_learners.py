@@ -4,7 +4,6 @@ import pytest
 
 from chunkvote import (
     PAD,
-    BaselineModel,
     ConfigError,
     Corpus,
     Dataset,
@@ -33,7 +32,7 @@ from chunkvote import (
     train_maxent,
     train_rules,
 )
-from chunkvote.learners import io_corpus, pick_best
+from chunkvote.learners import BASELINE_WINDOW, io_corpus, pick_best
 
 import datagen
 from conftest import make_sentence, make_untagged
@@ -84,20 +83,20 @@ class TestBaseline:
 
     def test_modal_tag_per_pos(self):
         model = train_baseline(self.corpus())
-        assert model.predict_pos("DT") == "B-NP"
-        assert model.predict_pos("VBZ") == "O"
+        assert model.predict(("DT",)) == "B-NP"
+        assert model.predict(("VBZ",)) == "O"
         # NN is split 1/1; the corpus-wide more frequent tag wins
-        assert model.predict_pos("NN") == "B-NP"
+        assert model.predict(("NN",)) == "B-NP"
 
     def test_unseen_pos_gets_the_corpus_modal_tag(self):
         model = train_baseline(self.corpus())
-        assert model.fallback == "B-NP"
-        assert model.predict_pos("XYZ") == "B-NP"
+        assert model.root.default == "B-NP"
+        assert model.predict(("XYZ",)) == "B-NP"
 
     def test_io_encoding_folds_b_into_i(self):
         model = train_baseline(self.corpus(), io_encoding=True)
-        assert set(model.table.values()) <= {"I-NP", "O"}
-        assert model.predict_pos("DT") == "I-NP"
+        assert {leaf.default for leaf in model.root.children.values()} <= {"I-NP", "O"}
+        assert model.predict(("DT",)) == "I-NP"
 
     def test_training_errors(self):
         with pytest.raises(TrainingError):
@@ -640,10 +639,11 @@ class TestLearnerSpec:
         assert LearnerSpec("a", "maxent").resolved_window() == WindowConfig.maxent_window()
         custom = WindowConfig(left_words=1)
         assert LearnerSpec("a", "maxent", window=custom).resolved_window() == custom
+        assert LearnerSpec("a", "baseline", window=custom).resolved_window() == BASELINE_WINDOW
 
     def test_train_dispatch(self, tiny_corpus):
         cases = {
-            "baseline": BaselineModel,
+            "baseline": IGTreeModel,
             "knn": KnnModel,
             "igtree": IGTreeModel,
             "rules": RuleSetModel,

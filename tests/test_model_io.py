@@ -4,8 +4,10 @@ import pytest
 
 from chunkvote import (
     ChunkvoteError,
+    Corpus,
     LearnerSpec,
     ParseError,
+    TagScheme,
     WindowConfig,
     dumps_model,
     load_model,
@@ -13,10 +15,14 @@ from chunkvote import (
     save_model,
     strip_tags,
     tag_sentence,
+    train_baseline,
     train_knn,
 )
 
+from chunkvote.learners import BASELINE_WINDOW
+
 import datagen
+from conftest import make_sentence, make_untagged
 from test_learners import dataset
 
 
@@ -216,32 +222,84 @@ class TestMalformedInput:
                 loads_model(self.replace_line(text, "slots ", changed))
 
 
-def mutate(r, text):
-    """One random edit of a model file.  Half the edits replace one field
-    by a value that readers often mishandle; the rest delete, double or
-    swap a line, or delete a field or copy one from elsewhere."""
-    lines = [line.split() for line in text.splitlines()]
-    at = r.randrange(len(lines))
-    line = lines[at]
-    edit = r.randrange(10)
-    if edit == 0:
-        del lines[at]
-    elif edit == 1:
-        lines.insert(at, list(line))
-    elif edit == 2:
-        other = r.randrange(len(lines))
-        lines[at], lines[other] = lines[other], line
-    elif line and edit == 3:
-        del line[r.randrange(len(line))]
-    elif line and edit == 4:
-        donor = r.choice([fields for fields in lines if fields])
-        line[r.randrange(len(line))] = r.choice(donor)
-    elif line:
-        line[r.randrange(len(line))] = r.choice([
-            "nan", "inf", "-inf", "1e308", "-1", "0", "1", "10", "21", "50", "x",
-            "__PAD__", "B-NP", "left_words=-1", "left_words=9", "complex_pairs=1",
-        ])
-    return "\n".join(" ".join(fields) for fields in lines) + "\n"
+# The baseline files that the tiny corpus trains, plain and with
+# io_encoding: the `kind baseline` format, kept byte for byte.
+TINY_BASELINE = """\
+chunker-model 1
+kind baseline
+class B-NP 9
+class B-PP 3
+class B-VP 6
+class I-NP 8
+class O 6
+window -
+fallback B-NP
+pos . O
+pos DT B-NP
+pos IN B-PP
+pos JJ I-NP
+pos NN I-NP
+pos VBD B-VP
+"""
+TINY_BASELINE_IO = """\
+chunker-model 1
+kind baseline
+class I-NP 17
+class I-PP 3
+class I-VP 6
+class O 6
+window -
+fallback I-NP
+pos . O
+pos DT I-NP
+pos IN I-PP
+pos JJ I-NP
+pos NN I-NP
+pos VBD I-VP
+"""
+
+
+class TestBaselineFile:
+    @pytest.mark.parametrize("io_encoding, text, tags", [
+        (False, TINY_BASELINE, ["B-NP", "I-NP", "B-VP", "B-NP", "O"]),
+        (True, TINY_BASELINE_IO, ["I-NP", "I-NP", "I-VP", "I-NP", "O"]),
+    ], ids=["plain", "io"])
+    def test_the_file_format_is_kept(self, tiny_corpus, io_encoding, text, tags):
+        model = train_baseline(tiny_corpus, io_encoding=io_encoding)
+        assert dumps_model(model) == text
+        loaded = loads_model(text)
+        assert loaded == model
+        assert dumps_model(loaded) == text
+        # UH is unseen and gets the fallback
+        sentence = make_untagged([("a", "DT"), ("cat", "NN"), ("sat", "VBD"),
+                                  ("hey", "UH"), (".", ".")])
+        assert tag_sentence(loaded, sentence) == tag_sentence(model, sentence) == tags
+        for s in tiny_corpus.sentences:
+            assert tag_sentence(loaded, strip_tags(s)) == tag_sentence(model, strip_tags(s))
+
+    def test_an_igtree_over_the_baseline_window_is_a_baseline_file(self, tiny_corpus):
+        model = LearnerSpec("sys", "igtree", window=BASELINE_WINDOW).train(tiny_corpus)
+        assert dumps_model(model) == TINY_BASELINE
+        assert loads_model(TINY_BASELINE) == model
+
+    def test_a_single_chunk_tag_gives_a_file_without_pos_lines(self):
+        corpus = Corpus((make_sentence([("the", "DT", "O"), ("dog", "NN", "O")]),),
+                        TagScheme.IOB2)
+        head = "chunker-model 1\nkind baseline\nclass O 2\nwindow -\nfallback O\n"
+        assert dumps_model(train_baseline(corpus)) == head
+        # A file with one pos line per pos tag, as earlier versions wrote
+        # for such a corpus, tags the same.
+        older = loads_model(head + "pos DT O\npos NN O\n")
+        sentence = make_untagged([("the", "DT"), ("cat", "NN"), ("sat", "VBD")])
+        assert tag_sentence(older, sentence) == tag_sentence(loads_model(head), sentence)
+        assert tag_sentence(older, sentence) == ["O", "O", "O"]
+
+
+# field values that model readers often mishandle
+MODEL_VALUES = (
+    "nan", "inf", "-inf", "1e308", "-1", "0", "1", "10", "21", "50", "x",
+    "__PAD__", "B-NP", "left_words=-1", "left_words=9", "complex_pairs=1",
+)
 
 
 class TestMutatedModels:
@@ -252,9 +310,9 @@ class TestMutatedModels:
         sentences = [strip_tags(s) for s in tiny_corpus.sentences]
         loaded = 0
         for _ in range(1000):
-            mutated = mutate(r, text)
+            mutated = datagen.mutate(r, text, MODEL_VALUES)
             for _ in range(r.randrange(2)):
-                mutated = mutate(r, mutated)
+                mutated = datagen.mutate(r, mutated, MODEL_VALUES)
             try:
                 model = loads_model(mutated)
                 loaded += 1
