@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 bad input data, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -64,15 +65,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 #---------------------------------------------------------------------------
-# config file handling
+# settings
 #
-# Options registered through _setting default to None on the parser; after
-# parsing, unset options are filled from the config file and finally from
-# the built-in default, so the flag always wins.
-
-def _conv_str(value: str) -> str:
-    return value
-
+# A setting is one flag plus the config key of the same name.  It is
+# declared once, with one converter from text that serves both: a bad
+# config value is a ConfigError (exit 2), a bad flag value a usage error
+# (exit 1).  Flags leave unset settings off the namespace; after parsing
+# they are filled from the config file and finally from the default, so
+# the flag always wins.
 
 def _conv_int(value: str) -> int:
     try:
@@ -103,25 +103,39 @@ def _conv_bool(value: str) -> bool:
     raise ConfigError(f"expected true or false, got {value!r}")
 
 
-def _conv_choice(*options: str):
-    def convert(value: str) -> str:
-        if value not in options:
+def _conv_choice(*options, conv=str):
+    def convert(value: str):
+        result = conv(value)
+        if result not in options:
             raise ConfigError(f"expected one of {options}, got {value!r}")
-        return value
+        return result
+
+    convert.metavar = "{" + ",".join(map(str, options)) + "}"
+    return convert
+
+
+def _flag_type(conv):
+    """``conv`` as an argparse type, so that a bad flag value is a usage error."""
+    def convert(value: str):
+        try:
+            return conv(value)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return convert
 
 
-def _setting(parser, settings, *flags, dest, default, conv, **kwargs):
-    parser.add_argument(*flags, dest=dest, default=None, **kwargs)
-    settings[dest] = (conv, default)
-
-
-def _bool_setting(parser, settings, flag, dest, default, help=None):
-    parser.add_argument(
-        flag, dest=dest, action=argparse.BooleanOptionalAction, default=None, help=help
-    )
-    settings[dest] = (_conv_bool, default)
+def _setting(sub, *flags, conv, default=None, help, **kwargs) -> None:
+    """Add a setting to subcommand ``sub``; ``_conv_bool`` makes an on/off flag."""
+    if default is not None and not isinstance(default, bool):
+        help = f"{help} (default: {default})"
+    if conv is _conv_bool:
+        kwargs["action"] = argparse.BooleanOptionalAction
+    else:
+        kwargs["type"] = _flag_type(conv)
+        kwargs.setdefault("metavar", getattr(conv, "metavar", None))
+    action = sub.add_argument(*flags, default=argparse.SUPPRESS, help=help, **kwargs)
+    sub.get_default("_settings")[action.dest] = (conv, default)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -146,7 +160,7 @@ def _resolve(args) -> None:
                 raise ConfigError(f"unknown config key {key!r}")
             values[key] = value
     for dest, (conv, default) in settings.items():
-        if getattr(args, dest) is None:
+        if not hasattr(args, dest):
             setattr(args, dest, conv(values[dest]) if dest in values else default)
 
 
@@ -168,40 +182,56 @@ def _read_corpus(path: str, scheme: str, columns: int, strict: bool) -> Corpus:
     return parse_conll(_read_text(path), TagScheme(scheme), columns=columns, strict=strict)
 
 
-def _parse_system(text: str) -> LearnerSpec:
-    name, eq, rest = text.partition("=")
-    parts = rest.split(",") if rest else []
-    if not eq or not name or not parts or not parts[0]:
-        raise UsageError(f"bad --system {text!r}, expected NAME=LEARNER[,key=value,...]")
-    converters = {
-        "k": _conv_int,
-        "iterations": _conv_int,
-        "sigma": _conv_opt_float,
-        "cutoff": _conv_int,
-        "threshold": _conv_float,
-        "weighting": _conv_choice(*WEIGHTINGS),
-        "io": _conv_bool,
-    }
-    options = {}
-    for part in parts[1:]:
-        key, eq, value = part.partition("=")
-        if not eq or key not in converters:
-            raise UsageError(f"bad --system option {part!r}, known keys: {', '.join(converters)}")
-        try:
-            options["io_encoding" if key == "io" else key] = converters[key](value)
-        except ConfigError as exc:
-            raise UsageError(f"--system option {part!r}: {exc}") from None
-    try:
-        return LearnerSpec(name=name, learner=parts[0], **options)
-    except ConfigError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _parse_pred(text: str) -> tuple[str, str]:
     name, eq, path = text.partition("=")
     if not eq or not name or not path:
         raise UsageError(f"bad --pred {text!r}, expected NAME=PATH")
     return name, path
+
+
+#---------------------------------------------------------------------------
+# learner options
+#
+# One entry per option: its ``--system`` key, and the LearnerSpec field,
+# converter and help of the ``train`` flag that sets the field.  Defaults
+# come from LearnerSpec.
+
+_LEARNER_OPTIONS = {
+    "k": ("k", _conv_int, "nearest neighbour distances to consider"),
+    "iterations": ("iterations", _conv_int, "maximum scaling iterations"),
+    "sigma": ("sigma", _conv_opt_float, "gaussian smoothing width, or none (the default)"),
+    "cutoff": ("cutoff", _conv_int, "drop features seen fewer times"),
+    "threshold": ("threshold", _conv_float, "rule accuracy target"),
+    "weighting": ("weighting", _conv_choice(*WEIGHTINGS), "feature weighting"),
+    "io": ("io_encoding", _conv_bool, "train on tags with the B/I distinction removed"),
+}
+_SPEC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(LearnerSpec)}
+
+
+def _learner_spec(name: str, learner: str, options: dict) -> LearnerSpec:
+    try:
+        return LearnerSpec(name=name, learner=learner, **options)
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _parse_system(text: str) -> LearnerSpec:
+    name, eq, rest = text.partition("=")
+    parts = rest.split(",") if rest else []
+    if not eq or not name or not parts or not parts[0]:
+        raise UsageError(f"bad --system {text!r}, expected NAME=LEARNER[,key=value,...]")
+    options = {}
+    for part in parts[1:]:
+        key, eq, value = part.partition("=")
+        if not eq or key not in _LEARNER_OPTIONS:
+            known = ", ".join(_LEARNER_OPTIONS)
+            raise UsageError(f"bad --system option {part!r}, known keys: {known}")
+        field, conv, _ = _LEARNER_OPTIONS[key]
+        try:
+            options[field] = conv(value)
+        except ConfigError as exc:
+            raise UsageError(f"--system option {part!r}: {exc}") from None
+    return _learner_spec(name, parts[0], options)
 
 
 #---------------------------------------------------------------------------
@@ -238,20 +268,8 @@ def _cmd_baseline(args) -> None:
 def _cmd_train(args) -> None:
     if args.learner is None:
         raise UsageError("--learner is required")
-    try:
-        spec = LearnerSpec(
-            name="model",
-            learner=args.learner,
-            k=args.k,
-            iterations=args.iterations,
-            sigma=args.sigma,
-            cutoff=args.cutoff,
-            threshold=args.threshold,
-            weighting=args.weighting,
-            io_encoding=args.io_encoding,
-        )
-    except ConfigError as exc:
-        raise UsageError(str(exc)) from None
+    options = {field: getattr(args, field) for field, _, _ in _LEARNER_OPTIONS.values()}
+    spec = _learner_spec("model", args.learner, options)
     corpus = _read_corpus(args.train, args.scheme, 3, strict=True)
     _write_text(args.output, dumps_model(spec.train(corpus)))
 
@@ -381,20 +399,42 @@ def _cmd_report(args) -> None:
 #---------------------------------------------------------------------------
 # parser assembly
 
-def _add_common(sub, settings) -> None:
+def _command(commands, name: str, handler, help: str, **positionals):
+    """Add subcommand ``name`` with its positional arguments, ``--config``
+    and ``-o``; return its parser for ``_setting``."""
+    sub = commands.add_parser(name, help=help)
+    for dest, text in positionals.items():
+        sub.add_argument(dest, help=text)
+    sub.set_defaults(_handler=handler, _settings={})
     sub.add_argument("--config", default=None, help="flat key = value settings file")
-    _setting(
-        sub, settings, "-o", "--output", dest="output", default=None, conv=_conv_str,
-        metavar="PATH", help="output file (default: stdout)",
-    )
+    _setting(sub, "-o", "--output", conv=str, metavar="PATH", help="output file (default: stdout)")
+    return sub
 
 
-def _add_scheme(sub, settings, default="iob2") -> None:
-    _setting(
-        sub, settings, "--scheme", dest="scheme", default=default,
-        conv=_conv_choice(*SCHEMES), choices=SCHEMES,
-        help=f"tag scheme of the corpus files (default: {default})",
-    )
+def _scheme(sub) -> None:
+    _setting(sub, "--scheme", conv=_conv_choice(*SCHEMES), default="iob2",
+             help="tag scheme of the corpus files")
+
+
+def _columns(sub, flag: str, what: str) -> None:
+    _setting(sub, flag, conv=_conv_choice(2, 3, conv=_conv_int), default=3,
+             help=f"columns in the {what} file")
+
+
+def _head(sub) -> None:
+    _setting(sub, "--head", conv=_conv_choice(*HEAD_CHOICES), default="last",
+             help="token that stands in for a collapsed chunk")
+
+
+def _beta(sub) -> None:
+    _setting(sub, "--beta", conv=_conv_float, default=1.0,
+             help="weight of recall in the F rate")
+
+
+def _learner_option(sub, key: str) -> None:
+    field, conv, help = _LEARNER_OPTIONS[key]
+    _setting(sub, "--" + field.replace("_", "-"), conv=conv, default=_SPEC_DEFAULTS[field],
+             help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,180 +442,87 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub = commands.add_parser("convert", help="convert tag schemes or flatten nested files")
-    settings: dict = {}
-    sub.add_argument("input", help="3 column chunk file, or a nested bracket file")
-    _add_common(sub, settings)
-    _setting(
-        sub, settings, "--from", dest="from_scheme", default=None,
-        conv=_conv_choice(*SCHEMES), choices=SCHEMES, help="scheme of the input",
-    )
-    _setting(
-        sub, settings, "--to", dest="to_scheme", default=None,
-        conv=_conv_choice(*SCHEMES), choices=SCHEMES, help="scheme of the output",
-    )
-    _bool_setting(
-        sub, settings, "--nested-to-levels", "nested_to_levels", False,
-        help="read a nested bracket file, write per level training sentences",
-    )
-    _setting(
-        sub, settings, "--head", dest="head", default="last",
-        conv=_conv_choice(*HEAD_CHOICES), choices=HEAD_CHOICES,
-        help="token that stands in for a collapsed chunk (default: last)",
-    )
-    sub.set_defaults(_handler=_cmd_convert, _settings=settings)
+    sub = _command(commands, "convert", _cmd_convert, "convert tag schemes or flatten nested files",
+                   input="3 column chunk file, or a nested bracket file")
+    _setting(sub, "--from", dest="from_scheme", conv=_conv_choice(*SCHEMES),
+             help="scheme of the input")
+    _setting(sub, "--to", dest="to_scheme", conv=_conv_choice(*SCHEMES),
+             help="scheme of the output")
+    _setting(sub, "--nested-to-levels", conv=_conv_bool, default=False,
+             help="read a nested bracket file, write per level training sentences")
+    _head(sub)
 
-    sub = commands.add_parser("baseline", help="tag a file with the per pos-tag majority chunk tag")
-    settings = {}
-    sub.add_argument("train", help="3 column training file")
-    sub.add_argument("test", help="file to tag")
-    _add_common(sub, settings)
-    _add_scheme(sub, settings)
-    _setting(
-        sub, settings, "--columns", dest="columns", default=3, conv=_conv_int,
-        type=int, choices=(2, 3), help="columns in the test file (default: 3)",
-    )
-    _bool_setting(
-        sub, settings, "--io-encoding", "io_encoding", False,
-        help="train on tags with the B/I distinction removed",
-    )
-    sub.set_defaults(_handler=_cmd_baseline, _settings=settings)
+    sub = _command(commands, "baseline", _cmd_baseline,
+                   "tag a file with the per pos-tag majority chunk tag",
+                   train="3 column training file", test="file to tag")
+    _scheme(sub)
+    _columns(sub, "--columns", "test")
+    _learner_option(sub, "io")
 
-    sub = commands.add_parser("train", help="train a chunker and save the model")
-    settings = {}
-    sub.add_argument("train", help="3 column training file")
-    _add_common(sub, settings)
-    _add_scheme(sub, settings)
-    _setting(
-        sub, settings, "--learner", dest="learner", default=None,
-        conv=_conv_choice(*LEARNER_KINDS), choices=LEARNER_KINDS, help="learner kind",
-    )
-    _setting(sub, settings, "--k", dest="k", default=3, conv=_conv_int, type=int,
-             help="nearest neighbour distances to consider (default: 3)")
-    _setting(sub, settings, "--iterations", dest="iterations", default=100, conv=_conv_int,
-             type=int, help="maximum scaling iterations (default: 100)")
-    _setting(sub, settings, "--sigma", dest="sigma", default=None, conv=_conv_opt_float,
-             type=float, help="gaussian smoothing width (default: off)")
-    _setting(sub, settings, "--cutoff", dest="cutoff", default=2, conv=_conv_int, type=int,
-             help="drop features seen fewer times (default: 2)")
-    _setting(sub, settings, "--threshold", dest="threshold", default=0.95, conv=_conv_float,
-             type=float, help="rule accuracy target (default: 0.95)")
-    _setting(
-        sub, settings, "--weighting", dest="weighting", default="gain_ratio",
-        conv=_conv_choice(*WEIGHTINGS), choices=WEIGHTINGS,
-        help="feature weighting (default: gain_ratio)",
-    )
-    _bool_setting(
-        sub, settings, "--io-encoding", "io_encoding", False,
-        help="train on tags with the B/I distinction removed",
-    )
-    sub.set_defaults(_handler=_cmd_train, _settings=settings)
+    sub = _command(commands, "train", _cmd_train, "train a chunker and save the model",
+                   train="3 column training file")
+    _scheme(sub)
+    _setting(sub, "--learner", conv=_conv_choice(*LEARNER_KINDS), help="learner kind")
+    for key in _LEARNER_OPTIONS:
+        _learner_option(sub, key)
 
-    sub = commands.add_parser("tag", help="tag a file with a saved model")
-    settings = {}
-    sub.add_argument("model", help="model file written by train")
-    sub.add_argument("input", help="file to tag")
-    _add_common(sub, settings)
-    _add_scheme(sub, settings)
-    _setting(
-        sub, settings, "--columns", dest="columns", default=3, conv=_conv_int,
-        type=int, choices=(2, 3), help="columns in the input file (default: 3)",
-    )
-    sub.set_defaults(_handler=_cmd_tag, _settings=settings)
+    sub = _command(commands, "tag", _cmd_tag, "tag a file with a saved model",
+                   model="model file written by train", input="file to tag")
+    _scheme(sub)
+    _columns(sub, "--columns", "input")
 
-    sub = commands.add_parser("eval", help="score predictions against gold chunks")
-    settings = {}
-    sub.add_argument("gold", help="gold standard file")
-    sub.add_argument("pred", help="prediction file")
-    _add_common(sub, settings)
-    _setting(sub, settings, "--beta", dest="beta", default=1.0, conv=_conv_float,
-             type=float, help="weight of recall in the F rate (default: 1.0)")
-    _bool_setting(sub, settings, "--kv", "kv", False, help="machine readable key=value output")
-    _bool_setting(sub, settings, "--nested", "nested", False,
-                  help="score nested bracket files instead of chunk tags")
-    sub.set_defaults(_handler=_cmd_eval, _settings=settings)
+    sub = _command(commands, "eval", _cmd_eval, "score predictions against gold chunks",
+                   gold="gold standard file", pred="prediction file")
+    _beta(sub)
+    _setting(sub, "--kv", conv=_conv_bool, default=False, help="machine readable key=value output")
+    _setting(sub, "--nested", conv=_conv_bool, default=False,
+             help="score nested bracket files instead of chunk tags")
 
-    sub = commands.add_parser("cv-tune", help="build a tuning table by cross validation")
-    settings = {}
-    sub.add_argument("train", help="3 column training file")
+    sub = _command(commands, "cv-tune", _cmd_cv_tune, "build a tuning table by cross validation",
+                   train="3 column training file")
     sub.add_argument(
         "--system", action="append", metavar="NAME=LEARNER[,key=value,...]",
         help="a system to train; repeat for several",
     )
-    _add_common(sub, settings)
-    _add_scheme(sub, settings)
-    _setting(sub, settings, "--folds", dest="folds", default=10, conv=_conv_int,
-             type=int, help="cross validation folds (default: 10)")
-    sub.set_defaults(_handler=_cmd_cv_tune, _settings=settings)
+    _scheme(sub)
+    _setting(sub, "--folds", conv=_conv_int, default=10, help="cross validation folds")
 
-    sub = commands.add_parser("weights", help="estimate combiner weights from a tuning table")
-    settings = {}
-    sub.add_argument("table", help="prediction table with gold tags")
-    _add_common(sub, settings)
-    sub.set_defaults(_handler=_cmd_weights, _settings=settings)
+    _command(commands, "weights", _cmd_weights, "estimate combiner weights from a tuning table",
+             table="prediction table with gold tags")
 
-    sub = commands.add_parser("combine", help="combine the systems of a prediction table")
-    settings = {}
-    sub.add_argument("table", help="prediction table to combine")
-    _add_common(sub, settings)
-    _setting(
-        sub, settings, "--method", dest="method", default="majority",
-        conv=_conv_choice(*COMBINE_METHODS), choices=COMBINE_METHODS,
-        help="combination method (default: majority)",
-    )
-    _setting(sub, settings, "--weights", dest="weights", default=None, conv=_conv_str,
-             metavar="PATH", help="combiner weights file")
-    _setting(sub, settings, "--tuning", dest="tuning", default=None, conv=_conv_str,
-             metavar="PATH", help="tuning table to estimate weights or train stacking on")
-    _bool_setting(sub, settings, "--bracket-level", "bracket_level", False,
-                  help="vote on chunk starts and ends instead of tags")
-    _setting(sub, settings, "--words", dest="words", default=None, conv=_conv_str,
-             metavar="PATH", help="corpus supplying the words of the output")
-    _setting(
-        sub, settings, "--words-columns", dest="words_columns", default=3, conv=_conv_int,
-        type=int, choices=(2, 3), help="columns in the words file (default: 3)",
-    )
-    sub.set_defaults(_handler=_cmd_combine, _settings=settings)
+    sub = _command(commands, "combine", _cmd_combine, "combine the systems of a prediction table",
+                   table="prediction table to combine")
+    _setting(sub, "--method", conv=_conv_choice(*COMBINE_METHODS), default="majority",
+             help="combination method")
+    _setting(sub, "--weights", conv=str, metavar="PATH", help="combiner weights file")
+    _setting(sub, "--tuning", conv=str, metavar="PATH",
+             help="tuning table to estimate weights or train stacking on")
+    _setting(sub, "--bracket-level", conv=_conv_bool, default=False,
+             help="vote on chunk starts and ends instead of tags")
+    _setting(sub, "--words", conv=str, metavar="PATH",
+             help="corpus supplying the words of the output")
+    _columns(sub, "--words-columns", "words")
 
-    sub = commands.add_parser("best-n", help="pick the best majority voting subset")
-    settings = {}
-    sub.add_argument("table", help="prediction table with gold tags")
-    _add_common(sub, settings)
-    _setting(sub, settings, "-n", dest="n", default=None, conv=_conv_int, type=int,
-             help="subset size")
-    sub.set_defaults(_handler=_cmd_best_n, _settings=settings)
+    sub = _command(commands, "best-n", _cmd_best_n, "pick the best majority voting subset",
+                   table="prediction table with gold tags")
+    _setting(sub, "-n", conv=_conv_int, help="subset size")
 
-    sub = commands.add_parser("cascade", help="parse nested chunks bottom-up with a flat model")
-    settings = {}
-    sub.add_argument("model", help="model file written by train")
-    sub.add_argument("input", help="file to parse")
-    _add_common(sub, settings)
-    _setting(
-        sub, settings, "--columns", dest="columns", default=3, conv=_conv_int,
-        type=int, choices=(2, 3), help="columns in the input file (default: 3)",
-    )
-    _setting(sub, settings, "--max-depth", dest="max_depth", default=5, conv=_conv_int,
-             type=int, help="nesting levels to try (default: 5)")
-    _setting(
-        sub, settings, "--head", dest="head", default="last",
-        conv=_conv_choice(*HEAD_CHOICES), choices=HEAD_CHOICES,
-        help="token that stands in for a collapsed chunk (default: last)",
-    )
-    sub.set_defaults(_handler=_cmd_cascade, _settings=settings)
+    sub = _command(commands, "cascade", _cmd_cascade,
+                   "parse nested chunks bottom-up with a flat model",
+                   model="model file written by train", input="file to parse")
+    _columns(sub, "--columns", "input")
+    _setting(sub, "--max-depth", conv=_conv_int, default=5, help="nesting levels to try")
+    _head(sub)
 
-    sub = commands.add_parser("report", help="tabulate the scores of several prediction files")
-    settings = {}
-    sub.add_argument("gold", help="gold standard file")
+    sub = _command(commands, "report", _cmd_report,
+                   "tabulate the scores of several prediction files", gold="gold standard file")
     sub.add_argument(
         "--pred", action="append", metavar="NAME=PATH",
         help="a prediction file to score; repeat for several",
     )
-    _add_common(sub, settings)
-    _setting(sub, settings, "--beta", dest="beta", default=1.0, conv=_conv_float,
-             type=float, help="weight of recall in the F rate (default: 1.0)")
-    _setting(sub, settings, "--tsv", dest="tsv", default=None, conv=_conv_str,
-             metavar="PATH", help="also write a tab separated table to PATH")
-    sub.set_defaults(_handler=_cmd_report, _settings=settings)
+    _beta(sub)
+    _setting(sub, "--tsv", conv=str, metavar="PATH",
+             help="also write a tab separated table to PATH")
 
     return parser
 

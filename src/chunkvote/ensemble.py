@@ -335,6 +335,14 @@ def write_weights(weights: CombinerWeights) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rate(line: str, text: str) -> float:
+    """A proportion, so a finite number in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ParseError(f"rate outside [0, 1] in weights line {line!r}")
+    return value
+
+
 def read_weights(source) -> CombinerWeights:
     text = source if isinstance(source, str) else source.read()
     lines = [line for line in text.splitlines() if line.strip()]
@@ -352,16 +360,19 @@ def read_weights(source) -> CombinerWeights:
             if fields[0] == "system" and len(fields) == 2:
                 systems.append(fields[1])
             elif fields[0] == "tagcount" and len(fields) == 3:
-                tag_counts[fields[1]] = int(fields[2])
+                count = int(fields[2])
+                if count < 0:
+                    raise ParseError(f"negative tag count in weights line {line!r}")
+                tag_counts[fields[1]] = count
             elif fields[0] == "accuracy" and len(fields) == 3:
-                accuracy[fields[1]] = float(fields[2])
+                accuracy[fields[1]] = _rate(line, fields[2])
             elif fields[0] == "tagprec" and len(fields) == 4:
-                tag_precision[(fields[1], fields[2])] = float(fields[3])
+                tag_precision[(fields[1], fields[2])] = _rate(line, fields[3])
             elif fields[0] == "tagrec" and len(fields) == 4:
-                tag_recall[(fields[1], fields[2])] = float(fields[3])
+                tag_recall[(fields[1], fields[2])] = _rate(line, fields[3])
             elif fields[0] == "pair" and len(fields) == 7:
                 key = (fields[1], fields[2], fields[3], fields[4])
-                pair_prob.setdefault(key, {})[fields[5]] = float(fields[6])
+                pair_prob.setdefault(key, {})[fields[5]] = _rate(line, fields[6])
             else:
                 raise ParseError(f"bad weights line {line!r}")
     except ValueError as exc:

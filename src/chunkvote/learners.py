@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 from .corpus import Corpus, Sentence, TagScheme, Token
@@ -394,11 +394,20 @@ class MaxEntModel:
         scores = self.scores(vector)
         top = max(scores.values())
         exps = {c: math.exp(s - top) for c, s in scores.items()}
-        z = sum(exps.values())
+        z = _sum_in_order(exps.values())
         return {c: e / z for c, e in exps.items()}
 
     def predict(self, vector: FeatureVector) -> str:
         return predict_maxent(self, vector)
+
+
+def _sum_in_order(values) -> float:
+    """Left-to-right float sum; ``sum`` compensates from Python 3.12 on,
+    which would make maxent model files depend on the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def predict_maxent(model: MaxEntModel, vector: FeatureVector) -> str:
@@ -515,7 +524,7 @@ def train_maxent(
                 scores.append(s)
             top = max(scores)
             exps = [math.exp(s - top) for s in scores]
-            z = sum(exps)
+            z = _sum_in_order(exps)
             log_z = top + math.log(z)
             for ci, c in enumerate(classes):
                 p = exps[ci] / z
@@ -711,7 +720,16 @@ def tag_sentence(model: TrainedModel, sentence: Sentence) -> list[str]:
     return tags
 
 
-LEARNER_KINDS = ("baseline", "knn", "igtree", "maxent", "rules")
+# The LearnerSpec options each learner reads; it rejects the others unless
+# they keep their defaults.
+_OPTIONS_READ = {
+    "baseline": ("weighting", "io_encoding"),
+    "knn": ("k", "weighting"),
+    "igtree": ("weighting",),
+    "maxent": ("iterations", "sigma", "cutoff"),
+    "rules": ("threshold", "io_encoding"),
+}
+LEARNER_KINDS = tuple(_OPTIONS_READ)
 
 # The per pos tag baseline is an igtree over the focus pos tag alone.
 BASELINE_WINDOW = WindowConfig(
@@ -739,8 +757,10 @@ class LearnerSpec:
             raise ConfigError(f"bad system name {self.name!r}")
         if self.learner not in LEARNER_KINDS:
             raise ConfigError(f"unknown learner {self.learner!r}, expected one of {LEARNER_KINDS}")
-        if self.io_encoding and self.learner not in ("baseline", "rules"):
-            raise ConfigError("io_encoding is only supported for the baseline and rules learners")
+        unread = set().union(*_OPTIONS_READ.values()) - set(_OPTIONS_READ[self.learner])
+        for option in fields(self):
+            if option.name in unread and getattr(self, option.name) != option.default:
+                raise ConfigError(f"the {self.learner} learner does not use {option.name}")
 
     def resolved_window(self) -> WindowConfig:
         if self.learner == "baseline":

@@ -72,11 +72,12 @@ class EvalReport:
         return self.overall.f(self.beta)
 
 
-def _score_span_lists(
+def score_chunks(
     gold: Sequence[Sequence[ChunkSpan]],
     pred: Sequence[Sequence[ChunkSpan]],
-    beta: float,
+    beta: float = 1.0,
 ) -> EvalReport:
+    """Score predicted spans against gold spans, sentence by sentence."""
     if len(gold) != len(pred):
         raise AlignmentError(f"gold has {len(gold)} sentences, predictions have {len(pred)}")
     tallies: dict[str, list[int]] = {}
@@ -102,17 +103,18 @@ def _score_span_lists(
     return EvalReport(overall, per_label, beta)
 
 
-def score_chunks(
-    gold: Sequence[Sequence[ChunkSpan]],
-    pred: Sequence[Sequence[ChunkSpan]],
-    beta: float = 1.0,
-) -> EvalReport:
-    """Score predicted spans against gold spans, sentence by sentence."""
-    return _score_span_lists(gold, pred, beta)
-
-
-def _words_compatible(a: str, b: str) -> bool:
-    return a == b or PLACEHOLDER_WORD in (a, b)
+def _aligned(gold: Sequence, pred: Sequence):
+    """Yield numbered gold and predicted sentence pairs, checking as it goes
+    that the two sides have the same sentences, lengths and words."""
+    if len(gold) != len(pred):
+        raise AlignmentError(f"gold has {len(gold)} sentences, predictions have {len(pred)}")
+    for si, (gs, ps) in enumerate(zip(gold, pred), start=1):
+        if len(gs) != len(ps):
+            raise AlignmentError(f"sentence {si}: {len(gs)} gold tokens vs {len(ps)} predicted")
+        for ti, (gt, pt) in enumerate(zip(gs.tokens, ps.tokens), start=1):
+            if gt.word != pt.word and PLACEHOLDER_WORD not in (gt.word, pt.word):
+                raise AlignmentError(f"sentence {si}, token {ti}: word {gt.word!r} vs {pt.word!r}")
+        yield si, gs, ps
 
 
 def score_tagged(gold: Corpus, pred: Corpus, beta: float = 1.0) -> EvalReport:
@@ -121,24 +123,15 @@ def score_tagged(gold: Corpus, pred: Corpus, beta: float = 1.0) -> EvalReport:
     Illegal tag sequences on either side are repaired during chunk
     extraction, so raw system output never crashes the scorer.
     """
-    if len(gold.sentences) != len(pred.sentences):
-        raise AlignmentError(
-            f"gold has {len(gold.sentences)} sentences, predictions have {len(pred.sentences)}"
-        )
     gold_spans: list[list[ChunkSpan]] = []
     pred_spans: list[list[ChunkSpan]] = []
-    for si, (gs, ps) in enumerate(zip(gold.sentences, pred.sentences), start=1):
-        if len(gs) != len(ps):
-            raise AlignmentError(f"sentence {si}: {len(gs)} gold tokens vs {len(ps)} predicted")
-        for ti, (gt, pt) in enumerate(zip(gs.tokens, ps.tokens), start=1):
-            if not _words_compatible(gt.word, pt.word):
-                raise AlignmentError(f"sentence {si}, token {ti}: word {gt.word!r} vs {pt.word!r}")
+    for si, gs, ps in _aligned(gold.sentences, pred.sentences):
         for name, sentence in (("gold", gs), ("predicted", ps)):
             if any(tag is None for tag in sentence.chunk_tags):
                 raise ValidationError(f"sentence {si}: {name} side has untagged tokens")
         gold_spans.append(extract_chunks(gs.chunk_tags))  # type: ignore[arg-type]
         pred_spans.append(extract_chunks(ps.chunk_tags))  # type: ignore[arg-type]
-    return _score_span_lists(gold_spans, pred_spans, beta)
+    return score_chunks(gold_spans, pred_spans, beta)
 
 
 def score_nested(
@@ -147,15 +140,8 @@ def score_nested(
     beta: float = 1.0,
 ) -> EvalReport:
     """Score nested bracketings by multiset span matching."""
-    if len(gold) != len(pred):
-        raise AlignmentError(f"gold has {len(gold)} sentences, predictions have {len(pred)}")
-    for si, (gs, ps) in enumerate(zip(gold, pred), start=1):
-        if len(gs) != len(ps):
-            raise AlignmentError(f"sentence {si}: {len(gs)} gold tokens vs {len(ps)} predicted")
-        for ti, (gt, pt) in enumerate(zip(gs.tokens, ps.tokens), start=1):
-            if not _words_compatible(gt.word, pt.word):
-                raise AlignmentError(f"sentence {si}, token {ti}: word {gt.word!r} vs {pt.word!r}")
-    return _score_span_lists([s.spans for s in gold], [s.spans for s in pred], beta)
+    pairs = list(_aligned(gold, pred))
+    return score_chunks([gs.spans for _, gs, _ in pairs], [ps.spans for _, _, ps in pairs], beta)
 
 
 def format_report(report: EvalReport) -> str:

@@ -6,6 +6,7 @@ compare against the library calls the commands wrap; a few run
 """
 
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -16,12 +17,14 @@ import pytest
 
 import chunkvote
 from chunkvote import (
+    LEARNER_KINDS,
     Corpus,
     LearnerSpec,
     TagScheme,
     cascade_training_corpus,
     convert_scheme,
     cv_tuning_table,
+    dumps_model,
     estimate_weights,
     format_report,
     format_report_kv,
@@ -234,7 +237,6 @@ class TestTrainTagEval:
         assert main(["train", train, "--learner", "igtree", "-o", model_path]) == 0
         spec = LearnerSpec("model", "igtree")
         expected_model = spec.train(TINY_CORPUS)
-        from chunkvote import dumps_model
 
         assert (files.dir / "model.txt").read_text() == dumps_model(expected_model)
 
@@ -302,8 +304,8 @@ class TestTrainTagEval:
     def test_malformed_model_is_a_data_error(self, files, capsys, learner, prefix, field, value):
         train = files("train.conll", TINY_TRAIN)
         model_path = out_path(files, "model.txt")
-        assert main(["train", train, "--learner", learner, "--iterations", "5",
-                     "-o", model_path]) == 0
+        options = ["--iterations", "5"] if learner == "maxent" else []
+        assert main(["train", train, "--learner", learner, *options, "-o", model_path]) == 0
         lines = Path(model_path).read_text().splitlines()
         at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
         fields = lines[at].split()
@@ -482,6 +484,16 @@ class TestCombineCommand:
         assert main(["combine", subset, "--method", "tot-precision", "--weights", full,
                      "-o", out_path(files)]) == 0
 
+    def test_weights_with_a_nan_rate_are_a_data_error(self, files, capsys):
+        table_path = build_table(files)
+        text = write_weights(estimate_weights(read_table(Path(table_path).read_text())))
+        lines = ["accuracy base nan" if line.startswith("accuracy base ") else line
+                 for line in text.splitlines()]
+        weights = files("nan.weights", "\n".join(lines) + "\n")
+        assert main(["combine", table_path, "--method", "tot-precision",
+                     "--weights", weights, "-o", out_path(files)]) == 2
+        assert "rate outside [0, 1]" in capsys.readouterr().err
+
     def test_weights_and_tuning_conflict(self, files, capsys):
         table_path = build_table(files)
         assert main([
@@ -643,6 +655,81 @@ class TestReportCommand:
         train = files("train.conll", TINY_TRAIN)
         assert main(["report", train, "--pred", bad]) == 1
         assert "usage error" in capsys.readouterr().err
+
+
+def help_text(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return capsys.readouterr().out
+
+
+class TestSettings:
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["train", "TRAIN", "--learner", "knn"], "--k", "x"),
+        (["eval", "TRAIN", "TRAIN"], "--beta", "high"),
+        (["train", "TRAIN", "--learner", "maxent"], "--sigma", "wide"),
+        (["train", "TRAIN"], "--scheme", "iob3"),
+        (["tag", "TRAIN", "TRAIN"], "--columns", "5"),
+        (["eval", "TRAIN", "TRAIN"], "--kv", "maybe"),
+    ], ids=["int", "float", "optional float", "choice", "int choice", "bool"])
+    def test_bad_values_are_usage_errors_as_flags_and_data_errors_in_configs(
+        self, files, capsys, argv, flag, value
+    ):
+        train = files("train.conll", TINY_TRAIN)
+        argv = [train if arg == "TRAIN" else arg for arg in argv]
+        assert main([*argv, f"{flag}={value}"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        cfg = files("bad.cfg", f"{flag.lstrip('-')} = {value}\n")
+        assert main([*argv, "--config", cfg]) == 2
+        assert "error: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("learner", LEARNER_KINDS)
+    def test_train_writes_the_library_model(self, files, learner):
+        train = files("train.conll", TINY_TRAIN)
+        options = {"iterations": 3} if learner == "maxent" else {}
+        flags = [f"--{key}={value}" for key, value in options.items()]
+        assert main(["train", train, "--learner", learner, *flags, "-o", out_path(files)]) == 0
+        expected = dumps_model(LearnerSpec("model", learner, **options).train(TINY_CORPUS))
+        assert (files.dir / "out.txt").read_text() == expected
+
+    def test_system_keys_are_the_train_learner_flags(self, files, capsys):
+        train = files("train.conll", TINY_TRAIN)
+        assert main(["cv-tune", train, "--system", "a=knn,depth=3"]) == 1
+        keys = capsys.readouterr().err.split("known keys: ")[1].strip().split(", ")
+        assert keys == ["k", "iterations", "sigma", "cutoff", "threshold", "weighting", "io"]
+        flags = set(re.findall(r"--[a-z-]+", help_text(capsys, "train")))
+        flags -= {"--help", "--config", "--output", "--scheme", "--learner", "--no-io-encoding"}
+        assert flags == {"--io-encoding" if key == "io" else f"--{key}" for key in keys}
+
+    def test_help_names_the_allowed_values(self, capsys):
+        train = help_text(capsys, "train")
+        assert "--scheme {iob1,iob2}" in train
+        assert "--learner {baseline,knn,igtree,maxent,rules}" in train
+        assert "--weighting {gain_ratio,information_gain}" in train
+        assert "--columns {2,3}" in help_text(capsys, "tag")
+        assert "--head {last,first}" in help_text(capsys, "cascade")
+
+    def test_sigma_none_is_accepted_as_a_flag(self, files):
+        train = files("train.conll", TINY_TRAIN)
+        cfg = files("sigma.cfg", "sigma = 2.0\n")
+        base = ["train", train, "--learner", "maxent", "--iterations", "3", "-o"]
+        assert main([*base, out_path(files, "plain.model")]) == 0
+        assert main([*base, out_path(files, "cfg.model"), "--config", cfg]) == 0
+        assert main([*base, out_path(files, "none.model"), "--config", cfg,
+                     "--sigma", "none"]) == 0
+        plain = (files.dir / "plain.model").read_text()
+        assert (files.dir / "none.model").read_text() == plain
+        assert (files.dir / "cfg.model").read_text() != plain
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "TRAIN", "--learner", "igtree", "--threshold", "0.5"],
+         "the igtree learner does not use threshold"),
+        (["cv-tune", "TRAIN", "--system", "ent=maxent,k=5"], "the maxent learner does not use k"),
+    ])
+    def test_options_the_learner_ignores_are_usage_errors(self, files, capsys, argv, message):
+        train = files("train.conll", TINY_TRAIN)
+        assert main([train if arg == "TRAIN" else arg for arg in argv]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestConfigFiles:

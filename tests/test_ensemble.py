@@ -327,6 +327,20 @@ class TestWeightsIO:
         with pytest.raises(ParseError, match="bad number"):
             read_weights("combiner-weights 1\naccuracy m1 high\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+    @pytest.mark.parametrize("kind", ["accuracy", "tagprec", "tagrec", "pair"])
+    def test_rates_outside_the_unit_interval_are_rejected(self, kind, value):
+        lines = write_weights(estimate_weights(TestEstimateWeights().table())).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(kind + " "))
+        lines[at] = lines[at].rsplit(" ", 1)[0] + " " + value
+        with pytest.raises(ParseError, match=r"rate outside \[0, 1\]"):
+            read_weights("\n".join(lines) + "\n")
+
+    def test_negative_tag_counts_are_rejected(self):
+        with pytest.raises(ParseError, match="negative tag count"):
+            read_weights("combiner-weights 1\ntagcount B-NP -1\n")
+        assert read_weights("combiner-weights 1\ntagcount B-NP 0\n").tag_counts == {"B-NP": 0}
+
 
 # field values that table and weights readers often mishandle
 READER_VALUES = (

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+import chunkvote.learners
 from chunkvote import (
     PAD,
     ConfigError,
@@ -448,6 +450,30 @@ class TestMaxEnt:
             assert sum(dist.values()) == pytest.approx(1.0)
             assert all(p >= 0.0 for p in dist.values())
 
+    def test_normalizing_sums_do_not_depend_on_the_interpreter(self, monkeypatch):
+        # From Python 3.12 the builtin sum of floats is compensated, as fsum is.
+        monkeypatch.setattr(chunkvote.learners, "sum", math.fsum, raising=False)
+        tiny = math.log(1e-16)
+        model = MaxEntModel(
+            weights={(0, "x", "B"): tiny, (0, "x", "C"): tiny},
+            classes=("A", "B", "C"), constant=1, correction=0.0,
+            class_counts={"A": 1, "B": 1, "C": 1}, slot_names=("w",),
+        )
+        exps = [1.0, math.exp(tiny), math.exp(tiny)]
+        z = 0.0
+        for e in exps:
+            z += e
+        assert z != math.fsum(exps)
+        assert model.distribution(("x",)) == {c: e / z for c, e in zip("ABC", exps)}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_training_does_not_depend_on_the_interpreter(self, monkeypatch, seed):
+        r = datagen.rng(12_500 + seed)
+        data = random_dataset(r, r.randint(5, 30), 3)
+        plain = train_maxent(data, iterations=10, cutoff=1, sigma=1.0)
+        monkeypatch.setattr(chunkvote.learners, "sum", math.fsum, raising=False)
+        assert train_maxent(data, iterations=10, cutoff=1, sigma=1.0) == plain
+
     def test_training_is_deterministic(self):
         data = dataset([(["a", "p"], "X"), (["b", "p"], "Y"), (["a", "q"], "Y")])
         first = train_maxent(data, iterations=15, cutoff=1)
@@ -633,6 +659,32 @@ class TestLearnerSpec:
         with pytest.raises(ConfigError):
             LearnerSpec("sys", "knn", io_encoding=True)
         LearnerSpec("sys", "rules", io_encoding=True)
+
+    # a non-default value for each option
+    OPTION_VALUES = {"k": 1, "iterations": 5, "sigma": 1.0, "cutoff": 1, "threshold": 0.5,
+                     "weighting": "information_gain", "io_encoding": True}
+    OPTIONS_READ = {
+        "baseline": {"weighting", "io_encoding"},
+        "knn": {"k", "weighting"},
+        "igtree": {"weighting"},
+        "maxent": {"iterations", "sigma", "cutoff"},
+        "rules": {"threshold", "io_encoding"},
+    }
+
+    @pytest.mark.parametrize("learner", LEARNER_KINDS)
+    def test_options_the_learner_ignores_are_rejected(self, learner):
+        for option, value in self.OPTION_VALUES.items():
+            if option in self.OPTIONS_READ[learner]:
+                assert getattr(LearnerSpec("sys", learner, **{option: value}), option) == value
+            else:
+                with pytest.raises(ConfigError, match=f"{learner} learner does not use {option}"):
+                    LearnerSpec("sys", learner, **{option: value})
+
+    @pytest.mark.parametrize("learner", LEARNER_KINDS)
+    def test_options_at_their_defaults_are_accepted(self, learner):
+        defaults = {f.name: f.default for f in dataclasses.fields(LearnerSpec)}
+        options = {option: defaults[option] for option in self.OPTION_VALUES}
+        assert LearnerSpec("sys", learner, **options) == LearnerSpec("sys", learner)
 
     def test_window_resolution(self):
         assert LearnerSpec("a", "knn").resolved_window() == WindowConfig()

@@ -230,6 +230,38 @@ class TestScoreNested:
             score_nested([money_example], [renamed])
 
 
+def flat_corpus(*sentences):
+    return Corpus(
+        tuple(make_sentence([(w, "NN", "O") for w in words]) for words in sentences),
+        TagScheme.IOB2,
+    )
+
+
+def nested_sentences(*sentences):
+    return [NestedSentence(tuple(Token(w, "NN") for w in words), ()) for words in sentences]
+
+
+class TestAlignment:
+    @pytest.mark.parametrize("gold, pred, message", [
+        ([["a"]], [["a"], ["b"]], "gold has 1 sentences, predictions have 2"),
+        ([["a"], ["a", "b"]], [["a"], ["a"]], "sentence 2: 2 gold tokens vs 1 predicted"),
+        ([["a"], ["a", "dog"]], [["a"], ["a", "cat"]], "sentence 2, token 2: word 'dog' vs 'cat'"),
+    ])
+    @pytest.mark.parametrize("score, build", [
+        (score_tagged, flat_corpus), (score_nested, nested_sentences),
+    ], ids=["tagged", "nested"])
+    def test_both_scorers_give_the_same_messages(self, score, build, gold, pred, message):
+        with pytest.raises(AlignmentError) as exc:
+            score(build(*gold), build(*pred))
+        assert str(exc.value) == message
+
+    def test_sentences_are_checked_in_order(self):
+        untagged = Corpus((make_sentence([("a", "NN", None)]), make_sentence([("b", "NN", "O")])),
+                          TagScheme.IOB2)
+        with pytest.raises(ValidationError, match="sentence 1: predicted side"):
+            score_tagged(flat_corpus(["a"], ["c"]), untagged)
+
+
 class TestReportFormatting:
     def report(self):
         gold = [spans((0, 2, "NP"), (2, 3, "VP"))]
