@@ -454,6 +454,8 @@ def train_maxent(
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
     if cutoff < 1:
         raise ConfigError(f"cutoff must be >= 1, got {cutoff}")
+    if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
+        raise ConfigError(f"sigma must be a finite number > 0, got {sigma}")
     classes = tuple(sorted({label for _, label in dataset.items}))
     class_counts = dataset.class_counts()
 

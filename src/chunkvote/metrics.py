@@ -8,6 +8,7 @@ and overall; rates are derived from the counts on demand.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -19,7 +20,7 @@ from .corpus import (
     NestedSentence,
     extract_chunks,
 )
-from .errors import AlignmentError, ValidationError
+from .errors import AlignmentError, ConfigError, ValidationError
 
 
 def f_beta(precision: float, recall: float, beta: float = 1.0) -> float:
@@ -78,6 +79,8 @@ def score_chunks(
     beta: float = 1.0,
 ) -> EvalReport:
     """Score predicted spans against gold spans, sentence by sentence."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ConfigError(f"beta must be a finite number >= 0, got {beta}")
     if len(gold) != len(pred):
         raise AlignmentError(f"gold has {len(gold)} sentences, predictions have {len(pred)}")
     tallies: dict[str, list[int]] = {}

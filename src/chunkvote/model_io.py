@@ -8,8 +8,10 @@ and then one kind specific table.  Numbers are written with full precision
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
-from typing import IO, Iterator
+from typing import Iterator
 
 from .errors import ParseError
 from .features import WindowConfig
@@ -28,20 +30,13 @@ from .learners import (
 FORMAT_NAME = "chunker-model"
 FORMAT_VERSION = 1
 
-_WINDOW_FIELDS = (
-    "left_words", "right_words", "left_pos", "right_pos",
-    "left_chunk_tags", "use_focus_word", "use_focus_pos", "complex_pairs",
-)
+_WINDOW_FIELDS = tuple(field.name for field in dataclasses.fields(WindowConfig))
 
 
 def _window_line(window: WindowConfig | None) -> str:
     if window is None:
         return "window -"
-    parts = []
-    for name in _WINDOW_FIELDS:
-        value = getattr(window, name)
-        parts.append(f"{name}={int(value)}")
-    return "window " + " ".join(parts)
+    return "window " + " ".join(f"{name}={int(getattr(window, name))}" for name in _WINDOW_FIELDS)
 
 
 def _parse_window(fields: list[str]) -> WindowConfig | None:
@@ -91,14 +86,8 @@ def dumps_model(model: TrainedModel) -> str:
     elif isinstance(model, RuleSetModel):
         lines.append(f"default {model.default_class}")
         for rule in model.rules:
-            parts = [
-                "rule", rule.conclusion, repr(rule.accuracy),
-                str(rule.support), str(len(rule.premises)),
-            ]
-            for slot, value in rule.premises:
-                parts.append(str(slot))
-                parts.append(value)
-            lines.append(" ".join(parts))
+            head = f"rule {rule.conclusion} {rule.accuracy!r} {rule.support} {len(rule.premises)}"
+            lines.append(" ".join([head, *(f"{slot} {value}" for slot, value in rule.premises)]))
     else:
         raise ParseError(f"cannot serialize model kind {type(model).__name__}")
     return "\n".join(lines) + "\n"
@@ -119,59 +108,136 @@ def loads_model(text: str) -> TrainedModel:
 
 
 def _loads_model(text: str) -> TrainedModel:
-    lines = iter(text.splitlines())
-    header = _fields(lines, "header")
+    # The fields of each non-blank line, split as they are read: a knn file
+    # holds a line per training item.
+    lines = filter(None, map(str.split, text.splitlines()))
+    header = next(lines, [])
     if header[:1] != [FORMAT_NAME] or len(header) != 2:
-        raise ParseError(f"not a {FORMAT_NAME} file")
+        raise ParseError(f"not a {FORMAT_NAME} file" if header else "unexpected end of model file")
     if int(header[1]) != FORMAT_VERSION:
         raise ParseError(f"unsupported model format version {header[1]}")
-    kind_line = _fields(lines, "kind")
-    if kind_line[0] != "kind" or len(kind_line) != 2:
-        raise ParseError("expected a kind line after the header")
-    kind = kind_line[1]
+    kind = _line(lines, "kind", 2)[1]
 
     class_counts: dict[str, int] = {}
-    line = _fields(lines, "class counts")
-    while line and line[0] == "class":
-        if len(line) != 3:
-            raise ParseError(f"bad class line {' '.join(line)!r}")
-        class_counts[line[1]] = int(line[2])
-        line = _fields(lines, "window")
-    if line[0] != "window":
-        raise ParseError("expected a window line after the class counts")
-    window = _parse_window(line[1:])
+    fields = next(lines, None)
+    while fields and fields[0] == "class":
+        if len(fields) != 3 or int(fields[2]) < 0:
+            raise ParseError(f"bad class line {' '.join(fields)!r}")
+        class_counts[fields[1]] = int(fields[2])
+        fields = next(lines, None)
+    # The first line that is not a class count goes back, to be read as the window.
+    lines = itertools.chain([fields] if fields else [], lines)
+    window = _parse_window(_line(lines, "window")[1:])
     if kind == "baseline":
-        return _load_baseline(lines, class_counts)
+        # A baseline file has no slots line: its window is always the same.
+        window, slot_names = BASELINE_WINDOW, BASELINE_WINDOW.slot_names()
+    else:
+        slot_names = tuple(_line(lines, "slots")[1:])
+        # A window has at least one slot per plain slot (every field but
+        # complex_pairs counts them), so an outsized one is rejected before
+        # slot_names() builds its layout.
+        if window is not None and (
+            sum(int(getattr(window, name)) for name in _WINDOW_FIELDS[:-1]) > len(slot_names)
+            or window.slot_names() != slot_names
+        ):
+            raise ParseError("slots line does not match the window")
+    common = {"class_counts": class_counts, "slot_names": slot_names, "window": window}
 
-    line = _fields(lines, "slots")
-    if line[0] != "slots":
-        raise ParseError("expected a slots line")
-    slot_names = tuple(line[1:])
-    # A window has at least one slot per plain slot (every field but
-    # complex_pairs counts them), so an outsized one is rejected before
-    # slot_names() builds its layout.
-    if window is not None and (
-        sum(int(getattr(window, name)) for name in _WINDOW_FIELDS[:-1]) > len(slot_names)
-        or window.slot_names() != slot_names
-    ):
-        raise ParseError("slots line does not match the window")
-
+    if kind == "baseline":
+        fallback = _line(lines, "fallback", 2)[1]
+        leaves = {pos: IGTreeNode(tag, {}) for _, pos, tag in _records(lines, "pos", 3)}
+        return IGTreeModel(feature_order=(0,), root=IGTreeNode(fallback, leaves), **common)
     if kind == "knn":
-        return _load_knn(lines, class_counts, slot_names, window)
+        k = int(_line(lines, "k", 2)[1])
+        if k < 1:
+            raise ParseError(f"k must be >= 1, got {k}")
+        raw_weights = _line(lines, "weights", len(slot_names) + 1)[1:]
+        weights = tuple(float(w) for w in raw_weights)
+        if not valid_knn_weights(weights):
+            raise ParseError(f"k-NN weights must be finite and non-negative: {' '.join(raw_weights)}")
+        # Equal values share one string object; a memory repeats them heavily.
+        pool: dict[str, str] = {}
+        share = pool.setdefault
+        memory = tuple(
+            (tuple([share(v, v) for v in fields[2:]]), share(fields[1], fields[1]))
+            for fields in _records(lines, "item", len(slot_names) + 2)
+        )
+        return KnnModel(memory=memory, weights=weights, k=k, **common)
     if kind == "igtree":
-        return _load_igtree(lines, class_counts, slot_names, window)
+        order = tuple(int(s) for s in _line(lines, "order")[1:])
+        if sorted(order) != list(range(len(slot_names))):
+            raise ParseError("order line must list every slot index once")
+        root = _read_tree(lines, len(order))
+        if next(lines, None) is not None:
+            raise ParseError("igtree model has lines after its tree")
+        return IGTreeModel(feature_order=order, root=root, **common)
     if kind == "maxent":
-        return _load_maxent(lines, class_counts, slot_names, window)
+        # A maxent model scores exactly the classes it was trained on.
+        classes = tuple(_line(lines, "classes", len(class_counts) + 1)[1:])
+        constant = int(_line(lines, "constant", 2)[1])
+        correction = _finite(_line(lines, "correction", 2)[1])
+        weights = {
+            (_slot(slot, slot_names), value, cls): _finite(weight)
+            for _, slot, value, cls, weight in _records(lines, "feature", 5)
+        }
+        return MaxEntModel(weights=weights, classes=classes, constant=constant,
+                           correction=correction, **common)
     if kind == "rules":
-        return _load_rules(lines, class_counts, slot_names, window)
+        default = _line(lines, "default", 2)[1]
+        rules = []
+        for fields in _records(lines, "rule"):
+            if len(fields) < 5 or len(fields) != 5 + 2 * int(fields[4]):
+                raise ParseError(f"rule line premise count mismatch: {' '.join(fields)!r}")
+            premises = tuple((_slot(s, slot_names), v) for s, v in zip(fields[5::2], fields[6::2]))
+            rules.append(Rule(premises, fields[1], _finite(fields[2]), int(fields[3])))
+        return RuleSetModel(rules=tuple(rules), default_class=default, **common)
     raise ParseError(f"unknown model kind {kind!r}")
 
 
-def _fields(lines: Iterator[str], what: str) -> list[str]:
-    for line in lines:
-        if line.strip():
-            return line.split()
-    raise ParseError(f"unexpected end of model file while reading {what}")
+def _line(lines: Iterator[list[str]], keyword: str, size: int | None = None) -> list[str]:
+    """The next line, checked to start with ``keyword`` and, if ``size`` is
+    given, to hold that many fields."""
+    # Not built on _records: a generator per call slows igtree loading by ~10%.
+    for fields in lines:
+        if fields[0] != keyword or size is not None and len(fields) != size:
+            raise ParseError(f"bad {keyword} line {' '.join(fields)!r}")
+        return fields
+    raise ParseError(f"unexpected end of model file while reading {keyword}")
+
+
+def _records(lines: Iterator[list[str]], keyword: str, size: int | None = None) -> Iterator[list[str]]:
+    """Yield the remaining lines, each checked as ``_line`` checks one."""
+    for fields in lines:
+        if fields[0] != keyword or size is not None and len(fields) != size:
+            raise ParseError(f"bad {keyword} line {' '.join(fields)!r}")
+        yield fields
+
+
+def _read_tree(lines: Iterator[list[str]], depth_limit: int) -> IGTreeNode:
+    """An igtree in pre-order: a node line with its default class and child
+    count, then per child an edge line and the child's subtree."""
+    # The open nodes from the root down, each as its children and the count
+    # of them still to read: a loop, not recursion, so that no nesting depth
+    # exhausts Python's stack.  The first entry holds the root.
+    top: dict[str, IGTreeNode] = {}
+    path = [[top, 1]]
+    while path:
+        open_node = path[-1]
+        if not open_node[1]:
+            path.pop()
+            continue
+        open_node[1] -= 1
+        value = _line(lines, "edge", 2)[1] if len(path) > 1 else ""
+        _, default, raw = _line(lines, "node", 3)
+        count = int(raw)
+        # A node past the last slot has no slot left to branch on.
+        if count < 0 or count and len(path) > depth_limit:
+            raise ParseError(f"igtree node at depth {len(path) - 1} has {count} children")
+        node = IGTreeNode(default, {})
+        open_node[0][value] = node
+        if count:
+            path.append([node.children, count])
+    return top[""]
 
 
 def _slot(raw: str, slot_names: tuple[str, ...]) -> int:
@@ -186,147 +252,6 @@ def _finite(raw: str) -> float:
     if not math.isfinite(value):
         raise ParseError(f"number must be finite, got {raw}")
     return value
-
-
-def _load_baseline(lines, class_counts) -> IGTreeModel:
-    fallback = _fields(lines, "fallback")
-    if fallback[0] != "fallback" or len(fallback) != 2:
-        raise ParseError("expected a fallback line")
-    leaves = {}
-    for line in lines:
-        if not line.strip():
-            continue
-        fields = line.split()
-        if fields[0] != "pos" or len(fields) != 3:
-            raise ParseError(f"bad pos line {line!r}")
-        leaves[fields[1]] = IGTreeNode(fields[2], {})
-    return IGTreeModel(
-        feature_order=(0,),
-        root=IGTreeNode(fallback[1], leaves),
-        class_counts=class_counts,
-        slot_names=BASELINE_WINDOW.slot_names(),
-        window=BASELINE_WINDOW,
-    )
-
-
-def _load_knn(lines, class_counts, slot_names, window) -> KnnModel:
-    k_line = _fields(lines, "k")
-    if k_line[0] != "k" or len(k_line) != 2:
-        raise ParseError("expected a k line")
-    k = int(k_line[1])
-    if k < 1:
-        raise ParseError(f"k must be >= 1, got {k}")
-    weights_line = _fields(lines, "weights")
-    if weights_line[0] != "weights" or len(weights_line) != len(slot_names) + 1:
-        raise ParseError("expected one weight per slot")
-    weights = tuple(float(w) for w in weights_line[1:])
-    if not valid_knn_weights(weights):
-        raise ParseError(f"k-NN weights must be finite and non-negative: {' '.join(weights_line[1:])}")
-    # Equal values share one string object; a memory repeats them heavily.
-    pool: dict[str, str] = {}
-    share = pool.setdefault
-    memory = []
-    for line in lines:
-        if not line.strip():
-            continue
-        fields = [share(f, f) for f in line.split()]
-        if fields[0] != "item" or len(fields) != len(slot_names) + 2:
-            raise ParseError(f"bad item line {line!r}")
-        memory.append((tuple(fields[2:]), fields[1]))
-    return KnnModel(
-        memory=tuple(memory),
-        weights=weights,
-        k=k,
-        class_counts=class_counts,
-        slot_names=slot_names,
-        window=window,
-    )
-
-
-def _load_igtree(lines, class_counts, slot_names, window) -> IGTreeModel:
-    order_line = _fields(lines, "order")
-    if order_line[0] != "order":
-        raise ParseError("expected an order line")
-    order = tuple(int(s) for s in order_line[1:])
-    if sorted(order) != list(range(len(slot_names))):
-        raise ParseError("order line must list every slot index once")
-
-    def read_node() -> IGTreeNode:
-        fields = _fields(lines, "node")
-        if fields[0] != "node" or len(fields) != 3:
-            raise ParseError(f"bad node line {' '.join(fields)!r}")
-        default, n_children = fields[1], int(fields[2])
-        children = {}
-        for _ in range(n_children):
-            edge = _fields(lines, "edge")
-            if edge[0] != "edge" or len(edge) != 2:
-                raise ParseError(f"bad edge line {' '.join(edge)!r}")
-            children[edge[1]] = read_node()
-        return IGTreeNode(default, children)
-
-    return IGTreeModel(
-        feature_order=order,
-        root=read_node(),
-        class_counts=class_counts,
-        slot_names=slot_names,
-        window=window,
-    )
-
-
-def _load_maxent(lines, class_counts, slot_names, window) -> MaxEntModel:
-    classes_line = _fields(lines, "classes")
-    if classes_line[0] != "classes":
-        raise ParseError("expected a classes line")
-    constant_line = _fields(lines, "constant")
-    if constant_line[0] != "constant" or len(constant_line) != 2:
-        raise ParseError("expected a constant line")
-    correction_line = _fields(lines, "correction")
-    if correction_line[0] != "correction" or len(correction_line) != 2:
-        raise ParseError("expected a correction line")
-    weights = {}
-    for line in lines:
-        if not line.strip():
-            continue
-        fields = line.split()
-        if fields[0] != "feature" or len(fields) != 5:
-            raise ParseError(f"bad feature line {line!r}")
-        weights[(_slot(fields[1], slot_names), fields[2], fields[3])] = _finite(fields[4])
-    return MaxEntModel(
-        weights=weights,
-        classes=tuple(classes_line[1:]),
-        constant=int(constant_line[1]),
-        correction=_finite(correction_line[1]),
-        class_counts=class_counts,
-        slot_names=slot_names,
-        window=window,
-    )
-
-
-def _load_rules(lines, class_counts, slot_names, window) -> RuleSetModel:
-    default_line = _fields(lines, "default")
-    if default_line[0] != "default" or len(default_line) != 2:
-        raise ParseError("expected a default line")
-    rules = []
-    for line in lines:
-        if not line.strip():
-            continue
-        fields = line.split()
-        if fields[0] != "rule" or len(fields) < 5:
-            raise ParseError(f"bad rule line {line!r}")
-        n_premises = int(fields[4])
-        if len(fields) != 5 + 2 * n_premises:
-            raise ParseError(f"rule line premise count mismatch: {line!r}")
-        premises = tuple(
-            (_slot(fields[5 + 2 * i], slot_names), fields[6 + 2 * i]) for i in range(n_premises)
-        )
-        rules.append(Rule(premises, fields[1], _finite(fields[2]), int(fields[3])))
-    return RuleSetModel(
-        rules=tuple(rules),
-        default_class=default_line[1],
-        class_counts=class_counts,
-        slot_names=slot_names,
-        window=window,
-    )
 
 
 def save_model(model: TrainedModel, target) -> None:

@@ -315,6 +315,38 @@ class TestTrainTagEval:
         assert main(["tag", model_path, train, "-o", out_path(files)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["trailing line", "negative count", "deep chain"])
+    def test_malformed_igtree_is_a_data_error(self, files, capsys, damage):
+        train = files("train.conll", TINY_TRAIN)
+        model_path = out_path(files, "model.txt")
+        assert main(["train", train, "--learner", "igtree", "-o", model_path]) == 0
+        lines = Path(model_path).read_text().splitlines()
+        root = next(i for i, line in enumerate(lines) if line.startswith("node "))
+        if damage == "trailing line":
+            lines.append("node O 0")
+        elif damage == "negative count":
+            lines[root] = lines[root].rsplit(" ", 1)[0] + " -1"
+        else:
+            lines[root:] = ["node O 1", "edge x"] * 3000 + ["node O 0"]
+        Path(model_path).write_text("\n".join(lines) + "\n")
+        assert main(["tag", model_path, train, "-o", out_path(files)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+    def test_a_meaningless_sigma_is_a_data_error(self, files, capsys, sigma):
+        train = files("train.conll", TINY_TRAIN)
+        assert main(["train", train, "--learner", "maxent", "--iterations", "2",
+                     "--sigma", sigma, "-o", out_path(files)]) == 2
+        assert "sigma must be a finite number > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+    def test_a_meaningless_beta_is_a_data_error(self, files, capsys, command, beta):
+        train = files("train.conll", TINY_TRAIN)
+        pred = [train] if command == "eval" else ["--pred", "gold=" + train]
+        assert main([command, train, *pred, "--beta", beta]) == 2
+        assert "beta must be a finite number >= 0" in capsys.readouterr().err
+
     def test_outsized_window_is_rejected_before_it_is_built(self, files):
         train = files("train.conll", TINY_TRAIN)
         model_path = out_path(files, "model.txt")

@@ -488,6 +488,9 @@ class TestMaxEnt:
             train_maxent(self.skewed(), iterations=0)
         with pytest.raises(ConfigError):
             train_maxent(self.skewed(), cutoff=0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="sigma"):
+                train_maxent(self.skewed(), sigma=bad)
         model = train_maxent(self.skewed())
         with pytest.raises(ValidationError):
             predict_maxent(model, ("x", "y"))

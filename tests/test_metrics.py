@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from chunkvote import (
     AlignmentError,
     ChunkSpan,
+    ConfigError,
     Corpus,
     Counts,
     EvalReport,
@@ -115,6 +118,15 @@ class TestScoreChunks:
         report = score_chunks([spans((0, 1, "NP"))], [[]], beta=2.0)
         assert report.beta == 2.0
         assert report.f_rate == 0.0
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0])
+    def test_beta_must_be_finite_and_non_negative(self, beta):
+        with pytest.raises(ConfigError, match="beta"):
+            score_chunks([spans((0, 1, "NP"))], [[]], beta=beta)
+
+    def test_beta_zero_scores_precision_only(self):
+        report = score_chunks([spans((0, 1, "NP"), (2, 3, "NP"))], [spans((0, 1, "NP"))], beta=0.0)
+        assert report.f_rate == report.precision == 1.0
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_oracle_on_random_pairs(self, seed):

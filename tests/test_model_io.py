@@ -83,6 +83,11 @@ class TestRoundTrip:
         model = train_knn(dataset(rows), k=r.randint(1, 3))
         assert loads_model(dumps_model(model)) == model
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_grammar_corpus_models_roundtrip_byte_exact(self, kind):
+        text = dumps_model(trained(kind, datagen.grammar_corpus(datagen.rng(16_000), 40)))
+        assert dumps_model(loads_model(text)) == text
+
     def test_loaded_knn_values_share_one_string(self, tiny_corpus):
         model = loads_model(dumps_model(trained("knn", tiny_corpus)))
         by_value = {}
@@ -220,6 +225,88 @@ class TestMalformedInput:
         for changed in (slots.replace("w[-2]", "w[-9]"), slots + " p[+5]"):
             with pytest.raises(ParseError, match="slots line"):
                 loads_model(self.replace_line(text, "slots ", changed))
+
+
+# The lines of fixed shape in each kind's file, by keyword.
+FIXED_LINES = {
+    "baseline": ["chunker-model", "kind", "class", "window", "fallback", "pos"],
+    "knn": ["chunker-model", "kind", "class", "window", "slots", "k", "weights", "item"],
+    "igtree": ["chunker-model", "kind", "class", "window", "slots", "order", "node", "edge"],
+    "maxent": ["chunker-model", "kind", "class", "window", "slots", "classes", "constant",
+               "correction", "feature"],
+    "rules": ["chunker-model", "kind", "class", "window", "slots", "default", "rule"],
+}
+
+
+class TestLineShapes:
+    @pytest.mark.parametrize("change", ["keyword", "extra field"])
+    @pytest.mark.parametrize("kind, keyword", [
+        (kind, keyword) for kind, keywords in FIXED_LINES.items() for keyword in keywords
+    ])
+    def test_each_fixed_line_is_checked(self, tiny_corpus, kind, keyword, change):
+        lines = dumps_model(trained(kind, tiny_corpus)).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.split()[0] == keyword)
+        if change == "keyword":
+            lines[at] = "bogus " + lines[at].split(None, 1)[1]
+        else:
+            lines[at] += " x"
+        with pytest.raises(ParseError):
+            loads_model("\n".join(lines) + "\n")
+
+    def test_a_negative_class_count_is_rejected(self, tiny_corpus):
+        text = dumps_model(trained("knn", tiny_corpus)).replace("class B-NP 9", "class B-NP -1", 1)
+        with pytest.raises(ParseError, match="bad class line"):
+            loads_model(text)
+
+
+def igtree_file(tiny_corpus, *tree_lines):
+    """The tiny corpus igtree file (10 slots) with its tree replaced."""
+    lines = dumps_model(trained("igtree", tiny_corpus)).splitlines()
+    head = lines[:next(i for i, line in enumerate(lines) if line.startswith("node "))]
+    return "\n".join(head + list(tree_lines)) + "\n"
+
+
+def chain(depth):
+    """Tree lines of a chain with ``depth`` inner nodes, each with one child."""
+    return ["node O 1", "edge x"] * depth + ["node B-NP 0"]
+
+
+class TestIGTreeFile:
+    def test_a_chain_as_deep_as_the_order_line_loads(self, tiny_corpus):
+        model = loads_model(igtree_file(tiny_corpus, *chain(10)))
+        assert model.predict(("x",) * 10) == "B-NP"
+        assert model.predict(("y",) * 10) == "O"
+
+    @pytest.mark.parametrize("depth", [11, 3000])
+    def test_a_chain_deeper_than_the_order_line_is_rejected(self, tiny_corpus, depth):
+        with pytest.raises(ParseError, match="at depth 10 has 1 children"):
+            loads_model(igtree_file(tiny_corpus, *chain(depth)))
+
+    def test_a_deep_tree_loads_without_recursion(self):
+        slots = 3000
+        text = "\n".join([
+            "chunker-model 1", "kind igtree", "class B-NP 1", "class O 1", "window -",
+            "slots " + " ".join(f"s{i}" for i in range(slots)),
+            "order " + " ".join(str(i) for i in range(slots)),
+            *chain(slots),
+        ]) + "\n"
+        model = loads_model(text)
+        assert model.predict(("x",) * slots) == "B-NP"
+        assert model.predict(("x",) * (slots - 1) + ("y",)) == "O"
+
+    @pytest.mark.parametrize("which", [0, -1], ids=["root", "last leaf"])
+    def test_a_negative_child_count_is_rejected(self, tiny_corpus, which):
+        lines = dumps_model(trained("igtree", tiny_corpus)).splitlines()
+        at = [i for i, line in enumerate(lines) if line.startswith("node ")][which]
+        lines[at] = lines[at].rsplit(" ", 1)[0] + " -1"
+        with pytest.raises(ParseError, match="-1 children"):
+            loads_model("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("extra", ["node O 0", "edge x", "item O a"])
+    def test_lines_after_the_tree_are_rejected(self, tiny_corpus, extra):
+        text = dumps_model(trained("igtree", tiny_corpus)) + extra + "\n"
+        with pytest.raises(ParseError, match="after its tree"):
+            loads_model(text)
 
 
 # The baseline files that the tiny corpus trains, plain and with
