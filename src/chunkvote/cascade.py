@@ -117,7 +117,7 @@ def cascade_bracket(
     """
     if max_depth < 1:
         raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
-    current = strip_tags(sentence)
+    stripped = current = strip_tags(sentence)
     mapping = identity_map(len(sentence))
     found: dict[ChunkSpan, None] = {}
     for _ in range(max_depth):
@@ -135,7 +135,7 @@ def cascade_bracket(
         mapping = compose_maps(mapping, level_map)
         if len(current) == 1:
             break
-    return NestedSentence(strip_tags(sentence).tokens, tuple(found))
+    return NestedSentence(stripped.tokens, tuple(found))
 
 
 def _strictly_inside(inner: ChunkSpan, outer: ChunkSpan) -> bool:

@@ -25,7 +25,6 @@ from .corpus import (
     convert_scheme,
     parse_conll,
     parse_nested,
-    strip_tags,
     with_tags,
     write_conll,
     write_nested,
@@ -316,20 +315,20 @@ def _cmd_combine(args) -> None:
     table = read_table(_read_text(args.table))
     if args.weights is not None and args.tuning is not None:
         raise UsageError("pass --weights or --tuning, not both")
+    tuning = None if args.tuning is None else read_table(_read_text(args.tuning))
     weights = None
     if args.weights is not None:
         weights = read_weights(_read_text(args.weights))
-    elif args.tuning is not None:
-        weights = estimate_weights(read_table(_read_text(args.tuning)))
+    elif tuning is not None and args.method not in STACKED_METHODS:
+        weights = estimate_weights(tuning)
     words = None
     if args.words is not None:
         words = _read_corpus(args.words, "iob1", args.words_columns, strict=False)
     if args.method in STACKED_METHODS:
         if args.bracket_level:
             raise UsageError("bracket level combination works with voting methods only")
-        if args.tuning is None:
+        if tuning is None:
             raise UsageError(f"method {args.method} needs --tuning")
-        tuning = read_table(_read_text(args.tuning))
         base = args.method.removeprefix("stacked-")
         add_pos = base.endswith("-pos")
         model = stacked_train(tuning, learner=base.removesuffix("-pos"), add_pos=add_pos)
@@ -362,7 +361,7 @@ def _cmd_cascade(args) -> None:
     tagger = functools.partial(tag_sentence, loads_model(_read_text(args.model)))
     corpus = _read_corpus(args.input, "iob1", args.columns, strict=False)
     nested = [
-        cascade_bracket(strip_tags(s), tagger, max_depth=args.max_depth, head=args.head)
+        cascade_bracket(s, tagger, max_depth=args.max_depth, head=args.head)
         for s in corpus.sentences
     ]
     _write_text(args.output, write_nested(nested))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -36,7 +36,6 @@ PAD = "__PAD__"
 _TAG_RE = re.compile(r"O|[BI]-(?!O\Z)[A-Za-z0-9]+")
 _FIELD_RE = re.compile(r"\S+")
 _BRACKET_RE = re.compile(r"((?:\([A-Za-z0-9]+)*)\*(\)*)")
-_OPENER_RE = re.compile(r"\(([A-Za-z0-9]+)")
 
 
 class TagScheme(str, Enum):
@@ -280,12 +279,25 @@ def convert_scheme(tags: Sequence[str], from_scheme: TagScheme, to_scheme: TagSc
 
 
 #---------------------------------------------------------------------------
-# chunk column files
+# column files
 
-def _lines(source) -> Iterable[str]:
-    if isinstance(source, str):
-        return source.splitlines()
-    return (line.rstrip("\r\n") for line in source)
+def column_blocks(source) -> Iterator[Iterator[tuple[int, list[str]]]]:
+    """Yield each sentence of a column file as its (line number, fields) pairs.
+
+    ``source`` is a string or an iterable of lines.  Fields are split on
+    any whitespace, so a line of only spaces or tabs closes a sentence like
+    an empty one, and line ends need no stripping.
+    """
+    lines = source.splitlines() if isinstance(source, str) else source
+    block: list[list[str]] = []
+    for lineno, fields in enumerate(map(str.split, lines), start=1):
+        if fields:
+            block.append(fields)
+        elif block:  # a sentence's lines are consecutive, so its first is known
+            yield enumerate(block, lineno - len(block))
+            block = []
+    if block:
+        yield enumerate(block, lineno + 1 - len(block))
 
 
 def parse_conll(source, scheme: TagScheme, columns: int = 3, strict: bool = True) -> Corpus:
@@ -298,24 +310,17 @@ def parse_conll(source, scheme: TagScheme, columns: int = 3, strict: bool = True
     if columns not in (2, 3):
         raise ValidationError(f"columns must be 2 or 3, got {columns}")
     sentences: list[Sentence] = []
-    tokens: list[Token] = []
-    for lineno, line in enumerate(_lines(source), start=1):
-        if not line.strip():
-            if tokens:
-                sentences.append(Sentence(tuple(tokens)))
-                tokens = []
-            continue
-        fields = line.split()
-        if len(fields) != columns:
-            raise ParseError(f"line {lineno}: expected {columns} columns, got {len(fields)}")
-        tag = fields[2] if columns == 3 else None
-        try:
-            tokens.append(Token(fields[0], fields[1], tag))
-        except ValidationError as exc:
-            raise ValidationError(
-                f"sentence {len(sentences) + 1}, token {len(tokens) + 1} (line {lineno}): {exc}"
-            ) from None
-    if tokens:
+    for block in column_blocks(source):
+        tokens: list[Token] = []
+        for lineno, fields in block:
+            if len(fields) != columns:
+                raise ParseError(f"line {lineno}: expected {columns} columns, got {len(fields)}")
+            try:
+                tokens.append(Token(*fields))
+            except ValidationError as exc:
+                raise ValidationError(
+                    f"sentence {len(sentences) + 1}, token {len(tokens) + 1} (line {lineno}): {exc}"
+                ) from None
         sentences.append(Sentence(tuple(tokens)))
     corpus = Corpus(tuple(sentences), scheme)
     if strict and columns == 3:
@@ -346,46 +351,35 @@ def parse_nested(source) -> list[NestedSentence]:
     ParseError naming the sentence.
     """
     sentences: list[NestedSentence] = []
-    tokens: list[Token] = []
-    spans: list[ChunkSpan] = []
-    stack: list[tuple[str, int]] = []
-
-    def flush(lineno: int) -> None:
-        nonlocal tokens, spans, stack
+    for block in column_blocks(source):
+        tokens: list[Token] = []
+        spans: list[ChunkSpan] = []
+        stack: list[tuple[str, int]] = []
+        for lineno, fields in block:
+            if len(fields) != 3:
+                raise ParseError(f"line {lineno}: expected 3 columns, got {len(fields)}")
+            word, pos, bracket = fields
+            match = _BRACKET_RE.fullmatch(bracket)
+            if match is None:
+                raise ParseError(f"line {lineno}: bad bracket field {bracket!r}")
+            openers, closers = match.groups()
+            index = len(tokens)
+            for label in openers.split("(")[1:]:
+                stack.append((label, index))
+            try:
+                tokens.append(Token(word, pos))
+            except ValidationError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from None
+            for _ in closers:
+                if not stack:
+                    raise ParseError(f"sentence {len(sentences) + 1} (line {lineno}): unmatched closer")
+                label, begin = stack.pop()
+                spans.append(ChunkSpan(begin, index + 1, label))
         if stack:
             raise ParseError(
                 f"sentence {len(sentences) + 1} (line {lineno}): {len(stack)} unclosed bracket(s)"
             )
         sentences.append(NestedSentence(tuple(tokens), tuple(spans)))
-        tokens, spans, stack = [], [], []
-
-    lineno = 0
-    for lineno, line in enumerate(_lines(source), start=1):
-        if not line.strip():
-            if tokens:
-                flush(lineno)
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise ParseError(f"line {lineno}: expected 3 columns, got {len(fields)}")
-        word, pos, bracket = fields
-        match = _BRACKET_RE.fullmatch(bracket)
-        if match is None:
-            raise ParseError(f"line {lineno}: bad bracket field {bracket!r}")
-        index = len(tokens)
-        for label in _OPENER_RE.findall(match.group(1)):
-            stack.append((label, index))
-        try:
-            tokens.append(Token(word, pos))
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-        for _ in match.group(2):
-            if not stack:
-                raise ParseError(f"sentence {len(sentences) + 1} (line {lineno}): unmatched closer")
-            label, begin = stack.pop()
-            spans.append(ChunkSpan(begin, index + 1, label))
-    if tokens:
-        flush(lineno)
     return sentences
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import (
     PLACEHOLDER_WORD,
@@ -24,6 +24,7 @@ from .corpus import (
     TagScheme,
     Token,
     check_chunk_tag,
+    column_blocks,
     extract_chunks,
     tags_from_chunks,
 )
@@ -75,13 +76,14 @@ class PredictionTable:
                 raise ValidationError(f"system name {name!r} is reserved")
         golds = set()
         preds = set()
+        width = len(self.systems)
         for rows in self.sentences:
             if not rows:
                 raise ValidationError("empty sentence in prediction table")
             for row in rows:
-                if len(row.preds) != len(self.systems):
+                if len(row.preds) != width:
                     raise ValidationError(
-                        f"row has {len(row.preds)} predictions for {len(self.systems)} systems"
+                        f"row has {len(row.preds)} predictions for {width} systems"
                     )
                 golds.add(row.gold)
                 preds.update(row.preds)
@@ -109,36 +111,42 @@ class PredictionTable:
         return [[row.gold for row in rows] for rows in self.sentences]  # type: ignore[misc]
 
 
+def _table(
+    sentences: Sequence[Sentence],
+    columns: Mapping[str, Sequence[Sequence[str]]],
+    gold: Sequence[Sequence[str]] | None,
+) -> PredictionTable:
+    """A table of the pos tags of ``sentences``, the system tags in ``columns`` and any gold tags."""
+    golds = gold if gold is not None else [[None] * len(sentence) for sentence in sentences]
+    table = (
+        tuple(map(PredictionRow, sentence.pos_tags, zip(*system_tags), sentence_gold))
+        for sentence, sentence_gold, *system_tags in zip(sentences, golds, *columns.values())
+    )
+    return PredictionTable(tuple(columns), tuple(table))
+
+
+def _tag_column(what: str, corpus: Corpus, reference: Corpus) -> list[tuple[str, ...]]:
+    """The tags of ``corpus``, checked to cover every token of ``reference``."""
+    if len(corpus.sentences) != len(reference.sentences):
+        raise AlignmentError(f"{what} sentence count differs from reference")
+    column = [sentence.chunk_tags for sentence in corpus.sentences]
+    for si, (tags, ref) in enumerate(zip(column, reference.sentences), start=1):
+        if len(tags) != len(ref):
+            raise AlignmentError(f"{what} sentence {si} length differs")
+        if None in tags:
+            raise ValidationError(f"{what} sentence {si} has untagged tokens")
+    return column
+
+
 def from_corpora(predictions: Mapping[str, Corpus], gold: Corpus | None = None) -> PredictionTable:
     """Assemble a table from per-system corpora over the same tokens."""
     if not predictions:
         raise ValidationError("need at least one system")
-    systems = tuple(predictions)
-    reference = gold if gold is not None else predictions[systems[0]]
-    for name, corpus in predictions.items():
-        if len(corpus.sentences) != len(reference.sentences):
-            raise AlignmentError(f"system {name}: sentence count differs from reference")
-    sentences = []
-    for si, ref_sentence in enumerate(reference.sentences):
-        rows = []
-        for ti in range(len(ref_sentence)):
-            preds = []
-            for name in systems:
-                pred_sentence = predictions[name].sentences[si]
-                if len(pred_sentence) != len(ref_sentence):
-                    raise AlignmentError(f"system {name}: sentence {si + 1} length differs")
-                tag = pred_sentence.tokens[ti].chunk_tag
-                if tag is None:
-                    raise ValidationError(f"system {name}: sentence {si + 1} has untagged tokens")
-                preds.append(tag)
-            gold_tag = None
-            if gold is not None:
-                gold_tag = gold.sentences[si].tokens[ti].chunk_tag
-                if gold_tag is None:
-                    raise ValidationError(f"gold sentence {si + 1} has untagged tokens")
-            rows.append(PredictionRow(ref_sentence.tokens[ti].pos, tuple(preds), gold_tag))
-        sentences.append(tuple(rows))
-    return PredictionTable(systems, tuple(sentences))
+    reference = gold if gold is not None else next(iter(predictions.values()))
+    columns = {name: _tag_column(f"system {name}:", corpus, reference)
+               for name, corpus in predictions.items()}
+    gold_tags = None if gold is None else _tag_column("gold", gold, reference)
+    return _table(reference.sentences, columns, gold_tags)
 
 
 #---------------------------------------------------------------------------
@@ -157,45 +165,34 @@ def write_table(table: PredictionTable) -> str:
 
 
 def read_table(source) -> PredictionTable:
-    lines = source.splitlines() if isinstance(source, str) else [l.rstrip("\r\n") for l in source]
-    header: list[str] | None = None
-    start = 0
-    for i, line in enumerate(lines):
-        if line.strip():
-            header = line.split()
-            start = i + 1
-            break
-    if header is None:
+    """Read a table: its header is the first line of the first block."""
+    blocks = column_blocks(source)
+    first = next(blocks, None)
+    if first is None:
         raise ParseError("empty prediction table")
+    _, header = next(first)
     if header[0] == "gold":
         if len(header) < 3 or header[1] != "pos":
             raise ParseError("table header must start with 'gold pos' or 'pos'")
-        has_gold, systems = True, header[2:]
-    elif header[0] == "pos":
-        if len(header) < 2:
-            raise ParseError("table header names no systems")
-        has_gold, systems = False, header[1:]
-    else:
+    elif header[0] != "pos":
         raise ParseError("table header must start with 'gold pos' or 'pos'")
+    elif len(header) < 2:
+        raise ParseError("table header names no systems")
+    has_gold = header[0] == "gold"
     width = len(header)
     sentences: list[tuple[PredictionRow, ...]] = []
-    rows: list[PredictionRow] = []
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        if not line.strip():
-            if rows:
-                sentences.append(tuple(rows))
-                rows = []
-            continue
-        fields = line.split()
-        if len(fields) != width:
-            raise ParseError(f"line {lineno}: expected {width} columns, got {len(fields)}")
-        if has_gold:
-            rows.append(PredictionRow(fields[1], tuple(fields[2:]), fields[0]))
-        else:
-            rows.append(PredictionRow(fields[0], tuple(fields[1:])))
-    if rows:
-        sentences.append(tuple(rows))
-    return PredictionTable(tuple(systems), tuple(sentences))
+    for block in itertools.chain([first], blocks):
+        rows: list[PredictionRow] = []
+        for lineno, fields in block:
+            if len(fields) != width:
+                raise ParseError(f"line {lineno}: expected {width} columns, got {len(fields)}")
+            if has_gold:
+                rows.append(PredictionRow(fields[1], tuple(fields[2:]), fields[0]))
+            else:
+                rows.append(PredictionRow(fields[0], tuple(fields[1:])))
+        if rows:
+            sentences.append(tuple(rows))
+    return PredictionTable(tuple(header[2:] if has_gold else header[1:]), tuple(sentences))
 
 
 #---------------------------------------------------------------------------
@@ -217,6 +214,10 @@ def cv_tuning_table(corpus: Corpus, specs: Sequence[LearnerSpec], folds: int = 1
     names = [spec.name for spec in specs]
     if len(set(names)) != len(names):
         raise ConfigError("system names must be unique")
+    # Checked before training, which would number a sentence within its fold.
+    for i, sentence in enumerate(corpus.sentences, start=1):
+        if None in sentence.chunk_tags:
+            raise TrainingError(f"sentence {i} has untagged tokens")
     predicted: dict[str, list[list[str] | None]] = {
         spec.name: [None] * len(corpus.sentences) for spec in specs
     }
@@ -230,21 +231,8 @@ def cv_tuning_table(corpus: Corpus, specs: Sequence[LearnerSpec], folds: int = 1
             for i, sentence in enumerate(corpus.sentences):
                 if i % folds == fold:
                     predicted[spec.name][i] = tag_sentence(model, sentence)
-    sentences = []
-    for i, sentence in enumerate(corpus.sentences):
-        gold = sentence.chunk_tags
-        if any(tag is None for tag in gold):
-            raise TrainingError(f"sentence {i + 1} has untagged tokens")
-        rows = tuple(
-            PredictionRow(
-                sentence.tokens[t].pos,
-                tuple(predicted[name][i][t] for name in names),  # type: ignore[index]
-                gold[t],
-            )
-            for t in range(len(sentence))
-        )
-        sentences.append(rows)
-    return PredictionTable(tuple(names), tuple(sentences))
+    gold = [sentence.chunk_tags for sentence in corpus.sentences]
+    return _table(corpus.sentences, predicted, gold)  # type: ignore[arg-type]
 
 
 #---------------------------------------------------------------------------
@@ -348,7 +336,7 @@ def read_weights(source) -> CombinerWeights:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0].split() != ["combiner-weights", "1"]:
         raise ParseError("not a combiner-weights file")
-    systems: list[str] = []
+    systems: dict[str, None] = {}
     accuracy: dict[str, float] = {}
     tag_precision: dict[tuple[str, str], float] = {}
     tag_recall: dict[tuple[str, str], float] = {}
@@ -358,23 +346,25 @@ def read_weights(source) -> CombinerWeights:
         for line in lines[1:]:
             fields = line.split()
             if fields[0] == "system" and len(fields) == 2:
-                systems.append(fields[1])
+                target, key, value = systems, fields[1], None
             elif fields[0] == "tagcount" and len(fields) == 3:
-                count = int(fields[2])
-                if count < 0:
+                target, key, value = tag_counts, fields[1], int(fields[2])
+                if value < 0:
                     raise ParseError(f"negative tag count in weights line {line!r}")
-                tag_counts[fields[1]] = count
             elif fields[0] == "accuracy" and len(fields) == 3:
-                accuracy[fields[1]] = _rate(line, fields[2])
+                target, key, value = accuracy, fields[1], _rate(line, fields[2])
             elif fields[0] == "tagprec" and len(fields) == 4:
-                tag_precision[(fields[1], fields[2])] = _rate(line, fields[3])
+                target, key, value = tag_precision, (fields[1], fields[2]), _rate(line, fields[3])
             elif fields[0] == "tagrec" and len(fields) == 4:
-                tag_recall[(fields[1], fields[2])] = _rate(line, fields[3])
+                target, key, value = tag_recall, (fields[1], fields[2]), _rate(line, fields[3])
             elif fields[0] == "pair" and len(fields) == 7:
-                key = (fields[1], fields[2], fields[3], fields[4])
-                pair_prob.setdefault(key, {})[fields[5]] = _rate(line, fields[6])
+                target = pair_prob.setdefault((fields[1], fields[2], fields[3], fields[4]), {})
+                key, value = fields[5], _rate(line, fields[6])
             else:
                 raise ParseError(f"bad weights line {line!r}")
+            if key in target:
+                raise ParseError(f"repeated key in weights line {line!r}")
+            target[key] = value
     except ValueError as exc:
         raise ParseError(f"bad number in weights file: {exc}") from None
     return CombinerWeights(
@@ -460,8 +450,18 @@ def vote(
     return pick_best(scores, frequencies)
 
 
+def _decide_rows(table: PredictionTable, decide: Callable[[PredictionRow], str]) -> list[list[str]]:
+    """One decided tag per table row, per sentence."""
+    return [[decide(row) for row in rows] for rows in table.sentences]
+
+
 #---------------------------------------------------------------------------
 # stacked classifiers
+
+def _stacked_vector(row: PredictionRow, add_pos: bool) -> tuple[str, ...]:
+    """A row's feature vector for a stacked model: its predictions, then its pos tag."""
+    return row.preds + (row.pos,) if add_pos else row.preds
+
 
 def stacked_train(
     table: PredictionTable,
@@ -476,11 +476,8 @@ def stacked_train(
     if not table.has_gold:
         raise ValidationError("stacking needs a tuning table with gold tags")
     slot_names = tuple(table.systems) + (("pos",) if add_pos else ())
-    items = []
-    for row in table.rows():
-        vector = row.preds + ((row.pos,) if add_pos else ())
-        items.append((vector, row.gold))
-    dataset = Dataset(tuple(items), slot_names)
+    items = tuple((_stacked_vector(row, add_pos), row.gold) for row in table.rows())
+    dataset = Dataset(items, slot_names)
     if learner == "knn":
         return train_knn(dataset, k=k, weighting=weighting)
     return train_igtree(dataset, weighting=weighting)
@@ -493,36 +490,23 @@ def stacked_tags(model: KnnModel | IGTreeModel, table: PredictionTable) -> list[
         raise ValidationError(
             f"model expects {len(model.slot_names)} columns, table has {len(table.systems)} systems"
         )
-    result = []
-    for rows in table.sentences:
-        tags = []
-        for row in rows:
-            vector = row.preds + ((row.pos,) if add_pos else ())
-            tags.append(model.predict(vector))
-        result.append(tags)
-    return result
+    return _decide_rows(table, lambda row: model.predict(_stacked_vector(row, add_pos)))
 
 
 #---------------------------------------------------------------------------
 # best subset selection
 
-def _majority_tags(table: PredictionTable, subset: Sequence[int]) -> list[list[str]]:
-    result = []
-    for rows in table.sentences:
-        tags = []
-        for row in rows:
-            pairs = [(table.systems[i], row.preds[i]) for i in subset]
-            tags.append(vote(pairs, "majority"))
-        result.append(tags)
-    return result
+def _subset_report(table: PredictionTable, gold_spans: list, subset: Sequence[int]) -> EvalReport:
+    """Chunk level score of majority voting over the systems at ``subset``."""
+    voted = _decide_rows(table, lambda row: vote([(table.systems[i], row.preds[i]) for i in subset]))
+    return score_chunks(gold_spans, [extract_chunks(tags) for tags in voted])
 
 
 def evaluate_subset(table: PredictionTable, systems: Sequence[str]) -> EvalReport:
     """Chunk level score of majority voting over a subset of systems."""
     indices = [table.systems.index(name) for name in systems]
     gold_spans = [extract_chunks(tags) for tags in table.gold_column()]
-    voted = _majority_tags(table, indices)
-    return score_chunks(gold_spans, [extract_chunks(tags) for tags in voted])
+    return _subset_report(table, gold_spans, indices)
 
 
 def best_n_select(table: PredictionTable, n: int) -> tuple[str, ...]:
@@ -537,16 +521,11 @@ def best_n_select(table: PredictionTable, n: int) -> tuple[str, ...]:
     if not 1 <= n <= len(table.systems):
         raise ConfigError(f"n must be between 1 and {len(table.systems)}, got {n}")
     gold_spans = [extract_chunks(tags) for tags in table.gold_column()]
-    best_subset: tuple[int, ...] | None = None
-    best_f = -1.0
-    for subset in itertools.combinations(range(len(table.systems)), n):
-        voted = _majority_tags(table, subset)
-        report = score_chunks(gold_spans, [extract_chunks(tags) for tags in voted])
-        if report.f_rate > best_f:
-            best_f = report.f_rate
-            best_subset = subset
-    assert best_subset is not None
-    return tuple(table.systems[i] for i in best_subset)
+    best = max(
+        itertools.combinations(range(len(table.systems)), n),
+        key=lambda subset: _subset_report(table, gold_spans, subset).f_rate,
+    )
+    return tuple(table.systems[i] for i in best)
 
 
 #---------------------------------------------------------------------------
@@ -643,7 +622,7 @@ def combine_brackets(
 # corpus level combination
 
 def _normalised_corpus(
-    tags_per_sentence: Sequence[Sequence[str]],
+    spans_per_sentence: Sequence[Sequence[ChunkSpan]],
     table: PredictionTable,
     words: Corpus | None,
 ) -> Corpus:
@@ -652,18 +631,12 @@ def _normalised_corpus(
             f"word corpus has {len(words.sentences)} sentences, table has {len(table.sentences)}"
         )
     sentences = []
-    for si, (rows, tags) in enumerate(zip(table.sentences, tags_per_sentence)):
-        spans = extract_chunks(tags)
+    for si, (rows, spans) in enumerate(zip(table.sentences, spans_per_sentence)):
         clean = tags_from_chunks(len(rows), spans, TagScheme.IOB2)
-        if words is not None:
-            word_list = words.sentences[si].words
-            if len(word_list) != len(rows):
-                raise AlignmentError(f"sentence {si + 1}: word count differs from table")
-        else:
-            word_list = tuple(PLACEHOLDER_WORD for _ in rows)
-        tokens = tuple(
-            Token(word_list[t], rows[t].pos, clean[t]) for t in range(len(rows))
-        )
+        word_list = (PLACEHOLDER_WORD,) * len(rows) if words is None else words.sentences[si].words
+        if len(word_list) != len(rows):
+            raise AlignmentError(f"sentence {si + 1}: word count differs from table")
+        tokens = tuple(Token(word, row.pos, tag) for word, row, tag in zip(word_list, rows, clean))
         sentences.append(Sentence(tokens))
     return Corpus(tuple(sentences), TagScheme.IOB2)
 
@@ -693,17 +666,13 @@ def combine_corpus(
             for name in table.systems
         }
         lengths = [len(rows) for rows in table.sentences]
-        combined = combine_brackets(outputs, lengths, method, weights)
-        tags_per_sentence = [
-            tags_from_chunks(lengths[i], combined[i], TagScheme.IOB2)
-            for i in range(len(lengths))
-        ]
+        spans = combine_brackets(outputs, lengths, method, weights)
     else:
-        tags_per_sentence = [
-            [vote(list(zip(table.systems, row.preds)), method, weights) for row in rows]
-            for rows in table.sentences
-        ]
-    return _normalised_corpus(tags_per_sentence, table, words)
+        voted = _decide_rows(
+            table, lambda row: vote(list(zip(table.systems, row.preds)), method, weights)
+        )
+        spans = [extract_chunks(tags) for tags in voted]
+    return _normalised_corpus(spans, table, words)
 
 
 def stacked_corpus(
@@ -712,4 +681,5 @@ def stacked_corpus(
     words: Corpus | None = None,
 ) -> Corpus:
     """Apply a stacked model to a test table and normalise to IOB2."""
-    return _normalised_corpus(stacked_tags(model, table), table, words)
+    spans = [extract_chunks(tags) for tags in stacked_tags(model, table)]
+    return _normalised_corpus(spans, table, words)

@@ -76,7 +76,15 @@ def dumps_model(model: TrainedModel) -> str:
             lines.append("item " + label + " " + " ".join(vector))
     elif isinstance(model, IGTreeModel):
         lines.append("order " + " ".join(str(s) for s in model.feature_order))
-        _dump_node(model.root, lines)
+        # The pre-order that _read_tree reads, with an explicit stack of the
+        # subtrees still to write, each under its edge value (None at the root).
+        stack: list[tuple[str | None, IGTreeNode]] = [(None, model.root)]
+        while stack:
+            value, node = stack.pop()
+            if value is not None:
+                lines.append(f"edge {value}")
+            lines.append(f"node {node.default} {len(node.children)}")
+            stack.extend(sorted(node.children.items(), reverse=True))
     elif isinstance(model, MaxEntModel):
         lines.append("classes " + " ".join(model.classes))
         lines.append(f"constant {model.constant}")
@@ -91,13 +99,6 @@ def dumps_model(model: TrainedModel) -> str:
     else:
         raise ParseError(f"cannot serialize model kind {type(model).__name__}")
     return "\n".join(lines) + "\n"
-
-
-def _dump_node(node: IGTreeNode, lines: list[str]) -> None:
-    lines.append(f"node {node.default} {len(node.children)}")
-    for value in sorted(node.children):
-        lines.append(f"edge {value}")
-        _dump_node(node.children[value], lines)
 
 
 def loads_model(text: str) -> TrainedModel:
@@ -123,7 +124,7 @@ def _loads_model(text: str) -> TrainedModel:
     while fields and fields[0] == "class":
         if len(fields) != 3 or int(fields[2]) < 0:
             raise ParseError(f"bad class line {' '.join(fields)!r}")
-        class_counts[fields[1]] = int(fields[2])
+        class_counts[_new_key(class_counts, fields[1], fields)] = int(fields[2])
         fields = next(lines, None)
     # The first line that is not a class count goes back, to be read as the window.
     lines = itertools.chain([fields] if fields else [], lines)
@@ -145,7 +146,9 @@ def _loads_model(text: str) -> TrainedModel:
 
     if kind == "baseline":
         fallback = _line(lines, "fallback", 2)[1]
-        leaves = {pos: IGTreeNode(tag, {}) for _, pos, tag in _records(lines, "pos", 3)}
+        leaves: dict[str, IGTreeNode] = {}
+        for fields in _records(lines, "pos", 3):
+            leaves[_new_key(leaves, fields[1], fields)] = IGTreeNode(fields[2], {})
         return IGTreeModel(feature_order=(0,), root=IGTreeNode(fallback, leaves), **common)
     if kind == "knn":
         k = int(_line(lines, "k", 2)[1])
@@ -176,10 +179,10 @@ def _loads_model(text: str) -> TrainedModel:
         classes = tuple(_line(lines, "classes", len(class_counts) + 1)[1:])
         constant = int(_line(lines, "constant", 2)[1])
         correction = _finite(_line(lines, "correction", 2)[1])
-        weights = {
-            (_slot(slot, slot_names), value, cls): _finite(weight)
-            for _, slot, value, cls, weight in _records(lines, "feature", 5)
-        }
+        weights: dict[tuple[int, str, str], float] = {}
+        for fields in _records(lines, "feature", 5):
+            key = (_slot(fields[1], slot_names), fields[2], fields[3])
+            weights[_new_key(weights, key, fields)] = _finite(fields[4])
         return MaxEntModel(weights=weights, classes=classes, constant=constant,
                            correction=correction, **common)
     if kind == "rules":
@@ -234,10 +237,19 @@ def _read_tree(lines: Iterator[list[str]], depth_limit: int) -> IGTreeNode:
         if count < 0 or count and len(path) > depth_limit:
             raise ParseError(f"igtree node at depth {len(path) - 1} has {count} children")
         node = IGTreeNode(default, {})
+        if value in open_node[0]:
+            raise ParseError(f"repeated edge line {'edge ' + value!r}")
         open_node[0][value] = node
         if count:
             path.append([node.children, count])
     return top[""]
+
+
+def _new_key(table: dict, key, fields: list[str]):
+    """``key``, unless ``table`` already holds it from an earlier line."""
+    if key in table:
+        raise ParseError(f"repeated {fields[0]} line {' '.join(fields)!r}")
+    return key
 
 
 def _slot(raw: str, slot_names: tuple[str, ...]) -> int:

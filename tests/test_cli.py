@@ -42,6 +42,7 @@ from chunkvote import (
     write_table,
     write_weights,
 )
+from chunkvote import cascade, cli
 from chunkvote.cli import main
 
 from conftest import TINY_TRAIN
@@ -332,6 +333,15 @@ class TestTrainTagEval:
         assert main(["tag", model_path, train, "-o", out_path(files)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_a_repeated_class_line_is_a_data_error(self, files, capsys):
+        train = files("train.conll", TINY_TRAIN)
+        model_path = out_path(files, "model.txt")
+        assert main(["train", train, "--learner", "igtree", "-o", model_path]) == 0
+        text = Path(model_path).read_text()
+        Path(model_path).write_text(text.replace("class B-NP 9\n", "class B-NP 9\nclass B-NP 999\n"))
+        assert main(["tag", model_path, train, "-o", out_path(files)]) == 2
+        assert "repeated class line 'class B-NP 999'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
     def test_a_meaningless_sigma_is_a_data_error(self, files, capsys, sigma):
         train = files("train.conll", TINY_TRAIN)
@@ -526,6 +536,15 @@ class TestCombineCommand:
                      "--weights", weights, "-o", out_path(files)]) == 2
         assert "rate outside [0, 1]" in capsys.readouterr().err
 
+    def test_a_repeated_weights_key_is_a_data_error(self, files, capsys):
+        table_path = build_table(files)
+        text = write_weights(estimate_weights(read_table(Path(table_path).read_text())))
+        accuracy = next(line for line in text.splitlines() if line.startswith("accuracy "))
+        weights = files("twice.weights", text + accuracy.rsplit(" ", 1)[0] + " 1.0\n")
+        assert main(["combine", table_path, "--method", "tot-precision",
+                     "--weights", weights, "-o", out_path(files)]) == 2
+        assert "repeated key in weights line" in capsys.readouterr().err
+
     def test_weights_and_tuning_conflict(self, files, capsys):
         table_path = build_table(files)
         assert main([
@@ -566,6 +585,23 @@ class TestCombineCommand:
             (files.dir / "out.txt").read_text(), TagScheme.IOB2, strict=True
         )
         assert len(combined.sentences) == len(TINY_CORPUS.sentences)
+
+    def test_stacking_reads_the_tuning_table_once(self, files, monkeypatch):
+        table_path = build_table(files)
+        reads = []
+
+        def counted_read_table(text):
+            reads.append(text)
+            return read_table(text)
+
+        def no_weights(table):
+            raise AssertionError("stacking estimated combiner weights")
+
+        monkeypatch.setattr(cli, "read_table", counted_read_table)
+        monkeypatch.setattr(cli, "estimate_weights", no_weights)
+        assert main(["combine", table_path, "--method", "stacked-knn", "--tuning", table_path,
+                     "-o", out_path(files)]) == 0
+        assert len(reads) == 2  # the table to combine and the tuning table
 
     def test_stacked_methods_need_tuning(self, files, capsys):
         table_path = build_table(files)
@@ -647,6 +683,21 @@ class TestCascadeCommand:
             "cascade", model_path, input_path, "--columns", "2", "-o", out,
         ]) == 0
         assert (files.dir / "parsed.txt").read_text() == nested_text
+
+
+    def test_each_sentence_is_stripped_once(self, files, monkeypatch):
+        train = files("train.conll", TINY_TRAIN)
+        model_path = out_path(files, "model.txt")
+        assert main(["train", train, "--learner", "igtree", "-o", model_path]) == 0
+        stripped = []
+
+        def counted_strip_tags(sentence):
+            stripped.append(sentence)
+            return strip_tags(sentence)
+
+        monkeypatch.setattr(cascade, "strip_tags", counted_strip_tags)
+        assert main(["cascade", model_path, train, "-o", out_path(files)]) == 0
+        assert len(stripped) == len(TINY_CORPUS.sentences)
 
 
 class TestReportCommand:

@@ -15,6 +15,7 @@ from chunkvote import (
     parse_conll,
     parse_nested,
     properly_nested,
+    read_table,
     scheme_violation,
     strip_tags,
     tag_parts,
@@ -24,6 +25,7 @@ from chunkvote import (
     write_conll,
     write_nested,
 )
+from chunkvote.corpus import column_blocks
 
 import datagen
 from oracles import oracle_chunks
@@ -379,3 +381,54 @@ class TestNestedFiles:
     def test_tagged_tokens_are_rejected(self):
         with pytest.raises(ValidationError, match="spans, not chunk tags"):
             NestedSentence((Token("a", "DT", "O"),), ())
+
+
+# The three column file readers, each with a two-sentence text that has a
+# wrong column count on line 4 (the table's header is line 1).
+READERS = {
+    "conll": (lambda text: parse_conll(text, TagScheme.IOB2),
+              "a DT B-NP\nb NN I-NP\n\nc NN B-NP d\n"),
+    "nested": (parse_nested, "a DT (NP*\nb NN *)\n\nc NN * d\n"),
+    "table": (read_table, "gold pos m1\nB-NP DT B-NP\n\nO NN O O\n"),
+}
+
+
+class TestColumnBlocks:
+    def test_yields_numbered_fields_per_sentence(self):
+        text = "\n\na DT\nb NN\n\n\nc VB\n"
+        assert [list(block) for block in column_blocks(text)] == [
+            [(3, ["a", "DT"]), (4, ["b", "NN"])], [(7, ["c", "VB"])],
+        ]
+        assert list(column_blocks("")) == []
+
+    @pytest.mark.parametrize("blank", [" ", "\t", " \t  "])
+    def test_a_line_of_spaces_or_tabs_ends_a_sentence(self, blank):
+        corpus = parse_conll(f"a DT B-NP\n{blank}\nb NN B-NP\n", TagScheme.IOB2)
+        assert [s.words for s in corpus.sentences] == [("a",), ("b",)]
+        nested = parse_nested(f"a DT (NP*)\n{blank}\nb NN *\n")
+        assert [len(s) for s in nested] == [1, 1]
+        table = read_table(f"pos m1\nDT B-NP\n{blank}\nNN O\n")
+        assert [len(rows) for rows in table.sentences] == [1, 1]
+
+    def test_crlf_line_iterables(self):
+        lines = ["a DT B-NP\r\n", "b NN I-NP\r\n", "\r\n", "c VB O\r\n"]
+        corpus = parse_conll(iter(lines), TagScheme.IOB2)
+        assert [s.chunk_tags for s in corpus.sentences] == [("B-NP", "I-NP"), ("O",)]
+        nested = parse_nested(iter(["a DT (NP*\r\n", "b NN *)\r\n", "\r\n"]))
+        assert [(s.begin, s.end, s.label) for s in nested[0].spans] == [(0, 2, "NP")]
+        table = read_table(iter(["gold pos m1\r\n", "O DT O\r\n", "\r\n"]))
+        assert table.systems == ("m1",)
+        assert table.gold_column() == [["O"]]
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_column_count_errors_name_the_line(self, reader):
+        read, text = READERS[reader]
+        read(text.rsplit("\n\n", 1)[0])  # the first sentence alone reads
+        with pytest.raises(ParseError, match=r"^line 4: expected \d columns, got 4$"):
+            read(text)
+
+    @pytest.mark.parametrize("gap", ["\n", "\n\n \n"])
+    def test_an_unclosed_bracket_names_the_last_line_of_its_sentence(self, gap):
+        text = f"x NN *\n\na DT (NP*\nb NN *\n{gap}c NN *\n"
+        with pytest.raises(ParseError, match=r"^sentence 2 \(line 4\): 1 unclosed bracket"):
+            parse_nested(text)

@@ -12,6 +12,7 @@ from chunkvote import (
     PredictionRow,
     PredictionTable,
     TagScheme,
+    TrainingError,
     ValidationError,
     VOTING_METHODS,
     best_n_select,
@@ -146,6 +147,10 @@ class TestTableIO:
         lines = [line + "\n" for line in text.splitlines()]
         assert read_table(iter(lines)) == self.table()
 
+    def test_blank_lines_after_the_header_are_skipped(self):
+        header, body = write_table(self.table()).split("\n", 1)
+        assert read_table(header + "\n\n \n" + body) == self.table()
+
     def test_read_errors(self):
         with pytest.raises(ParseError, match="empty"):
             read_table("")
@@ -195,6 +200,28 @@ class TestFromCorpora:
         with pytest.raises(ValidationError, match="untagged"):
             from_corpora({"a": bare})
 
+    def test_single_fault_messages(self, tiny_corpus):
+        def replaced(index, tokens):
+            sentences = list(tiny_corpus.sentences)
+            sentences[index] = make_sentence(tokens)
+            return Corpus(tuple(sentences), TagScheme.IOB2)
+
+        second, third = tiny_corpus.sentences[1].tokens, tiny_corpus.sentences[2].tokens
+        shorter = replaced(1, [(t.word, t.pos, t.chunk_tag) for t in second[:-1]])
+        untagged = replaced(2, [(t.word, t.pos, None) for t in third])
+        fewer = Corpus(tiny_corpus.sentences[:-1], TagScheme.IOB2)
+        cases = [
+            ({"a": fewer}, AlignmentError, "system a: sentence count differs from reference"),
+            ({"a": tiny_corpus, "b": shorter}, AlignmentError, "system b: sentence 2 length differs"),
+            ({"a": tiny_corpus, "b": untagged}, ValidationError,
+             "system b: sentence 3 has untagged tokens"),
+        ]
+        for predictions, error, message in cases:
+            with pytest.raises(error, match=f"^{message}$"):
+                from_corpora(predictions, gold=tiny_corpus)
+        with pytest.raises(ValidationError, match="^gold sentence 3 has untagged tokens$"):
+            from_corpora({"a": tiny_corpus}, gold=untagged)
+
 
 class TestCvTuningTable:
     def test_structure_and_gold(self, tiny_corpus):
@@ -224,6 +251,14 @@ class TestCvTuningTable:
         first = cv_tuning_table(tiny_corpus, specs, folds=2)
         second = cv_tuning_table(tiny_corpus, specs, folds=2)
         assert first == second
+
+    @pytest.mark.parametrize("index", [2, 1], ids=["fold 0", "fold 1"])
+    def test_an_untagged_sentence_is_numbered_in_the_corpus(self, tiny_corpus, index):
+        sentences = list(tiny_corpus.sentences)
+        sentences[index] = make_sentence([(t.word, t.pos, None) for t in sentences[index].tokens])
+        corpus = Corpus(tuple(sentences), TagScheme.IOB2)
+        with pytest.raises(TrainingError, match=f"^sentence {index + 1} has untagged tokens$"):
+            cv_tuning_table(corpus, [LearnerSpec("base", "baseline")], folds=2)
 
     def test_config_errors(self, tiny_corpus):
         spec = LearnerSpec("base", "baseline")
@@ -335,6 +370,14 @@ class TestWeightsIO:
         lines[at] = lines[at].rsplit(" ", 1)[0] + " " + value
         with pytest.raises(ParseError, match=r"rate outside \[0, 1\]"):
             read_weights("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("keyword", ["system", "tagcount", "accuracy", "tagprec", "tagrec", "pair"])
+    def test_a_repeated_key_is_rejected(self, keyword):
+        lines = write_weights(estimate_weights(TestEstimateWeights().table())).splitlines()
+        line = next(line for line in lines if line.startswith(keyword + " "))
+        again = line if keyword == "system" else line.rsplit(" ", 1)[0] + " 0"
+        with pytest.raises(ParseError, match="repeated key in weights line"):
+            read_weights("\n".join(lines + [again]) + "\n")
 
     def test_negative_tag_counts_are_rejected(self):
         with pytest.raises(ParseError, match="negative tag count"):

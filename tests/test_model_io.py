@@ -259,6 +259,30 @@ class TestLineShapes:
             loads_model(text)
 
 
+# Per keyword whose lines are keys, a value that a repeated line may carry.
+KEY_VALUES = {"class": "7", "pos": "B-NP", "feature": "0.5"}
+
+
+class TestRepeatedKeys:
+    @pytest.mark.parametrize("kind, keyword", [(kind, "class") for kind in ALL_KINDS]
+                             + [("baseline", "pos"), ("maxent", "feature")])
+    def test_a_repeated_key_is_rejected(self, tiny_corpus, kind, keyword):
+        lines = dumps_model(trained(kind, tiny_corpus)).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(keyword + " "))
+        lines.insert(at + 1, lines[at].rsplit(" ", 1)[0] + " " + KEY_VALUES[keyword])
+        with pytest.raises(ParseError, match=f"repeated {keyword} line"):
+            loads_model("\n".join(lines) + "\n")
+
+    def test_feature_slots_are_compared_as_numbers(self, tiny_corpus):
+        lines = dumps_model(trained("maxent", tiny_corpus)).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("feature "))
+        fields = lines[at].split()
+        fields[1] = "0" + fields[1]
+        lines.insert(at + 1, " ".join(fields))
+        with pytest.raises(ParseError, match="repeated feature line"):
+            loads_model("\n".join(lines) + "\n")
+
+
 def igtree_file(tiny_corpus, *tree_lines):
     """The tiny corpus igtree file (10 slots) with its tree replaced."""
     lines = dumps_model(trained("igtree", tiny_corpus)).splitlines()
@@ -269,6 +293,16 @@ def igtree_file(tiny_corpus, *tree_lines):
 def chain(depth):
     """Tree lines of a chain with ``depth`` inner nodes, each with one child."""
     return ["node O 1", "edge x"] * depth + ["node B-NP 0"]
+
+
+def deep_chain_file(slots):
+    """An igtree file without a window whose tree is a chain through all ``slots``."""
+    return "\n".join([
+        "chunker-model 1", "kind igtree", "class B-NP 1", "class O 1", "window -",
+        "slots " + " ".join(f"s{i}" for i in range(slots)),
+        "order " + " ".join(str(i) for i in range(slots)),
+        *chain(slots),
+    ]) + "\n"
 
 
 class TestIGTreeFile:
@@ -284,15 +318,18 @@ class TestIGTreeFile:
 
     def test_a_deep_tree_loads_without_recursion(self):
         slots = 3000
-        text = "\n".join([
-            "chunker-model 1", "kind igtree", "class B-NP 1", "class O 1", "window -",
-            "slots " + " ".join(f"s{i}" for i in range(slots)),
-            "order " + " ".join(str(i) for i in range(slots)),
-            *chain(slots),
-        ]) + "\n"
-        model = loads_model(text)
+        model = loads_model(deep_chain_file(slots))
         assert model.predict(("x",) * slots) == "B-NP"
         assert model.predict(("x",) * (slots - 1) + ("y",)) == "O"
+
+    def test_a_deep_tree_dumps_without_recursion(self):
+        text = deep_chain_file(3000)
+        assert dumps_model(loads_model(text)) == text
+
+    def test_a_repeated_edge_is_rejected(self, tiny_corpus):
+        tree = ["node O 2", "edge x", "node B-NP 0", "edge x", "node I-NP 0"]
+        with pytest.raises(ParseError, match="repeated edge line 'edge x'"):
+            loads_model(igtree_file(tiny_corpus, *tree))
 
     @pytest.mark.parametrize("which", [0, -1], ids=["root", "last leaf"])
     def test_a_negative_child_count_is_rejected(self, tiny_corpus, which):
