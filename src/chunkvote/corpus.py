@@ -57,7 +57,7 @@ def tag_parts(tag: str) -> tuple[str, str | None]:
     return tag[0], tag[2:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     word: str
     pos: str
@@ -82,7 +82,7 @@ def check_chunk_tag(tag: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     tokens: tuple[Token, ...]
 
@@ -119,7 +119,7 @@ def with_tags(sentence: Sentence, tags: Sequence[str]) -> Sentence:
     return Sentence(tuple(Token(t.word, t.pos, tag) for t, tag in zip(sentence.tokens, tags)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Corpus:
     sentences: tuple[Sentence, ...]
     scheme: TagScheme
@@ -131,7 +131,7 @@ class Corpus:
         return len(self.sentences)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChunkSpan:
     """Half-open token span [begin, end) carrying a chunk type label."""
 
@@ -162,7 +162,7 @@ def properly_nested(spans: Iterable[ChunkSpan]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NestedSentence:
     """A sentence with a multiset of nested (never crossing) chunk spans."""
 
@@ -286,13 +286,15 @@ def column_blocks(source) -> Iterator[Iterator[tuple[int, list[str]]]]:
 
     ``source`` is a string or an iterable of lines.  Fields are split on
     any whitespace, so a line of only spaces or tabs closes a sentence like
-    an empty one, and line ends need no stripping.
+    an empty one, and line ends need no stripping.  Equal fields within one
+    call are one string object; corpora repeat words and tags heavily.
     """
     lines = source.splitlines() if isinstance(source, str) else source
+    share = {}.setdefault
     block: list[list[str]] = []
     for lineno, fields in enumerate(map(str.split, lines), start=1):
         if fields:
-            block.append(fields)
+            block.append(list(map(share, fields, fields)))
         elif block:  # a sentence's lines are consecutive, so its first is known
             yield enumerate(block, lineno - len(block))
             block = []

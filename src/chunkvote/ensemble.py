@@ -50,7 +50,7 @@ NO_BRACKET = "O"
 _RESERVED_COLUMNS = ("gold", "pos")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionRow:
     pos: str
     preds: tuple[str, ...]

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .corpus import Corpus, Sentence, TagScheme, Token
 from .errors import ConfigError, TrainingError, ValidationError
@@ -276,7 +276,7 @@ def predict_knn(model: KnnModel, vector: FeatureVector) -> str:
 #---------------------------------------------------------------------------
 # oblivious decision tree ordered by slot relevance
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IGTreeNode:
     default: str
     children: Mapping[str, "IGTreeNode"]
@@ -312,21 +312,29 @@ def train_igtree(
     order = tuple(sorted(range(dataset.arity), key=lambda s: (-weights[s], s)))
     global_counts = dataset.class_counts()
 
-    def build(items: Sequence[tuple[FeatureVector, str]], depth: int) -> IGTreeNode:
+    # Nodes still to branch, with their items and depth; an explicit stack,
+    # so that no tree is too deep to train.
+    pending: list[tuple[IGTreeNode, Sequence[tuple[FeatureVector, str]], int]] = []
+
+    def node(items: Sequence[tuple[FeatureVector, str]], depth: int) -> IGTreeNode:
         counts = Counter(label for _, label in items)
-        default = pick_best(counts, global_counts)
-        if len(counts) == 1 or depth == len(order):
-            return IGTreeNode(default, {})
+        made = IGTreeNode(pick_best(counts, global_counts), {})
+        if len(counts) > 1 and depth < len(order):
+            pending.append((made, items, depth))
+        return made
+
+    root = node(dataset.items, 0)
+    while pending:
+        parent, items, depth = pending.pop()
         slot = order[depth]
         groups: dict[str, list] = {}
         for item in items:
             groups.setdefault(item[0][slot], []).append(item)
-        children = {value: build(group, depth + 1) for value, group in groups.items()}
-        return IGTreeNode(default, children)
-
+        for value, group in groups.items():
+            parent.children[value] = node(group, depth + 1)  # type: ignore[index]
     return IGTreeModel(
         feature_order=order,
-        root=build(dataset.items, 0),
+        root=root,
         class_counts=dict(global_counts),
         slot_names=dataset.slot_names,
         window=window,
@@ -374,21 +382,29 @@ class MaxEntModel:
     slot_names: tuple[str, ...]
     window: WindowConfig | None = None
     trace: MaxEntTrace | None = field(default=None, compare=False, repr=False)
+    # Built on the first prediction; never compared, printed or saved.
+    index: dict[tuple[int, str], list[tuple[int, float]]] | None = field(
+        default=None, init=False, compare=False, repr=False)
+
+    def score_index(self) -> dict[tuple[int, str], list[tuple[int, float]]]:
+        """Each (slot, value) with the (class index, weight) pairs of its features."""
+        if self.index is None:
+            object.__setattr__(self, "index", _by_slot_value(self.weights.items(), self.classes))
+        return self.index
 
     def scores(self, vector: FeatureVector) -> dict[str, float]:
         if len(vector) != len(self.slot_names):
             raise ValidationError(f"vector arity {len(vector)}, model expects {len(self.slot_names)}")
-        result = {}
-        for c in self.classes:
-            score = 0.0
-            active = 0
-            for slot, value in enumerate(vector):
-                lam = self.weights.get((slot, value, c))
-                if lam is not None:
-                    score += lam
-                    active += 1
-            result[c] = score + self.correction * (self.constant - active)
-        return result
+        index = self.score_index()
+        totals = [0.0] * len(self.classes)
+        active = [0] * len(self.classes)
+        # Each class's weights are added in slot order.
+        for slot_value in enumerate(vector):
+            for ci, lam in index.get(slot_value, ()):
+                totals[ci] += lam
+                active[ci] += 1
+        return {c: score + self.correction * (self.constant - n)
+                for c, score, n in zip(self.classes, totals, active)}
 
     def distribution(self, vector: FeatureVector) -> dict[str, float]:
         scores = self.scores(vector)
@@ -399,6 +415,17 @@ class MaxEntModel:
 
     def predict(self, vector: FeatureVector) -> str:
         return predict_maxent(self, vector)
+
+
+def _by_slot_value(features: Iterable[tuple[tuple[int, str, str], Any]], classes: Sequence[str]) -> dict:
+    """Each (slot, value) with the (class index, payload) pairs of those
+    ((slot, value, class), payload) ``features`` whose class is in ``classes``."""
+    class_ids = {c: ci for ci, c in enumerate(classes)}
+    index: dict[tuple[int, str], list] = {}
+    for (slot, value, c), payload in features:
+        if c in class_ids:
+            index.setdefault((slot, value), []).append((class_ids[c], payload))
+    return index
 
 
 def _sum_in_order(values) -> float:
@@ -471,41 +498,45 @@ def train_maxent(
         totals[u] += 1
         label_counts[u][label] = label_counts[u].get(label, 0) + 1
     vectors = list(vector_index)
+    del vector_index
 
     raw: Counter = Counter()
-    for u, vector in enumerate(vectors):
-        for label, n in label_counts[u].items():
+    for vector, counts in zip(vectors, label_counts):
+        for label, n in counts.items():
             for slot, value in enumerate(vector):
                 raw[(slot, value, label)] += n
-    feature_ids: dict[tuple[int, str, str], int] = {}
+    features: list[tuple[int, str, str]] = []
     empirical: list[float] = []
     for feat, n in raw.items():
         if n >= cutoff:
-            feature_ids[feat] = len(empirical)
+            features.append(feat)
             empirical.append(float(n))
-    n_features = len(empirical)
+    del raw
+    n_features = len(features)
+    class_ids = {c: ci for ci, c in enumerate(classes)}
+    # Each unique vector's (class index, count) pairs, in class order.
+    gold = [tuple(sorted((class_ids[label], n) for label, n in counts.items()))
+            for counts in label_counts]
+    del label_counts
 
-    # Active feature ids per unique vector and class, plus the padding
-    # needed to bring each (vector, class) pair up to the constant.
-    active: list[list[list[int]]] = []
-    constant = 1
+    # Active feature ids per unique vector and class, in slot order, found
+    # through the (class index, feature id) pairs of each (slot, value).
+    # The correction feature pads each of them up to the constant.
+    by_value = _by_slot_value(zip(features, range(n_features)), classes)
+    active: list[tuple[tuple[int, ...], ...]] = []
     for vector in vectors:
-        per_class = []
-        for c in classes:
-            ids = []
-            for slot, value in enumerate(vector):
-                fid = feature_ids.get((slot, value, c))
-                if fid is not None:
-                    ids.append(fid)
-            constant = max(constant, len(ids))
-            per_class.append(ids)
-        active.append(per_class)
-    padding = [[constant - len(ids) for ids in per_class] for per_class in active]
+        per_class: list[list[int]] = [[] for _ in classes]
+        for slot_value in enumerate(vector):
+            for ci, fid in by_value.get(slot_value, ()):
+                per_class[ci].append(fid)
+        active.append(tuple(map(tuple, per_class)))
+    del vectors, by_value
+    constant = max(1, max(len(ids) for per_class in active for ids in per_class))
 
     emp_corr = 0.0
-    for u, vector in enumerate(vectors):
-        for ci, c in enumerate(classes):
-            emp_corr += label_counts[u].get(c, 0) * padding[u][ci]
+    for per_class, pairs in zip(active, gold):
+        for ci, n in pairs:
+            emp_corr += n * (constant - len(per_class[ci]))
 
     lambdas = [0.0] * n_features
     corr_lambda = 0.0
@@ -517,26 +548,24 @@ def train_maxent(
         exp_ = [0.0] * n_features
         exp_c = 0.0
         ll = 0.0
-        for u in range(len(vectors)):
+        for per_class, total, pairs in zip(active, totals, gold):
             scores = []
-            for ci in range(len(classes)):
-                s = corr_lambda * padding[u][ci]
-                for fid in active[u][ci]:
+            for ids in per_class:
+                s = corr_lambda * (constant - len(ids))
+                for fid in ids:
                     s += lambdas[fid]
                 scores.append(s)
             top = max(scores)
             exps = [math.exp(s - top) for s in scores]
             z = _sum_in_order(exps)
             log_z = top + math.log(z)
-            for ci, c in enumerate(classes):
-                p = exps[ci] / z
-                w = totals[u] * p
-                for fid in active[u][ci]:
+            for ids, e in zip(per_class, exps):
+                w = total * (e / z)
+                for fid in ids:
                     exp_[fid] += w
-                exp_c += w * padding[u][ci]
-                n = label_counts[u].get(c, 0)
-                if n:
-                    ll += n * (scores[ci] - log_z)
+                exp_c += w * (constant - len(ids))
+            for ci, n in pairs:
+                ll += n * (scores[ci] - log_z)
         return exp_, exp_c, ll
 
     done = 0
@@ -560,9 +589,8 @@ def train_maxent(
     expected, exp_corr, ll = pass_over_data()
     loglik.append(ll)
 
-    id_to_feat = {fid: feat for feat, fid in feature_ids.items()}
     return MaxEntModel(
-        weights={id_to_feat[fid]: lambdas[fid] for fid in range(n_features)},
+        weights=dict(zip(features, lambdas)),
         classes=classes,
         constant=constant,
         correction=corr_lambda,
@@ -571,8 +599,8 @@ def train_maxent(
         window=window,
         trace=MaxEntTrace(
             loglik=tuple(loglik),
-            empirical={id_to_feat[fid]: empirical[fid] for fid in range(n_features)},
-            expected={id_to_feat[fid]: expected[fid] for fid in range(n_features)},
+            empirical=dict(zip(features, empirical)),
+            expected=dict(zip(features, expected)),
             empirical_correction=emp_corr,
             expected_correction=exp_corr,
             iterations=done,

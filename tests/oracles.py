@@ -168,6 +168,21 @@ def oracle_igtree_path(items, order, vector, global_counts):
     return modal(current)
 
 
+def oracle_maxent_scores(model, vector):
+    """Each class's score, looking up every (slot, value, class) feature in turn."""
+    scores = {}
+    for c in model.classes:
+        total = 0.0
+        active = 0
+        for slot, value in enumerate(vector):
+            weight = model.weights.get((slot, value, c))
+            if weight is not None:
+                total += weight
+                active += 1
+        scores[c] = total + model.correction * (model.constant - active)
+    return scores
+
+
 def oracle_maxent_counts(model, items):
     """Empirical and expected feature counts under a trained model.
 

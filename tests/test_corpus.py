@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from chunkvote import (
@@ -6,6 +8,7 @@ from chunkvote import (
     Corpus,
     NestedSentence,
     ParseError,
+    PredictionRow,
     Sentence,
     TagScheme,
     Token,
@@ -26,6 +29,7 @@ from chunkvote import (
     write_nested,
 )
 from chunkvote.corpus import column_blocks
+from chunkvote.learners import IGTreeNode
 
 import datagen
 from oracles import oracle_chunks
@@ -432,3 +436,36 @@ class TestColumnBlocks:
         text = f"x NN *\n\na DT (NP*\nb NN *\n{gap}c NN *\n"
         with pytest.raises(ParseError, match=r"^sentence 2 \(line 4\): 1 unclosed bracket"):
             parse_nested(text)
+
+    def test_equal_fields_are_one_string_within_a_read(self):
+        corpus = parse_conll("the DT B-NP\ndog NN I-NP\n\nthe DT B-NP\nNN NN I-NP\n", TagScheme.IOB2)
+        (the, dog), (the2, nn) = (s.tokens for s in corpus.sentences)
+        assert the.word is the2.word and the.chunk_tag is the2.chunk_tag
+        assert dog.pos is nn.pos is nn.word and dog.chunk_tag is nn.chunk_tag
+        first, second = parse_nested("big JJ (NP*\ndogs NNS *)\n\nbig JJ (NP*\nNNS NNS *)\n")
+        assert first.tokens[0].word is second.tokens[0].word
+        assert first.tokens[1].pos is second.tokens[1].pos is second.tokens[1].word
+        (row,), (row2,) = read_table("gold pos m1 m2\nB-NP DT B-NP I-NP\n\nI-NP DT B-NP I-NP\n").sentences
+        assert row.gold is row.preds[0] is row2.preds[0] and row.pos is row2.pos
+        assert row.preds[1] is row2.gold is row2.preds[1]
+
+
+# One instance of each per-token, per-row or per-node record, and a field.
+RECORDS = {
+    "Token": (Token("dog", "NN", "B-NP"), "word"),
+    "Sentence": (Sentence((Token("dog", "NN"),)), "tokens"),
+    "Corpus": (Corpus((), TagScheme.IOB2), "scheme"),
+    "ChunkSpan": (ChunkSpan(0, 1, "NP"), "label"),
+    "NestedSentence": (NestedSentence((Token("dog", "NN"),), spans((0, 1, "NP"))), "spans"),
+    "PredictionRow": (PredictionRow("NN", ("O",), "O"), "gold"),
+    "IGTreeNode": (IGTreeNode("O", {}), "default"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_have_slots_and_stay_frozen(name):
+    record, field = RECORDS[name]
+    assert "__slots__" in type(record).__dict__
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, getattr(record, field))

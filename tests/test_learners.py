@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -38,7 +39,7 @@ from chunkvote.learners import BASELINE_WINDOW, io_corpus, pick_best
 
 import datagen
 from conftest import make_sentence, make_untagged
-from oracles import oracle_igtree_path, oracle_knn, oracle_maxent_counts
+from oracles import oracle_igtree_path, oracle_knn, oracle_maxent_counts, oracle_maxent_scores
 
 
 def dataset(rows, slot_names=None):
@@ -369,6 +370,29 @@ class TestIGTree:
         with pytest.raises(ValidationError):
             predict_igtree(model, ("a", "b"))
 
+    def test_a_deep_chain_trains_without_recursion(self):
+        slots = 1500
+        model = train_igtree(dataset([(["x"] * slots, "B-NP"), (["x"] * slots, "O")]))
+        depth, node = 0, model.root
+        while node.children:
+            depth, node = depth + 1, node.children["x"]
+        assert depth == slots
+        text = dumps_model(model)
+        assert dumps_model(loads_model(text)) == text
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_children_keep_the_order_their_values_first_occur(self, seed):
+        data = random_dataset(datagen.rng(11_500 + seed), 60, 3)
+        model = train_igtree(data)
+        pending = [(model.root, data.items, 0)]
+        while pending:
+            node, items, depth = pending.pop()
+            if node.children:
+                slot = model.feature_order[depth]
+                assert list(node.children) == list(dict.fromkeys(v[slot] for v, _ in items))
+                pending.extend((child, [it for it in items if it[0][slot] == value], depth + 1)
+                               for value, child in node.children.items())
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_the_path_filter_oracle(self, seed):
         r = datagen.rng(11_000 + seed)
@@ -382,6 +406,28 @@ class TestIGTree:
             query = tuple(r.choice(("a", "b", "c", "d", "unseen")) for _ in range(3))
             expected = oracle_igtree_path(data.items, model.feature_order, query, counts)
             assert predict_igtree(model, query) == expected
+
+
+# sha256 of the model file and of the training trace, per (sigma, iterations),
+# for the corpus of ``pinned_maxent_data``.
+PINNED_MAXENT = {
+    (None, 3): ("75718e4d87a95a8b8c2632f6475c11b9e6607334c30abd861c769e633f8ed04c",
+                "909c302814652433d04dadfd5e79dcfd1b446991875da43619bc1c5fb3048f46"),
+    (None, 10): ("de465f055200af6354ad7b3039009eba81d9ab7992c65f743b3b31119837efc7",
+                 "46babf4684af2d2299729138142e34034b142b574c27467b40cfe436510558a0"),
+    (1.0, 3): ("d575646b926a53f3909061d1fb089193056d15fa4652daea7de1d6d596b02e66",
+               "96ba0358119dca2c44b85bf7937bc1a62bd47f65085e8843f9e3aeff4a2cf64e"),
+    (1.0, 10): ("ce6216132c0c1158921eb5405cde55d568f50c0edb4837332f85a12b27124d4c",
+                "143924363840c3c473bde7505977bb6b68d433a72c60cca63aacdc106cc7bc41"),
+}
+
+
+def pinned_maxent_data():
+    """Grammar sentences plus random ones, so that equal windows carry different tags."""
+    r = datagen.rng(13_000)
+    corpus = datagen.grammar_corpus(r, 120)
+    noisy = tuple(datagen.random_sentence(r, r.randint(3, 9)) for _ in range(60))
+    return corpus_to_dataset(Corpus(corpus.sentences + noisy, TagScheme.IOB2), WindowConfig.maxent_window())
 
 
 class TestMaxEnt:
@@ -473,6 +519,30 @@ class TestMaxEnt:
         plain = train_maxent(data, iterations=10, cutoff=1, sigma=1.0)
         monkeypatch.setattr(chunkvote.learners, "sum", math.fsum, raising=False)
         assert train_maxent(data, iterations=10, cutoff=1, sigma=1.0) == plain
+
+    @pytest.mark.parametrize("sigma, iterations", PINNED_MAXENT)
+    def test_model_file_and_trace_are_pinned(self, sigma, iterations):
+        model = train_maxent(pinned_maxent_data(), iterations=iterations, sigma=sigma)
+        t = model.trace
+        trace = repr((t.loglik, sorted(t.empirical.items()), sorted(t.expected.items()),
+                      t.empirical_correction, t.expected_correction, t.iterations))
+        assert (hashlib.sha256(dumps_model(model).encode()).hexdigest(),
+                hashlib.sha256(trace.encode()).hexdigest()) == PINNED_MAXENT[sigma, iterations]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scores_match_a_slot_by_slot_reference(self, seed):
+        r = datagen.rng(12_800 + seed)
+        data = random_dataset(r, r.randint(10, 40), 3)
+        # W occurs once, so the cutoff leaves it without features.
+        data = Dataset(data.items + ((("a", "b", "c"), "W"),), data.slot_names)
+        model = train_maxent(data, iterations=5, cutoff=2)
+        assert "W" in model.classes and all(c != "W" for _, _, c in model.weights)
+        # A feature of a class the model does not score changes no score.
+        foreign = dataclasses.replace(model, weights={**model.weights, (0, "a", "V"): 1.5})
+        for _ in range(30):
+            query = tuple(r.choice(("a", "b", "c", "d", "unseen")) for _ in range(3))
+            assert model.scores(query) == oracle_maxent_scores(model, query)
+            assert foreign.scores(query) == oracle_maxent_scores(foreign, query)
 
     def test_training_is_deterministic(self):
         data = dataset([(["a", "p"], "X"), (["b", "p"], "Y"), (["a", "q"], "Y")])
