@@ -261,7 +261,7 @@ def _cmd_baseline(args) -> None:
     train = _read_corpus(args.train, args.scheme, 3, strict=True)
     test = _read_corpus(args.test, args.scheme, args.columns, strict=False)
     model = train_baseline(train, io_encoding=args.io_encoding)
-    _write_tagged(args.output, model, test, args.scheme)
+    _write_tagged(args.output, model, test)
 
 
 def _cmd_train(args) -> None:
@@ -275,14 +275,14 @@ def _cmd_train(args) -> None:
 
 def _cmd_tag(args) -> None:
     model = loads_model(_read_text(args.model))
-    corpus = _read_corpus(args.input, args.scheme, args.columns, strict=False)
-    _write_tagged(args.output, model, corpus, args.scheme)
+    corpus = _read_corpus(args.input, "iob2", args.columns, strict=False)
+    _write_tagged(args.output, model, corpus)
 
 
-def _write_tagged(path, model, corpus: Corpus, scheme: str) -> None:
+def _write_tagged(path, model, corpus: Corpus) -> None:
     """Tag every sentence of ``corpus``, replacing any tags it has."""
     sentences = tuple(with_tags(s, tag_sentence(model, s)) for s in corpus.sentences)
-    _write_text(path, write_conll(Corpus(sentences, TagScheme(scheme))))
+    _write_text(path, write_conll(Corpus(sentences, corpus.scheme)))
 
 
 def _cmd_eval(args) -> None:
@@ -467,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _command(commands, "tag", _cmd_tag, "tag a file with a saved model",
                    model="model file written by train", input="file to tag")
-    _scheme(sub)
     _columns(sub, "--columns", "input")
 
     sub = _command(commands, "eval", _cmd_eval, "score predictions against gold chunks",

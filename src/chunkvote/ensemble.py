@@ -367,6 +367,14 @@ def read_weights(source) -> CombinerWeights:
             target[key] = value
     except ValueError as exc:
         raise ParseError(f"bad number in weights file: {exc}") from None
+    named = {*accuracy, *(name for name, _ in tag_precision), *(name for name, _ in tag_recall),
+             *(name for key in pair_prob for name in key[:2])}
+    unknown = sorted(named.difference(systems))
+    if unknown:
+        raise ParseError(f"weights file names systems without a system line: {' '.join(unknown)}")
+    missing = [name for name in systems if name not in accuracy]
+    if missing:
+        raise ParseError(f"weights file has no accuracy line for: {' '.join(missing)}")
     return CombinerWeights(
         systems=tuple(systems),
         accuracy=accuracy,
@@ -464,23 +472,18 @@ def _stacked_vector(row: PredictionRow, add_pos: bool) -> tuple[str, ...]:
 
 
 def stacked_train(
-    table: PredictionTable,
-    learner: str = "knn",
-    add_pos: bool = False,
-    k: int = 1,
-    weighting: str = "gain_ratio",
+    table: PredictionTable, learner: str = "knn", add_pos: bool = False
 ) -> KnnModel | IGTreeModel:
-    """Train a second stage classifier on the systems' joint output."""
-    if learner not in ("knn", "igtree"):
+    """Train a second stage classifier on the systems' joint output: k-NN
+    with k=1 or an igtree, slots weighted by gain ratio."""
+    trainer = {"knn": train_knn, "igtree": train_igtree}.get(learner)
+    if trainer is None:
         raise ConfigError(f"stacked learner must be 'knn' or 'igtree', got {learner!r}")
     if not table.has_gold:
         raise ValidationError("stacking needs a tuning table with gold tags")
     slot_names = tuple(table.systems) + (("pos",) if add_pos else ())
     items = tuple((_stacked_vector(row, add_pos), row.gold) for row in table.rows())
-    dataset = Dataset(items, slot_names)
-    if learner == "knn":
-        return train_knn(dataset, k=k, weighting=weighting)
-    return train_igtree(dataset, weighting=weighting)
+    return trainer(Dataset(items, slot_names))
 
 
 def stacked_tags(model: KnnModel | IGTreeModel, table: PredictionTable) -> list[list[str]]:

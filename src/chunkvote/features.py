@@ -27,7 +27,8 @@ class WindowConfig:
     two words and pos tags to the left, one word and pos tag to the right,
     and the chunk tags of the two previous tokens.  ``complex_pairs`` adds
     conjunctions of adjacent pos slots and of the previous chunk tag with
-    the focus pos tag.
+    the focus pos tag, joined by ``|``; featurizing rejects pos tags that
+    such a conjunction would join and that contain ``|`` themselves.
     """
 
     left_words: int = 2
@@ -122,7 +123,14 @@ def make_features(
             values.append(tokens[i].word if source == "w" else tokens[i].pos)
         else:
             values.append(PAD)
-    values.extend(f"{values[i]}|{values[j]}" for i, j in pairs)
+    if pairs:
+        joined = [f"{values[i]}|{values[j]}" for i, j in pairs]
+        # One separator per joined value, unless a part holds one too: then
+        # two different contexts could give the same value.
+        if "".join(joined).count("|") != len(joined):
+            bad = next(values[k] for pair in pairs for k in pair if "|" in values[k])
+            raise ValidationError(f"complex_pairs cannot join {bad!r}: it contains '|'")
+        values += joined
     return tuple(values)
 
 

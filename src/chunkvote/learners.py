@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .corpus import Corpus, Sentence, TagScheme, Token
@@ -133,27 +134,24 @@ class KnnModel:
     class_counts: Mapping[str, int]
     slot_names: tuple[str, ...]
     window: WindowConfig | None = None
-    # Built on the first prediction; never compared, printed or saved.
-    index: KnnIndex | None = field(default=None, init=False, compare=False, repr=False)
 
     def predict(self, vector: FeatureVector) -> str:
         return predict_knn(self, vector)
 
-    def search_index(self) -> KnnIndex:
-        """The model's ``KnnIndex``, built and kept on first use."""
-        if self.index is None:
-            weights = self.weights
-            order = tuple(sorted((s for s, w in enumerate(weights) if w > 0),
-                                 key=lambda s: (-weights[s], s)))
-            index = KnnIndex(
-                order=order,
-                postings=tuple(_group_positions(v[s] for v, _ in self.memory) for s in order),
-                labels=_group_positions(label for _, label in self.memory),
-                everything=(1 << len(self.memory)) - 1,
-                distances={},
-            )
-            object.__setattr__(self, "index", index)
-        return self.index
+    @cached_property
+    def index(self) -> KnnIndex:
+        """The search index, built on first use; not a field, so never
+        compared, printed or saved."""
+        weights = self.weights
+        order = tuple(sorted((s for s, w in enumerate(weights) if w > 0),
+                             key=lambda s: (-weights[s], s)))
+        return KnnIndex(
+            order=order,
+            postings=tuple(_group_positions(v[s] for v, _ in self.memory) for s in order),
+            labels=_group_positions(label for _, label in self.memory),
+            everything=(1 << len(self.memory)) - 1,
+            distances={},
+        )
 
 
 def valid_knn_weights(weights: Sequence[float]) -> bool:
@@ -219,7 +217,7 @@ def predict_knn(model: KnnModel, vector: FeatureVector) -> str:
     """
     if len(vector) != len(model.slot_names):
         raise ValidationError(f"vector arity {len(vector)}, model expects {len(model.slot_names)}")
-    index = model.search_index()
+    index = model.index
     weights = model.weights
     order = index.order
     depth_end = len(order)
@@ -382,20 +380,18 @@ class MaxEntModel:
     slot_names: tuple[str, ...]
     window: WindowConfig | None = None
     trace: MaxEntTrace | None = field(default=None, compare=False, repr=False)
-    # Built on the first prediction; never compared, printed or saved.
-    index: dict[tuple[int, str], list[tuple[int, float]]] | None = field(
-        default=None, init=False, compare=False, repr=False)
 
-    def score_index(self) -> dict[tuple[int, str], list[tuple[int, float]]]:
-        """Each (slot, value) with the (class index, weight) pairs of its features."""
-        if self.index is None:
-            object.__setattr__(self, "index", _by_slot_value(self.weights.items(), self.classes))
-        return self.index
+    @cached_property
+    def index(self) -> dict[tuple[int, str], list[tuple[int, float]]]:
+        """Each (slot, value) with the (class index, weight) pairs of its
+        features, built on first use; not a field, so never compared,
+        printed or saved."""
+        return _by_slot_value(self.weights.items(), self.classes)
 
     def scores(self, vector: FeatureVector) -> dict[str, float]:
         if len(vector) != len(self.slot_names):
             raise ValidationError(f"vector arity {len(vector)}, model expects {len(self.slot_names)}")
-        index = self.score_index()
+        index = self.index
         totals = [0.0] * len(self.classes)
         active = [0] * len(self.classes)
         # Each class's weights are added in slot order.
@@ -750,21 +746,24 @@ def tag_sentence(model: TrainedModel, sentence: Sentence) -> list[str]:
     return tags
 
 
-# The LearnerSpec options each learner reads; it rejects the others unless
-# they keep their defaults.
-_OPTIONS_READ = {
-    "baseline": ("weighting", "io_encoding"),
-    "knn": ("k", "weighting"),
-    "igtree": ("weighting",),
-    "maxent": ("iterations", "sigma", "cutoff"),
-    "rules": ("threshold", "io_encoding"),
-}
-LEARNER_KINDS = tuple(_OPTIONS_READ)
-
 # The per pos tag baseline is an igtree over the focus pos tag alone.
 BASELINE_WINDOW = WindowConfig(
     left_words=0, right_words=0, left_pos=0, right_pos=0, left_chunk_tags=0, use_focus_word=False,
 )
+
+# Per learner kind: its trainer, the LearnerSpec options it reads and its
+# default window.  LearnerSpec.train passes the trainer each option read, by
+# name, but io_encoding, which it applies itself, and the resolved window.
+# A spec rejects the options its kind does not read unless they keep their
+# defaults.
+_LEARNERS: dict[str, tuple[Callable[..., TrainedModel], tuple[str, ...], WindowConfig]] = {
+    "baseline": (train_igtree, ("weighting", "io_encoding"), BASELINE_WINDOW),
+    "knn": (train_knn, ("window", "k", "weighting"), WindowConfig()),
+    "igtree": (train_igtree, ("window", "weighting"), WindowConfig()),
+    "maxent": (train_maxent, ("window", "iterations", "sigma", "cutoff"), WindowConfig.maxent_window()),
+    "rules": (train_rules, ("window", "threshold", "io_encoding"), WindowConfig()),
+}
+LEARNER_KINDS = tuple(_LEARNERS)
 
 
 @dataclass(frozen=True)
@@ -773,6 +772,7 @@ class LearnerSpec:
 
     name: str
     learner: str
+    # Every field from here on is an option, read by the kinds _LEARNERS names.
     window: WindowConfig | None = None
     k: int = 3
     iterations: int = 100
@@ -787,38 +787,22 @@ class LearnerSpec:
             raise ConfigError(f"bad system name {self.name!r}")
         if self.learner not in LEARNER_KINDS:
             raise ConfigError(f"unknown learner {self.learner!r}, expected one of {LEARNER_KINDS}")
-        unread = set().union(*_OPTIONS_READ.values()) - set(_OPTIONS_READ[self.learner])
-        for option in fields(self):
-            if option.name in unread and getattr(self, option.name) != option.default:
+        read = _LEARNERS[self.learner][1]
+        for option in fields(self)[2:]:
+            if option.name not in read and getattr(self, option.name) != option.default:
                 raise ConfigError(f"the {self.learner} learner does not use {option.name}")
 
     def resolved_window(self) -> WindowConfig:
-        if self.learner == "baseline":
-            return BASELINE_WINDOW
-        if self.window is not None:
-            return self.window
-        if self.learner == "maxent":
-            return WindowConfig.maxent_window()
-        return WindowConfig()
+        """The spec's window, else its kind's default."""
+        return self.window if self.window is not None else _LEARNERS[self.learner][2]
 
     def train(self, corpus: Corpus) -> TrainedModel:
-        window = self.resolved_window()
+        trainer, read, _ = _LEARNERS[self.learner]
         if self.io_encoding:
             corpus = io_corpus(corpus)
-        dataset = corpus_to_dataset(corpus, window)
-        if self.learner == "knn":
-            return train_knn(dataset, k=self.k, weighting=self.weighting, window=window)
-        if self.learner == "maxent":
-            return train_maxent(
-                dataset,
-                iterations=self.iterations,
-                sigma=self.sigma,
-                cutoff=self.cutoff,
-                window=window,
-            )
-        if self.learner == "rules":
-            return train_rules(dataset, threshold=self.threshold, window=window)
-        return train_igtree(dataset, weighting=self.weighting, window=window)
+        window = self.resolved_window()
+        options = {name: getattr(self, name) for name in read if name != "io_encoding"}
+        return trainer(corpus_to_dataset(corpus, window), **options | {"window": window})
 
 
 def train_baseline(corpus: Corpus, io_encoding: bool = False) -> IGTreeModel:

@@ -175,8 +175,10 @@ def _loads_model(text: str) -> TrainedModel:
             raise ParseError("igtree model has lines after its tree")
         return IGTreeModel(feature_order=order, root=root, **common)
     if kind == "maxent":
-        # A maxent model scores exactly the classes it was trained on.
-        classes = tuple(_line(lines, "classes", len(class_counts) + 1)[1:])
+        # A maxent model scores exactly the classes it was trained on, sorted.
+        classes = tuple(_line(lines, "classes")[1:])
+        if classes != tuple(sorted(class_counts)):
+            raise ParseError(f"classes line {' '.join(classes)!r} is not the sorted tags of the class lines")
         constant = int(_line(lines, "constant", 2)[1])
         correction = _finite(_line(lines, "correction", 2)[1])
         weights: dict[tuple[int, str, str], float] = {}

@@ -372,6 +372,14 @@ class TestTrainTagEval:
         assert "slots line" in done.stderr
         assert elapsed < 5
 
+    def test_pos_tags_a_pair_would_join_are_a_data_error(self, files, capsys):
+        train = files("pipe.conll", TINY_TRAIN + "x A|B B-NP\ny C I-NP\n\n")
+        assert main(["train", train, "--learner", "maxent", "--iterations", "1",
+                     "-o", out_path(files)]) == 2
+        assert "complex_pairs cannot join 'A|B'" in capsys.readouterr().err
+        # windows without pairs take such pos tags
+        assert main(["train", train, "--learner", "igtree", "-o", out_path(files)]) == 0
+
     def test_learner_is_required(self, files, capsys):
         train = files("train.conll", TINY_TRAIN)
         assert main(["train", train]) == 1
@@ -544,6 +552,13 @@ class TestCombineCommand:
         assert main(["combine", table_path, "--method", "tot-precision",
                      "--weights", weights, "-o", out_path(files)]) == 2
         assert "repeated key in weights line" in capsys.readouterr().err
+
+    def test_weights_for_undeclared_systems_are_a_data_error(self, files, capsys):
+        table_path = build_table(files)
+        weights = files("stray.weights", "combiner-weights 1\nsystem a\nsystem b\naccuracy zzz 0.5\n")
+        assert main(["combine", table_path, "--method", "tot-precision",
+                     "--weights", weights, "-o", out_path(files)]) == 2
+        assert "systems without a system line: zzz" in capsys.readouterr().err
 
     def test_weights_and_tuning_conflict(self, files, capsys):
         table_path = build_table(files)
@@ -839,6 +854,16 @@ class TestConfigFiles:
         assert main(["combine", table_path, "--config", cfg, "-o", via_cfg]) == 0
         assert main(["combine", table_path, "--bracket-level", "-o", via_flag]) == 0
         assert (files.dir / "cfg.conll").read_text() == (files.dir / "flag.conll").read_text()
+
+    def test_tag_has_no_scheme_setting(self, files, capsys):
+        train = files("train.conll", TINY_TRAIN)
+        model = out_path(files, "model.txt")
+        assert main(["train", train, "--learner", "igtree", "-o", model]) == 0
+        assert main(["tag", model, train, "--scheme", "iob1"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        cfg = files("tag.cfg", "scheme = iob1\n")
+        assert main(["tag", model, train, "--config", cfg]) == 2
+        assert "unknown config key 'scheme'" in capsys.readouterr().err
 
     def test_unknown_config_key(self, files, capsys):
         train = files("train.conll", TINY_TRAIN)

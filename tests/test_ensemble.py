@@ -379,6 +379,19 @@ class TestWeightsIO:
         with pytest.raises(ParseError, match="repeated key in weights line"):
             read_weights("\n".join(lines + [again]) + "\n")
 
+    @pytest.mark.parametrize("line", [
+        "accuracy zzz 0.5", "tagprec zzz B-NP 0.5", "tagrec zzz B-NP 0.5",
+        "pair a zzz O O O 0.5", "pair zzz a O O O 0.5",
+    ])
+    def test_a_line_for_an_undeclared_system_is_rejected(self, line):
+        text = "combiner-weights 1\nsystem a\naccuracy a 0.5\n" + line + "\n"
+        with pytest.raises(ParseError, match="systems without a system line: zzz"):
+            read_weights(text)
+
+    def test_a_system_without_accuracy_is_rejected(self):
+        with pytest.raises(ParseError, match="no accuracy line for: b"):
+            read_weights("combiner-weights 1\nsystem a\nsystem b\naccuracy a 0.5\n")
+
     def test_negative_tag_counts_are_rejected(self):
         with pytest.raises(ParseError, match="negative tag count"):
             read_weights("combiner-weights 1\ntagcount B-NP -1\n")
@@ -581,7 +594,7 @@ class TestStacking:
         return table_from_rows(["m1", "m2"], sentences, gold)
 
     def test_slot_names_are_the_system_names(self):
-        model = stacked_train(self.table(), learner="knn", k=1)
+        model = stacked_train(self.table(), learner="knn")
         assert model.slot_names == ("m1", "m2")
         with_pos = stacked_train(self.table(), learner="igtree", add_pos=True)
         assert with_pos.slot_names == ("m1", "m2", "pos")
@@ -590,12 +603,12 @@ class TestStacking:
     @pytest.mark.parametrize("add_pos", [False, True])
     def test_learns_a_correction_pattern(self, learner, add_pos):
         table = self.table()
-        model = stacked_train(table, learner=learner, add_pos=add_pos, k=1)
+        model = stacked_train(table, learner=learner, add_pos=add_pos)
         assert stacked_tags(model, table) == table.gold_column()
 
     def test_add_pos_is_inferred_from_the_model(self):
         table = self.table()
-        model = stacked_train(table, add_pos=True, k=1)
+        model = stacked_train(table, add_pos=True)
         assert stacked_tags(model, table) == table.gold_column()
         one_system = table_from_rows(["m1"], [[("NN", ("O",))]])
         with pytest.raises(ValidationError, match="columns"):

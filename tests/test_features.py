@@ -147,6 +147,19 @@ class TestMakeFeatures:
         got = make_features(self.SENT, 1, config, ("B-NP",))
         assert got == ("DT", "NN", "VBD", "B-NP", "DT|NN", "NN|VBD", "B-NP|NN")
 
+    def test_pairs_reject_values_holding_the_separator(self):
+        # Unchecked, both sentences would give p[-1]&p[+0] = "A|B|C".
+        config = WindowConfig(
+            left_words=0, right_words=0, use_focus_word=False,
+            left_pos=1, right_pos=0, left_chunk_tags=0, complex_pairs=True,
+        )
+        for pos in (("A|B", "C"), ("A", "B|C")):
+            sentence = make_sentence([("x", pos[0], "O"), ("y", pos[1], "O")])
+            with pytest.raises(ValidationError, match="contains '|'"):
+                make_features(sentence, 1, config, ("O",))
+            plain = WindowConfig(left_pos=1, right_pos=0)
+            assert make_features(sentence, 1, plain, ("O",))[plain.slot_names().index("p[-1]")] == pos[0]
+
     def test_index_and_tag_count_validation(self):
         with pytest.raises(ValidationError):
             make_features(self.SENT, 3, WindowConfig(), ())

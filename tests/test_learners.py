@@ -324,7 +324,7 @@ class TestKnnExactness:
         model = train_knn(data, k=2)
         text = dumps_model(model)
         assert_knn_exact(model, nearby_queries(r, model, 300, values))
-        assert model.index is not None
+        assert "index" in vars(model)
         assert dumps_model(model) == text
         assert loads_model(text) == model
         assert "index" not in repr(model)
@@ -422,12 +422,16 @@ PINNED_MAXENT = {
 }
 
 
-def pinned_maxent_data():
+def pinned_corpus():
     """Grammar sentences plus random ones, so that equal windows carry different tags."""
     r = datagen.rng(13_000)
     corpus = datagen.grammar_corpus(r, 120)
     noisy = tuple(datagen.random_sentence(r, r.randint(3, 9)) for _ in range(60))
-    return corpus_to_dataset(Corpus(corpus.sentences + noisy, TagScheme.IOB2), WindowConfig.maxent_window())
+    return Corpus(corpus.sentences + noisy, TagScheme.IOB2)
+
+
+def pinned_maxent_data():
+    return corpus_to_dataset(pinned_corpus(), WindowConfig.maxent_window())
 
 
 class TestMaxEnt:
@@ -734,14 +738,14 @@ class TestLearnerSpec:
         LearnerSpec("sys", "rules", io_encoding=True)
 
     # a non-default value for each option
-    OPTION_VALUES = {"k": 1, "iterations": 5, "sigma": 1.0, "cutoff": 1, "threshold": 0.5,
+    OPTION_VALUES = {"window": WindowConfig(left_words=1), "k": 1, "iterations": 5, "sigma": 1.0, "cutoff": 1, "threshold": 0.5,
                      "weighting": "information_gain", "io_encoding": True}
     OPTIONS_READ = {
         "baseline": {"weighting", "io_encoding"},
-        "knn": {"k", "weighting"},
-        "igtree": {"weighting"},
-        "maxent": {"iterations", "sigma", "cutoff"},
-        "rules": {"threshold", "io_encoding"},
+        "knn": {"window", "k", "weighting"},
+        "igtree": {"window", "weighting"},
+        "maxent": {"window", "iterations", "sigma", "cutoff"},
+        "rules": {"window", "threshold", "io_encoding"},
     }
 
     @pytest.mark.parametrize("learner", LEARNER_KINDS)
@@ -764,7 +768,9 @@ class TestLearnerSpec:
         assert LearnerSpec("a", "maxent").resolved_window() == WindowConfig.maxent_window()
         custom = WindowConfig(left_words=1)
         assert LearnerSpec("a", "maxent", window=custom).resolved_window() == custom
-        assert LearnerSpec("a", "baseline", window=custom).resolved_window() == BASELINE_WINDOW
+        assert LearnerSpec("a", "baseline").resolved_window() == BASELINE_WINDOW
+        with pytest.raises(ConfigError, match="baseline learner does not use window"):
+            LearnerSpec("a", "baseline", window=custom)
 
     def test_train_dispatch(self, tiny_corpus):
         cases = {
@@ -784,6 +790,31 @@ class TestLearnerSpec:
         model = LearnerSpec("sys", "knn", k=1).train(tiny_corpus)
         assert model.window == WindowConfig()
         assert model.k == 1
+
+    # sha256 of the model file of each spec trained on ``pinned_corpus``.
+    PINNED_SPECS = [
+        ("baseline", {}, "652be9a7553f3649a5306dba67a996cb868769a962d14b6615fe63b1b14cf97b"),
+        ("baseline", {"io_encoding": True},
+         "288cf1c54dc269491845ad65a300f60e6dd19b15d9e5c62f548b4adf41620555"),
+        ("knn", {}, "b660fa8125f8e329fd8a1f8caa49f21ab6e087758f2a238c9b159c6b2c0898d1"),
+        ("knn", {"k": 1, "weighting": "information_gain"},
+         "21759f922bd72fccd114f8b0f64e1479c715a532f713680b928c9a9eab178903"),
+        ("knn", {"window": WindowConfig(left_words=1, right_words=0, complex_pairs=True)},
+         "fc2655591082e07dcada95b424f6ba08783da236ef20c9ad9e663255841f6fc8"),
+        ("igtree", {}, "ff1ee5d2f1e08be007b0edb791f018e12dd13812da7a07b75c077e26875f9545"),
+        ("igtree", {"weighting": "information_gain"},
+         "d21c292406b757c7b85e97b9ba3159491a37073e678b5e2fd89dd2ce93a844e8"),
+        ("maxent", {"iterations": 3, "sigma": 1.0, "cutoff": 1},
+         "3041bc6983d8b73725b75d360bc1d49002fba8040afbccb0b41bdac2ecda630b"),
+        ("rules", {}, "d90bc360bb8e45ee35b06179153bae70d38b6a6c384c821a6e73c3d570f64b62"),
+        ("rules", {"threshold": 0.8, "io_encoding": True},
+         "a239eb59e71f826db3017b4cbd07a0be146a519f87defeba6483808aa3bf776a"),
+    ]
+
+    @pytest.mark.parametrize("learner, options, digest", PINNED_SPECS)
+    def test_model_files_are_pinned(self, learner, options, digest):
+        model = LearnerSpec("sys", learner, **options).train(pinned_corpus())
+        assert hashlib.sha256(dumps_model(model).encode()).hexdigest() == digest
 
     def test_default_k(self):
         assert LearnerSpec("sys", "knn").k == 3

@@ -207,6 +207,16 @@ class TestMalformedInput:
         with pytest.raises(ParseError, match="outside the 21 slots"):
             loads_model(text)
 
+    # The tiny corpus trains on B-NP B-PP B-VP I-NP O.
+    @pytest.mark.parametrize("classes", ["B-ADJP B-VP I-ADJP I-VP O", "B-VP I-VP O",
+                                         "O I-NP B-VP B-PP B-NP",
+                                         "B-NP B-PP B-VP I-NP", "B-NP B-PP B-VP I-NP I-VP O"])
+    def test_maxent_classes_must_be_the_sorted_class_tags(self, tiny_corpus, classes):
+        text = self.good(tiny_corpus, "maxent")
+        assert "classes B-NP B-PP B-VP I-NP O\n" in text
+        with pytest.raises(ParseError, match="classes line"):
+            loads_model(self.replace_line(text, "classes ", "classes " + classes))
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("kind, prefix, line", [
         ("maxent", "correction ", "correction {}"),
