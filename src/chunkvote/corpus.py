@@ -152,13 +152,19 @@ def _span_sort_key(span: ChunkSpan) -> tuple[int, int, str]:
 
 
 def properly_nested(spans: Iterable[ChunkSpan]) -> bool:
-    """True when every pair of spans is disjoint or fully contained."""
-    items = list(spans)
-    for i, a in enumerate(items):
-        for b in items[i + 1:]:
-            lo, hi = (a, b) if (a.begin, a.end) <= (b.begin, b.end) else (b, a)
-            if lo.begin < hi.begin < lo.end < hi.end:
-                return False
+    """True when every pair of spans is disjoint or fully contained.
+
+    One pass, outermost first, over a stack of the ends of the spans that
+    enclose the current one: a span crosses another exactly when it ends
+    after the innermost span still open at its begin.
+    """
+    ends: list[int] = []
+    for span in sorted(spans, key=_span_sort_key):
+        while ends and ends[-1] <= span.begin:
+            ends.pop()
+        if ends and span.end > ends[-1]:
+            return False
+        ends.append(span.end)
     return True
 
 

@@ -218,21 +218,32 @@ def cv_tuning_table(corpus: Corpus, specs: Sequence[LearnerSpec], folds: int = 1
     for i, sentence in enumerate(corpus.sentences, start=1):
         if None in sentence.chunk_tags:
             raise TrainingError(f"sentence {i} has untagged tokens")
+    sentences = corpus.sentences
     predicted: dict[str, list[list[str] | None]] = {
-        spec.name: [None] * len(corpus.sentences) for spec in specs
+        spec.name: [None] * len(sentences) for spec in specs
     }
-    for fold in range(folds):
-        train_sentences = tuple(
-            s for i, s in enumerate(corpus.sentences) if i % folds != fold
-        )
-        train_corpus = Corpus(train_sentences, corpus.scheme)
-        for spec in specs:
-            model = spec.train(train_corpus)
-            for i, sentence in enumerate(corpus.sentences):
-                if i % folds == fold:
-                    predicted[spec.name][i] = tag_sentence(model, sentence)
-    gold = [sentence.chunk_tags for sentence in corpus.sentences]
-    return _table(corpus.sentences, predicted, gold)  # type: ignore[arg-type]
+    # Training items carry gold left tags, so a sentence's items are the same
+    # in every fold: featurize the corpus once per (window, io_encoding) and
+    # cut each fold's training set out of it, in sentence order, as
+    # featurizing that fold's sentences would have made it.
+    groups: dict[tuple, list[LearnerSpec]] = {}
+    for spec in specs:
+        groups.setdefault((spec.resolved_window(), spec.io_encoding), []).append(spec)
+    bounds = [0, *itertools.accumulate(map(len, sentences))]
+    for group in groups.values():
+        featurized = group[0].featurize(corpus)
+        for fold in range(folds):
+            train = Dataset(tuple(itertools.chain.from_iterable(
+                featurized.items[bounds[i]:bounds[i + 1]]
+                for i in range(len(sentences)) if i % folds != fold
+            )), featurized.slot_names)
+            for spec in group:
+                model = spec.fit(train)
+                for i in range(fold, len(sentences), folds):
+                    predicted[spec.name][i] = tag_sentence(model, sentences[i])
+        del featurized, train, model  # before the next group featurizes
+    gold = [sentence.chunk_tags for sentence in sentences]
+    return _table(sentences, predicted, gold)  # type: ignore[arg-type]
 
 
 #---------------------------------------------------------------------------
@@ -404,8 +415,9 @@ def vote(
       tag, one minus that system's recall on the candidate; candidates
       are the proposed tags and every tag seen in tuning;
     * ``tag-pair``: every unordered system pair contributes the tuning
-      distribution of the gold tag given the pair's two proposals,
-      backing off to halved tag-precision votes for unseen pairs.
+      distribution of the gold tag given the pair's two proposals, found
+      whichever order the tuning table held the two systems in, backing
+      off to halved tag-precision votes for unseen pairs.
 
     A unanimous row is returned unchanged under every method.  Remaining
     ties prefer the tag more frequent in the tuning data, then the
@@ -449,6 +461,8 @@ def vote(
         scores = defaultdict(float)
         for (a, tag_a), (b, tag_b) in itertools.combinations(votes, 2):
             dist = weights.pair_prob.get((a, b, tag_a, tag_b))
+            if dist is None:
+                dist = weights.pair_prob.get((b, a, tag_b, tag_a))
             if dist is None:
                 scores[tag_a] += weights.tag_precision_of(a, tag_a) / 2.0
                 scores[tag_b] += weights.tag_precision_of(b, tag_b) / 2.0

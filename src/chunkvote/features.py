@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .corpus import PAD, Corpus, Sentence
@@ -183,22 +184,46 @@ def _entropy(counts: Iterable[int], total: int) -> float:
     return h
 
 
-def information_gain(dataset: Dataset, slot: int) -> float:
-    """Reduction of class entropy (in bits) from knowing one slot's value."""
+def slot_gains(dataset: Dataset, slots: Iterable[int], ratio: bool) -> list[float]:
+    """Information gain (in bits) of each slot, or with ``ratio`` its gain ratio.
+
+    Classes are counted once, and each slot's (value, class) pairs once, in
+    C.  Regrouped by value in order of first occurrence, those counts are
+    the same ints in the same order as a per-item tally, so every sum, and
+    with it every bit of the result, is that of the per-item definition.
+    """
     if not dataset.items:
         raise TrainingError("cannot measure a slot on an empty dataset")
-    if not 0 <= slot < dataset.arity:
-        raise ValidationError(f"slot {slot} outside arity {dataset.arity}")
-    total = len(dataset.items)
-    class_counts = Counter(label for _, label in dataset.items)
-    by_value: dict[str, Counter] = {}
-    for vector, label in dataset.items:
-        by_value.setdefault(vector[slot], Counter())[label] += 1
-    conditional = 0.0
-    for labels in by_value.values():
-        n = sum(labels.values())
-        conditional += (n / total) * _entropy(labels.values(), n)
-    return max(0.0, _entropy(class_counts.values(), total) - conditional)
+    slots = list(slots)
+    for slot in slots:
+        if not 0 <= slot < dataset.arity:
+            raise ValidationError(f"slot {slot} outside arity {dataset.arity}")
+    vectors = list(map(itemgetter(0), dataset.items))
+    labels = list(map(itemgetter(1), dataset.items))
+    total = len(labels)
+    class_entropy = _entropy(Counter(labels).values(), total)
+    gains = []
+    for slot in slots:
+        by_value: dict[str, list[int]] = {}
+        for (value, _), n in Counter(zip(map(itemgetter(slot), vectors), labels)).items():
+            by_value.setdefault(value, []).append(n)
+        conditional = 0.0
+        sizes = []
+        for counts in by_value.values():
+            n = sum(counts)
+            conditional += (n / total) * _entropy(counts, n)
+            sizes.append(n)
+        gain = max(0.0, class_entropy - conditional)
+        if ratio:
+            split = _entropy(sizes, total)
+            gain = 0.0 if split == 0.0 else min(1.0, gain / split)
+        gains.append(gain)
+    return gains
+
+
+def information_gain(dataset: Dataset, slot: int) -> float:
+    """Reduction of class entropy (in bits) from knowing one slot's value."""
+    return slot_gains(dataset, (slot,), ratio=False)[0]
 
 
 def gain_ratio(dataset: Dataset, slot: int) -> float:
@@ -206,13 +231,4 @@ def gain_ratio(dataset: Dataset, slot: int) -> float:
 
     0 for a constant slot (whose split entropy is 0), at most 1 otherwise.
     """
-    if not dataset.items:
-        raise TrainingError("cannot measure a slot on an empty dataset")
-    if not 0 <= slot < dataset.arity:
-        raise ValidationError(f"slot {slot} outside arity {dataset.arity}")
-    total = len(dataset.items)
-    value_counts = Counter(vector[slot] for vector, _ in dataset.items)
-    split = _entropy(value_counts.values(), total)
-    if split == 0.0:
-        return 0.0
-    return min(1.0, information_gain(dataset, slot) / split)
+    return slot_gains(dataset, (slot,), ratio=True)[0]

@@ -37,9 +37,8 @@ from .features import (
     FeatureVector,
     WindowConfig,
     corpus_to_dataset,
-    gain_ratio,
-    information_gain,
     make_features,
+    slot_gains,
 )
 
 WEIGHTINGS = ("gain_ratio", "information_gain")
@@ -64,8 +63,7 @@ def modal_class(labels: Counter, frequencies: Mapping[str, int] | None = None) -
 def _slot_weights(dataset: Dataset, weighting: str) -> tuple[float, ...]:
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
-    measure = gain_ratio if weighting == "gain_ratio" else information_gain
-    return tuple(measure(dataset, s) for s in range(dataset.arity))
+    return tuple(slot_gains(dataset, range(dataset.arity), ratio=weighting == "gain_ratio"))
 
 
 #---------------------------------------------------------------------------
@@ -796,13 +794,23 @@ class LearnerSpec:
         """The spec's window, else its kind's default."""
         return self.window if self.window is not None else _LEARNERS[self.learner][2]
 
-    def train(self, corpus: Corpus) -> TrainedModel:
-        trainer, read, _ = _LEARNERS[self.learner]
+    def featurize(self, corpus: Corpus) -> Dataset:
+        """The training items: io-encoded if asked, windowed by ``resolved_window``.
+
+        Depends on the spec only through that window and ``io_encoding``.
+        """
         if self.io_encoding:
             corpus = io_corpus(corpus)
-        window = self.resolved_window()
+        return corpus_to_dataset(corpus, self.resolved_window())
+
+    def fit(self, dataset: Dataset) -> TrainedModel:
+        """Train on items made by ``featurize``."""
+        trainer, read, _ = _LEARNERS[self.learner]
         options = {name: getattr(self, name) for name in read if name != "io_encoding"}
-        return trainer(corpus_to_dataset(corpus, window), **options | {"window": window})
+        return trainer(dataset, **options | {"window": self.resolved_window()})
+
+    def train(self, corpus: Corpus) -> TrainedModel:
+        return self.fit(self.featurize(corpus))
 
 
 def train_baseline(corpus: Corpus, io_encoding: bool = False) -> IGTreeModel:

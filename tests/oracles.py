@@ -121,7 +121,10 @@ def oracle_vote(votes, method, weights=None):
         for i in range(len(votes)):
             for j in range(i + 1, len(votes)):
                 (sys_a, tag_a), (sys_b, tag_b) = votes[i], votes[j]
+                # a pair is tallied under the order its tuning table held it in
                 dist = weights.pair_prob.get((sys_a, sys_b, tag_a, tag_b))
+                if dist is None:
+                    dist = weights.pair_prob.get((sys_b, sys_a, tag_b, tag_a))
                 if dist is None:
                     half_a = weights.tag_precision.get((sys_a, tag_a), 0.0) / 2.0
                     half_b = weights.tag_precision.get((sys_b, tag_b), 0.0) / 2.0
@@ -246,6 +249,53 @@ def oracle_gain_ratio(items, slot):
     if split == 0.0:
         return 0.0
     return min(1.0, max(0.0, oracle_information_gain(items, slot)) / split)
+
+
+def _tally_entropy(counts, total):
+    h = 0.0
+    for c in counts:
+        if c:
+            p = c / total
+            h -= p * math.log2(p)
+    return h
+
+
+def reference_information_gain(items, slot):
+    """Information gain tallied item by item, one Counter per slot value.
+
+    Unlike the oracles above, its sums run in exactly the order the
+    package's must, so results compare with ``==``.
+    """
+    total = len(items)
+    class_counts = Counter(label for _, label in items)
+    by_value = {}
+    for vector, label in items:
+        by_value.setdefault(vector[slot], Counter())[label] += 1
+    conditional = 0.0
+    for labels in by_value.values():
+        n = sum(labels.values())
+        conditional += (n / total) * _tally_entropy(labels.values(), n)
+    return max(0.0, _tally_entropy(class_counts.values(), total) - conditional)
+
+
+def reference_gain_ratio(items, slot):
+    """Gain ratio tallied item by item; see ``reference_information_gain``."""
+    value_counts = Counter(vector[slot] for vector, _ in items)
+    split = _tally_entropy(value_counts.values(), len(items))
+    if split == 0.0:
+        return 0.0
+    return min(1.0, reference_information_gain(items, slot) / split)
+
+
+def oracle_properly_nested(spans):
+    """Every pair of spans compared: none may cross."""
+    spans = list(spans)
+    for i, a in enumerate(spans):
+        for b in spans[i + 1:]:
+            lo, hi = (a, b) if (a.begin, a.end) <= (b.begin, b.end) else (b, a)
+            if lo.begin < hi.begin < lo.end < hi.end:
+                return False
+    return True
 
 
 def oracle_features(sentence, index, slot_names, tags):

@@ -32,7 +32,7 @@ from chunkvote.corpus import column_blocks
 from chunkvote.learners import IGTreeNode
 
 import datagen
-from oracles import oracle_chunks
+from oracles import oracle_chunks, oracle_properly_nested
 
 
 def spans(*triples):
@@ -132,6 +132,26 @@ class TestProperNesting:
     def test_empty_and_singleton(self):
         assert properly_nested([])
         assert properly_nested(spans((3, 9, "NP")))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_pairwise_oracle(self, seed):
+        r = datagen.rng(44_000 + seed)
+        outcomes = set()
+        for _ in range(100):
+            length = r.randint(1, 9)
+            family = datagen.random_nested_spans(r, length, types=("NP", "VP"))
+            # short sentences make shared boundaries common; copies make
+            # duplicate ranges
+            for _ in range(r.randint(0, 2)):
+                begin = r.randrange(length)
+                family.append(ChunkSpan(begin, r.randint(begin + 1, length), "NP"))
+            if family and r.random() < 0.3:
+                family.append(r.choice(family))
+            r.shuffle(family)
+            expected = oracle_properly_nested(family)
+            assert properly_nested(family) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestExtractChunks:

@@ -1,5 +1,6 @@
 import pytest
 
+import chunkvote.learners
 from chunkvote import (
     AlignmentError,
     ChunkSpan,
@@ -15,6 +16,7 @@ from chunkvote import (
     TrainingError,
     ValidationError,
     VOTING_METHODS,
+    WindowConfig,
     best_n_select,
     combine_bracket_sentence,
     combine_brackets,
@@ -259,6 +261,43 @@ class TestCvTuningTable:
         corpus = Corpus(tuple(sentences), TagScheme.IOB2)
         with pytest.raises(TrainingError, match=f"^sentence {index + 1} has untagged tokens$"):
             cv_tuning_table(corpus, [LearnerSpec("base", "baseline")], folds=2)
+
+    def test_featurizes_once_per_window_and_matches_training_per_fold(self, monkeypatch):
+        corpus = datagen.grammar_corpus(datagen.rng(42_000), 30)
+        specs = [
+            LearnerSpec("base", "baseline"),
+            LearnerSpec("tree", "igtree"),
+            LearnerSpec("nn", "knn", k=1),
+            LearnerSpec("rio", "rules", io_encoding=True),
+            LearnerSpec("wide", "igtree", window=WindowConfig(left_words=1, complex_pairs=True)),
+        ]
+        folds = 4
+        sentences = corpus.sentences
+        predicted = {spec.name: [None] * len(sentences) for spec in specs}
+        for fold in range(folds):
+            held_out = Corpus(
+                tuple(s for i, s in enumerate(sentences) if i % folds != fold), corpus.scheme,
+            )
+            for spec in specs:
+                model = spec.train(held_out)
+                for i in range(fold, len(sentences), folds):
+                    predicted[spec.name][i] = tag_sentence(model, sentences[i])
+        expected = table_from_rows(
+            [spec.name for spec in specs],
+            [[(token.pos, tuple(predicted[spec.name][i][k] for spec in specs))
+              for k, token in enumerate(sentence.tokens)]
+             for i, sentence in enumerate(sentences)],
+            gold=[sentence.chunk_tags for sentence in sentences],
+        )
+
+        windows = []
+        featurize = chunkvote.learners.corpus_to_dataset
+        monkeypatch.setattr(chunkvote.learners, "corpus_to_dataset",
+                            lambda c, window: windows.append(window) or featurize(c, window))
+        table = cv_tuning_table(corpus, specs, folds=folds)
+        assert write_table(table) == write_table(expected)
+        # tree and nn share the default window; rio reads it io-encoded
+        assert len(windows) == 4
 
     def test_config_errors(self, tiny_corpus):
         spec = LearnerSpec("base", "baseline")
@@ -551,6 +590,24 @@ class TestVote:
             w = random_weights(r, systems, TAGS)
             votes = [(s, r.choice(TAGS)) for s in systems]
             assert vote(votes, method, w) == oracle_vote(votes, method, w)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tag_pair_does_not_depend_on_column_order(self, seed):
+        r = datagen.rng(43_000 + seed)
+
+        def table(data, systems):
+            gold, preds = data
+            sentences = [
+                [(pos, tuple(preds[n][si][ti] for n in systems)) for ti, (pos, _) in enumerate(rows)]
+                for si, rows in enumerate(gold)
+            ]
+            return table_from_rows(systems, sentences, [[tag for _, tag in rows] for rows in gold])
+
+        weights = estimate_weights(table(datagen.random_table_data(r, 40, "abc", TAGS, 0.4), "abc"))
+        test = datagen.random_table_data(r, 40, "abc", TAGS, 0.4)
+        forward = combine_corpus(table(test, "abc"), method="tag-pair", weights=weights)
+        backward = combine_corpus(table(test, "cba"), method="tag-pair", weights=weights)
+        assert forward == backward
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equal_accuracies_reduce_to_majority(self, seed):

@@ -14,6 +14,7 @@ from chunkvote import (
     information_gain,
     make_features,
 )
+from chunkvote.learners import WEIGHTINGS, _slot_weights
 
 import datagen
 from conftest import make_sentence
@@ -22,6 +23,8 @@ from oracles import (
     oracle_features,
     oracle_gain_ratio,
     oracle_information_gain,
+    reference_gain_ratio,
+    reference_information_gain,
 )
 
 
@@ -272,3 +275,57 @@ class TestRelevanceMeasures:
             assert gain_ratio(renamed, slot) == pytest.approx(
                 gain_ratio(data, slot), abs=1e-12
             )
+
+
+def varied_dataset(r, size):
+    """Slots of every shape the gain measures meet: constant, mostly rare
+    values, few noisy values, one value per class, and partly informative;
+    with one to four classes, so that some datasets hold a single class."""
+    classes = ("B-NP", "I-NP", "O", "B-VP")[:r.randint(1, 4)]
+    rows = []
+    for _ in range(size):
+        label = r.choice(classes)
+        rows.append(([
+            "const",
+            f"w{r.randrange(4 * size)}",
+            f"v{r.randrange(3)}",
+            f"is-{label}",
+            label if r.random() < 0.5 else f"v{r.randrange(2)}",
+        ], label))
+    return dataset(rows)
+
+
+class TestGainsAreBitExact:
+    """The counted gain measures against the per-item tally, compared with ``==``."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_match_the_per_item_tally(self, seed):
+        r = datagen.rng(10_000 + seed)
+        data = varied_dataset(r, r.randint(1, 300))
+        # the same items in other orders, so values and classes first occur
+        # in other orders too
+        reordered = [data] + [
+            Dataset(tuple(r.sample(data.items, len(data.items))), data.slot_names)
+            for _ in range(3)
+        ]
+        for d in reordered:
+            gains = [reference_information_gain(d.items, s) for s in range(d.arity)]
+            ratios = [reference_gain_ratio(d.items, s) for s in range(d.arity)]
+            assert [information_gain(d, s) for s in range(d.arity)] == gains
+            assert [gain_ratio(d, s) for s in range(d.arity)] == ratios
+            assert _slot_weights(d, "information_gain") == tuple(gains)
+            assert _slot_weights(d, "gain_ratio") == tuple(ratios)
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("name", sorted(WINDOW_GRID))
+    def test_match_the_per_item_tally_on_windows(self, name, weighting):
+        corpus = Corpus(
+            tuple(datagen.random_sentence(datagen.rng(11_000 + i), 2 + i % 9) for i in range(60)),
+            TagScheme.IOB2,
+        )
+        data = corpus_to_dataset(corpus, WINDOW_GRID[name])
+        reference = (reference_gain_ratio if weighting == "gain_ratio"
+                     else reference_information_gain)
+        assert _slot_weights(data, weighting) == tuple(
+            reference(data.items, s) for s in range(data.arity)
+        )

@@ -35,7 +35,7 @@ from chunkvote import (
     train_maxent,
     train_rules,
 )
-from chunkvote.learners import BASELINE_WINDOW, io_corpus, pick_best
+from chunkvote.learners import BASELINE_WINDOW, _slot_weights, io_corpus, pick_best
 
 import datagen
 from conftest import make_sentence, make_untagged
@@ -432,6 +432,29 @@ def pinned_corpus():
 
 def pinned_maxent_data():
     return corpus_to_dataset(pinned_corpus(), WindowConfig.maxent_window())
+
+
+# float.hex of each slot weight of ``pinned_corpus`` in the default window.
+PINNED_SLOT_WEIGHTS = {
+    "gain_ratio": [
+        '0x1.0a75b245b0999p-2', '0x1.50c9bb4028c79p-2', '0x1.9f411d5bdbf5ap-2',
+        '0x1.45cc42c7092b4p-2', '0x1.b6a5054a8fa06p-3', '0x1.5f50269e9d7dep-2',
+        '0x1.6c32dfb86b38cp-2', '0x1.05ed896fba790p-2', '0x1.ac94e6a41556fp-3',
+        '0x1.8e6f45864163fp-2',
+    ],
+    "information_gain": [
+        '0x1.dc86b61d40b1cp-1', '0x1.5a5cedcdae432p+0', '0x1.bb7718ae4f2f4p+0',
+        '0x1.4b940e0507189p+0', '0x1.174d213776298p-1', '0x1.d6ec977e33792p-1',
+        '0x1.e95238bb32e60p-1', '0x1.7b26ecdde5576p-1', '0x1.1078a8fcc335cp-1',
+        '0x1.0ddeb8e2cc203p+0',
+    ],
+}
+
+
+@pytest.mark.parametrize("weighting", sorted(PINNED_SLOT_WEIGHTS))
+def test_slot_weights_are_pinned(weighting):
+    data = corpus_to_dataset(pinned_corpus(), WindowConfig())
+    assert [w.hex() for w in _slot_weights(data, weighting)] == PINNED_SLOT_WEIGHTS[weighting]
 
 
 class TestMaxEnt:

@@ -1,6 +1,12 @@
 """The package's public surface: ``chunkvote.__all__``."""
 
+import ast
+import importlib
+import inspect
 import types
+from pathlib import Path
+
+import pytest
 
 import chunkvote
 
@@ -17,3 +23,64 @@ def test_every_public_name_is_exported():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(public - set(chunkvote.__all__)) == []
+
+
+# The benchmark's in-process steps and checks call the package directly.
+BENCHMARK_SOURCES = ("step.py", "checks.py")
+
+
+def _bind(signature, call, bound_self=False):
+    """Bind a call's arguments to a signature; a starred argument stands for
+    any number, so only the spelled-out ones are bound then."""
+    args = [None] * (bound_self + sum(not isinstance(a, ast.Starred) for a in call.args))
+    kwargs = {k.arg: None for k in call.keywords if k.arg is not None}
+    if len(args) - bound_self < len(call.args) or len(kwargs) < len(call.keywords):
+        signature.bind_partial(*args, **kwargs)
+    else:
+        signature.bind(*args, **kwargs)
+
+
+@pytest.mark.parametrize("source", BENCHMARK_SOURCES)
+def test_benchmark_calls_into_the_package_still_bind(source):
+    """Every name the benchmark imports from the package exists, every call
+    of one binds to its signature, and every attribute the benchmark reads
+    off an instance it builds, or takes as an annotated argument, exists."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / source).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "chunkvote":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+                imported[alias.asname or alias.name] = getattr(module, alias.name)
+    assert imported
+
+    def called(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in imported
+
+    for node in ast.walk(tree):
+        if called(node):
+            _bind(inspect.signature(imported[node.func.id]), node)
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        instances = {}
+        for arg in function.args.args:
+            if isinstance(arg.annotation, ast.Name) and isinstance(imported.get(arg.annotation.id), type):
+                instances[arg.arg] = imported[arg.annotation.id]
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Assign) and called(node.value)
+                    and isinstance(imported[node.value.func.id], type)):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        instances[target.id] = imported[node.value.func.id]
+        for node in ast.walk(function):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in instances:
+                cls = instances[node.value.id]
+                fields = getattr(cls, "__dataclass_fields__", {})
+                assert node.attr in fields or hasattr(cls, node.attr), f"{cls.__name__}.{node.attr}"
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id in instances:
+                method = getattr(instances[node.func.value.id], node.func.attr)
+                _bind(inspect.signature(method), node, bound_self=True)
