@@ -65,7 +65,8 @@ def collapse(
 ) -> tuple[Sentence, CollapseMap]:
     """Replace each chunk by its head token; other tokens pass through.
 
-    The head keeps its word and pos.  Spans must be disjoint.  Returns
+    The head keeps its word and pos, and every token loses its chunk tag;
+    an untagged token is passed on as it is.  Spans must be disjoint.  Returns
     the shorter sentence and a map from its positions to original token
     ranges.
     """
@@ -82,21 +83,15 @@ def collapse(
     mapping: list[tuple[int, int]] = []
     position = 0
     for span in ordered:
-        while position < span.begin:
-            old = sentence.tokens[position]
-            tokens.append(Token(old.word, old.pos, None))
-            mapping.append((position, position + 1))
-            position += 1
-        head_token = sentence.tokens[span.end - 1 if head == "last" else span.begin]
-        tokens.append(Token(head_token.word, head_token.pos, None))
+        tokens += sentence.tokens[position:span.begin]
+        mapping += ((i, i + 1) for i in range(position, span.begin))
+        tokens.append(sentence.tokens[span.end - 1 if head == "last" else span.begin])
         mapping.append((span.begin, span.end))
         position = span.end
-    while position < len(sentence):
-        old = sentence.tokens[position]
-        tokens.append(Token(old.word, old.pos, None))
-        mapping.append((position, position + 1))
-        position += 1
-    return Sentence(tuple(tokens)), tuple(mapping)
+    tokens += sentence.tokens[position:]
+    mapping += ((i, i + 1) for i in range(position, len(sentence)))
+    untagged = (t if t.chunk_tag is None else Token(t.word, t.pos) for t in tokens)
+    return Sentence(tuple(untagged)), tuple(mapping)
 
 
 def cascade_bracket(
@@ -183,9 +178,7 @@ def cascade_training_corpus(
         remaining = list(nested.spans)
         mapping = identity_map(len(current))
         while remaining:
-            level = _innermost_level(
-                [translate_local(span, mapping) for span in remaining]
-            )
+            level = _innermost_level(local_spans(remaining, mapping))
             tags = tags_from_chunks(len(current), level, TagScheme.IOB2)
             flat.append(with_tags(current, tags))
             for span in level:
@@ -197,17 +190,21 @@ def cascade_training_corpus(
 
 
 def translate_local(span: ChunkSpan, mapping: CollapseMap) -> ChunkSpan:
-    """Express an original-coordinate span in collapsed coordinates.
+    """Express an original-coordinate span in collapsed coordinates."""
+    return local_spans([span], mapping)[0]
 
-    The span's boundaries must coincide with collapsed token boundaries,
+
+def local_spans(spans: Sequence[ChunkSpan], mapping: CollapseMap) -> list[ChunkSpan]:
+    """Express original-coordinate spans in collapsed coordinates.
+
+    Each span's boundaries must coincide with collapsed token boundaries,
     which holds for any remaining span of a properly nested sentence.
     """
-    begin = next(
-        (i for i, (b, _) in enumerate(mapping) if b == span.begin), None
-    )
-    end = next(
-        (i for i, (_, e) in enumerate(mapping) if e == span.end), None
-    )
-    if begin is None or end is None:
-        raise ValidationError(f"span {span} does not align with collapsed tokens")
-    return ChunkSpan(begin, end + 1, span.label)
+    begins = {begin: i for i, (begin, _) in enumerate(mapping)}
+    ends = {end: i + 1 for i, (_, end) in enumerate(mapping)}
+    local = []
+    for span in spans:
+        if span.begin not in begins or span.end not in ends:
+            raise ValidationError(f"span {span} does not align with collapsed tokens")
+        local.append(ChunkSpan(begins[span.begin], ends[span.end], span.label))
+    return local

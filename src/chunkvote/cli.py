@@ -44,7 +44,14 @@ from .ensemble import (
     write_weights,
 )
 from .errors import ChunkvoteError, ConfigError
-from .learners import LEARNER_KINDS, WEIGHTINGS, LearnerSpec, tag_sentence, train_baseline
+from .learners import (
+    LEARNER_KINDS,
+    WEIGHTINGS,
+    LearnerSpec,
+    check_system_name,
+    tag_sentence,
+    train_baseline,
+)
 from .metrics import format_report, format_report_kv, score_nested, score_tagged
 from .model_io import dumps_model, loads_model
 
@@ -370,9 +377,14 @@ def _cmd_cascade(args) -> None:
 def _cmd_report(args) -> None:
     if not args.pred:
         raise UsageError("at least one --pred NAME=PATH is required")
+    preds = [_parse_pred(text) for text in args.pred]
+    for name, _ in preds:
+        check_system_name(name)
+    if len({name for name, _ in preds}) != len(preds):
+        raise ConfigError("system names must be unique")
     gold = parse_conll(_read_text(args.gold), TagScheme.IOB1, columns=3, strict=False)
     rows = []
-    for name, path in (_parse_pred(text) for text in args.pred):
+    for name, path in preds:
         pred = parse_conll(_read_text(path), TagScheme.IOB1, columns=3, strict=False)
         rows.append((name, score_tagged(gold, pred, beta=args.beta)))
     width = max(len("system"), max(len(name) for name, _ in rows))

@@ -108,8 +108,8 @@ class Sentence:
 
 
 def strip_tags(sentence: Sentence) -> Sentence:
-    """Return the sentence without chunk tags."""
-    return Sentence(tuple(Token(t.word, t.pos) for t in sentence.tokens))
+    """Return the sentence without chunk tags, reusing its untagged tokens."""
+    return Sentence(tuple(t if t.chunk_tag is None else Token(t.word, t.pos) for t in sentence.tokens))
 
 
 def with_tags(sentence: Sentence, tags: Sequence[str]) -> Sentence:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import PAD, Corpus, Sentence
 from .errors import ConfigError, TrainingError, ValidationError
@@ -95,6 +95,46 @@ class WindowConfig:
 FeatureVector = tuple[str, ...]
 
 
+def window_vectors(
+    sentence: Sentence,
+    config: WindowConfig,
+    tags: Sequence[str],
+    start: int = 0,
+    stop: int | None = None,
+) -> Iterator[FeatureVector]:
+    """Feature vectors of tokens ``start`` to ``stop - 1``, in order.
+
+    Each word or pos slot of all these tokens is one slice of the word or
+    pos column, padded once per call.  Token i's chunk tag slots and pairs
+    read ``tags[:i]`` only when its vector is made, so a tagger may append
+    each decision to ``tags`` before it asks for the next vector.
+    """
+    plain, pairs, _ = config._layout
+    stop = len(sentence) if stop is None else stop
+    size = stop - start
+    left = max(config.left_words, config.left_pos)
+    right = max(config.right_words, config.right_pos)
+    first, last = max(0, start - left), min(len(sentence), stop + right)
+    cut = sentence.tokens[first:last]
+    head, tail = [PAD] * (first - start + left), [PAD] * (stop + right - last)
+    padded = {"w": head + [t.word for t in cut] + tail, "p": head + [t.pos for t in cut] + tail}
+    columns = [padded[source][left + off:left + off + size] for source, off in plain if source != "t"]
+    rows = list(zip(*columns)) if columns else [()] * size
+    k = config.left_chunk_tags
+    pads = (PAD,) * k
+    for i, row in zip(range(start, stop), rows):
+        vector = row + (tuple(tags[i - k:i]) if i >= k else pads[i:] + tuple(tags[:i]))
+        if pairs:
+            joined = [f"{vector[a]}|{vector[b]}" for a, b in pairs]
+            # One separator per joined value, unless a part holds one too:
+            # then two different contexts could give the same value.
+            if "".join(joined).count("|") != len(joined):
+                bad = next(vector[c] for pair in pairs for c in pair if "|" in vector[c])
+                raise ValidationError(f"complex_pairs cannot join {bad!r}: it contains '|'")
+            vector += tuple(joined)
+        yield vector
+
+
 def make_features(
     sentence: Sentence,
     index: int,
@@ -112,27 +152,7 @@ def make_features(
         raise ValidationError(f"token index {index} outside sentence of length {n}")
     if len(predicted_tags) != index:
         raise ValidationError(f"need {index} left chunk tags, got {len(predicted_tags)}")
-
-    plain, pairs, _ = config._layout
-    tokens = sentence.tokens
-    values = []
-    for source, off in plain:
-        i = index + off
-        if source == "t":
-            values.append(predicted_tags[i] if i >= 0 else PAD)
-        elif 0 <= i < n:
-            values.append(tokens[i].word if source == "w" else tokens[i].pos)
-        else:
-            values.append(PAD)
-    if pairs:
-        joined = [f"{values[i]}|{values[j]}" for i, j in pairs]
-        # One separator per joined value, unless a part holds one too: then
-        # two different contexts could give the same value.
-        if "".join(joined).count("|") != len(joined):
-            bad = next(values[k] for pair in pairs for k in pair if "|" in values[k])
-            raise ValidationError(f"complex_pairs cannot join {bad!r}: it contains '|'")
-        values += joined
-    return tuple(values)
+    return next(window_vectors(sentence, config, predicted_tags, index, index + 1))
 
 
 @dataclass(frozen=True)
@@ -170,8 +190,7 @@ def corpus_to_dataset(corpus: Corpus, config: WindowConfig) -> Dataset:
         tags = sentence.chunk_tags
         if any(tag is None for tag in tags):
             raise TrainingError(f"sentence {si} has untagged tokens")
-        for i in range(len(sentence)):
-            items.append((make_features(sentence, i, config, tags[:i]), tags[i]))  # type: ignore[arg-type]
+        items.extend(zip(window_vectors(sentence, config, tags), tags))  # type: ignore[arg-type]
     return Dataset(tuple(items), config.slot_names())
 
 

@@ -37,8 +37,8 @@ from .features import (
     FeatureVector,
     WindowConfig,
     corpus_to_dataset,
-    make_features,
     slot_gains,
+    window_vectors,
 )
 
 WEIGHTINGS = ("gain_ratio", "information_gain")
@@ -738,8 +738,7 @@ def tag_sentence(model: TrainedModel, sentence: Sentence) -> list[str]:
     if window is None:
         raise ConfigError("model carries no window configuration")
     tags: list[str] = []
-    for i in range(len(sentence)):
-        vector = make_features(sentence, i, window, tags)
+    for vector in window_vectors(sentence, window, tags):
         tags.append(model.predict(vector))
     return tags
 
@@ -764,6 +763,12 @@ _LEARNERS: dict[str, tuple[Callable[..., TrainedModel], tuple[str, ...], WindowC
 LEARNER_KINDS = tuple(_LEARNERS)
 
 
+def check_system_name(name: str) -> None:
+    """Raise ConfigError unless ``name`` is non-empty, printable and has no whitespace."""
+    if not name or not name.isprintable() or " " in name:
+        raise ConfigError(f"bad system name {name!r}")
+
+
 @dataclass(frozen=True)
 class LearnerSpec:
     """A named, reproducible recipe for training one base chunker."""
@@ -781,8 +786,7 @@ class LearnerSpec:
     io_encoding: bool = False
 
     def __post_init__(self):
-        if not self.name or not self.name.isprintable() or " " in self.name:
-            raise ConfigError(f"bad system name {self.name!r}")
+        check_system_name(self.name)
         if self.learner not in LEARNER_KINDS:
             raise ConfigError(f"unknown learner {self.learner!r}, expected one of {LEARNER_KINDS}")
         read = _LEARNERS[self.learner][1]

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import pytest
 
@@ -16,12 +17,16 @@ from chunkvote import (
     compose_maps,
     extract_chunks,
     identity_map,
+    parse_conll,
     properly_nested,
     scheme_violation,
+    strip_tags,
     tag_sentence,
     translate_span,
+    write_nested,
 )
-from chunkvote.cascade import translate_local
+from chunkvote.cascade import HEAD_CHOICES, translate_local
+from chunkvote.cli import main
 
 import datagen
 from conftest import make_untagged
@@ -320,3 +325,66 @@ class TestCascadeBracket:
         model = LearnerSpec("tree", "igtree").train(corpus)
         got = cascade_bracket(Sentence(money_example.tokens), functools.partial(tag_sentence, model))
         assert got == money_example
+
+
+class TestTokenReuse:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tagged_tokens_come_back_untagged(self, seed):
+        r = datagen.rng(31_000 + seed)
+        sentence = datagen.random_sentence(r, r.randint(1, 12))
+        assert None not in sentence.chunk_tags
+        stripped = strip_tags(sentence)
+        assert stripped.chunk_tags == (None,) * len(sentence)
+        assert [(t.word, t.pos) for t in stripped.tokens] == [(t.word, t.pos) for t in sentence.tokens]
+        for head in HEAD_CHOICES:
+            collapsed, _ = collapse(sentence, datagen.random_spans(r, len(sentence)), head)
+            assert set(collapsed.chunk_tags) == {None}
+
+    def test_untagged_tokens_are_passed_on(self):
+        stripped = strip_tags(FIVE)
+        assert all(a is b for a, b in zip(stripped.tokens, FIVE.tokens))
+        collapsed, _ = collapse(FIVE, [span(0, 3), span(3, 4)])
+        assert [t is u for t, u in zip(collapsed.tokens, FIVE.tokens[2:])] == [True] * 3
+
+
+def pinned_treebank(seed, size):
+    r = datagen.rng(seed)
+    return [
+        datagen.random_nested_sentence(r, r.randint(1, 14), types=("NP", "PP"))
+        for _ in range(size)
+    ]
+
+
+# sha256 of ``convert --nested-to-levels`` on a seeded treebank, and of the
+# nested output of ``cascade_bracket`` with a tree trained on those levels,
+# per head.
+PINNED_BYTES = {
+    "last": (
+        "708adacbc6254d40b2b1d6133c7c0aabbc3aab4584a511910097a44617a339e5",
+        "13515af72adfb198ca85bbf4e58ea5aa1ff9f5ad77f76bbe37d1cdcbc3eae1d5",
+    ),
+    "first": (
+        "cdca21db8af6676817629c16446a329190bd4db4f2ceda2cb3e7a90d2775b944",
+        "0aa8c4c069f0292c192ae99bdf6579dd44767b93586b245d8a45a747f9dc36df",
+    ),
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("head", HEAD_CHOICES)
+    def test_levels_and_brackets(self, tmp_path, head):
+        nested = tmp_path / "train.nested"
+        nested.write_text(write_nested(pinned_treebank(32_000, 80)), encoding="utf-8")
+        levels = tmp_path / "levels.conll"
+        assert main(["convert", str(nested), "--nested-to-levels", "--head", head,
+                     "-o", str(levels)]) == 0
+        model = LearnerSpec("tree", "igtree").train(parse_conll(levels.read_text(), TagScheme.IOB2))
+        tagger = functools.partial(tag_sentence, model)
+        bracketed = write_nested([
+            cascade_bracket(Sentence(s.tokens), tagger, head=head)
+            for s in pinned_treebank(32_001, 40)
+        ])
+        assert (
+            hashlib.sha256(levels.read_bytes()).hexdigest(),
+            hashlib.sha256(bracketed.encode()).hexdigest(),
+        ) == PINNED_BYTES[head]

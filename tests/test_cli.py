@@ -45,6 +45,7 @@ from chunkvote import (
 from chunkvote import cascade, cli
 from chunkvote.cli import main
 
+import datagen
 from conftest import TINY_TRAIN
 
 
@@ -714,6 +715,26 @@ class TestCascadeCommand:
         assert main(["cascade", model_path, train, "-o", out_path(files)]) == 0
         assert len(stripped) == len(TINY_CORPUS.sentences)
 
+    def test_bytes_do_not_depend_on_the_hash_seed(self, files):
+        r = datagen.rng(33_000)
+        treebank = [datagen.random_nested_sentence(r, r.randint(1, 12), types=("NP", "PP"))
+                    for _ in range(60)]
+        nested = files("train.nested", write_nested(treebank[:40]))
+        levels = out_path(files, "levels.conll")
+        model_path = out_path(files, "model.txt")
+        assert main(["convert", nested, "--nested-to-levels", "-o", levels]) == 0
+        assert main(["train", levels, "--learner", "igtree", "-o", model_path]) == 0
+        words = files("test.conll", "".join(
+            "".join(f"{t.word} {t.pos}\n" for t in s.tokens) + "\n" for s in treebank[40:]
+        ))
+        outputs = []
+        for seed in ("1", "2"):
+            done = run_module(["cascade", model_path, words, "--columns", "2"], hash_seed=seed)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert "(" in outputs[0]
+
 
 class TestReportCommand:
     def test_table_and_tsv(self, files):
@@ -747,6 +768,24 @@ class TestReportCommand:
         train = files("train.conll", TINY_TRAIN)
         assert main(["report", train]) == 1
         assert "--pred" in capsys.readouterr().err
+
+    def test_repeated_names_are_rejected(self, files, capsys):
+        train = files("train.conll", TINY_TRAIN)
+        out = out_path(files)
+        assert main(["report", train, "--pred", "a=" + train, "--pred", "a=" + train, "-o", out]) == 2
+        assert "system names must be unique" in capsys.readouterr().err
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("name", ["a\tb", "a b", "a\x00b"])
+    def test_names_follow_the_system_rule(self, files, capsys, name):
+        # A tab in a name would add a field to its TSV row.
+        train = files("train.conll", TINY_TRAIN)
+        tsv = out_path(files, "report.tsv")
+        assert main(["report", train, "--pred", f"{name}={train}", "--tsv", tsv]) == 2
+        assert "bad system name" in capsys.readouterr().err
+        assert not Path(tsv).exists()
+        with pytest.raises(cli.UsageError, match="bad system name"):
+            cli._parse_system(f"{name}=igtree")
 
     @pytest.mark.parametrize("bad", ["nameonly", "=path", "name="])
     def test_bad_pred_text_is_a_usage_error(self, files, capsys, bad):

@@ -14,7 +14,7 @@ from chunkvote import (
     information_gain,
     make_features,
 )
-from chunkvote.learners import WEIGHTINGS, _slot_weights
+from chunkvote.learners import WEIGHTINGS, _slot_weights, tag_sentence
 
 import datagen
 from conftest import make_sentence
@@ -172,6 +172,120 @@ class TestMakeFeatures:
             make_features(self.SENT, 1, WindowConfig(), ())
         with pytest.raises(ValidationError):
             make_features(self.SENT, 0, WindowConfig(), ("O",))
+
+
+def random_window(r):
+    """A seeded window of any shape the config accepts."""
+    while True:
+        try:
+            return WindowConfig(
+                *(r.randint(0, 4) for _ in range(5)),
+                use_focus_word=r.random() < 0.7, use_focus_pos=r.random() < 0.7,
+                complex_pairs=r.random() < 0.5,
+            )
+        except ConfigError:
+            pass
+
+
+class RecordingModel:
+    """Stands in for a trained model: keeps every vector it is given and
+    answers with seeded tags."""
+
+    def __init__(self, window, r):
+        self.window = window
+        self.r = r
+        self.vectors = []
+
+    def predict(self, vector):
+        self.vectors.append(vector)
+        return self.r.choice(("O", "B-NP", "I-NP", "B-VP"))
+
+
+def raised(call):
+    """The message of the ValidationError ``call`` raises, else None."""
+    try:
+        call()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestOneDefinitionOfAVector:
+    """Training items, the vectors a tagger sees and make_features all equal
+    the oracle that reads each slot off its name."""
+
+    CASES = [(name, config, 0) for name, config in WINDOW_GRID.items()] + [
+        (f"random-{seed}", random_window(datagen.rng(12_000 + seed)), seed) for seed in range(30)
+    ]
+
+    @pytest.mark.parametrize("name,config,seed", CASES, ids=[case[0] for case in CASES])
+    def test_every_path_matches_the_oracle(self, name, config, seed):
+        r = datagen.rng(13_000 + seed)
+        corpus = Corpus(
+            tuple(datagen.random_sentence(r, r.randint(1, 12)) for _ in range(8)), TagScheme.IOB2,
+        )
+        names = config.slot_names()
+        items = corpus_to_dataset(corpus, config).items
+        expected = [
+            (oracle_features(s, i, names, s.chunk_tags[:i]), s.chunk_tags[i])
+            for s in corpus.sentences for i in range(len(s))
+        ]
+        assert list(items) == expected
+        for sentence in corpus.sentences:
+            model = RecordingModel(config, r)
+            tags = tag_sentence(model, sentence)
+            assert model.vectors == [
+                oracle_features(sentence, i, names, tags[:i]) for i in range(len(sentence))
+            ]
+            for i in range(len(sentence)):
+                for left in (tags[:i], tuple(tags[:i]), sentence.chunk_tags[:i]):
+                    assert make_features(sentence, i, config, left) == oracle_features(
+                        sentence, i, names, left
+                    )
+
+    PAIRS = WindowConfig(
+        left_words=0, right_words=0, left_pos=1, right_pos=1, left_chunk_tags=1, complex_pairs=True,
+    )
+
+    @pytest.mark.parametrize("pos,bad_at,value", [
+        (("DT", "NN", "A|B", "VB"), 1, "A|B"),
+        (("A|B", "NN", "C|D", "VB"), 0, "A|B"),
+        (("DT", "NN", "VB", "C|D"), 2, "C|D"),
+    ])
+    def test_every_path_rejects_the_same_token(self, pos, bad_at, value):
+        sentence = make_sentence([(f"w{i}", p, "O") for i, p in enumerate(pos)])
+        message = f"complex_pairs cannot join {value!r}: it contains '|'"
+        tags = sentence.chunk_tags
+        assert [raised(lambda: make_features(sentence, i, self.PAIRS, tags[:i]))
+                for i in range(len(pos))][:bad_at + 1] == [None] * bad_at + [message]
+        corpus = Corpus((sentence,), TagScheme.IOB2)
+        assert raised(lambda: corpus_to_dataset(corpus, self.PAIRS)) == message
+        model = RecordingModel(self.PAIRS, datagen.rng(0))
+        assert raised(lambda: tag_sentence(model, sentence)) == message
+        assert len(model.vectors) == bad_at
+
+    def test_left_tags_holding_the_separator_are_rejected(self):
+        sentence = make_sentence([("x", "DT", "O"), ("y", "NN", "O")])
+        message = "complex_pairs cannot join 'a|b': it contains '|'"
+        assert raised(lambda: make_features(sentence, 1, self.PAIRS, ("a|b",))) == message
+
+    @pytest.mark.parametrize("config", [
+        # no slot reads the last pos tag
+        WindowConfig(left_pos=2, right_pos=0, use_focus_pos=False, complex_pairs=True),
+        # p[-1] and p[+1] read it, but only adjacent offsets are joined
+        WindowConfig(left_pos=1, right_pos=1, use_focus_pos=False, complex_pairs=True),
+    ])
+    def test_a_value_no_pair_joins_may_hold_the_separator(self, config):
+        names = config.slot_names()
+        sentence = make_sentence([("x", "DT", "B-NP"), ("y", "NN", "I-NP"), ("z", "A|B", "O")])
+        items = corpus_to_dataset(Corpus((sentence,), TagScheme.IOB2), config).items
+        tags = sentence.chunk_tags
+        assert [vector for vector, _ in items] == [
+            make_features(sentence, i, config, tags[:i]) for i in range(3)
+        ] == [oracle_features(sentence, i, names, tags[:i]) for i in range(3)]
+        model = RecordingModel(config, datagen.rng(1))
+        predicted = tag_sentence(model, sentence)
+        assert model.vectors == [oracle_features(sentence, i, names, predicted[:i]) for i in range(3)]
 
 
 class TestDataset:
