@@ -11,6 +11,7 @@ sentence per nesting level.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .corpus import (
@@ -19,7 +20,6 @@ from .corpus import (
     NestedSentence,
     Sentence,
     TagScheme,
-    Token,
     extract_chunks,
     strip_tags,
     tags_from_chunks,
@@ -65,33 +65,30 @@ def collapse(
 ) -> tuple[Sentence, CollapseMap]:
     """Replace each chunk by its head token; other tokens pass through.
 
-    The head keeps its word and pos, and every token loses its chunk tag;
-    an untagged token is passed on as it is.  Spans must be disjoint.  Returns
-    the shorter sentence and a map from its positions to original token
-    ranges.
+    The head keeps its word and pos, and every token loses its chunk tag.
+    Spans must be disjoint.  Returns the shorter sentence and a map from
+    its positions to original token ranges.
     """
     if head not in HEAD_CHOICES:
         raise ConfigError(f"head must be one of {HEAD_CHOICES}, got {head!r}")
-    ordered = sorted(spans, key=lambda s: s.begin)
+    ordered = sorted(spans, key=attrgetter("begin"))
     for left, right in zip(ordered, ordered[1:]):
         if right.begin < left.end:
             raise ValidationError(f"cannot collapse overlapping spans {left} and {right}")
     for span in ordered:
         if span.end > len(sentence):
             raise ValidationError(f"span {span} outside sentence of length {len(sentence)}")
-    tokens: list[Token] = []
     mapping: list[tuple[int, int]] = []
     position = 0
     for span in ordered:
-        tokens += sentence.tokens[position:span.begin]
         mapping += ((i, i + 1) for i in range(position, span.begin))
-        tokens.append(sentence.tokens[span.end - 1 if head == "last" else span.begin])
         mapping.append((span.begin, span.end))
         position = span.end
-    tokens += sentence.tokens[position:]
     mapping += ((i, i + 1) for i in range(position, len(sentence)))
-    untagged = (t if t.chunk_tag is None else Token(t.word, t.pos) for t in tokens)
-    return Sentence(tuple(untagged)), tuple(mapping)
+    heads = [end - 1 for _, end in mapping] if head == "last" else [begin for begin, _ in mapping]
+    words = tuple(map(sentence.words.__getitem__, heads))
+    pos_tags = tuple(map(sentence.pos_tags.__getitem__, heads))
+    return Sentence.from_checked(words, pos_tags), tuple(mapping)
 
 
 def cascade_bracket(
@@ -130,36 +127,23 @@ def cascade_bracket(
         mapping = compose_maps(mapping, level_map)
         if len(current) == 1:
             break
-    return NestedSentence(stripped.tokens, tuple(found))
+    return NestedSentence(stripped, found)
 
 
-def _strictly_inside(inner: ChunkSpan, outer: ChunkSpan) -> bool:
-    return (
-        outer.begin <= inner.begin
-        and inner.end <= outer.end
-        and (inner.begin, inner.end) != (outer.begin, outer.end)
-    )
+def _innermost_level(spans: Sequence[ChunkSpan]) -> list[int]:
+    """Indices of the deepest spans, one per distinct range.
 
-
-def _innermost_level(remaining: Sequence[ChunkSpan]) -> list[ChunkSpan]:
-    """The deepest spans, one per distinct range.
-
-    A span qualifies when no other remaining span lies strictly inside
-    it.  Spans sharing a range form a chain; only one of them (the one
-    written innermost, with the largest label) comes out per level, so
-    repeated spans surface again on later levels.
+    ``spans`` must nest properly and be sorted by ``_span_sort_key``.  Then
+    the span after a span either shares its range, lies inside it or begins
+    at or after its end, so a span is taken exactly when the next one
+    begins at or after its end: no other span lies strictly inside it, and
+    of the spans sharing its range (a chain) it has the largest label.  The
+    rest of a chain surfaces again on later levels.
     """
-    leaves = [
-        span
-        for span in remaining
-        if not any(_strictly_inside(other, span) for other in remaining)
+    return [
+        i for i, span in enumerate(spans)
+        if i + 1 == len(spans) or spans[i + 1].begin >= span.end
     ]
-    by_range: dict[tuple[int, int], ChunkSpan] = {}
-    for span in leaves:
-        key = (span.begin, span.end)
-        if key not in by_range or span.label > by_range[key].label:
-            by_range[key] = span
-    return sorted(by_range.values(), key=lambda s: s.begin)
 
 
 def cascade_training_corpus(
@@ -174,15 +158,17 @@ def cascade_training_corpus(
     """
     flat: list[Sentence] = []
     for nested in sentences:
-        current = Sentence(nested.tokens)
-        remaining = list(nested.spans)
+        current = nested.to_sentence()
+        remaining = list(nested.spans)  # sorted, and kept so: collapsing keeps span order
         mapping = identity_map(len(current))
         while remaining:
-            level = _innermost_level(local_spans(remaining, mapping))
+            local = local_spans(remaining, mapping)
+            taken = _innermost_level(local)
+            level = [local[i] for i in taken]
             tags = tags_from_chunks(len(current), level, TagScheme.IOB2)
             flat.append(with_tags(current, tags))
-            for span in level:
-                remaining.remove(translate_span(span, mapping))
+            drop = set(taken)
+            remaining = [span for i, span in enumerate(remaining) if i not in drop]
             current, level_map = collapse(current, level, head)
             mapping = compose_maps(mapping, level_map)
         flat.append(with_tags(current, ["O"] * len(current)))

@@ -19,8 +19,9 @@ exact for single-space files.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, ValidationError
@@ -36,6 +37,7 @@ PAD = "__PAD__"
 _TAG_RE = re.compile(r"O|[BI]-(?!O\Z)[A-Za-z0-9]+")
 _FIELD_RE = re.compile(r"\S+")
 _BRACKET_RE = re.compile(r"((?:\([A-Za-z0-9]+)*)\*(\)*)")
+_set = object.__setattr__  # records are frozen; their constructors fill them
 
 
 class TagScheme(str, Enum):
@@ -64,14 +66,17 @@ class Token:
     chunk_tag: str | None = None
 
     def __post_init__(self):
-        if not self.word or not _FIELD_RE.fullmatch(self.word):
-            raise ValidationError(f"bad word {self.word!r}: must be non-empty without whitespace")
-        if not self.pos or not _FIELD_RE.fullmatch(self.pos):
-            raise ValidationError(f"bad pos tag {self.pos!r}: must be non-empty without whitespace")
-        if PAD in (self.word, self.pos):
-            raise ValidationError(f"{PAD} is reserved for padding and cannot be a word or pos tag")
+        _check_field(self.word, "word")
+        _check_field(self.pos, "pos tag")
         if self.chunk_tag is not None:
             check_chunk_tag(self.chunk_tag)
+
+
+def _check_field(value: str, what: str) -> None:
+    if not value or not _FIELD_RE.fullmatch(value):
+        raise ValidationError(f"bad {what} {value!r}: must be non-empty without whitespace")
+    if value == PAD:
+        raise ValidationError(f"{PAD} is reserved for padding and cannot be a word or pos tag")
 
 
 def check_chunk_tag(tag: str) -> None:
@@ -82,41 +87,81 @@ def check_chunk_tag(tag: str) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Sentence:
-    tokens: tuple[Token, ...]
+class ColumnCheck:
+    """Token's checks of the words, pos tags and chunk tags (None for no
+    tag) of sentences, each distinct value checked once per instance."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        if not self.tokens:
+    _CHECKS = (partial(_check_field, what="word"), partial(_check_field, what="pos tag"), check_chunk_tag)
+
+    def __init__(self):
+        self._passed: tuple[set, ...] = (set(), set(), {None})
+
+    def passes(self, *columns: Iterable) -> bool:
+        """True when every value of the columns given passes its checks."""
+        for values, passed, check in zip(columns, self._passed, self._CHECKS):
+            new = set(values).difference(passed)
+            try:
+                for value in new:
+                    check(value)
+            except ValidationError:
+                return False
+            passed |= new
+        return True
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Sentence:
+    """A sentence held as one tuple per token field; ``chunk_tags`` holds
+    None for an untagged token.  ``tokens`` is built on first use."""
+
+    words: tuple[str, ...]
+    pos_tags: tuple[str, ...]
+    chunk_tags: tuple[str | None, ...]
+    _tokens: tuple[Token, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __init__(self, tokens: Iterable[Token]):
+        tokens = tuple(tokens)
+        words, pos_tags = tuple(t.word for t in tokens), tuple(t.pos for t in tokens)
+        self._fill(words, pos_tags, tuple(t.chunk_tag for t in tokens), tokens)
+
+    @classmethod
+    def from_checked(cls, words: tuple[str, ...], pos_tags: tuple[str, ...], chunk_tags=None) -> Sentence:
+        """A sentence of column tuples of one length whose values passed
+        Token's checks (``ColumnCheck``); no ``chunk_tags``: untagged."""
+        return object.__new__(cls)._fill(words, pos_tags, chunk_tags or (None,) * len(words), None)
+
+    def _fill(self, words, pos_tags, chunk_tags, tokens) -> Sentence:
+        if not words:
             raise ValidationError("a sentence must contain at least one token")
+        _set(self, "words", words)
+        _set(self, "pos_tags", pos_tags)
+        _set(self, "chunk_tags", chunk_tags)
+        _set(self, "_tokens", tokens)
+        return self
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        if self._tokens is None:
+            _set(self, "_tokens", tuple(map(Token, self.words, self.pos_tags, self.chunk_tags)))
+        return self._tokens
 
     def __len__(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def words(self) -> tuple[str, ...]:
-        return tuple(t.word for t in self.tokens)
-
-    @property
-    def pos_tags(self) -> tuple[str, ...]:
-        return tuple(t.pos for t in self.tokens)
-
-    @property
-    def chunk_tags(self) -> tuple[str | None, ...]:
-        return tuple(t.chunk_tag for t in self.tokens)
+        return len(self.words)
 
 
 def strip_tags(sentence: Sentence) -> Sentence:
-    """Return the sentence without chunk tags, reusing its untagged tokens."""
-    return Sentence(tuple(t if t.chunk_tag is None else Token(t.word, t.pos) for t in sentence.tokens))
+    """Return the sentence without chunk tags."""
+    return Sentence.from_checked(sentence.words, sentence.pos_tags)
 
 
 def with_tags(sentence: Sentence, tags: Sequence[str]) -> Sentence:
     """Return the sentence with its chunk tags replaced."""
     if len(tags) != len(sentence):
         raise ValidationError(f"{len(tags)} tags for {len(sentence)} tokens")
-    return Sentence(tuple(Token(t.word, t.pos, tag) for t, tag in zip(sentence.tokens, tags)))
+    for tag in dict.fromkeys(tags):  # in token order, so the first bad tag is the first bad token's
+        if tag is not None:
+            check_chunk_tag(tag)
+    return Sentence.from_checked(sentence.words, sentence.pos_tags, tuple(tags))
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,30 +215,35 @@ def properly_nested(spans: Iterable[ChunkSpan]) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class NestedSentence:
-    """A sentence with a multiset of nested (never crossing) chunk spans."""
+    """An untagged sentence with a multiset of nested (never crossing) chunk
+    spans, kept in ``_span_sort_key`` order.  Its Token records may stand
+    for ``sentence``."""
 
-    tokens: tuple[Token, ...]
+    sentence: Sentence
     spans: tuple[ChunkSpan, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "spans", tuple(sorted(self.spans, key=_span_sort_key)))
-        if not self.tokens:
-            raise ValidationError("a sentence must contain at least one token")
-        for t in self.tokens:
-            if t.chunk_tag is not None:
-                raise ValidationError("nested sentences carry spans, not chunk tags")
+        if not isinstance(self.sentence, Sentence):
+            _set(self, "sentence", Sentence(self.sentence))
+        if any(self.sentence.chunk_tags):
+            raise ValidationError("nested sentences carry spans, not chunk tags")
+        _set(self, "spans", tuple(sorted(self.spans, key=_span_sort_key)))
+        n = len(self.sentence)
         for s in self.spans:
-            if s.end > len(self.tokens):
-                raise ValidationError(f"span [{s.begin}, {s.end}) exceeds sentence length {len(self.tokens)}")
+            if s.end > n:
+                raise ValidationError(f"span [{s.begin}, {s.end}) exceeds sentence length {n}")
         if not properly_nested(self.spans):
             raise ValidationError("spans cross: every pair must be disjoint or nested")
 
+    tokens = property(lambda self: self.sentence.tokens)
+    words = property(lambda self: self.sentence.words)
+    pos_tags = property(lambda self: self.sentence.pos_tags)
+
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.sentence)
 
     def to_sentence(self) -> Sentence:
-        return Sentence(self.tokens)
+        return self.sentence
 
 
 #---------------------------------------------------------------------------
@@ -238,7 +288,7 @@ def extract_chunks(tags: Sequence[str]) -> list[ChunkSpan]:
     open_label: str | None = None
     open_begin = 0
     for i, tag in enumerate(tags):
-        marker, label = tag_parts(tag)
+        marker, label = tag[0], tag[2:]  # tag_parts inlined; O is never opened
         if open_label is not None and (marker != "I" or label != open_label):
             spans.append(ChunkSpan(open_begin, i, open_label))
             open_label = None
@@ -287,8 +337,9 @@ def convert_scheme(tags: Sequence[str], from_scheme: TagScheme, to_scheme: TagSc
 #---------------------------------------------------------------------------
 # column files
 
-def column_blocks(source) -> Iterator[Iterator[tuple[int, list[str]]]]:
-    """Yield each sentence of a column file as its (line number, fields) pairs.
+def column_blocks(source) -> Iterator[tuple[int, list[list[str]]]]:
+    """Yield each sentence of a column file as its first line number and
+    the fields of its lines.
 
     ``source`` is a string or an iterable of lines.  Fields are split on
     any whitespace, so a line of only spaces or tabs closes a sentence like
@@ -302,10 +353,10 @@ def column_blocks(source) -> Iterator[Iterator[tuple[int, list[str]]]]:
         if fields:
             block.append(list(map(share, fields, fields)))
         elif block:  # a sentence's lines are consecutive, so its first is known
-            yield enumerate(block, lineno - len(block))
+            yield lineno - len(block), block
             block = []
     if block:
-        yield enumerate(block, lineno + 1 - len(block))
+        yield lineno + 1 - len(block), block
 
 
 def parse_conll(source, scheme: TagScheme, columns: int = 3, strict: bool = True) -> Corpus:
@@ -318,18 +369,19 @@ def parse_conll(source, scheme: TagScheme, columns: int = 3, strict: bool = True
     if columns not in (2, 3):
         raise ValidationError(f"columns must be 2 or 3, got {columns}")
     sentences: list[Sentence] = []
-    for block in column_blocks(source):
-        tokens: list[Token] = []
-        for lineno, fields in block:
-            if len(fields) != columns:
-                raise ParseError(f"line {lineno}: expected {columns} columns, got {len(fields)}")
-            try:
-                tokens.append(Token(*fields))
-            except ValidationError as exc:
-                raise ValidationError(
-                    f"sentence {len(sentences) + 1}, token {len(tokens) + 1} (line {lineno}): {exc}"
-                ) from None
-        sentences.append(Sentence(tuple(tokens)))
+    check = ColumnCheck()
+    for first, rows in column_blocks(source):
+        fields = tuple(zip(*rows)) if set(map(len, rows)) == {columns} else ()
+        if not fields or not check.passes(*fields):
+            for i, line in enumerate(rows):  # the first fault, as a token by token read meets it
+                if len(line) != columns:
+                    raise ParseError(f"line {first + i}: expected {columns} columns, got {len(line)}")
+                try:
+                    Token(*line)
+                except ValidationError as exc:
+                    where = f"sentence {len(sentences) + 1}, token {i + 1} (line {first + i})"
+                    raise ValidationError(f"{where}: {exc}") from None
+        sentences.append(Sentence.from_checked(*fields))
     corpus = Corpus(tuple(sentences), scheme)
     if strict and columns == 3:
         validate_corpus(corpus)
@@ -338,70 +390,86 @@ def parse_conll(source, scheme: TagScheme, columns: int = 3, strict: bool = True
 
 def write_conll(corpus: Corpus) -> str:
     """Render a corpus in column format, one blank line after each sentence."""
-    parts: list[str] = []
+    lines: list[str] = []
     for sentence in corpus.sentences:
-        for t in sentence.tokens:
-            if t.chunk_tag is None:
-                parts.append(f"{t.word} {t.pos}\n")
-            else:
-                parts.append(f"{t.word} {t.pos} {t.chunk_tag}\n")
-        parts.append("\n")
-    return "".join(parts)
+        rows = zip(sentence.words, sentence.pos_tags, sentence.chunk_tags)
+        if None in sentence.chunk_tags:
+            rows = (row[:2] if row[2] is None else row for row in rows)
+        lines += map(" ".join, rows)
+        lines.append("")
+    return "\n".join([*lines, ""])
 
 
 #---------------------------------------------------------------------------
 # nested bracket files
 
+def _bracket_spans(
+    rows: list[list[str]], first: int, number: int, checked: bool, parsed: dict, pool: dict
+) -> list[ChunkSpan]:
+    """The spans of sentence ``number``, read line by line.
+
+    Raises the first fault that a token by token read meets, a bad word or
+    pos tag included unless they are ``checked`` already.  ``parsed`` holds
+    each distinct bracket field's opener labels and closer count, and
+    ``pool`` each distinct span, for one read.
+    """
+    spans: list[ChunkSpan] = []
+    stack: list[tuple[str, int]] = []
+    for i, fields in enumerate(rows):
+        line = first + i
+        if len(fields) != 3:
+            raise ParseError(f"line {line}: expected 3 columns, got {len(fields)}")
+        if fields[2] not in parsed:
+            match = _BRACKET_RE.fullmatch(fields[2])
+            parsed[fields[2]] = match and (match[1].split("(")[1:], len(match[2]))
+        if not parsed[fields[2]]:
+            raise ParseError(f"line {line}: bad bracket field {fields[2]!r}")
+        labels, closers = parsed[fields[2]]
+        for label in labels:
+            stack.append((label, i))
+        if not checked:
+            try:
+                Token(*fields[:2])
+            except ValidationError as exc:
+                raise ValidationError(f"line {line}: {exc}") from None
+        if closers > len(stack):
+            raise ParseError(f"sentence {number} (line {line}): unmatched closer")
+        for _ in range(closers):
+            label, begin = stack.pop()
+            key = (begin, i + 1, label)
+            if key not in pool:
+                pool[key] = ChunkSpan(*key)
+            spans.append(pool[key])
+    if stack:
+        raise ParseError(f"sentence {number} (line {line}): {len(stack)} unclosed bracket(s)")
+    return spans
+
+
 def parse_nested(source) -> list[NestedSentence]:
     """Read a nested 3 column bracket file.
 
     Brackets may nest but never cross; unbalanced brackets raise a
-    ParseError naming the sentence.
+    ParseError naming the sentence.  Equal spans within one call are one
+    ChunkSpan object.
     """
     sentences: list[NestedSentence] = []
-    for block in column_blocks(source):
-        tokens: list[Token] = []
-        spans: list[ChunkSpan] = []
-        stack: list[tuple[str, int]] = []
-        for lineno, fields in block:
-            if len(fields) != 3:
-                raise ParseError(f"line {lineno}: expected 3 columns, got {len(fields)}")
-            word, pos, bracket = fields
-            match = _BRACKET_RE.fullmatch(bracket)
-            if match is None:
-                raise ParseError(f"line {lineno}: bad bracket field {bracket!r}")
-            openers, closers = match.groups()
-            index = len(tokens)
-            for label in openers.split("(")[1:]:
-                stack.append((label, index))
-            try:
-                tokens.append(Token(word, pos))
-            except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from None
-            for _ in closers:
-                if not stack:
-                    raise ParseError(f"sentence {len(sentences) + 1} (line {lineno}): unmatched closer")
-                label, begin = stack.pop()
-                spans.append(ChunkSpan(begin, index + 1, label))
-        if stack:
-            raise ParseError(
-                f"sentence {len(sentences) + 1} (line {lineno}): {len(stack)} unclosed bracket(s)"
-            )
-        sentences.append(NestedSentence(tuple(tokens), tuple(spans)))
+    check, parsed, pool = ColumnCheck(), {}, {}
+    for first, rows in column_blocks(source):
+        fields = tuple(zip(*rows)) if set(map(len, rows)) == {3} else ()
+        checked = bool(fields) and check.passes(*fields[:2])
+        spans = _bracket_spans(rows, first, len(sentences) + 1, checked, parsed, pool)
+        sentences.append(NestedSentence(Sentence.from_checked(*fields[:2]), spans))
     return sentences
 
 
 def write_nested(sentences: Iterable[NestedSentence]) -> str:
     """Render nested sentences in the 3 column bracket format."""
-    parts: list[str] = []
+    lines: list[str] = []
     for sentence in sentences:
-        openers: list[list[str]] = [[] for _ in sentence.tokens]
-        closers = [0] * len(sentence.tokens)
-        for span in sorted(sentence.spans, key=_span_sort_key):
-            openers[span.begin].append(span.label)
-            closers[span.end - 1] += 1
-        for i, token in enumerate(sentence.tokens):
-            bracket = "".join(f"({label}" for label in openers[i]) + "*" + ")" * closers[i]
-            parts.append(f"{token.word} {token.pos} {bracket}\n")
-        parts.append("\n")
-    return "".join(parts)
+        marks = ["*"] * len(sentence)
+        for span in reversed(sentence.spans):  # of the spans opening at a token, outermost first
+            marks[span.begin] = f"({span.label}{marks[span.begin]}"
+            marks[span.end - 1] += ")"
+        lines += map(" ".join, zip(sentence.words, sentence.pos_tags, marks))
+        lines.append("")
+    return "\n".join([*lines, ""])

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .corpus import (
     PLACEHOLDER_WORD,
     ChunkSpan,
+    ColumnCheck,
     Corpus,
     Sentence,
     TagScheme,
@@ -170,7 +171,7 @@ def read_table(source) -> PredictionTable:
     first = next(blocks, None)
     if first is None:
         raise ParseError("empty prediction table")
-    _, header = next(first)
+    start, (header, *rest) = first
     if header[0] == "gold":
         if len(header) < 3 or header[1] != "pos":
             raise ParseError("table header must start with 'gold pos' or 'pos'")
@@ -181,9 +182,9 @@ def read_table(source) -> PredictionTable:
     has_gold = header[0] == "gold"
     width = len(header)
     sentences: list[tuple[PredictionRow, ...]] = []
-    for block in itertools.chain([first], blocks):
+    for start, block in itertools.chain([(start + 1, rest)], blocks):
         rows: list[PredictionRow] = []
-        for lineno, fields in block:
+        for lineno, fields in enumerate(block, start):
             if len(fields) != width:
                 raise ParseError(f"line {lineno}: expected {width} columns, got {len(fields)}")
             if has_gold:
@@ -648,13 +649,16 @@ def _normalised_corpus(
             f"word corpus has {len(words.sentences)} sentences, table has {len(table.sentences)}"
         )
     sentences = []
+    check = ColumnCheck()
     for si, (rows, spans) in enumerate(zip(table.sentences, spans_per_sentence)):
-        clean = tags_from_chunks(len(rows), spans, TagScheme.IOB2)
+        clean = tuple(tags_from_chunks(len(rows), spans, TagScheme.IOB2))
         word_list = (PLACEHOLDER_WORD,) * len(rows) if words is None else words.sentences[si].words
         if len(word_list) != len(rows):
             raise AlignmentError(f"sentence {si + 1}: word count differs from table")
-        tokens = tuple(Token(word, row.pos, tag) for word, row, tag in zip(word_list, rows, clean))
-        sentences.append(Sentence(tokens))
+        pos_tags = tuple(row.pos for row in rows)
+        if not check.passes(word_list, pos_tags, clean):
+            tuple(map(Token, word_list, pos_tags, clean))  # raises for the first bad token
+        sentences.append(Sentence.from_checked(word_list, pos_tags, clean))
     return Corpus(tuple(sentences), TagScheme.IOB2)
 
 

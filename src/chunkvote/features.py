@@ -115,9 +115,11 @@ def window_vectors(
     left = max(config.left_words, config.left_pos)
     right = max(config.right_words, config.right_pos)
     first, last = max(0, start - left), min(len(sentence), stop + right)
-    cut = sentence.tokens[first:last]
     head, tail = [PAD] * (first - start + left), [PAD] * (stop + right - last)
-    padded = {"w": head + [t.word for t in cut] + tail, "p": head + [t.pos for t in cut] + tail}
+    padded = {
+        "w": [*head, *sentence.words[first:last], *tail],
+        "p": [*head, *sentence.pos_tags[first:last], *tail],
+    }
     columns = [padded[source][left + off:left + off + size] for source, off in plain if source != "t"]
     rows = list(zip(*columns)) if columns else [()] * size
     k = config.left_chunk_tags

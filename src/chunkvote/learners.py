@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .corpus import Corpus, Sentence, TagScheme, Token
+from .corpus import Corpus, Sentence, TagScheme, with_tags
 from .errors import ConfigError, TrainingError, ValidationError
 from .features import (
     Dataset,
@@ -75,13 +75,8 @@ def io_corpus(corpus: Corpus) -> Corpus:
     The result is a legal IOB1 corpus; adjacent chunks of the same type
     become indistinguishable, which is the price of the two-tag encoding.
     """
-    sentences = []
-    for sentence in corpus.sentences:
-        tokens = tuple(
-            Token(t.word, t.pos, t.chunk_tag and t.chunk_tag.replace("B-", "I-", 1))
-            for t in sentence.tokens
-        )
-        sentences.append(Sentence(tokens))
+    sentences = (with_tags(s, [t and t.replace("B-", "I-", 1) for t in s.chunk_tags])
+                 for s in corpus.sentences)
     return Corpus(tuple(sentences), TagScheme.IOB1)
 
 

@@ -114,9 +114,10 @@ def _aligned(gold: Sequence, pred: Sequence):
     for si, (gs, ps) in enumerate(zip(gold, pred), start=1):
         if len(gs) != len(ps):
             raise AlignmentError(f"sentence {si}: {len(gs)} gold tokens vs {len(ps)} predicted")
-        for ti, (gt, pt) in enumerate(zip(gs.tokens, ps.tokens), start=1):
-            if gt.word != pt.word and PLACEHOLDER_WORD not in (gt.word, pt.word):
-                raise AlignmentError(f"sentence {si}, token {ti}: word {gt.word!r} vs {pt.word!r}")
+        if gs.words != ps.words:
+            for ti, (gw, pw) in enumerate(zip(gs.words, ps.words), start=1):
+                if gw != pw and PLACEHOLDER_WORD not in (gw, pw):
+                    raise AlignmentError(f"sentence {si}, token {ti}: word {gw!r} vs {pw!r}")
         yield si, gs, ps
 
 

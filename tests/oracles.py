@@ -9,9 +9,19 @@ compare results exactly.
 """
 
 import math
+import re
 from collections import Counter
 
-from chunkvote import ChunkSpan
+from chunkvote import (
+    ChunkSpan,
+    Corpus,
+    NestedSentence,
+    ParseError,
+    Sentence,
+    Token,
+    ValidationError,
+    validate_corpus,
+)
 
 
 def oracle_chunks(tags):
@@ -322,3 +332,128 @@ def oracle_features(sentence, index, slot_names, tags):
         return column[position] if 0 <= position < len(column) else "__PAD__"
 
     return tuple(value(name) for name in slot_names)
+
+
+def _oracle_blocks(source):
+    """Each sentence's (line number, fields) pairs; a line of no fields ends one."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    block = []
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split()
+        if fields:
+            block.append((lineno, fields))
+        elif block:
+            yield block
+            block = []
+    if block:
+        yield block
+
+
+def oracle_parse_conll(source, scheme, columns=3, strict=True):
+    """A chunk file read token by token: one Token per line, checked as built."""
+    if columns not in (2, 3):
+        raise ValidationError(f"columns must be 2 or 3, got {columns}")
+    sentences = []
+    for block in _oracle_blocks(source):
+        tokens = []
+        for lineno, fields in block:
+            if len(fields) != columns:
+                raise ParseError(f"line {lineno}: expected {columns} columns, got {len(fields)}")
+            try:
+                tokens.append(Token(*fields))
+            except ValidationError as exc:
+                raise ValidationError(
+                    f"sentence {len(sentences) + 1}, token {len(tokens) + 1} (line {lineno}): {exc}"
+                ) from None
+        sentences.append(Sentence(tuple(tokens)))
+    corpus = Corpus(tuple(sentences), scheme)
+    if strict and columns == 3:
+        validate_corpus(corpus)
+    return corpus
+
+
+_ORACLE_BRACKET = re.compile(r"((?:\([A-Za-z0-9]+)*)\*(\)*)")
+
+
+def oracle_parse_nested(source):
+    """A bracket file read token by token, a stack of open brackets per sentence."""
+    sentences = []
+    for block in _oracle_blocks(source):
+        tokens, spans, stack = [], [], []
+        for lineno, fields in block:
+            if len(fields) != 3:
+                raise ParseError(f"line {lineno}: expected 3 columns, got {len(fields)}")
+            word, pos, bracket = fields
+            match = _ORACLE_BRACKET.fullmatch(bracket)
+            if match is None:
+                raise ParseError(f"line {lineno}: bad bracket field {bracket!r}")
+            openers, closers = match.groups()
+            index = len(tokens)
+            for label in openers.split("(")[1:]:
+                stack.append((label, index))
+            try:
+                tokens.append(Token(word, pos))
+            except ValidationError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from None
+            for _ in closers:
+                if not stack:
+                    raise ParseError(f"sentence {len(sentences) + 1} (line {lineno}): unmatched closer")
+                label, begin = stack.pop()
+                spans.append(ChunkSpan(begin, index + 1, label))
+        if stack:
+            raise ParseError(
+                f"sentence {len(sentences) + 1} (line {lineno}): {len(stack)} unclosed bracket(s)"
+            )
+        sentences.append(NestedSentence(tuple(tokens), tuple(spans)))
+    return sentences
+
+
+def oracle_innermost_level(remaining):
+    """The deepest spans by comparing every pair, one per distinct range.
+
+    A span qualifies when no other span lies strictly inside it; of the
+    spans sharing a range the one with the largest label comes out.
+    Returned in order of their begins.
+    """
+
+    def strictly_inside(inner, outer):
+        return (
+            outer.begin <= inner.begin
+            and inner.end <= outer.end
+            and (inner.begin, inner.end) != (outer.begin, outer.end)
+        )
+
+    leaves = [span for span in remaining if not any(strictly_inside(o, span) for o in remaining)]
+    by_range = {}
+    for span in leaves:
+        key = (span.begin, span.end)
+        if key not in by_range or span.label > by_range[key].label:
+            by_range[key] = span
+    return sorted(by_range.values(), key=lambda s: s.begin)
+
+
+def oracle_write_conll(corpus):
+    """A chunk file written token by token."""
+    parts = []
+    for sentence in corpus.sentences:
+        for t in sentence.tokens:
+            tag = "" if t.chunk_tag is None else f" {t.chunk_tag}"
+            parts.append(f"{t.word} {t.pos}{tag}\n")
+        parts.append("\n")
+    return "".join(parts)
+
+
+def oracle_write_nested(sentences):
+    """A bracket file written token by token, openers outermost first."""
+    parts = []
+    for sentence in sentences:
+        openers = [[] for _ in sentence.tokens]
+        closers = [0] * len(sentence.tokens)
+        for span in sorted(sentence.spans, key=lambda s: (s.begin, -s.end, s.label)):
+            openers[span.begin].append(span.label)
+            closers[span.end - 1] += 1
+        for i, token in enumerate(sentence.tokens):
+            bracket = "".join(f"({label}" for label in openers[i]) + "*" + ")" * closers[i]
+            parts.append(f"{token.word} {token.pos} {bracket}\n")
+        parts.append("\n")
+    return "".join(parts)

@@ -10,6 +10,7 @@ from chunkvote import (
     NestedSentence,
     Sentence,
     TagScheme,
+    Token,
     ValidationError,
     cascade_bracket,
     cascade_training_corpus,
@@ -25,11 +26,13 @@ from chunkvote import (
     translate_span,
     write_nested,
 )
-from chunkvote.cascade import HEAD_CHOICES, translate_local
+from chunkvote.cascade import HEAD_CHOICES, _innermost_level, translate_local
 from chunkvote.cli import main
+from chunkvote.corpus import _span_sort_key
 
 import datagen
-from conftest import make_untagged
+from conftest import make_sentence, make_untagged
+from oracles import oracle_innermost_level
 
 
 def span(begin, end, label="NP"):
@@ -340,11 +343,36 @@ class TestTokenReuse:
             collapsed, _ = collapse(sentence, datagen.random_spans(r, len(sentence)), head)
             assert set(collapsed.chunk_tags) == {None}
 
-    def test_untagged_tokens_are_passed_on(self):
-        stripped = strip_tags(FIVE)
-        assert all(a is b for a, b in zip(stripped.tokens, FIVE.tokens))
-        collapsed, _ = collapse(FIVE, [span(0, 3), span(3, 4)])
-        assert [t is u for t, u in zip(collapsed.tokens, FIVE.tokens[2:])] == [True] * 3
+    def test_strip_and_collapse_build_no_tokens(self, monkeypatch):
+        tagged = make_sentence([("the", "DT", "B-NP"), ("dog", "NN", "I-NP"), ("sat", "VBD", "O")])
+
+        def built(token):
+            raise AssertionError(f"built {token}")
+
+        monkeypatch.setattr(Token, "__post_init__", built)
+        stripped = strip_tags(tagged)
+        collapsed, _ = collapse(tagged, [span(0, 2)])
+        assert (stripped.words, stripped.chunk_tags) == (tagged.words, (None,) * 3)
+        assert (collapsed.words, collapsed.pos_tags) == (("dog", "sat"), ("NN", "VBD"))
+
+
+class TestInnermostLevel:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_pairwise_rule_level_by_level(self, seed):
+        r = datagen.rng(33_000 + seed)
+        spans = datagen.random_nested_spans(r, r.randint(1, 14), types=("NP", "PP"))
+        # repeated-range chains, some with repeated labels
+        spans += [span(s.begin, s.end, r.choice(("NP", "PP", s.label))) for s in spans if r.random() < 0.4]
+        old = list(spans)
+        new = sorted(spans, key=_span_sort_key)
+        while old:
+            want = oracle_innermost_level(old)
+            taken = _innermost_level(new)
+            assert [new[i] for i in taken] == want
+            for s in want:
+                old.remove(s)
+            new = [s for i, s in enumerate(new) if i not in set(taken)]
+        assert new == []
 
 
 def pinned_treebank(seed, size):

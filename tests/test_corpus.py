@@ -5,6 +5,7 @@ import pytest
 from chunkvote import (
     PLACEHOLDER_WORD,
     ChunkSpan,
+    ChunkvoteError,
     Corpus,
     NestedSentence,
     ParseError,
@@ -32,7 +33,14 @@ from chunkvote.corpus import column_blocks
 from chunkvote.learners import IGTreeNode
 
 import datagen
-from oracles import oracle_chunks, oracle_properly_nested
+from oracles import (
+    oracle_chunks,
+    oracle_parse_conll,
+    oracle_parse_nested,
+    oracle_properly_nested,
+    oracle_write_conll,
+    oracle_write_nested,
+)
 
 
 def spans(*triples):
@@ -407,6 +415,134 @@ class TestNestedFiles:
             NestedSentence((Token("a", "DT", "O"),), ())
 
 
+class TestColumnRecords:
+    TEXT = "the DT B-NP\ndog NN I-NP\n\nsat VBD O\n"
+
+    def test_a_sentence_rebuilt_from_its_tokens_is_equal(self, tiny_corpus):
+        for sentence in tiny_corpus.sentences:
+            assert sentence.tokens is sentence.tokens
+            assert Sentence(sentence.tokens) == sentence
+            assert hash(Sentence(sentence.tokens)) == hash(sentence)
+
+    def test_built_and_parsed_records_compare_and_hash_equal(self):
+        built = Sentence((Token("the", "DT", "B-NP"), Token("dog", "NN", "I-NP")))
+        parsed = parse_conll(self.TEXT, TagScheme.IOB2).sentences[0]
+        assert parsed == built and hash(parsed) == hash(built)
+        assert parsed.tokens == built.tokens
+        assert parsed != strip_tags(built)
+        tokens = (Token("big", "JJ"), Token("dogs", "NNS"))
+        built = NestedSentence(tokens, spans((0, 2, "NP"), (1, 2, "NP")))
+        (parsed,) = parse_nested("big JJ (NP*\ndogs NNS (NP*))\n")
+        assert parsed == built and hash(parsed) == hash(built)
+        assert parsed.tokens == built.tokens == tokens
+        assert parsed.tokens is parsed.tokens
+        assert parsed.to_sentence() == Sentence(tokens)
+
+
+def _outcome(read, *args):
+    """What a reader gives: its records, or its error's class and message."""
+    try:
+        return read(*args)
+    except ChunkvoteError as exc:
+        return type(exc), str(exc)
+
+
+def _damaged(r, text, values):
+    """``text`` after up to three random edits, or a line of blanks put in."""
+    for _ in range(r.randint(0, 3)):
+        text = datagen.mutate(r, text, values)
+    if r.random() < 0.2:
+        lines = text.splitlines()
+        lines.insert(r.randrange(len(lines) + 1), r.choice((" ", "\t", " \t ")))
+        text = "\n".join(lines) + "\n"
+    return text
+
+
+class TestReadersMatchTheTokenReaders:
+    """The column readers against the token-by-token ones of ``oracles``,
+    on seeded files, valid and damaged."""
+
+    CHUNK_VALUES = ("X-NP", "B-", "B-O", "I-O", "O", "B-NP", "I-VP", "__PAD__", "NN", "_", "a|b")
+    BRACKET_VALUES = ("(NP*", "*)", "*))", "(NP(PP*", "(O*)", "*", "(NP", ")*", "__PAD__", "B-NP")
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_chunk_files(self, seed):
+        r = datagen.rng(35_000 + seed)
+        corpus = Corpus(
+            [datagen.random_sentence(r, r.randint(1, 8), scheme=TagScheme.IOB1) for _ in range(4)],
+            TagScheme.IOB1,
+        )
+        text = write_conll(corpus)
+        for _ in range(6):
+            damaged = _damaged(r, text, self.CHUNK_VALUES)
+            for args in ((TagScheme.IOB1,), (TagScheme.IOB2, 3, False), (TagScheme.IOB1, 2)):
+                got = _outcome(parse_conll, damaged, *args)
+                assert got == _outcome(oracle_parse_conll, damaged, *args)
+                if isinstance(got, Corpus):
+                    want = oracle_parse_conll(damaged, *args)
+                    assert [s.tokens for s in got.sentences] == [s.tokens for s in want.sentences]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bracket_files(self, seed):
+        r = datagen.rng(36_000 + seed)
+        batch = [datagen.random_nested_sentence(r, r.randint(1, 8), types=("NP", "PP")) for _ in range(4)]
+        text = write_nested(batch)
+        for _ in range(6):
+            damaged = _damaged(r, text, self.BRACKET_VALUES)
+            got = _outcome(parse_nested, damaged)
+            assert got == _outcome(oracle_parse_nested, damaged)
+            if isinstance(got, list):
+                assert [s.tokens for s in got] == [s.tokens for s in oracle_parse_nested(damaged)]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_writers(self, seed):
+        r = datagen.rng(37_000 + seed)
+        sentences = [datagen.random_sentence(r, r.randint(1, 8)) for _ in range(5)]
+        # untagged and partly tagged sentences take two column rows
+        sentences += [Sentence(Token(t.word, t.pos, r.choice((None, t.chunk_tag))) for t in s.tokens)
+                      for s in sentences]
+        corpus = Corpus(sentences, TagScheme.IOB2)
+        assert write_conll(corpus) == oracle_write_conll(corpus)
+        nested = [datagen.random_nested_sentence(r, r.randint(1, 8), types=("NP", "PP")) for _ in range(5)]
+        nested = [NestedSentence(s.tokens, [*s.spans, *(ChunkSpan(x.begin, x.end, r.choice(("NP", "PP")))
+                                                       for x in s.spans if r.random() < 0.4)])
+                  for s in nested]
+        assert write_nested(nested) == oracle_write_nested(nested)
+
+    @pytest.mark.parametrize("text, error", [
+        ("a DT B-NP\nb NN Q-NP\nc NN X\n", "bad chunk tag 'Q-NP'"),
+        ("a DT B-NP\nb NN B-O\n", "chunk type O is reserved"),
+        ("a DT O\n__PAD__ NN O\n", "reserved for padding"),
+        ("a DT O\nb __PAD__ O\n", "reserved for padding"),
+        ("a DT O\nb NN Q-NP\nc NN\n", "bad chunk tag 'Q-NP'"),
+        ("a DT O\nb NN\nc NN Q-NP\n", "expected 3 columns"),
+        ("a DT O\n  \nb NN I-NP\n", None),
+    ])
+    def test_chunk_file_faults(self, text, error):
+        got = _outcome(parse_conll, text, TagScheme.IOB1)
+        assert got == _outcome(oracle_parse_conll, text, TagScheme.IOB1)
+        assert (error is None) == isinstance(got, Corpus)
+        assert error is None or error in got[1]
+        two = (TagScheme.IOB1, 2)
+        assert _outcome(parse_conll, text, *two) == _outcome(oracle_parse_conll, text, *two)
+
+    @pytest.mark.parametrize("text, error", [
+        ("a DT (NP*\nb NN *\n", "1 unclosed bracket"),
+        ("a DT (NP*)\nb NN *))\n", "unmatched closer"),
+        ("a DT (NP*\nb NN (PP*\nc NN *)\nd NN *)\n", None),
+        ("a DT (NP*\nb NN (PP*)\nc NN *)\nd NN *)\n", "unmatched closer"),
+        ("a DT (NP*\n__PAD__ NN *)\n", "reserved for padding"),
+        ("a DT (NP*\nb NN *) x\n", "expected 3 columns"),
+        ("a DT (NP*\nb NN )*\n", "bad bracket field"),
+        ("a DT (NP*\n \t \nb NN *)\n", "1 unclosed bracket"),
+    ])
+    def test_bracket_file_faults(self, text, error):
+        got = _outcome(parse_nested, text)
+        assert got == _outcome(oracle_parse_nested, text)
+        assert (error is None) == isinstance(got, list)
+        assert error is None or error in got[1]
+
+
 # The three column file readers, each with a two-sentence text that has a
 # wrong column count on line 4 (the table's header is line 1).
 READERS = {
@@ -420,9 +556,7 @@ READERS = {
 class TestColumnBlocks:
     def test_yields_numbered_fields_per_sentence(self):
         text = "\n\na DT\nb NN\n\n\nc VB\n"
-        assert [list(block) for block in column_blocks(text)] == [
-            [(3, ["a", "DT"]), (4, ["b", "NN"])], [(7, ["c", "VB"])],
-        ]
+        assert list(column_blocks(text)) == [(3, [["a", "DT"], ["b", "NN"]]), (7, [["c", "VB"]])]
         assert list(column_blocks("")) == []
 
     @pytest.mark.parametrize("blank", [" ", "\t", " \t  "])
@@ -473,7 +607,7 @@ class TestColumnBlocks:
 # One instance of each per-token, per-row or per-node record, and a field.
 RECORDS = {
     "Token": (Token("dog", "NN", "B-NP"), "word"),
-    "Sentence": (Sentence((Token("dog", "NN"),)), "tokens"),
+    "Sentence": (Sentence((Token("dog", "NN"),)), "words"),
     "Corpus": (Corpus((), TagScheme.IOB2), "scheme"),
     "ChunkSpan": (ChunkSpan(0, 1, "NP"), "label"),
     "NestedSentence": (NestedSentence((Token("dog", "NN"),), spans((0, 1, "NP"))), "spans"),
