@@ -15,13 +15,15 @@ import argparse
 import dataclasses
 import functools
 import sys
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .cascade import HEAD_CHOICES, cascade_bracket, cascade_training_corpus
 from .corpus import (
     Corpus,
     TagScheme,
+    check_system_name,
     convert_scheme,
     parse_conll,
     parse_nested,
@@ -29,34 +31,16 @@ from .corpus import (
     write_conll,
     write_nested,
 )
-from .ensemble import (
-    VOTING_METHODS,
-    best_n_select,
-    combine_corpus,
-    cv_tuning_table,
-    estimate_weights,
-    evaluate_subset,
-    read_table,
-    read_weights,
-    stacked_corpus,
-    stacked_train,
-    write_table,
-    write_weights,
-)
 from .errors import ChunkvoteError, ConfigError
-from .learners import (
-    LEARNER_KINDS,
-    WEIGHTINGS,
-    LearnerSpec,
-    check_system_name,
-    tag_sentence,
-    train_baseline,
-)
-from .metrics import format_report, format_report_kv, score_nested, score_tagged
-from .model_io import dumps_model, loads_model
+
+if TYPE_CHECKING:
+    from .learners import LearnerSpec
+
+# Each handler imports what it calls, and each subcommand declares its
+# flags when it first parses, so that a call loads only the modules its
+# subcommand runs.
 
 STACKED_METHODS = ("stacked-knn", "stacked-knn-pos", "stacked-igtree", "stacked-igtree-pos")
-COMBINE_METHODS = VOTING_METHODS + STACKED_METHODS
 
 SCHEMES = ("iob1", "iob2")
 
@@ -66,6 +50,17 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise UsageError; a subcommand's parser
+    calls ``declare`` on itself before it first parses."""
+
+    declare = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.declare is not None:
+            declare, self.declare = self.declare, None
+            declare(self)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -109,15 +104,31 @@ def _conv_bool(value: str) -> bool:
     raise ConfigError(f"expected true or false, got {value!r}")
 
 
-def _conv_choice(*options, conv=str):
-    def convert(value: str):
-        result = conv(value)
-        if result not in options:
-            raise ConfigError(f"expected one of {options}, got {value!r}")
+class _Choice:
+    """Converter to one of the values ``options()`` returns.
+
+    ``options`` is called when a value is converted or help is printed,
+    not when the flag is declared, so a flag can offer choices that another
+    module declares without loading it.  ``str()`` gives the flag's metavar.
+    """
+
+    def __init__(self, options, conv=str):
+        self.options = options
+        self.conv = conv
+
+    def __call__(self, value: str):
+        result = self.conv(value)
+        if result not in self.options():
+            raise ConfigError(f"expected one of {self.options()}, got {value!r}")
         return result
 
-    convert.metavar = "{" + ",".join(map(str, options)) + "}"
-    return convert
+    def __str__(self) -> str:
+        return "{" + ",".join(map(str, self.options())) + "}"
+
+
+def _declared(module: str, name: str):
+    """``chunkvote.<module>.<name>``, loading the module if need be."""
+    return getattr(import_module(f".{module}", __package__), name)
 
 
 def _flag_type(conv):
@@ -139,8 +150,9 @@ def _setting(sub, *flags, conv, default=None, help, **kwargs) -> None:
         kwargs["action"] = argparse.BooleanOptionalAction
     else:
         kwargs["type"] = _flag_type(conv)
-        kwargs.setdefault("metavar", getattr(conv, "metavar", None))
     action = sub.add_argument(*flags, default=argparse.SUPPRESS, help=help, **kwargs)
+    if isinstance(conv, _Choice):
+        action.metavar = conv  # set after add_argument, which would format it
     sub.get_default("_settings")[action.dest] = (conv, default)
 
 
@@ -208,13 +220,16 @@ _LEARNER_OPTIONS = {
     "sigma": ("sigma", _conv_opt_float, "gaussian smoothing width, or none (the default)"),
     "cutoff": ("cutoff", _conv_int, "drop features seen fewer times"),
     "threshold": ("threshold", _conv_float, "rule accuracy target"),
-    "weighting": ("weighting", _conv_choice(*WEIGHTINGS), "feature weighting"),
+    "weighting": (
+        "weighting", _Choice(lambda: _declared("learners", "WEIGHTINGS")), "feature weighting",
+    ),
     "io": ("io_encoding", _conv_bool, "train on tags with the B/I distinction removed"),
 }
-_SPEC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(LearnerSpec)}
 
 
 def _learner_spec(name: str, learner: str, options: dict) -> LearnerSpec:
+    from .learners import LearnerSpec
+
     try:
         return LearnerSpec(name=name, learner=learner, **options)
     except ConfigError as exc:
@@ -246,6 +261,8 @@ def _parse_system(text: str) -> LearnerSpec:
 def _cmd_convert(args) -> None:
     text = _read_text(args.input)
     if args.nested_to_levels:
+        from .cascade import cascade_training_corpus
+
         corpus = cascade_training_corpus(parse_nested(text), head=args.head)
         _write_text(args.output, write_conll(corpus))
         return
@@ -265,6 +282,8 @@ def _cmd_convert(args) -> None:
 
 
 def _cmd_baseline(args) -> None:
+    from .learners import train_baseline
+
     train = _read_corpus(args.train, args.scheme, 3, strict=True)
     test = _read_corpus(args.test, args.scheme, args.columns, strict=False)
     model = train_baseline(train, io_encoding=args.io_encoding)
@@ -272,6 +291,8 @@ def _cmd_baseline(args) -> None:
 
 
 def _cmd_train(args) -> None:
+    from .model_io import dumps_model
+
     if args.learner is None:
         raise UsageError("--learner is required")
     options = {field: getattr(args, field) for field, _, _ in _LEARNER_OPTIONS.values()}
@@ -281,6 +302,8 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_tag(args) -> None:
+    from .model_io import loads_model
+
     model = loads_model(_read_text(args.model))
     corpus = _read_corpus(args.input, "iob2", args.columns, strict=False)
     _write_tagged(args.output, model, corpus)
@@ -288,11 +311,15 @@ def _cmd_tag(args) -> None:
 
 def _write_tagged(path, model, corpus: Corpus) -> None:
     """Tag every sentence of ``corpus``, replacing any tags it has."""
+    from .learners import tag_sentence
+
     sentences = tuple(with_tags(s, tag_sentence(model, s)) for s in corpus.sentences)
     _write_text(path, write_conll(Corpus(sentences, corpus.scheme)))
 
 
 def _cmd_eval(args) -> None:
+    from .metrics import format_report, format_report_kv, score_nested, score_tagged
+
     if args.nested:
         gold = parse_nested(_read_text(args.gold))
         pred = parse_nested(_read_text(args.pred))
@@ -305,6 +332,8 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_cv_tune(args) -> None:
+    from .ensemble import cv_tuning_table, write_table
+
     if not args.system:
         raise UsageError("at least one --system NAME=LEARNER is required")
     specs = [_parse_system(text) for text in args.system]
@@ -314,11 +343,17 @@ def _cmd_cv_tune(args) -> None:
 
 
 def _cmd_weights(args) -> None:
+    from .ensemble import estimate_weights, read_table, write_weights
+
     table = read_table(_read_text(args.table))
     _write_text(args.output, write_weights(estimate_weights(table)))
 
 
 def _cmd_combine(args) -> None:
+    from .ensemble import (
+        combine_corpus, estimate_weights, read_table, read_weights, stacked_corpus, stacked_train,
+    )
+
     table = read_table(_read_text(args.table))
     if args.weights is not None and args.tuning is not None:
         raise UsageError("pass --weights or --tuning, not both")
@@ -356,6 +391,8 @@ def _cmd_combine(args) -> None:
 
 
 def _cmd_best_n(args) -> None:
+    from .ensemble import best_n_select, evaluate_subset, read_table
+
     if args.n is None:
         raise UsageError("-n is required")
     table = read_table(_read_text(args.table))
@@ -365,6 +402,10 @@ def _cmd_best_n(args) -> None:
 
 
 def _cmd_cascade(args) -> None:
+    from .cascade import cascade_bracket
+    from .learners import tag_sentence
+    from .model_io import loads_model
+
     tagger = functools.partial(tag_sentence, loads_model(_read_text(args.model)))
     corpus = _read_corpus(args.input, "iob1", args.columns, strict=False)
     nested = [
@@ -375,6 +416,8 @@ def _cmd_cascade(args) -> None:
 
 
 def _cmd_report(args) -> None:
+    from .metrics import score_tagged
+
     if not args.pred:
         raise UsageError("at least one --pred NAME=PATH is required")
     preds = [_parse_pred(text) for text in args.pred]
@@ -409,32 +452,43 @@ def _cmd_report(args) -> None:
 
 #---------------------------------------------------------------------------
 # parser assembly
+#
+# ``_command`` registers a subcommand by decorating the function that
+# declares its settings; the parser adds the subcommand's positional
+# arguments, ``--config``, ``-o`` and those settings when it first parses.
 
-def _command(commands, name: str, handler, help: str, **positionals):
-    """Add subcommand ``name`` with its positional arguments, ``--config``
-    and ``-o``; return its parser for ``_setting``."""
-    sub = commands.add_parser(name, help=help)
+_COMMANDS: dict[str, tuple] = {}
+
+
+def _command(name: str, handler, help: str, **positionals):
+    def register(declare):
+        _COMMANDS[name] = (handler, help, positionals, declare)
+        return declare
+
+    return register
+
+
+def _declare(positionals: dict, declare, sub) -> None:
     for dest, text in positionals.items():
         sub.add_argument(dest, help=text)
-    sub.set_defaults(_handler=handler, _settings={})
     sub.add_argument("--config", default=None, help="flat key = value settings file")
     _setting(sub, "-o", "--output", conv=str, metavar="PATH", help="output file (default: stdout)")
-    return sub
+    declare(sub)
 
 
 def _scheme(sub) -> None:
-    _setting(sub, "--scheme", conv=_conv_choice(*SCHEMES), default="iob2",
+    _setting(sub, "--scheme", conv=_Choice(lambda: SCHEMES), default="iob2",
              help="tag scheme of the corpus files")
 
 
 def _columns(sub, flag: str, what: str) -> None:
-    _setting(sub, flag, conv=_conv_choice(2, 3, conv=_conv_int), default=3,
+    _setting(sub, flag, conv=_Choice(lambda: (2, 3), conv=_conv_int), default=3,
              help=f"columns in the {what} file")
 
 
 def _head(sub) -> None:
-    _setting(sub, "--head", conv=_conv_choice(*HEAD_CHOICES), default="last",
-             help="token that stands in for a collapsed chunk")
+    _setting(sub, "--head", conv=_Choice(lambda: _declared("cascade", "HEAD_CHOICES")),
+             default="last", help="token that stands in for a collapsed chunk")
 
 
 def _beta(sub) -> None:
@@ -443,53 +497,61 @@ def _beta(sub) -> None:
 
 
 def _learner_option(sub, key: str) -> None:
+    from .learners import LearnerSpec
+
     field, conv, help = _LEARNER_OPTIONS[key]
-    _setting(sub, "--" + field.replace("_", "-"), conv=conv, default=_SPEC_DEFAULTS[field],
-             help=help)
+    default = {f.name: f.default for f in dataclasses.fields(LearnerSpec)}[field]
+    _setting(sub, "--" + field.replace("_", "-"), conv=conv, default=default, help=help)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="chunkvote", description="shallow parsing by system combination")
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sub = _command(commands, "convert", _cmd_convert, "convert tag schemes or flatten nested files",
-                   input="3 column chunk file, or a nested bracket file")
-    _setting(sub, "--from", dest="from_scheme", conv=_conv_choice(*SCHEMES),
+@_command("convert", _cmd_convert, "convert tag schemes or flatten nested files",
+          input="3 column chunk file, or a nested bracket file")
+def _convert_settings(sub) -> None:
+    _setting(sub, "--from", dest="from_scheme", conv=_Choice(lambda: SCHEMES),
              help="scheme of the input")
-    _setting(sub, "--to", dest="to_scheme", conv=_conv_choice(*SCHEMES),
+    _setting(sub, "--to", dest="to_scheme", conv=_Choice(lambda: SCHEMES),
              help="scheme of the output")
     _setting(sub, "--nested-to-levels", conv=_conv_bool, default=False,
              help="read a nested bracket file, write per level training sentences")
     _head(sub)
 
-    sub = _command(commands, "baseline", _cmd_baseline,
-                   "tag a file with the per pos-tag majority chunk tag",
-                   train="3 column training file", test="file to tag")
+
+@_command("baseline", _cmd_baseline, "tag a file with the per pos-tag majority chunk tag",
+          train="3 column training file", test="file to tag")
+def _baseline_settings(sub) -> None:
     _scheme(sub)
     _columns(sub, "--columns", "test")
     _learner_option(sub, "io")
 
-    sub = _command(commands, "train", _cmd_train, "train a chunker and save the model",
-                   train="3 column training file")
+
+@_command("train", _cmd_train, "train a chunker and save the model",
+          train="3 column training file")
+def _train_settings(sub) -> None:
     _scheme(sub)
-    _setting(sub, "--learner", conv=_conv_choice(*LEARNER_KINDS), help="learner kind")
+    _setting(sub, "--learner", conv=_Choice(lambda: _declared("learners", "LEARNER_KINDS")),
+             help="learner kind")
     for key in _LEARNER_OPTIONS:
         _learner_option(sub, key)
 
-    sub = _command(commands, "tag", _cmd_tag, "tag a file with a saved model",
-                   model="model file written by train", input="file to tag")
+
+@_command("tag", _cmd_tag, "tag a file with a saved model",
+          model="model file written by train", input="file to tag")
+def _tag_settings(sub) -> None:
     _columns(sub, "--columns", "input")
 
-    sub = _command(commands, "eval", _cmd_eval, "score predictions against gold chunks",
-                   gold="gold standard file", pred="prediction file")
+
+@_command("eval", _cmd_eval, "score predictions against gold chunks",
+          gold="gold standard file", pred="prediction file")
+def _eval_settings(sub) -> None:
     _beta(sub)
     _setting(sub, "--kv", conv=_conv_bool, default=False, help="machine readable key=value output")
     _setting(sub, "--nested", conv=_conv_bool, default=False,
              help="score nested bracket files instead of chunk tags")
 
-    sub = _command(commands, "cv-tune", _cmd_cv_tune, "build a tuning table by cross validation",
-                   train="3 column training file")
+
+@_command("cv-tune", _cmd_cv_tune, "build a tuning table by cross validation",
+          train="3 column training file")
+def _cv_tune_settings(sub) -> None:
     sub.add_argument(
         "--system", action="append", metavar="NAME=LEARNER[,key=value,...]",
         help="a system to train; repeat for several",
@@ -497,13 +559,18 @@ def build_parser() -> argparse.ArgumentParser:
     _scheme(sub)
     _setting(sub, "--folds", conv=_conv_int, default=10, help="cross validation folds")
 
-    _command(commands, "weights", _cmd_weights, "estimate combiner weights from a tuning table",
-             table="prediction table with gold tags")
 
-    sub = _command(commands, "combine", _cmd_combine, "combine the systems of a prediction table",
-                   table="prediction table to combine")
-    _setting(sub, "--method", conv=_conv_choice(*COMBINE_METHODS), default="majority",
-             help="combination method")
+@_command("weights", _cmd_weights, "estimate combiner weights from a tuning table",
+          table="prediction table with gold tags")
+def _weights_settings(sub) -> None:
+    pass
+
+
+@_command("combine", _cmd_combine, "combine the systems of a prediction table",
+          table="prediction table to combine")
+def _combine_settings(sub) -> None:
+    methods = _Choice(lambda: _declared("ensemble", "VOTING_METHODS") + STACKED_METHODS)
+    _setting(sub, "--method", conv=methods, default="majority", help="combination method")
     _setting(sub, "--weights", conv=str, metavar="PATH", help="combiner weights file")
     _setting(sub, "--tuning", conv=str, metavar="PATH",
              help="tuning table to estimate weights or train stacking on")
@@ -513,19 +580,24 @@ def build_parser() -> argparse.ArgumentParser:
              help="corpus supplying the words of the output")
     _columns(sub, "--words-columns", "words")
 
-    sub = _command(commands, "best-n", _cmd_best_n, "pick the best majority voting subset",
-                   table="prediction table with gold tags")
+
+@_command("best-n", _cmd_best_n, "pick the best majority voting subset",
+          table="prediction table with gold tags")
+def _best_n_settings(sub) -> None:
     _setting(sub, "-n", conv=_conv_int, help="subset size")
 
-    sub = _command(commands, "cascade", _cmd_cascade,
-                   "parse nested chunks bottom-up with a flat model",
-                   model="model file written by train", input="file to parse")
+
+@_command("cascade", _cmd_cascade, "parse nested chunks bottom-up with a flat model",
+          model="model file written by train", input="file to parse")
+def _cascade_settings(sub) -> None:
     _columns(sub, "--columns", "input")
     _setting(sub, "--max-depth", conv=_conv_int, default=5, help="nesting levels to try")
     _head(sub)
 
-    sub = _command(commands, "report", _cmd_report,
-                   "tabulate the scores of several prediction files", gold="gold standard file")
+
+@_command("report", _cmd_report, "tabulate the scores of several prediction files",
+          gold="gold standard file")
+def _report_settings(sub) -> None:
     sub.add_argument(
         "--pred", action="append", metavar="NAME=PATH",
         help="a prediction file to score; repeat for several",
@@ -534,6 +606,15 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(sub, "--tsv", conv=str, metavar="PATH",
              help="also write a tab separated table to PATH")
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="chunkvote", description="shallow parsing by system combination")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (handler, help, positionals, declare) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help)
+        sub.set_defaults(_handler=handler, _settings={})
+        sub.declare = functools.partial(_declare, positionals, declare)
     return parser
 
 

@@ -22,9 +22,9 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
 
 # Reserved word used when no real surface form is available, e.g. in corpora
 # rebuilt from prediction tables.  Alignment checks accept it as a wildcard.
@@ -67,7 +67,7 @@ class Token:
 
     def __post_init__(self):
         _check_field(self.word, "word")
-        _check_field(self.pos, "pos tag")
+        check_pos_tag(self.pos)
         if self.chunk_tag is not None:
             check_chunk_tag(self.chunk_tag)
 
@@ -79,6 +79,10 @@ def _check_field(value: str, what: str) -> None:
         raise ValidationError(f"{PAD} is reserved for padding and cannot be a word or pos tag")
 
 
+# Token's pos tag check; prediction tables run it on their pos column.
+check_pos_tag = partial(_check_field, what="pos tag")
+
+
 def check_chunk_tag(tag: str) -> None:
     """Raise ValidationError unless ``tag`` is O, B-TYPE or I-TYPE with a TYPE other than O."""
     if not _TAG_RE.fullmatch(tag):
@@ -87,11 +91,29 @@ def check_chunk_tag(tag: str) -> None:
         )
 
 
+def check_system_name(name: str) -> None:
+    """Raise ConfigError unless ``name`` is non-empty, printable and has no whitespace."""
+    if not name or not name.isprintable() or " " in name:
+        raise ConfigError(f"bad system name {name!r}")
+
+
+def pick_best(scores: Mapping[str, float], frequencies: Mapping[str, int] | None = None) -> str:
+    """Candidate with the highest score.
+
+    Ties prefer the candidate more frequent in ``frequencies`` (typically
+    training class counts), then the alphabetically smaller one.
+    """
+    if not scores:
+        raise ValidationError("no candidates to choose from")
+    freq = frequencies or {}
+    return min(scores, key=lambda c: (-scores[c], -freq.get(c, 0), c))
+
+
 class ColumnCheck:
     """Token's checks of the words, pos tags and chunk tags (None for no
     tag) of sentences, each distinct value checked once per instance."""
 
-    _CHECKS = (partial(_check_field, what="word"), partial(_check_field, what="pos tag"), check_chunk_tag)
+    _CHECKS = (partial(_check_field, what="word"), check_pos_tag, check_chunk_tag)
 
     def __init__(self):
         self._passed: tuple[set, ...] = (set(), set(), {None})

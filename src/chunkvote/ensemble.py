@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .corpus import (
     PLACEHOLDER_WORD,
@@ -25,22 +25,19 @@ from .corpus import (
     TagScheme,
     Token,
     check_chunk_tag,
+    check_pos_tag,
     column_blocks,
     extract_chunks,
+    pick_best,
     tags_from_chunks,
 )
 from .errors import AlignmentError, ConfigError, ParseError, TrainingError, ValidationError
-from .learners import (
-    IGTreeModel,
-    KnnModel,
-    LearnerSpec,
-    pick_best,
-    tag_sentence,
-    train_igtree,
-    train_knn,
-)
-from .features import Dataset
-from .metrics import EvalReport, score_chunks
+
+# Weights, voting and brackets load no learner or metrics code: the
+# functions that train, tag or score import what they call.
+if TYPE_CHECKING:
+    from .learners import IGTreeModel, KnnModel, LearnerSpec
+    from .metrics import EvalReport
 
 VOTING_METHODS = ("majority", "tot-precision", "tag-precision", "precision-recall", "tag-pair")
 
@@ -77,6 +74,7 @@ class PredictionTable:
                 raise ValidationError(f"system name {name!r} is reserved")
         golds = set()
         preds = set()
+        pos_tags = {}  # in first-row order, to name the first bad one
         width = len(self.systems)
         for rows in self.sentences:
             if not rows:
@@ -88,9 +86,12 @@ class PredictionTable:
                     )
                 golds.add(row.gold)
                 preds.update(row.preds)
+                pos_tags[row.pos] = None
         if None in golds and len(golds) > 1:
             raise ValidationError("gold tags must be present on every row or on none")
-        for tag in preds | golds - {None}:  # each distinct cell once
+        for pos in pos_tags:  # each distinct cell once
+            check_pos_tag(pos)
+        for tag in preds | golds - {None}:
             check_chunk_tag(tag)
 
     @property
@@ -206,6 +207,9 @@ def cv_tuning_table(corpus: Corpus, specs: Sequence[LearnerSpec], folds: int = 1
     is retrained once per fold on the other partitions.  The table keeps
     the original sentence order and carries the gold tags.
     """
+    from .features import Dataset
+    from .learners import tag_sentence
+
     if folds < 2:
         raise ConfigError(f"folds must be >= 2, got {folds}")
     if len(corpus.sentences) < folds:
@@ -491,6 +495,9 @@ def stacked_train(
 ) -> KnnModel | IGTreeModel:
     """Train a second stage classifier on the systems' joint output: k-NN
     with k=1 or an igtree, slots weighted by gain ratio."""
+    from .features import Dataset
+    from .learners import train_igtree, train_knn
+
     trainer = {"knn": train_knn, "igtree": train_igtree}.get(learner)
     if trainer is None:
         raise ConfigError(f"stacked learner must be 'knn' or 'igtree', got {learner!r}")
@@ -516,6 +523,8 @@ def stacked_tags(model: KnnModel | IGTreeModel, table: PredictionTable) -> list[
 
 def _subset_report(table: PredictionTable, gold_spans: list, subset: Sequence[int]) -> EvalReport:
     """Chunk level score of majority voting over the systems at ``subset``."""
+    from .metrics import score_chunks
+
     voted = _decide_rows(table, lambda row: vote([(table.systems[i], row.preds[i]) for i in subset]))
     return score_chunks(gold_spans, [extract_chunks(tags) for tags in voted])
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .corpus import Corpus, Sentence, TagScheme, with_tags
+from .corpus import Corpus, Sentence, TagScheme, check_system_name, pick_best, with_tags
 from .errors import ConfigError, TrainingError, ValidationError
 from .features import (
     Dataset,
@@ -42,18 +42,6 @@ from .features import (
 )
 
 WEIGHTINGS = ("gain_ratio", "information_gain")
-
-
-def pick_best(scores: Mapping[str, float], frequencies: Mapping[str, int] | None = None) -> str:
-    """Candidate with the highest score.
-
-    Ties prefer the candidate more frequent in ``frequencies`` (typically
-    training class counts), then the alphabetically smaller one.
-    """
-    if not scores:
-        raise ValidationError("no candidates to choose from")
-    freq = frequencies or {}
-    return min(scores, key=lambda c: (-scores[c], -freq.get(c, 0), c))
 
 
 def modal_class(labels: Counter, frequencies: Mapping[str, int] | None = None) -> str:
@@ -756,12 +744,6 @@ _LEARNERS: dict[str, tuple[Callable[..., TrainedModel], tuple[str, ...], WindowC
     "rules": (train_rules, ("window", "threshold", "io_encoding"), WindowConfig()),
 }
 LEARNER_KINDS = tuple(_LEARNERS)
-
-
-def check_system_name(name: str) -> None:
-    """Raise ConfigError unless ``name`` is non-empty, printable and has no whitespace."""
-    if not name or not name.isprintable() or " " in name:
-        raise ConfigError(f"bad system name {name!r}")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ compare against the library calls the commands wrap; a few run
 ``python -m chunkvote`` as a child process.
 """
 
+import hashlib
 import os
 import re
 import resource
@@ -42,7 +43,7 @@ from chunkvote import (
     write_table,
     write_weights,
 )
-from chunkvote import cascade, cli
+from chunkvote import cascade, cli, ensemble
 from chunkvote.cli import main
 
 import datagen
@@ -123,9 +124,9 @@ class TestParsing:
         assert "reserved" in capsys.readouterr().err
 
     def test_internal_errors_exit_three(self, files, capsys, monkeypatch):
-        import chunkvote.cli as cli
+        import chunkvote.learners as learners
 
-        monkeypatch.setattr(cli, "train_baseline", lambda *a, **k: 1 / 0)
+        monkeypatch.setattr(learners, "train_baseline", lambda *a, **k: 1 / 0)
         train = files("train.conll", TINY_TRAIN)
         assert main(["baseline", train, train]) == 3
         assert "internal error" in capsys.readouterr().err
@@ -613,8 +614,8 @@ class TestCombineCommand:
         def no_weights(table):
             raise AssertionError("stacking estimated combiner weights")
 
-        monkeypatch.setattr(cli, "read_table", counted_read_table)
-        monkeypatch.setattr(cli, "estimate_weights", no_weights)
+        monkeypatch.setattr(ensemble, "read_table", counted_read_table)
+        monkeypatch.setattr(ensemble, "estimate_weights", no_weights)
         assert main(["combine", table_path, "--method", "stacked-knn", "--tuning", table_path,
                      "-o", out_path(files)]) == 0
         assert len(reads) == 2  # the table to combine and the tuning table
@@ -921,3 +922,148 @@ class TestConfigFiles:
         cfg = files("bad.cfg", "beta = high\n")
         assert main(["eval", train, train, "--config", cfg]) == 2
         assert "expected a number" in capsys.readouterr().err
+
+
+class TestTablePosTags:
+    # weights and best-n read no Token, so only the table's own check sees the pos column
+    TABLE = (
+        "gold pos a b c\n"
+        "B-NP __PAD__ B-NP B-NP B-NP\n"
+        "I-NP NN I-NP I-NP O\n"
+        "O VBZ O O O\n\n"
+    )
+
+    def test_every_table_reader_rejects_a_reserved_pos_tag(self, files, capsys):
+        table = files("table.txt", self.TABLE)
+        errors = []
+        for argv in (["weights", table], ["best-n", table, "-n", "2"],
+                     ["combine", table, "--method", "majority"]):
+            assert main([*argv, "-o", out_path(files)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: __PAD__ is reserved for padding and cannot be a word or pos tag\n"] * 3
+
+
+NESTED_TEXT = "about IN (NP(NP*\n25 CD *)\n$ $ (NP*\nmillion CD *))\n\n"
+PRINT_LOADED = "print(*sorted(m for m in sys.modules if m.startswith('chunkvote.')))"
+RUN_MAIN = "import sys; from chunkvote.cli import main; assert main(sys.argv[1:]) == 0; "
+
+
+def loaded_modules(code, *args):
+    """The ``chunkvote`` submodules loaded by a fresh interpreter running ``code``."""
+    env = dict(os.environ)
+    src = str(Path(chunkvote.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return {name.removeprefix("chunkvote.") for name in done.stdout.split()}
+
+
+@pytest.fixture(scope="module")
+def startup_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("startup")
+    table = cv_tuning_table(
+        TINY_CORPUS, [LearnerSpec("base", "baseline"), LearnerSpec("tree", "igtree")], folds=3
+    )
+    texts = {
+        "train.conll": TINY_TRAIN,
+        "model.txt": dumps_model(LearnerSpec("model", "igtree").train(TINY_CORPUS)),
+        "table.txt": write_table(table),
+        "weights.txt": write_weights(estimate_weights(table)),
+        "nested.txt": NESTED_TEXT,
+    }
+    for name, text in texts.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return directory
+
+
+class TestStartUp:
+    """A subcommand loads only the modules it runs."""
+
+    BASE = {"cli", "corpus", "errors"}
+    LEARN = {"features", "learners"}
+
+    @pytest.mark.parametrize("argv, loads", [
+        ("eval {d}/train.conll {d}/train.conll", {"metrics"}),
+        ("eval {d}/nested.txt {d}/nested.txt --nested", {"metrics"}),
+        ("report {d}/train.conll --pred a={d}/train.conll", {"metrics"}),
+        ("convert {d}/train.conll --from iob2 --to iob1", set()),
+        ("convert {d}/nested.txt --nested-to-levels", {"cascade"}),
+        ("train {d}/train.conll --learner knn", LEARN | {"model_io"}),
+        ("tag {d}/model.txt {d}/train.conll", LEARN | {"model_io"}),
+        ("baseline {d}/train.conll {d}/train.conll", LEARN),
+        ("cv-tune {d}/train.conll --system a=igtree --folds 2", LEARN | {"ensemble"}),
+        ("weights {d}/table.txt", {"ensemble"}),
+        ("best-n {d}/table.txt -n 1", {"ensemble", "metrics"}),
+        ("combine {d}/table.txt", {"ensemble"}),
+        ("combine {d}/table.txt --method tag-pair --weights {d}/weights.txt", {"ensemble"}),
+        ("combine {d}/table.txt --method tot-precision --tuning {d}/table.txt", {"ensemble"}),
+        ("combine {d}/table.txt --bracket-level", {"ensemble"}),
+        ("combine {d}/table.txt --method stacked-knn-pos --tuning {d}/table.txt",
+         LEARN | {"ensemble"}),
+        ("cascade {d}/model.txt {d}/train.conll", LEARN | {"model_io", "cascade"}),
+    ], ids=lambda value: value.replace("{d}/", "") if isinstance(value, str) else "")
+    def test_subcommand_loads_only_what_it_runs(self, startup_dir, argv, loads):
+        args = argv.format(d=startup_dir).split() + ["-o", str(startup_dir / "out")]
+        assert loaded_modules(RUN_MAIN + PRINT_LOADED, *args) == self.BASE | loads
+
+    def test_importing_the_package_loads_no_submodule(self):
+        assert loaded_modules("import sys, chunkvote; " + PRINT_LOADED) == set()
+
+    def test_importing_the_command_line_loads_its_data_model_only(self):
+        assert loaded_modules("import sys, chunkvote.cli; " + PRINT_LOADED) == self.BASE
+
+
+# sha256 of ``chunkvote [COMMAND] --help`` at 80 columns, as the parser
+# printed it when it declared every subcommand up front
+HELP_SHA256 = {
+    None: "545aa5d2d67d88e8d5d1f771631192160a53ebb7208f163c4f414aedc63c1e43",
+    "convert": "8604e603d823318eb4fb8d1531c3530f0d42f6faa2a8a5b678a31460f81601ad",
+    "baseline": "fa6df1b93e8553970da156207ebacb8b641f2d090cc1e3bbf9e80ece9a671b71",
+    "train": "3fe3d3c2bb0ded4561ea9f6eccf1f64b9ec6d4ab1827164f3ee18f1a4b35e79e",
+    "tag": "6cb51c8e5edf4863266ece8d1705548c1c9d0739cd81421431b956c4c09ddb73",
+    "eval": "417659b587763fb672342336ccd535df2036f6eaff816ac1d1c05bd4669d2717",
+    "cv-tune": "cdbf9a385b0a2b87372dce218280e323eb4f9d2145c72e191440239b8c8f0f6a",
+    "weights": "aa741ea5369790f00b3f25512ca3c7348ef96375a085f365e9d68cb30dc6880a",
+    "combine": "22a92334fbf01be5653fc6e55de2407be314b78dc659b32b489f41a8fec07af5",
+    "best-n": "1eb2d2645ef1dbc269ec0a3f19528ba0cda4162d10004318cd40c703183d6c81",
+    "cascade": "a0e46f6b1431ace7b190109908100c58ae19c8fe4771cdb6c13c5bc89bdcaf8b",
+    "report": "2271036c36e64f01c72f31c56178c5c36f0b79e6cbfd97c9235cbe85da9d0166",
+}
+
+
+class TestParserPinned:
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="the pinned help was printed by Python 3.11's argparse")
+    @pytest.mark.parametrize("command", HELP_SHA256)
+    def test_help_is_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "TRAIN", "--learner", "bad"],
+         "argument --learner: expected one of ('baseline', 'knn', 'igtree', 'maxent', 'rules'),"
+         " got 'bad'"),
+        (["cascade", "TRAIN", "TRAIN", "--head", "middle"],
+         "argument --head: expected one of ('last', 'first'), got 'middle'"),
+        (["convert", "TRAIN", "--head", "middle"],
+         "argument --head: expected one of ('last', 'first'), got 'middle'"),
+        (["combine", "TRAIN", "--method", "bad"],
+         "argument --method: expected one of ('majority', 'tot-precision', 'tag-precision',"
+         " 'precision-recall', 'tag-pair', 'stacked-knn', 'stacked-knn-pos', 'stacked-igtree',"
+         " 'stacked-igtree-pos'), got 'bad'"),
+        (["cv-tune", "TRAIN", "--system", "x=igtree,weighting=bad"],
+         "--system option 'weighting=bad': expected one of ('gain_ratio', 'information_gain'),"
+         " got 'bad'"),
+    ], ids=["learner", "cascade head", "convert head", "method", "system weighting"])
+    def test_bad_choices_are_usage_errors(self, files, capsys, argv, message):
+        train = files("train.conll", TINY_TRAIN)
+        argv = [train if arg == "TRAIN" else arg for arg in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        done = run_module(argv)
+        assert (done.returncode, done.stderr) == (1, f"usage error: {message}\n")

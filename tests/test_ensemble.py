@@ -96,6 +96,13 @@ class TestPredictionTable:
         with pytest.raises(ValidationError, match="every row or on none"):
             PredictionTable(("a",), mixed)
 
+    def test_pos_tags_get_token_checks_and_the_first_bad_one_is_named(self):
+        rows = [PredictionRow(pos, ("O",)) for pos in ("NN", "two words", "__PAD__", "")]
+        with pytest.raises(ValidationError, match="bad pos tag 'two words'"):
+            PredictionTable(("a",), (tuple(rows),))
+        with pytest.raises(ValidationError, match="reserved for padding"):
+            read_table("pos a\nNN O\n\n__PAD__ O\n")
+
     def test_columns(self):
         table = table_from_rows(
             ["m1", "m2"],

@@ -84,3 +84,26 @@ def test_benchmark_calls_into_the_package_still_bind(source):
                     and isinstance(node.func.value, ast.Name) and node.func.value.id in instances:
                 method = getattr(instances[node.func.value.id], node.func.attr)
                 _bind(inspect.signature(method), node, bound_self=True)
+
+
+def test_exports_are_the_objects_of_their_defining_modules():
+    for name in chunkvote.__all__:
+        module = importlib.import_module(f"chunkvote.{chunkvote._MODULE_OF[name]}")
+        value = getattr(chunkvote, name)
+        assert value is getattr(module, name), name
+        if hasattr(value, "__module__"):  # functions and classes: the table names their home
+            assert value.__module__ == module.__name__, name
+        assert name in dir(chunkvote)
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chunkvote.no_such_name
+    with pytest.raises(ImportError):
+        from chunkvote import no_such_name  # noqa: F401
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from chunkvote import *", namespace)
+    assert sorted(set(chunkvote.__all__) - set(namespace)) == []
