@@ -175,11 +175,6 @@ def cascade_training_corpus(
     return Corpus(tuple(flat), TagScheme.IOB2)
 
 
-def translate_local(span: ChunkSpan, mapping: CollapseMap) -> ChunkSpan:
-    """Express an original-coordinate span in collapsed coordinates."""
-    return local_spans([span], mapping)[0]
-
-
 def local_spans(spans: Sequence[ChunkSpan], mapping: CollapseMap) -> list[ChunkSpan]:
     """Express original-coordinate spans in collapsed coordinates.
 

@@ -24,12 +24,13 @@ from .corpus import (
     Corpus,
     TagScheme,
     check_system_name,
+    conll_text,
     convert_scheme,
+    nested_text,
     parse_conll,
     parse_nested,
     with_tags,
     write_conll,
-    write_nested,
 )
 from .errors import ChunkvoteError, ConfigError
 
@@ -310,11 +311,12 @@ def _cmd_tag(args) -> None:
 
 
 def _write_tagged(path, model, corpus: Corpus) -> None:
-    """Tag every sentence of ``corpus``, replacing any tags it has."""
+    """Tag every sentence of ``corpus``, replacing any tags it has; each
+    is rendered when tagged, and the file written once all are."""
     from .learners import tag_sentence
 
-    sentences = tuple(with_tags(s, tag_sentence(model, s)) for s in corpus.sentences)
-    _write_text(path, write_conll(Corpus(sentences, corpus.scheme)))
+    tagged = (conll_text(with_tags(s, tag_sentence(model, s))) for s in corpus.sentences)
+    _write_text(path, "".join(tagged))
 
 
 def _cmd_eval(args) -> None:
@@ -408,11 +410,11 @@ def _cmd_cascade(args) -> None:
 
     tagger = functools.partial(tag_sentence, loads_model(_read_text(args.model)))
     corpus = _read_corpus(args.input, "iob1", args.columns, strict=False)
-    nested = [
-        cascade_bracket(s, tagger, max_depth=args.max_depth, head=args.head)
+    nested = (
+        nested_text(cascade_bracket(s, tagger, max_depth=args.max_depth, head=args.head))
         for s in corpus.sentences
-    ]
-    _write_text(args.output, write_nested(nested))
+    )
+    _write_text(args.output, "".join(nested))
 
 
 def _cmd_report(args) -> None:

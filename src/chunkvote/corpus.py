@@ -359,6 +359,24 @@ def convert_scheme(tags: Sequence[str], from_scheme: TagScheme, to_scheme: TagSc
 #---------------------------------------------------------------------------
 # column files
 
+LINE_PIECE = 1 << 16  # characters ``text_lines`` splits at a time, at least
+
+
+def text_lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` exactly as ``text.splitlines()`` gives them,
+    split one piece of about ``LINE_PIECE`` characters at a time, so that
+    a reader never holds a whole file's lines.
+
+    Each piece ends just after a ``\\n``, which ends a line whatever
+    precedes it (``\\r\\n`` stays whole), or at the end of the text.
+    """
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + LINE_PIECE) + 1 or len(text)
+        yield from text[start:cut].splitlines()
+        start = cut
+
+
 def column_blocks(source) -> Iterator[tuple[int, list[list[str]]]]:
     """Yield each sentence of a column file as its first line number and
     the fields of its lines.
@@ -368,7 +386,7 @@ def column_blocks(source) -> Iterator[tuple[int, list[list[str]]]]:
     an empty one, and line ends need no stripping.  Equal fields within one
     call are one string object; corpora repeat words and tags heavily.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = text_lines(source) if isinstance(source, str) else source
     share = {}.setdefault
     block: list[list[str]] = []
     for lineno, fields in enumerate(map(str.split, lines), start=1):
@@ -410,16 +428,17 @@ def parse_conll(source, scheme: TagScheme, columns: int = 3, strict: bool = True
     return corpus
 
 
+def conll_text(sentence: Sentence) -> str:
+    """One sentence in column format, closed by a blank line."""
+    rows = zip(sentence.words, sentence.pos_tags, sentence.chunk_tags)
+    if None in sentence.chunk_tags:
+        rows = (row[:2] if row[2] is None else row for row in rows)
+    return "\n".join(map(" ".join, rows)) + "\n\n"
+
+
 def write_conll(corpus: Corpus) -> str:
     """Render a corpus in column format, one blank line after each sentence."""
-    lines: list[str] = []
-    for sentence in corpus.sentences:
-        rows = zip(sentence.words, sentence.pos_tags, sentence.chunk_tags)
-        if None in sentence.chunk_tags:
-            rows = (row[:2] if row[2] is None else row for row in rows)
-        lines += map(" ".join, rows)
-        lines.append("")
-    return "\n".join([*lines, ""])
+    return "".join(map(conll_text, corpus.sentences))
 
 
 #---------------------------------------------------------------------------
@@ -484,14 +503,15 @@ def parse_nested(source) -> list[NestedSentence]:
     return sentences
 
 
+def nested_text(sentence: NestedSentence) -> str:
+    """One nested sentence in the 3 column bracket format, closed by a blank line."""
+    marks = ["*"] * len(sentence)
+    for span in reversed(sentence.spans):  # of the spans opening at a token, outermost first
+        marks[span.begin] = f"({span.label}{marks[span.begin]}"
+        marks[span.end - 1] += ")"
+    return "\n".join(map(" ".join, zip(sentence.words, sentence.pos_tags, marks))) + "\n\n"
+
+
 def write_nested(sentences: Iterable[NestedSentence]) -> str:
     """Render nested sentences in the 3 column bracket format."""
-    lines: list[str] = []
-    for sentence in sentences:
-        marks = ["*"] * len(sentence)
-        for span in reversed(sentence.spans):  # of the spans opening at a token, outermost first
-            marks[span.begin] = f"({span.label}{marks[span.begin]}"
-            marks[span.end - 1] += ")"
-        lines += map(" ".join, zip(sentence.words, sentence.pos_tags, marks))
-        lines.append("")
-    return "\n".join([*lines, ""])
+    return "".join(map(nested_text, sentences))

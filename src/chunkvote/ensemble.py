@@ -73,8 +73,10 @@ class PredictionTable:
             if name in _RESERVED_COLUMNS:
                 raise ValidationError(f"system name {name!r} is reserved")
         golds = set()
-        preds = set()
-        pos_tags = {}  # in first-row order, to name the first bad one
+        # Each distinct cell in first-row order (gold before predictions, as
+        # in a table file), to name the first bad one.
+        tags: dict[str, None] = {}
+        pos_tags = {}
         width = len(self.systems)
         for rows in self.sentences:
             if not rows:
@@ -85,13 +87,15 @@ class PredictionTable:
                         f"row has {len(row.preds)} predictions for {width} systems"
                     )
                 golds.add(row.gold)
-                preds.update(row.preds)
+                if row.gold is not None:
+                    tags[row.gold] = None
+                tags.update(dict.fromkeys(row.preds))
                 pos_tags[row.pos] = None
         if None in golds and len(golds) > 1:
             raise ValidationError("gold tags must be present on every row or on none")
-        for pos in pos_tags:  # each distinct cell once
+        for pos in pos_tags:
             check_pos_tag(pos)
-        for tag in preds | golds - {None}:
+        for tag in tags:
             check_chunk_tag(tag)
 
     @property

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+from sys import intern
 from typing import Iterable, Iterator, Sequence
 
 from .corpus import PAD, Corpus, Sentence
@@ -127,7 +128,8 @@ def window_vectors(
     for i, row in zip(range(start, stop), rows):
         vector = row + (tuple(tags[i - k:i]) if i >= k else pads[i:] + tuple(tags[:i]))
         if pairs:
-            joined = [f"{vector[a]}|{vector[b]}" for a, b in pairs]
+            # Interned: a dataset then holds one string per distinct pair.
+            joined = [intern(f"{vector[a]}|{vector[b]}") for a, b in pairs]
             # One separator per joined value, unless a part holds one too:
             # then two different contexts could give the same value.
             if "".join(joined).count("|") != len(joined):

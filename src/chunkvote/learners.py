@@ -25,6 +25,7 @@ and prediction are fully deterministic.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -73,24 +74,31 @@ def io_corpus(corpus: Corpus) -> Corpus:
 
 @dataclass(frozen=True)
 class KnnIndex:
-    """Bitsets over a k-NN memory, bit i standing for ``memory[i]``.
+    """Item sets over a k-NN memory, as bitsets whose bit i stands for
+    ``memory[i]``.
 
     ``order`` holds the slots of positive weight, heaviest first (ties by
     slot index), and ``postings[j]`` maps each value of slot ``order[j]``
-    to the items holding it.  Zero-weight slots are left out: a mismatch
-    on them adds 0.0, which leaves every distance unchanged.
-    ``distances`` caches the distance of each mismatch slot mask met so
-    far.
+    to the items holding it: their bitset, or for a value held by fewer
+    than ``RARE_POSTINGS`` items their sorted positions, whose bitset a
+    query builds when it needs it.  A bitset is as wide as the highest
+    position it holds, so positions keep the many rare word values small.
+    Zero-weight slots are left out: a mismatch on them adds 0.0, which
+    leaves every distance unchanged.  ``distances`` caches the distance of
+    each mismatch slot mask met so far.
     """
 
     order: tuple[int, ...]
-    postings: tuple[dict[str, int], ...]
+    postings: tuple[dict[str, int | array], ...]
     labels: dict[str, int]
     everything: int
     distances: dict[int, float]
 
 
-def _bitset(positions: list[int]) -> int:
+RARE_POSTINGS = 64
+
+
+def _bitset(positions: Sequence[int]) -> int:
     """Int with the given ascending bit positions set."""
     buffer = bytearray(positions[-1] // 8 + 1)
     for i in positions:
@@ -98,12 +106,19 @@ def _bitset(positions: list[int]) -> int:
     return int.from_bytes(buffer, "little")
 
 
-def _group_positions(values) -> dict[str, int]:
-    """Each distinct value with the bitset of the positions holding it."""
-    groups: dict[str, list[int]] = {}
+def _group_positions(values, rare: int = 0) -> dict[str, int | array]:
+    """Each distinct value with the positions holding it: a sorted
+    ``array('I')`` when fewer than ``rare``, else their bitset."""
+    groups: dict[str, array] = {}
     for i, value in enumerate(values):
-        groups.setdefault(value, []).append(i)
-    return {value: _bitset(positions) for value, positions in groups.items()}
+        positions = groups.get(value)
+        if positions is None:
+            positions = groups[value] = array("I")
+        positions.append(i)
+    return {
+        value: positions if len(positions) < rare else _bitset(positions)
+        for value, positions in groups.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -128,7 +143,9 @@ class KnnModel:
                              key=lambda s: (-weights[s], s)))
         return KnnIndex(
             order=order,
-            postings=tuple(_group_positions(v[s] for v, _ in self.memory) for s in order),
+            postings=tuple(
+                _group_positions((v[s] for v, _ in self.memory), RARE_POSTINGS) for s in order
+            ),
             labels=_group_positions(label for _, label in self.memory),
             everything=(1 << len(self.memory)) - 1,
             distances={},
@@ -203,6 +220,7 @@ def predict_knn(model: KnnModel, vector: FeatureVector) -> str:
     order = index.order
     depth_end = len(order)
     matching = [postings.get(vector[s], 0) for s, postings in zip(order, index.postings)]
+    matching = [items if type(items) is int else _bitset(items) for items in matching]
     costs = [weights[s] for s in order]
     bits = [1 << s for s in order]
     distances = index.distances

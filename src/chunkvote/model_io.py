@@ -13,6 +13,7 @@ import itertools
 import math
 from typing import Iterator
 
+from .corpus import text_lines
 from .errors import ParseError
 from .features import WindowConfig
 from .learners import (
@@ -111,7 +112,7 @@ def loads_model(text: str) -> TrainedModel:
 def _loads_model(text: str) -> TrainedModel:
     # The fields of each non-blank line, split as they are read: a knn file
     # holds a line per training item.
-    lines = filter(None, map(str.split, text.splitlines()))
+    lines = filter(None, map(str.split, text_lines(text)))
     header = next(lines, [])
     if header[:1] != [FORMAT_NAME] or len(header) != 2:
         raise ParseError(f"not a {FORMAT_NAME} file" if header else "unexpected end of model file")

@@ -26,7 +26,7 @@ from chunkvote import (
     translate_span,
     write_nested,
 )
-from chunkvote.cascade import HEAD_CHOICES, _innermost_level, translate_local
+from chunkvote.cascade import HEAD_CHOICES, _innermost_level, local_spans
 from chunkvote.cli import main
 from chunkvote.corpus import _span_sort_key
 
@@ -128,22 +128,20 @@ class TestMaps:
         with pytest.raises(ValidationError, match="outside collapse map"):
             translate_span(span(0, 4), mapping)
 
-    def test_translate_local(self):
+    def test_local_spans(self):
         mapping = ((0, 3), (3, 4), (4, 6))
-        assert translate_local(span(0, 3), mapping) == span(0, 1)
-        assert translate_local(span(3, 6, "VP"), mapping) == span(1, 3, "VP")
+        assert local_spans([span(0, 3), span(3, 6, "VP")], mapping) == [span(0, 1), span(1, 3, "VP")]
         with pytest.raises(ValidationError, match="does not align"):
-            translate_local(span(1, 4), mapping)
+            local_spans([span(1, 4)], mapping)
 
-    def test_translate_local_inverts_translate_span(self):
+    def test_local_spans_inverts_translate_span(self):
         r = datagen.rng(5)
         for _ in range(50):
             length = r.randint(1, 10)
             sentence = plain(*[(f"w{i}", "NN") for i in range(length)])
             _, mapping = collapse(sentence, datagen.random_spans(r, length))
             local = datagen.random_spans(r, len(mapping))
-            for s in local:
-                assert translate_local(translate_span(s, mapping), mapping) == s
+            assert local_spans([translate_span(s, mapping) for s in local], mapping) == local
 
     @pytest.mark.parametrize("seed", range(10))
     def test_composed_maps_still_partition(self, seed):

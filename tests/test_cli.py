@@ -943,6 +943,28 @@ class TestTablePosTags:
         assert errors == ["error: __PAD__ is reserved for padding and cannot be a word or pos tag\n"] * 3
 
 
+class TestTableChunkTags:
+    # six bad tags; read in file order (gold before predictions), Q comes first
+    TABLE = (
+        "gold pos a b c\n"
+        "B-NP NN Q R B-NP\n"
+        "I-O NN S I-NP B-O\n"
+        "O VBZ T O O\n"
+        "B-VP VB B-VP B-VP I-O\n\n"
+    )
+
+    def test_the_first_bad_tag_is_named_whatever_the_hash_seed(self, files):
+        table = files("table.txt", self.TABLE)
+        errors = set()
+        for seed in "12345":
+            done = run_module(["weights", table], hash_seed=seed)
+            assert done.returncode == 2
+            errors.add(done.stderr)
+        assert errors == {
+            "error: bad chunk tag 'Q': expected O, B-TYPE or I-TYPE; chunk type O is reserved\n"
+        }
+
+
 NESTED_TEXT = "about IN (NP(NP*\n25 CD *)\n$ $ (NP*\nmillion CD *))\n\n"
 PRINT_LOADED = "print(*sorted(m for m in sys.modules if m.startswith('chunkvote.')))"
 RUN_MAIN = "import sys; from chunkvote.cli import main; assert main(sys.argv[1:]) == 0; "

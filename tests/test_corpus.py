@@ -29,7 +29,8 @@ from chunkvote import (
     write_conll,
     write_nested,
 )
-from chunkvote.corpus import column_blocks
+import chunkvote.corpus
+from chunkvote.corpus import column_blocks, text_lines
 from chunkvote.learners import IGTreeNode
 
 import datagen
@@ -602,6 +603,54 @@ class TestColumnBlocks:
         (row,), (row2,) = read_table("gold pos m1 m2\nB-NP DT B-NP I-NP\n\nI-NP DT B-NP I-NP\n").sentences
         assert row.gold is row.preds[0] is row2.preds[0] and row.pos is row2.pos
         assert row.preds[1] is row2.gold is row2.preds[1]
+
+
+# Every line boundary of str.splitlines, "\r\n" included.
+LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+# Per reader: a header and a two-line sentence of three columns.
+LONG_READS = {
+    "conll": (lambda text: parse_conll(text, TagScheme.IOB2), "", "the DT B-NP\ndog NN I-NP\n\n"),
+    "nested": (parse_nested, "", "the DT (NP*\ndog NN *)\n\n"),
+    "table": (read_table, "gold pos m1\n", "B-NP DT B-NP\nI-NP NN I-NP\n\n"),
+}
+
+
+class TestTextLines:
+    def test_the_boundaries_are_all_that_splitlines_knows(self):
+        single = {end for end in LINE_ENDS if len(end) == 1}
+        assert {chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2} == single
+
+    def test_every_cut_gives_the_lines_of_splitlines(self, monkeypatch):
+        text = "a\r\n\r\nb\n\n\rc\r\n\x85\u2028d\v\n\x1c\n\ne \t\r\n\r\nlast"
+        for piece in range(len(text) + 2):
+            monkeypatch.setattr(chunkvote.corpus, "LINE_PIECE", piece)
+            assert list(text_lines(text)) == text.splitlines(), piece
+            assert list(text_lines(text + "\r\n")) == (text + "\r\n").splitlines(), piece
+
+    @pytest.mark.parametrize("piece", [0, 1, 2, 3, 5, 8, 13])
+    def test_random_texts_give_the_lines_of_splitlines(self, piece, monkeypatch):
+        monkeypatch.setattr(chunkvote.corpus, "LINE_PIECE", piece)
+        r = datagen.rng(47_000 + piece)
+        for _ in range(300):
+            lines = [r.choice(["", "", "a", "bc", "d e"]) + r.choice(LINE_ENDS) for _ in range(r.randint(0, 12))]
+            text = "".join(lines) + r.choice(["", "", "tail", " "])
+            assert list(text_lines(text)) == text.splitlines(), text
+
+    @pytest.mark.parametrize("piece", [3, 1 << 16])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("reader", LONG_READS)
+    def test_a_fault_past_the_first_piece_names_its_line(self, reader, newline, piece, monkeypatch):
+        read, header, sentence = LONG_READS[reader]
+        lines = (header + sentence * 6_000).split("\n")
+        text = newline.join(lines)
+        assert len(text) > 2 * chunkvote.corpus.LINE_PIECE
+        whole = read(text)
+        monkeypatch.setattr(chunkvote.corpus, "LINE_PIECE", piece)
+        assert read(text) == whole
+        lines[15_001] += " extra"  # line 15,002, far past the first piece
+        with pytest.raises(ParseError, match=r"^line 15002: expected \d columns, got 4$"):
+            read(newline.join(lines))
 
 
 # One instance of each per-token, per-row or per-node record, and a field.

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -328,6 +330,62 @@ class TestKnnExactness:
         assert dumps_model(model) == text
         assert loads_model(text) == model
         assert "index" not in repr(model)
+
+
+class TestKnnPostings:
+    """Values held by fewer than ``RARE_POSTINGS`` items keep positions."""
+
+    RARE = chunkvote.learners.RARE_POSTINGS
+
+    def model(self, k):
+        # slot 0: "r" on RARE - 1 items, "f" on RARE items, the rest unique;
+        # equal weights, so many items share a distance
+        r = datagen.rng(46_000)
+        column = ["r"] * (self.RARE - 1) + ["f"] * self.RARE + [f"u{i}" for i in range(80)]
+        r.shuffle(column)
+        rows = [([value, r.choice("ab"), r.choice("cde")], r.choice("XYZ")) for value in column]
+        return train_knn(dataset(rows), k=k, weights=(1.0, 1.0, 1.0))
+
+    def test_a_rare_value_keeps_sorted_positions(self):
+        model = self.model(1)
+        postings = model.index.postings[model.index.order.index(0)]
+        rare = [i for i, (vector, _) in enumerate(model.memory) if vector[0] == "r"]
+        assert isinstance(postings["r"], array) and list(postings["r"]) == rare
+        assert isinstance(postings["f"], int) and postings["f"].bit_count() == self.RARE
+        assert all(isinstance(postings[value], int) for value in "abcde" if value in postings)
+        assert all(isinstance(items, int) for items in model.index.labels.values())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_predictions_match_the_brute_force_oracle(self, k):
+        model = self.model(k)
+        queries = [(v0, v1, v2) for v0 in ("r", "f", "u3", "unseen") for v1 in "abz" for v2 in "cez"]
+        assert_knn_exact(model, queries)
+        # ("unseen", "a", "c") lies one slot away from every item ending in
+        # ("a", "c"): a tie group of rare and frequent values and several labels
+        group = [(vector[0], label) for vector, label in model.memory if vector[1:] == ("a", "c")]
+        assert {"r", "f"} <= {value for value, _ in group} and len({label for _, label in group}) > 1
+
+    def test_positions_build_a_fraction_of_all_bitset_postings(self, monkeypatch):
+        # ~20k items with mostly distinct words: a bitset is as wide as its
+        # highest position, so rare values cost far more as bitsets
+        r = datagen.rng(49_000)
+        rows = [((f"w{r.randrange(200_000)}", f"w{r.randrange(200_000)}", r.choice(("NN", "DT", "VB"))),
+                 r.choice("XYZ")) for _ in range(20_000)]
+        data = dataset(rows)
+
+        def index_peak():
+            model = train_knn(data, k=1, weights=(1.0, 0.9, 0.5))
+            tracemalloc.start()
+            try:
+                model.index
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        positions = index_peak()
+        monkeypatch.setattr(chunkvote.learners, "RARE_POSTINGS", 0)
+        bitsets = index_peak()
+        assert positions < bitsets / 2
 
 
 class TestIGTree:

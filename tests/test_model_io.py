@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+import chunkvote.corpus
 from chunkvote import (
     ChunkvoteError,
     Corpus,
@@ -45,6 +46,14 @@ class TestRoundTrip:
     def test_dump_is_deterministic(self, kind, tiny_corpus):
         model = trained(kind, tiny_corpus)
         assert dumps_model(model) == dumps_model(trained(kind, tiny_corpus))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_loads_the_same_in_small_line_pieces(self, kind, tiny_corpus, monkeypatch):
+        model = trained(kind, tiny_corpus)
+        text = dumps_model(model)
+        monkeypatch.setattr(chunkvote.corpus, "LINE_PIECE", 7)
+        assert loads_model(text) == model
+        assert loads_model(text.replace("\n", "\r\n")) == model
 
     def test_second_roundtrip_is_byte_exact(self, tiny_corpus):
         for kind in ALL_KINDS:
