@@ -21,18 +21,15 @@ _EXPORTS = {
         ValidationError""",
     "metrics": """Counts EvalReport f_beta format_report format_report_kv score_chunks
         score_nested score_tagged""",
-    "features": """Dataset WindowConfig corpus_to_dataset gain_ratio information_gain
-        make_features""",
+    "features": "Dataset WindowConfig corpus_to_dataset make_features",
     "learners": """LEARNER_KINDS IGTreeModel KnnModel LearnerSpec MaxEntModel RuleSetModel
         predict_igtree predict_knn predict_maxent predict_rules tag_sentence train_baseline
         train_igtree train_knn train_maxent train_rules""",
-    "model_io": "dumps_model load_model loads_model save_model",
+    "model_io": "dumps_model loads_model",
     "ensemble": """VOTING_METHODS CombinerWeights PredictionRow PredictionTable best_n_select
-        combine_bracket_sentence combine_brackets combine_corpus cv_tuning_table
-        estimate_weights from_corpora read_table read_weights stacked_corpus stacked_tags
-        stacked_train vote write_table write_weights""",
-    "cascade": """cascade_bracket cascade_training_corpus collapse compose_maps identity_map
-        translate_span""",
+        combine_bracket_sentence combine_corpus cv_tuning_table estimate_weights from_corpora
+        read_table read_weights stacked_corpus stacked_train vote write_table write_weights""",
+    "cascade": "cascade_bracket cascade_training_corpus collapse identity_map",
 }
 # The one name -> module table the exports are read from.
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

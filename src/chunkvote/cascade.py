@@ -37,25 +37,17 @@ def identity_map(length: int) -> CollapseMap:
     return tuple((i, i + 1) for i in range(length))
 
 
-def compose_maps(outer: CollapseMap, inner: CollapseMap) -> CollapseMap:
-    """Map positions through ``inner`` first, then ``outer``.
+def original_range(mapping: CollapseMap, begin: int, end: int) -> tuple[int, int]:
+    """The original tokens of collapsed positions ``begin`` to ``end - 1``:
+    from the start of the first one's range to the end of the last one's.
 
-    ``inner`` ranges index into the sequence that ``outer`` describes, so
-    a composed entry covers the original tokens from the start of its
-    first constituent to the end of its last.
+    Applied to a span found on a collapsed sentence it gives the span's
+    original offsets; applied to every range of a map over that sentence
+    it composes the two maps.
     """
-    composed = []
-    for begin, end in inner:
-        if not 0 <= begin < end <= len(outer):
-            raise ValidationError(f"collapse range ({begin}, {end}) outside outer map")
-        composed.append((outer[begin][0], outer[end - 1][1]))
-    return tuple(composed)
-
-
-def translate_span(span: ChunkSpan, mapping: CollapseMap) -> ChunkSpan:
-    if not 0 <= span.begin < span.end <= len(mapping):
-        raise ValidationError(f"span {span} outside collapse map")
-    return ChunkSpan(mapping[span.begin][0], mapping[span.end - 1][1], span.label)
+    if not 0 <= begin < end <= len(mapping):
+        raise ValidationError(f"range ({begin}, {end}) outside collapse map")
+    return mapping[begin][0], mapping[end - 1][1]
 
 
 def collapse(
@@ -117,14 +109,15 @@ def cascade_bracket(
         level_spans = extract_chunks(tags)
         if not level_spans:
             break
-        translated = [translate_span(span, mapping) for span in level_spans]
+        translated = [ChunkSpan(*original_range(mapping, span.begin, span.end), span.label)
+                      for span in level_spans]
         new = [span for span in translated if span not in found]
         for span in new:
             found[span] = None
         if not new:
             break
         current, level_map = collapse(current, level_spans, head)
-        mapping = compose_maps(mapping, level_map)
+        mapping = tuple([original_range(mapping, b, e) for b, e in level_map])
         if len(current) == 1:
             break
     return NestedSentence(stripped, found)
@@ -158,7 +151,7 @@ def cascade_training_corpus(
     """
     flat: list[Sentence] = []
     for nested in sentences:
-        current = nested.to_sentence()
+        current = nested.sentence
         remaining = list(nested.spans)  # sorted, and kept so: collapsing keeps span order
         mapping = identity_map(len(current))
         while remaining:
@@ -170,7 +163,7 @@ def cascade_training_corpus(
             drop = set(taken)
             remaining = [span for i, span in enumerate(remaining) if i not in drop]
             current, level_map = collapse(current, level, head)
-            mapping = compose_maps(mapping, level_map)
+            mapping = tuple([original_range(mapping, b, e) for b, e in level_map])
         flat.append(with_tags(current, ["O"] * len(current)))
     return Corpus(tuple(flat), TagScheme.IOB2)
 

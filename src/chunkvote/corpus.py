@@ -257,15 +257,11 @@ class NestedSentence:
         if not properly_nested(self.spans):
             raise ValidationError("spans cross: every pair must be disjoint or nested")
 
-    tokens = property(lambda self: self.sentence.tokens)
     words = property(lambda self: self.sentence.words)
     pos_tags = property(lambda self: self.sentence.pos_tags)
 
     def __len__(self) -> int:
         return len(self.sentence)
-
-    def to_sentence(self) -> Sentence:
-        return self.sentence
 
 
 #---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .corpus import (
@@ -105,11 +105,6 @@ class PredictionTable:
     def rows(self) -> Iterable[PredictionRow]:
         for sentence in self.sentences:
             yield from sentence
-
-    def column(self, system: str) -> list[list[str]]:
-        """One system's predictions, per sentence."""
-        index = self.systems.index(system)
-        return [[row.preds[index] for row in rows] for rows in self.sentences]
 
     def gold_column(self) -> list[list[str]]:
         if not self.has_gold:
@@ -512,16 +507,6 @@ def stacked_train(
     return trainer(Dataset(items, slot_names))
 
 
-def stacked_tags(model: KnnModel | IGTreeModel, table: PredictionTable) -> list[list[str]]:
-    """Apply a stacked model to every row of a test table."""
-    add_pos = len(model.slot_names) == len(table.systems) + 1
-    if not add_pos and len(model.slot_names) != len(table.systems):
-        raise ValidationError(
-            f"model expects {len(model.slot_names)} columns, table has {len(table.systems)} systems"
-        )
-    return _decide_rows(table, lambda row: model.predict(_stacked_vector(row, add_pos)))
-
-
 #---------------------------------------------------------------------------
 # best subset selection
 
@@ -593,8 +578,13 @@ def combine_bracket_sentence(
     A start of type T at position p is matched with the nearest end of
     type T at a position >= p that precedes the next start of type T;
     unmatched brackets are dropped, and so is any rebuilt chunk that
-    overlaps an earlier one.
+    overlaps an earlier one.  The tuning tag counts of ``weights`` are of
+    whole tags, which no bracket value is but the no-bracket ``O``, so they
+    play no part: ties are broken as without weights, and precision-recall
+    candidates are the proposed values only.
     """
+    if weights is not None:
+        weights = replace(weights, tag_counts={})
     starts = []
     ends = []
     for spans in spans_per_system:
@@ -626,27 +616,6 @@ def combine_bracket_sentence(
         if not kept or span.begin >= kept[-1].end:
             kept.append(span)
     return kept
-
-
-def combine_brackets(
-    outputs: Mapping[str, Sequence[Sequence[ChunkSpan]]],
-    lengths: Sequence[int],
-    method: str = "majority",
-    weights: CombinerWeights | None = None,
-) -> list[list[ChunkSpan]]:
-    """Bracket level combination over whole corpora of span lists."""
-    if not outputs:
-        raise ValidationError("need at least one system")
-    systems = list(outputs)
-    for name, sentences in outputs.items():
-        if len(sentences) != len(lengths):
-            raise AlignmentError(f"system {name}: {len(sentences)} sentences for {len(lengths)} lengths")
-    return [
-        combine_bracket_sentence(
-            [outputs[name][i] for name in systems], systems, lengths[i], method, weights
-        )
-        for i in range(len(lengths))
-    ]
 
 
 #---------------------------------------------------------------------------
@@ -695,12 +664,13 @@ def combine_corpus(
         if missing:
             raise ValidationError(f"weights have no estimates for systems: {' '.join(missing)}")
     if bracket_level:
-        outputs = {
-            name: [extract_chunks(tags) for tags in table.column(name)]
-            for name in table.systems
-        }
-        lengths = [len(rows) for rows in table.sentences]
-        spans = combine_brackets(outputs, lengths, method, weights)
+        spans = [
+            combine_bracket_sentence(
+                [extract_chunks(column) for column in zip(*(row.preds for row in rows))],
+                table.systems, len(rows), method, weights,
+            )
+            for rows in table.sentences
+        ]
     else:
         voted = _decide_rows(
             table, lambda row: vote(list(zip(table.systems, row.preds)), method, weights)
@@ -714,6 +684,12 @@ def stacked_corpus(
     table: PredictionTable,
     words: Corpus | None = None,
 ) -> Corpus:
-    """Apply a stacked model to a test table and normalise to IOB2."""
-    spans = [extract_chunks(tags) for tags in stacked_tags(model, table)]
-    return _normalised_corpus(spans, table, words)
+    """Apply a stacked model to every row of a test table and normalise to
+    IOB2.  Reads only the model's ``slot_names`` and ``predict``."""
+    add_pos = len(model.slot_names) == len(table.systems) + 1
+    if not add_pos and len(model.slot_names) != len(table.systems):
+        raise ValidationError(
+            f"model expects {len(model.slot_names)} columns, table has {len(table.systems)} systems"
+        )
+    tags = _decide_rows(table, lambda row: model.predict(_stacked_vector(row, add_pos)))
+    return _normalised_corpus([extract_chunks(t) for t in tags], table, words)

@@ -53,14 +53,6 @@ class WindowConfig:
         ):
             raise ConfigError("window selects no slots at all")
 
-    @classmethod
-    def maxent_window(cls) -> "WindowConfig":
-        """Wider window with conjunction features: 3 tokens left, 2 right."""
-        return cls(
-            left_words=3, right_words=2, left_pos=3, right_pos=2,
-            left_chunk_tags=3, complex_pairs=True,
-        )
-
     @cached_property
     def _layout(self) -> tuple[tuple[tuple[str, int], ...], tuple[tuple[int, int], ...], tuple[str, ...]]:
         """The slot layout, computed once per config.
@@ -210,6 +202,11 @@ def _entropy(counts: Iterable[int], total: int) -> float:
 def slot_gains(dataset: Dataset, slots: Iterable[int], ratio: bool) -> list[float]:
     """Information gain (in bits) of each slot, or with ``ratio`` its gain ratio.
 
+    A slot's information gain is the reduction of class entropy from
+    knowing its value.  Its gain ratio is that gain normalised by the
+    entropy of the slot's values: 0 for a constant slot (whose split
+    entropy is 0), at most 1 otherwise.
+
     Classes are counted once, and each slot's (value, class) pairs once, in
     C.  Regrouped by value in order of first occurrence, those counts are
     the same ints in the same order as a per-item tally, so every sum, and
@@ -243,15 +240,3 @@ def slot_gains(dataset: Dataset, slots: Iterable[int], ratio: bool) -> list[floa
         gains.append(gain)
     return gains
 
-
-def information_gain(dataset: Dataset, slot: int) -> float:
-    """Reduction of class entropy (in bits) from knowing one slot's value."""
-    return slot_gains(dataset, (slot,), ratio=False)[0]
-
-
-def gain_ratio(dataset: Dataset, slot: int) -> float:
-    """Information gain normalised by the entropy of the slot's values.
-
-    0 for a constant slot (whose split entropy is 0), at most 1 otherwise.
-    """
-    return slot_gains(dataset, (slot,), ratio=True)[0]

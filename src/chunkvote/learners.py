@@ -45,10 +45,6 @@ from .features import (
 WEIGHTINGS = ("gain_ratio", "information_gain")
 
 
-def modal_class(labels: Counter, frequencies: Mapping[str, int] | None = None) -> str:
-    return pick_best(labels, frequencies if frequencies is not None else labels)
-
-
 def _slot_weights(dataset: Dataset, weighting: str) -> tuple[float, ...]:
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
@@ -401,13 +397,6 @@ class MaxEntModel:
         return {c: score + self.correction * (self.constant - n)
                 for c, score, n in zip(self.classes, totals, active)}
 
-    def distribution(self, vector: FeatureVector) -> dict[str, float]:
-        scores = self.scores(vector)
-        top = max(scores.values())
-        exps = {c: math.exp(s - top) for c, s in scores.items()}
-        z = _sum_in_order(exps.values())
-        return {c: e / z for c, e in exps.items()}
-
     def predict(self, vector: FeatureVector) -> str:
         return predict_maxent(self, vector)
 
@@ -654,10 +643,10 @@ def _slot_rank(name: str) -> int:
 def train_rules(
     dataset: Dataset,
     threshold: float = 0.95,
-    focus_slot: int | None = None,
     window: WindowConfig | None = None,
 ) -> RuleSetModel:
-    """General-to-specific rule refinement around one focus slot.
+    """General-to-specific rule refinement around one focus slot: the
+    focus pos tag ``p[+0]``, or the first slot of a window without it.
 
     Every focus value starts as a default rule predicting its modal class.
     While a rule's training accuracy is below ``threshold``, the context
@@ -671,8 +660,7 @@ def train_rules(
         raise TrainingError("cannot train on an empty dataset")
     if not 0.0 < threshold <= 1.0:
         raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
-    if focus_slot is None:
-        focus_slot = dataset.slot_names.index("p[+0]") if "p[+0]" in dataset.slot_names else 0
+    focus_slot = dataset.slot_names.index("p[+0]") if "p[+0]" in dataset.slot_names else 0
     if not 0 <= focus_slot < dataset.arity:
         raise ValidationError(f"focus slot {focus_slot} outside arity {dataset.arity}")
     global_counts = dataset.class_counts()
@@ -687,7 +675,7 @@ def train_rules(
 
     rules: list[Rule] = []
     for value, subset in by_focus.items():
-        conclusion = modal_class(Counter(label for _, label in subset), global_counts)
+        conclusion = pick_best(Counter(label for _, label in subset), global_counts)
         acc = accuracy(subset, conclusion)
         premises: list[tuple[int, str]] = [(focus_slot, value)]
         used = {focus_slot}
@@ -716,7 +704,7 @@ def train_rules(
     rules.sort(key=lambda r: (-len(r.premises), r.premises))
     return RuleSetModel(
         rules=tuple(rules),
-        default_class=modal_class(global_counts, global_counts),
+        default_class=pick_best(global_counts, global_counts),
         class_counts=dict(global_counts),
         slot_names=dataset.slot_names,
         window=window,
@@ -748,6 +736,10 @@ def tag_sentence(model: TrainedModel, sentence: Sentence) -> list[str]:
 BASELINE_WINDOW = WindowConfig(
     left_words=0, right_words=0, left_pos=0, right_pos=0, left_chunk_tags=0, use_focus_word=False,
 )
+# Maxent's wider window, with conjunction features: 3 tokens left, 2 right.
+MAXENT_WINDOW = WindowConfig(
+    left_words=3, right_words=2, left_pos=3, right_pos=2, left_chunk_tags=3, complex_pairs=True,
+)
 
 # Per learner kind: its trainer, the LearnerSpec options it reads and its
 # default window.  LearnerSpec.train passes the trainer each option read, by
@@ -758,7 +750,7 @@ _LEARNERS: dict[str, tuple[Callable[..., TrainedModel], tuple[str, ...], WindowC
     "baseline": (train_igtree, ("weighting", "io_encoding"), BASELINE_WINDOW),
     "knn": (train_knn, ("window", "k", "weighting"), WindowConfig()),
     "igtree": (train_igtree, ("window", "weighting"), WindowConfig()),
-    "maxent": (train_maxent, ("window", "iterations", "sigma", "cutoff"), WindowConfig.maxent_window()),
+    "maxent": (train_maxent, ("window", "iterations", "sigma", "cutoff"), MAXENT_WINDOW),
     "rules": (train_rules, ("window", "threshold", "io_encoding"), WindowConfig()),
 }
 LEARNER_KINDS = tuple(_LEARNERS)

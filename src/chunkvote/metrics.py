@@ -61,14 +61,6 @@ class EvalReport:
     beta: float = 1.0
 
     @property
-    def precision(self) -> float:
-        return self.overall.precision
-
-    @property
-    def recall(self) -> float:
-        return self.overall.recall
-
-    @property
     def f_rate(self) -> float:
         return self.overall.f(self.beta)
 

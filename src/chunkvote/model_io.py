@@ -129,11 +129,14 @@ def _loads_model(text: str) -> TrainedModel:
         fields = next(lines, None)
     # The first line that is not a class count goes back, to be read as the window.
     lines = itertools.chain([fields] if fields else [], lines)
-    window = _parse_window(_line(lines, "window")[1:])
+    window_fields = _line(lines, "window")[1:]
     if kind == "baseline":
         # A baseline file has no slots line: its window is always the same.
+        if window_fields != ["-"]:
+            raise ParseError(f"a baseline window line must be 'window -': {' '.join(window_fields)!r}")
         window, slot_names = BASELINE_WINDOW, BASELINE_WINDOW.slot_names()
     else:
+        window = _parse_window(window_fields)
         slot_names = tuple(_line(lines, "slots")[1:])
         # A window has at least one slot per plain slot (every field but
         # complex_pairs counts them), so an outsized one is rejected before
@@ -181,6 +184,10 @@ def _loads_model(text: str) -> TrainedModel:
         if classes != tuple(sorted(class_counts)):
             raise ParseError(f"classes line {' '.join(classes)!r} is not the sorted tags of the class lines")
         constant = int(_line(lines, "constant", 2)[1])
+        # Training pads to the most active features of one class, at least
+        # 1; every slot contributes at most one.
+        if not 1 <= constant <= len(slot_names):
+            raise ParseError(f"maxent constant must be in [1, {len(slot_names)}], got {constant}")
         correction = _finite(_line(lines, "correction", 2)[1])
         weights: dict[tuple[int, str, str], float] = {}
         for fields in _records(lines, "feature", 5):
@@ -195,7 +202,10 @@ def _loads_model(text: str) -> TrainedModel:
             if len(fields) < 5 or len(fields) != 5 + 2 * int(fields[4]):
                 raise ParseError(f"rule line premise count mismatch: {' '.join(fields)!r}")
             premises = tuple((_slot(s, slot_names), v) for s, v in zip(fields[5::2], fields[6::2]))
-            rules.append(Rule(premises, fields[1], _finite(fields[2]), int(fields[3])))
+            accuracy, support = _finite(fields[2]), int(fields[3])
+            if not 0.0 <= accuracy <= 1.0 or support < 1:
+                raise ParseError(f"rule accuracy must be in [0, 1] and support >= 1: {' '.join(fields)!r}")
+            rules.append(Rule(premises, fields[1], accuracy, support))
         return RuleSetModel(rules=tuple(rules), default_class=default, **common)
     raise ParseError(f"unknown model kind {kind!r}")
 
@@ -268,20 +278,3 @@ def _finite(raw: str) -> float:
         raise ParseError(f"number must be finite, got {raw}")
     return value
 
-
-def save_model(model: TrainedModel, target) -> None:
-    """Write a model to a path or text file object."""
-    text = dumps_model(model)
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
-def load_model(source) -> TrainedModel:
-    """Read a model from a path or text file object."""
-    if hasattr(source, "read"):
-        return loads_model(source.read())
-    with open(source, "r", encoding="utf-8") as handle:
-        return loads_model(handle.read())

@@ -446,13 +446,14 @@ def oracle_write_conll(corpus):
 def oracle_write_nested(sentences):
     """A bracket file written token by token, openers outermost first."""
     parts = []
-    for sentence in sentences:
-        openers = [[] for _ in sentence.tokens]
-        closers = [0] * len(sentence.tokens)
-        for span in sorted(sentence.spans, key=lambda s: (s.begin, -s.end, s.label)):
+    for nested in sentences:
+        tokens = nested.sentence.tokens
+        openers = [[] for _ in tokens]
+        closers = [0] * len(tokens)
+        for span in sorted(nested.spans, key=lambda s: (s.begin, -s.end, s.label)):
             openers[span.begin].append(span.label)
             closers[span.end - 1] += 1
-        for i, token in enumerate(sentence.tokens):
+        for i, token in enumerate(tokens):
             bracket = "".join(f"({label}" for label in openers[i]) + "*" + ")" * closers[i]
             parts.append(f"{token.word} {token.pos} {bracket}\n")
         parts.append("\n")

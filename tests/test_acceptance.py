@@ -380,7 +380,7 @@ def test_08_cascade_soundness(announce):
     for _ in range(30):
         nested = datagen.random_nested_sentence(r, r.randint(2, 10))
         levels = cascade_training_corpus([nested])
-        got = cascade_bracket(Sentence(nested.tokens), _replay_tagger(levels), max_depth=20)
+        got = cascade_bracket(nested.sentence, _replay_tagger(levels), max_depth=20)
         total += len(nested.spans)
         matched = sum((Counter(got.spans) & Counter(nested.spans)).values())
         recovered += matched

@@ -8,14 +8,12 @@ from chunkvote import (
     ConfigError,
     LearnerSpec,
     NestedSentence,
-    Sentence,
     TagScheme,
     Token,
     ValidationError,
     cascade_bracket,
     cascade_training_corpus,
     collapse,
-    compose_maps,
     extract_chunks,
     identity_map,
     parse_conll,
@@ -23,10 +21,9 @@ from chunkvote import (
     scheme_violation,
     strip_tags,
     tag_sentence,
-    translate_span,
     write_nested,
 )
-from chunkvote.cascade import HEAD_CHOICES, _innermost_level, local_spans
+from chunkvote.cascade import HEAD_CHOICES, _innermost_level, local_spans, original_range
 from chunkvote.cli import main
 from chunkvote.corpus import _span_sort_key
 
@@ -37,6 +34,16 @@ from oracles import oracle_innermost_level
 
 def span(begin, end, label="NP"):
     return ChunkSpan(begin, end, label)
+
+
+def compose(outer, inner):
+    """``inner``'s ranges through ``outer``, as the cascade composes maps."""
+    return tuple([original_range(outer, b, e) for b, e in inner])
+
+
+def translate(found, mapping):
+    """A span found on a collapsed sentence, in original offsets."""
+    return ChunkSpan(*original_range(mapping, found.begin, found.end), found.label)
 
 
 def plain(*word_pos):
@@ -110,23 +117,23 @@ class TestMaps:
     def test_compose(self):
         outer = ((0, 2), (2, 3), (3, 5))
         inner = ((0, 2), (2, 3))
-        assert compose_maps(outer, inner) == ((0, 3), (3, 5))
+        assert compose(outer, inner) == ((0, 3), (3, 5))
 
     def test_compose_with_identity(self):
         outer = ((0, 2), (2, 3), (3, 5))
-        assert compose_maps(outer, identity_map(3)) == outer
-        assert compose_maps(identity_map(5), outer) == outer
+        assert compose(outer, identity_map(3)) == outer
+        assert compose(identity_map(5), outer) == outer
 
     def test_compose_bounds(self):
-        with pytest.raises(ValidationError, match="outside outer map"):
-            compose_maps(((0, 1),), ((0, 2),))
+        with pytest.raises(ValidationError, match="outside collapse map"):
+            compose(((0, 1),), ((0, 2),))
 
     def test_translate_span(self):
         mapping = ((0, 3), (3, 4), (4, 6))
-        assert translate_span(span(1, 2), mapping) == span(3, 4)
-        assert translate_span(span(0, 3, "VP"), mapping) == span(0, 6, "VP")
+        assert translate(span(1, 2), mapping) == span(3, 4)
+        assert translate(span(0, 3, "VP"), mapping) == span(0, 6, "VP")
         with pytest.raises(ValidationError, match="outside collapse map"):
-            translate_span(span(0, 4), mapping)
+            translate(span(0, 4), mapping)
 
     def test_local_spans(self):
         mapping = ((0, 3), (3, 4), (4, 6))
@@ -141,7 +148,7 @@ class TestMaps:
             sentence = plain(*[(f"w{i}", "NN") for i in range(length)])
             _, mapping = collapse(sentence, datagen.random_spans(r, length))
             local = datagen.random_spans(r, len(mapping))
-            assert local_spans([translate_span(s, mapping) for s in local], mapping) == local
+            assert local_spans([translate(s, mapping) for s in local], mapping) == local
 
     @pytest.mark.parametrize("seed", range(10))
     def test_composed_maps_still_partition(self, seed):
@@ -154,7 +161,7 @@ class TestMaps:
             inner_spans = datagen.random_spans(r, len(mapping))
             sentence = plain(*[(f"w{i}", "NN") for i in range(len(mapping))])
             _, level_map = collapse(sentence, inner_spans)
-            mapping = compose_maps(mapping, level_map)
+            mapping = compose(mapping, level_map)
             assert_partition(mapping, length)
 
 
@@ -239,7 +246,7 @@ class TestCascadeBracket:
             ["B-NP", "I-NP", "B-NP", "I-NP"],
             ["B-NP", "I-NP"],
         ])
-        got = cascade_bracket(Sentence(money_example.tokens), tagger)
+        got = cascade_bracket(money_example.sentence, tagger)
         assert got == money_example
 
     def test_no_chunks_at_all(self):
@@ -318,13 +325,13 @@ class TestCascadeBracket:
         nested = datagen.random_nested_sentence(r, r.randint(2, 9))
         corpus = cascade_training_corpus([nested])
         tagger = scripted([list(s.chunk_tags) for s in corpus.sentences])
-        got = cascade_bracket(Sentence(nested.tokens), tagger, max_depth=20)
+        got = cascade_bracket(nested.sentence, tagger, max_depth=20)
         assert got == nested
 
     def test_trained_model_end_to_end(self, money_example):
         corpus = cascade_training_corpus([money_example])
         model = LearnerSpec("tree", "igtree").train(corpus)
-        got = cascade_bracket(Sentence(money_example.tokens), functools.partial(tag_sentence, model))
+        got = cascade_bracket(money_example.sentence, functools.partial(tag_sentence, model))
         assert got == money_example
 
 
@@ -407,7 +414,7 @@ class TestPinnedBytes:
         model = LearnerSpec("tree", "igtree").train(parse_conll(levels.read_text(), TagScheme.IOB2))
         tagger = functools.partial(tag_sentence, model)
         bracketed = write_nested([
-            cascade_bracket(Sentence(s.tokens), tagger, head=head)
+            cascade_bracket(s.sentence, tagger, head=head)
             for s in pinned_treebank(32_001, 40)
         ])
         assert (

@@ -692,7 +692,7 @@ class TestCascadeCommand:
         assert main(["train", levels_path, "--learner", "igtree", "-o", model_path]) == 0
 
         flat = write_conll(
-            Corpus((strip_tags(money_example.to_sentence()),), TagScheme.IOB2)
+            Corpus((money_example.sentence,), TagScheme.IOB2)
         )
         input_path = files("input.conll", flat)
         out = out_path(files, "parsed.txt")
@@ -726,7 +726,7 @@ class TestCascadeCommand:
         assert main(["convert", nested, "--nested-to-levels", "-o", levels]) == 0
         assert main(["train", levels, "--learner", "igtree", "-o", model_path]) == 0
         words = files("test.conll", "".join(
-            "".join(f"{t.word} {t.pos}\n" for t in s.tokens) + "\n" for s in treebank[40:]
+            "".join(f"{w} {p}\n" for w, p in zip(s.words, s.pos_tags)) + "\n" for s in treebank[40:]
         ))
         outputs = []
         for seed in ("1", "2"):

@@ -348,7 +348,7 @@ class TestNestedFiles:
         sentences = parse_nested(self.TEXT)
         assert len(sentences) == 1
         got = sentences[0]
-        assert got.to_sentence().words == ("about", "25", "$", "million")
+        assert got.words == ("about", "25", "$", "million")
         assert list(got.spans) == spans((1, 3, "NP"), (3, 4, "NP"))
 
     def test_parse_nested_brackets(self, money_example):
@@ -435,9 +435,9 @@ class TestColumnRecords:
         built = NestedSentence(tokens, spans((0, 2, "NP"), (1, 2, "NP")))
         (parsed,) = parse_nested("big JJ (NP*\ndogs NNS (NP*))\n")
         assert parsed == built and hash(parsed) == hash(built)
-        assert parsed.tokens == built.tokens == tokens
-        assert parsed.tokens is parsed.tokens
-        assert parsed.to_sentence() == Sentence(tokens)
+        assert parsed.sentence.tokens == built.sentence.tokens == tokens
+        assert parsed.sentence.tokens is parsed.sentence.tokens
+        assert parsed.sentence == Sentence(tokens)
 
 
 def _outcome(read, *args):
@@ -493,7 +493,8 @@ class TestReadersMatchTheTokenReaders:
             got = _outcome(parse_nested, damaged)
             assert got == _outcome(oracle_parse_nested, damaged)
             if isinstance(got, list):
-                assert [s.tokens for s in got] == [s.tokens for s in oracle_parse_nested(damaged)]
+                want = oracle_parse_nested(damaged)
+                assert [s.sentence.tokens for s in got] == [s.sentence.tokens for s in want]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_writers(self, seed):
@@ -505,7 +506,7 @@ class TestReadersMatchTheTokenReaders:
         corpus = Corpus(sentences, TagScheme.IOB2)
         assert write_conll(corpus) == oracle_write_conll(corpus)
         nested = [datagen.random_nested_sentence(r, r.randint(1, 8), types=("NP", "PP")) for _ in range(5)]
-        nested = [NestedSentence(s.tokens, [*s.spans, *(ChunkSpan(x.begin, x.end, r.choice(("NP", "PP")))
+        nested = [NestedSentence(s.sentence, [*s.spans, *(ChunkSpan(x.begin, x.end, r.choice(("NP", "PP")))
                                                        for x in s.spans if r.random() < 0.4)])
                   for s in nested]
         assert write_nested(nested) == oracle_write_nested(nested)
@@ -598,8 +599,8 @@ class TestColumnBlocks:
         assert the.word is the2.word and the.chunk_tag is the2.chunk_tag
         assert dog.pos is nn.pos is nn.word and dog.chunk_tag is nn.chunk_tag
         first, second = parse_nested("big JJ (NP*\ndogs NNS *)\n\nbig JJ (NP*\nNNS NNS *)\n")
-        assert first.tokens[0].word is second.tokens[0].word
-        assert first.tokens[1].pos is second.tokens[1].pos is second.tokens[1].word
+        assert first.words[0] is second.words[0]
+        assert first.pos_tags[1] is second.pos_tags[1] is second.words[1]
         (row,), (row2,) = read_table("gold pos m1 m2\nB-NP DT B-NP I-NP\n\nI-NP DT B-NP I-NP\n").sentences
         assert row.gold is row.preds[0] is row2.preds[0] and row.pos is row2.pos
         assert row.preds[1] is row2.gold is row2.preds[1]

@@ -19,7 +19,6 @@ from chunkvote import (
     WindowConfig,
     best_n_select,
     combine_bracket_sentence,
-    combine_brackets,
     combine_corpus,
     cv_tuning_table,
     estimate_weights,
@@ -30,9 +29,9 @@ from chunkvote import (
     scheme_violation,
     score_tagged,
     stacked_corpus,
-    stacked_tags,
     stacked_train,
     tag_sentence,
+    tags_from_chunks,
     vote,
     write_table,
     write_weights,
@@ -48,6 +47,16 @@ TAGS = ("B-NP", "I-NP", "O")
 
 def spans(*triples):
     return [ChunkSpan(b, e, label) for b, e, label in triples]
+
+
+def column(table, system):
+    """One system's predictions, per sentence."""
+    index = table.systems.index(system)
+    return [[row.preds[index] for row in rows] for rows in table.sentences]
+
+
+def corpus_spans(corpus):
+    return [extract_chunks(sentence.chunk_tags) for sentence in corpus.sentences]
 
 
 def table_from_rows(systems, sentences, gold=None):
@@ -110,8 +119,8 @@ class TestPredictionTable:
             gold=[["B-NP", "I-NP"]],
         )
         assert table.has_gold
-        assert table.column("m1") == [["B-NP", "I-NP"]]
-        assert table.column("m2") == [["O", "I-NP"]]
+        assert column(table, "m1") == [["B-NP", "I-NP"]]
+        assert column(table, "m2") == [["O", "I-NP"]]
         assert table.gold_column() == [["B-NP", "I-NP"]]
         assert [row.pos for row in table.rows()] == ["DT", "NN"]
 
@@ -189,7 +198,7 @@ class TestFromCorpora:
         table = from_corpora({"base": tagged}, gold=tiny_corpus)
         assert table.systems == ("base",)
         assert table.gold_column() == [list(s.chunk_tags) for s in tiny_corpus.sentences]
-        assert table.column("base") == [
+        assert column(table, "base") == [
             tag_sentence(baseline, s) for s in tiny_corpus.sentences
         ]
 
@@ -668,15 +677,28 @@ class TestStacking:
     def test_learns_a_correction_pattern(self, learner, add_pos):
         table = self.table()
         model = stacked_train(table, learner=learner, add_pos=add_pos)
-        assert stacked_tags(model, table) == table.gold_column()
+        gold_spans = [extract_chunks(tags) for tags in table.gold_column()]
+        assert corpus_spans(stacked_corpus(model, table)) == gold_spans
 
     def test_add_pos_is_inferred_from_the_model(self):
         table = self.table()
         model = stacked_train(table, add_pos=True)
-        assert stacked_tags(model, table) == table.gold_column()
+        gold_spans = [extract_chunks(tags) for tags in table.gold_column()]
+        assert corpus_spans(stacked_corpus(model, table)) == gold_spans
         one_system = table_from_rows(["m1"], [[("NN", ("O",))]])
         with pytest.raises(ValidationError, match="columns"):
-            stacked_tags(model, one_system)
+            stacked_corpus(model, one_system)
+
+    def test_a_model_needs_only_slot_names_and_predict(self):
+        # A wrapper that times each prediction passes an object with only these.
+        class Bare:
+            def __init__(self, model):
+                self.slot_names, self.predict = model.slot_names, model.predict
+
+        table = self.table()
+        for add_pos in (False, True):
+            model = stacked_train(table, learner="igtree", add_pos=add_pos)
+            assert stacked_corpus(Bare(model), table) == stacked_corpus(model, table)
 
     def test_errors(self):
         with pytest.raises(ConfigError, match="stacked learner"):
@@ -726,7 +748,7 @@ class TestBestN:
         table = self.table()
         report = evaluate_subset(table, ["exact"])
         gold_spans = [extract_chunks(tags) for tags in table.gold_column()]
-        pred_spans = [extract_chunks(tags) for tags in table.column("exact")]
+        pred_spans = [extract_chunks(tags) for tags in column(table, "exact")]
         assert report.overall.correct == sum(
             len([s for s in p if s in g]) for g, p in zip(gold_spans, pred_spans)
         )
@@ -741,6 +763,16 @@ class TestBestN:
         bare = table_from_rows(["a"], [[("NN", ("O",))]])
         with pytest.raises(ValidationError):
             best_n_select(bare, 1)
+
+
+def bracket_table(outputs, lengths):
+    """A table of each system's spans, as IOB2 tags, over sentences of ``lengths``."""
+    names = list(outputs)
+    return table_from_rows(names, [
+        list(zip(["NN"] * length, zip(*(tags_from_chunks(length, outputs[n][si], TagScheme.IOB2)
+                                          for n in names))))
+        for si, length in enumerate(lengths)
+    ])
 
 
 class TestBracketCombination:
@@ -810,20 +842,44 @@ class TestBracketCombination:
             "a": [spans((0, 2, "NP")), []],
             "b": [spans((0, 2, "NP")), spans((0, 1, "NP"))],
         }
-        got = combine_brackets(outputs, [3, 2])
-        assert got == [spans((0, 2, "NP")), spans((0, 1, "NP"))]
-        third = {
-            "a": [spans((0, 2, "NP")), []],
-            "b": [spans((0, 2, "NP")), spans((0, 1, "NP"))],
-            "c": [spans((0, 2, "NP")), []],
-        }
-        assert combine_brackets(third, [3, 2]) == [spans((0, 2, "NP")), []]
+        assert corpus_spans(combine_corpus(bracket_table(outputs, [3, 2]), bracket_level=True)) == [
+            spans((0, 2, "NP")), spans((0, 1, "NP")),
+        ]
+        third = {**outputs, "c": [spans((0, 2, "NP")), []]}
+        assert corpus_spans(combine_corpus(bracket_table(third, [3, 2]), bracket_level=True)) == [
+            spans((0, 2, "NP")), [],
+        ]
 
     def test_combine_brackets_errors(self):
-        with pytest.raises(ValidationError):
-            combine_brackets({}, [])
+        table = bracket_table({"a": [[]]}, [1])
+        with pytest.raises(ValidationError, match="no estimates"):
+            combine_corpus(table, bracket_level=True, weights=make_weights(systems=("b",)))
+        words = Corpus((make_sentence([("a", "DT", None)]),) * 2, TagScheme.IOB2)
         with pytest.raises(AlignmentError):
-            combine_brackets({"a": [[]]}, [1, 2])
+            combine_corpus(table, bracket_level=True, words=words)
+
+    def test_weights_do_not_break_ties(self):
+        # tuning counts are of tags: O would win every tie with "no bracket"
+        outputs = {"a": [spans((0, 2, "NP"))], "b": [[]]}
+        table = bracket_table(outputs, [2])
+        tuning = table_from_rows(["a", "b"], [[("DT", ("O", "O"))]], gold=[["O"]])
+        weighted = combine_corpus(table, bracket_level=True, weights=estimate_weights(tuning))
+        assert weighted.sentences[0].chunk_tags == ("B-NP", "I-NP")
+        assert weighted == combine_corpus(table, bracket_level=True)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_majority_is_the_same_with_and_without_weights(self, seed):
+        r = datagen.rng(20_500 + seed)
+        names = ["a", "b", "c", "d"][:r.randint(2, 4)]
+        gold, preds = datagen.random_table_data(r, 8, names, TAGS)
+        table = table_from_rows(names, [
+            [(pos, tuple(preds[n][si][ti] for n in names)) for ti, (pos, _) in enumerate(rows)]
+            for si, rows in enumerate(gold)
+        ])
+        weights = random_weights(r, names, TAGS)
+        assert combine_corpus(table, bracket_level=True, weights=weights) == combine_corpus(
+            table, bracket_level=True
+        )
 
     @pytest.mark.parametrize("seed", range(10))
     def test_output_never_overlaps(self, seed):

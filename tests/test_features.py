@@ -10,11 +10,10 @@ from chunkvote import (
     ValidationError,
     WindowConfig,
     corpus_to_dataset,
-    gain_ratio,
-    information_gain,
     make_features,
 )
-from chunkvote.learners import WEIGHTINGS, _slot_weights, tag_sentence
+from chunkvote.features import slot_gains
+from chunkvote.learners import MAXENT_WINDOW, WEIGHTINGS, _slot_weights, tag_sentence
 
 import datagen
 from conftest import make_sentence
@@ -44,7 +43,7 @@ def random_dataset(r, size, arity, values=("a", "b", "c"), labels=("X", "Y")):
 
 WINDOW_GRID = {
     "default": WindowConfig(),
-    "maxent": WindowConfig.maxent_window(),
+    "maxent": MAXENT_WINDOW,
     "pairs-without-focus-pos": WindowConfig(use_focus_pos=False, complex_pairs=True),
     "pairs-without-left-tags": WindowConfig(left_chunk_tags=0, complex_pairs=True),
     "no-left-tags": WindowConfig(left_chunk_tags=0),
@@ -69,7 +68,7 @@ class TestWindowConfig:
         )
 
     def test_wide_window_slot_names(self):
-        assert WindowConfig.maxent_window().slot_names() == (
+        assert MAXENT_WINDOW.slot_names() == (
             "w[-3]", "w[-2]", "w[-1]", "w[+0]", "w[+1]", "w[+2]",
             "p[-3]", "p[-2]", "p[-1]", "p[+0]", "p[+1]", "p[+2]",
             "t[-3]", "t[-2]", "t[-1]",
@@ -318,58 +317,61 @@ class TestDataset:
 
 
 class TestRelevanceMeasures:
+    """``slot_gains`` on one slot at a time: its information gain, and with
+    ``ratio`` its gain ratio."""
+
     def test_perfect_slot_gains_the_full_class_entropy(self):
         data = dataset([
             (["a", "x"], "X"), (["a", "y"], "X"),
             (["b", "x"], "Y"), (["b", "y"], "Y"),
         ])
-        assert information_gain(data, 0) == pytest.approx(1.0)
-        assert gain_ratio(data, 0) == pytest.approx(1.0)
+        assert slot_gains(data, [0], ratio=False) == [pytest.approx(1.0)]
+        assert slot_gains(data, [0], ratio=True) == [pytest.approx(1.0)]
 
     def test_constant_slot_carries_nothing(self):
         data = dataset([(["a", "x"], "X"), (["a", "y"], "Y")])
-        assert information_gain(data, 0) == 0.0
-        assert gain_ratio(data, 0) == 0.0
+        assert slot_gains(data, [0], ratio=False) == [0.0]
+        assert slot_gains(data, [0], ratio=True) == [0.0]
 
     def test_useless_but_varied_slot(self):
         data = dataset([
             (["a"], "X"), (["b"], "X"), (["a"], "Y"), (["b"], "Y"),
         ])
-        assert information_gain(data, 0) == pytest.approx(0.0)
-        assert gain_ratio(data, 0) == pytest.approx(0.0)
+        assert slot_gains(data, [0], ratio=False) == [pytest.approx(0.0)]
+        assert slot_gains(data, [0], ratio=True) == [pytest.approx(0.0)]
 
     def test_errors(self):
         data = dataset([(["a"], "X")])
         with pytest.raises(ValidationError):
-            information_gain(data, 1)
+            slot_gains(data, [1], ratio=False)
         with pytest.raises(ValidationError):
-            gain_ratio(data, 5)
+            slot_gains(data, [0, 5], ratio=True)
         empty = Dataset((), ("s0",))
         with pytest.raises(TrainingError):
-            information_gain(empty, 0)
+            slot_gains(empty, [0], ratio=False)
         with pytest.raises(TrainingError):
-            gain_ratio(empty, 0)
+            slot_gains(empty, [0], ratio=True)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_direct_formulas(self, seed):
         r = datagen.rng(7000 + seed)
         data = random_dataset(r, r.randint(1, 40), 3)
+        gains = slot_gains(data, range(3), ratio=False)
+        ratios = slot_gains(data, range(3), ratio=True)
         for slot in range(3):
             expected = max(0.0, oracle_information_gain(data.items, slot))
-            assert information_gain(data, slot) == pytest.approx(expected, abs=1e-12)
-            assert gain_ratio(data, slot) == pytest.approx(
-                oracle_gain_ratio(data.items, slot), abs=1e-12
-            )
+            assert gains[slot] == pytest.approx(expected, abs=1e-12)
+            assert ratios[slot] == pytest.approx(oracle_gain_ratio(data.items, slot), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_bounds(self, seed):
         r = datagen.rng(8000 + seed)
         data = random_dataset(r, r.randint(1, 30), 2, labels=("X", "Y", "Z"))
         labels = [label for _, label in data.items]
-        for slot in range(2):
-            ig = information_gain(data, slot)
+        for ig in slot_gains(data, range(2), ratio=False):
             assert 0.0 <= ig <= oracle_entropy(labels) + 1e-12
-            assert 0.0 <= gain_ratio(data, slot) <= 1.0
+        for ratio in slot_gains(data, range(2), ratio=True):
+            assert 0.0 <= ratio <= 1.0
 
     @pytest.mark.parametrize("seed", range(15))
     def test_renaming_values_changes_nothing(self, seed):
@@ -382,12 +384,9 @@ class TestRelevanceMeasures:
             ),
             data.slot_names,
         )
-        for slot in range(2):
-            assert information_gain(renamed, slot) == pytest.approx(
-                information_gain(data, slot), abs=1e-12
-            )
-            assert gain_ratio(renamed, slot) == pytest.approx(
-                gain_ratio(data, slot), abs=1e-12
+        for ratio in (False, True):
+            assert slot_gains(renamed, range(2), ratio) == pytest.approx(
+                slot_gains(data, range(2), ratio), abs=1e-12
             )
 
 
@@ -425,8 +424,9 @@ class TestGainsAreBitExact:
         for d in reordered:
             gains = [reference_information_gain(d.items, s) for s in range(d.arity)]
             ratios = [reference_gain_ratio(d.items, s) for s in range(d.arity)]
-            assert [information_gain(d, s) for s in range(d.arity)] == gains
-            assert [gain_ratio(d, s) for s in range(d.arity)] == ratios
+            # one slot measured alone gives the same bits as among all slots
+            assert [slot_gains(d, [s], ratio=False)[0] for s in range(d.arity)] == gains
+            assert [slot_gains(d, [s], ratio=True)[0] for s in range(d.arity)] == ratios
             assert _slot_weights(d, "information_gain") == tuple(gains)
             assert _slot_weights(d, "gain_ratio") == tuple(ratios)
 

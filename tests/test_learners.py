@@ -37,7 +37,9 @@ from chunkvote import (
     train_maxent,
     train_rules,
 )
-from chunkvote.learners import BASELINE_WINDOW, _slot_weights, io_corpus, pick_best
+from chunkvote.learners import (
+    BASELINE_WINDOW, MAXENT_WINDOW, _slot_weights, _sum_in_order, io_corpus, pick_best,
+)
 
 import datagen
 from conftest import make_sentence, make_untagged
@@ -489,7 +491,7 @@ def pinned_corpus():
 
 
 def pinned_maxent_data():
-    return corpus_to_dataset(pinned_corpus(), WindowConfig.maxent_window())
+    return corpus_to_dataset(pinned_corpus(), MAXENT_WINDOW)
 
 
 # float.hex of each slot weight of ``pinned_corpus`` in the default window.
@@ -522,8 +524,8 @@ class TestMaxEnt:
     @pytest.mark.parametrize("cutoff", [1, 2])
     def test_learns_the_three_to_one_split(self, cutoff):
         model = train_maxent(self.skewed(), cutoff=cutoff)
-        dist = model.distribution(("x",))
-        assert dist["A"] == pytest.approx(0.75, abs=1e-3)
+        scores = model.scores(("x",))
+        assert 1.0 / (1.0 + math.exp(scores["B"] - scores["A"])) == pytest.approx(0.75, abs=1e-3)
         assert predict_maxent(model, ("x",)) == "A"
 
     def test_cutoff_drops_rare_features(self):
@@ -567,8 +569,8 @@ class TestMaxEnt:
         damped_norm = sum(abs(w) for w in damped.weights.values())
         assert damped_norm < plain_norm
         assert predict_maxent(damped, ("x",)) == "A"
-        dist = damped.distribution(("x",))
-        assert dist["A"] > 0.5
+        scores = damped.scores(("x",))
+        assert scores["A"] > scores["B"]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_distribution_sums_to_one(self, seed):
@@ -577,25 +579,21 @@ class TestMaxEnt:
         model = train_maxent(data, iterations=10, cutoff=1)
         for _ in range(10):
             query = tuple(r.choice(("a", "b", "unseen")) for _ in range(2))
-            dist = model.distribution(query)
-            assert sum(dist.values()) == pytest.approx(1.0)
-            assert all(p >= 0.0 for p in dist.values())
+            # a finite score per class, so exp(score) / Z is a distribution
+            scores = model.scores(query)
+            assert list(scores) == list(model.classes)
+            assert all(math.isfinite(score) for score in scores.values())
 
     def test_normalizing_sums_do_not_depend_on_the_interpreter(self, monkeypatch):
         # From Python 3.12 the builtin sum of floats is compensated, as fsum is.
+        # GIS normalizes each item's class distribution by _sum_in_order.
         monkeypatch.setattr(chunkvote.learners, "sum", math.fsum, raising=False)
-        tiny = math.log(1e-16)
-        model = MaxEntModel(
-            weights={(0, "x", "B"): tiny, (0, "x", "C"): tiny},
-            classes=("A", "B", "C"), constant=1, correction=0.0,
-            class_counts={"A": 1, "B": 1, "C": 1}, slot_names=("w",),
-        )
-        exps = [1.0, math.exp(tiny), math.exp(tiny)]
+        exps = [1.0, 1e-16, 1e-16]
         z = 0.0
         for e in exps:
             z += e
         assert z != math.fsum(exps)
-        assert model.distribution(("x",)) == {c: e / z for c, e in zip("ABC", exps)}
+        assert _sum_in_order(exps) == z
 
     @pytest.mark.parametrize("seed", range(5))
     def test_training_does_not_depend_on_the_interpreter(self, monkeypatch, seed):
@@ -713,11 +711,6 @@ class TestRules:
         model = train_rules(data)
         assert all(rule.premises[0][0] == 1 for rule in model.rules)
 
-    def test_explicit_focus_slot(self):
-        data = dataset([(["u", "P"], "X"), (["v", "P"], "Y")])
-        model = train_rules(data, focus_slot=1)
-        assert all(rule.premises[0] == (1, "P") for rule in model.rules)
-
     @pytest.mark.parametrize("seed", range(15))
     def test_stored_accuracy_and_support_describe_the_training_data(self, seed):
         r = datagen.rng(13_000 + seed)
@@ -749,8 +742,8 @@ class TestRules:
             train_rules(data, threshold=0.0)
         with pytest.raises(ConfigError):
             train_rules(data, threshold=1.5)
-        with pytest.raises(ValidationError):
-            train_rules(data, focus_slot=3)
+        with pytest.raises(ValidationError, match="focus slot"):
+            train_rules(Dataset((((), "X"),), ()))
         with pytest.raises(TrainingError):
             train_rules(Dataset((), ("s0",)))
         model = train_rules(data)
@@ -846,7 +839,7 @@ class TestLearnerSpec:
 
     def test_window_resolution(self):
         assert LearnerSpec("a", "knn").resolved_window() == WindowConfig()
-        assert LearnerSpec("a", "maxent").resolved_window() == WindowConfig.maxent_window()
+        assert LearnerSpec("a", "maxent").resolved_window() == MAXENT_WINDOW
         custom = WindowConfig(left_words=1)
         assert LearnerSpec("a", "maxent", window=custom).resolved_window() == custom
         assert LearnerSpec("a", "baseline").resolved_window() == BASELINE_WINDOW
@@ -865,7 +858,7 @@ class TestLearnerSpec:
             assert isinstance(model, cls)
         maxent = LearnerSpec("me", "maxent", iterations=3).train(tiny_corpus)
         assert isinstance(maxent, MaxEntModel)
-        assert maxent.window == WindowConfig.maxent_window()
+        assert maxent.window == MAXENT_WINDOW
 
     def test_trained_models_carry_their_window(self, tiny_corpus):
         model = LearnerSpec("sys", "knn", k=1).train(tiny_corpus)

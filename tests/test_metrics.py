@@ -126,7 +126,7 @@ class TestScoreChunks:
 
     def test_beta_zero_scores_precision_only(self):
         report = score_chunks([spans((0, 1, "NP"), (2, 3, "NP"))], [spans((0, 1, "NP"))], beta=0.0)
-        assert report.f_rate == report.precision == 1.0
+        assert report.f_rate == report.overall.precision == 1.0
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_oracle_on_random_pairs(self, seed):
@@ -151,8 +151,8 @@ class TestScoreChunks:
         pred = [datagen.random_spans(r, r.randint(0, 10)) for _ in range(10)]
         forward = score_chunks(gold, pred)
         backward = score_chunks(pred, gold)
-        assert forward.precision == backward.recall
-        assert forward.recall == backward.precision
+        assert forward.overall.precision == backward.overall.recall
+        assert forward.overall.recall == backward.overall.precision
         assert forward.overall.correct == backward.overall.correct
 
 
@@ -213,13 +213,13 @@ class TestScoreTagged:
 class TestScoreNested:
     def test_multiset_matching(self, money_example):
         missing_wrap = NestedSentence(
-            money_example.tokens,
+            money_example.sentence,
             spans((0, 2, "NP"), (2, 4, "NP")),
         )
         report = score_nested([money_example], [missing_wrap])
         assert report.overall == Counts(found=2, gold=3, correct=2)
-        assert report.precision == pytest.approx(1.0)
-        assert report.recall == pytest.approx(2.0 / 3.0)
+        assert report.overall.precision == pytest.approx(1.0)
+        assert report.overall.recall == pytest.approx(2.0 / 3.0)
 
     def test_duplicate_spans_need_duplicate_matches(self):
         tokens = (Token("a", "DT"), Token("b", "NN"))
@@ -235,7 +235,7 @@ class TestScoreNested:
         with pytest.raises(AlignmentError):
             score_nested([money_example], [])
         renamed = NestedSentence(
-            (Token("different", "IN"),) + money_example.tokens[1:],
+            (Token("different", "IN"),) + money_example.sentence.tokens[1:],
             money_example.spans,
         )
         with pytest.raises(AlignmentError, match="token 1"):
@@ -313,6 +313,6 @@ class TestReportFormatting:
 
     def test_report_properties(self):
         report = EvalReport(Counts(4, 5, 3), {}, beta=0.5)
-        assert report.precision == pytest.approx(0.75)
-        assert report.recall == pytest.approx(0.6)
+        assert report.overall.precision == pytest.approx(0.75)
+        assert report.overall.recall == pytest.approx(0.6)
         assert report.f_rate == pytest.approx(f_beta(0.75, 0.6, 0.5))

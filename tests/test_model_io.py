@@ -1,5 +1,3 @@
-import io
-
 import pytest
 
 import chunkvote.corpus
@@ -11,19 +9,18 @@ from chunkvote import (
     TagScheme,
     WindowConfig,
     dumps_model,
-    load_model,
     loads_model,
-    save_model,
     strip_tags,
     tag_sentence,
     train_baseline,
     train_knn,
 )
 
+from chunkvote.cli import main
 from chunkvote.learners import BASELINE_WINDOW
 
 import datagen
-from conftest import make_sentence, make_untagged
+from conftest import TINY_TRAIN, make_sentence, make_untagged
 from test_learners import dataset
 
 
@@ -106,17 +103,19 @@ class TestRoundTrip:
 
 
 class TestFileTargets:
-    def test_path_roundtrip(self, tmp_path, tiny_corpus):
-        model = trained("igtree", tiny_corpus)
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        assert load_model(path) == model
+    """``train`` writes the model file that ``tag`` reads."""
 
-    def test_file_object_roundtrip(self, tiny_corpus):
-        model = trained("rules", tiny_corpus)
-        buffer = io.StringIO()
-        save_model(model, buffer)
-        assert load_model(io.StringIO(buffer.getvalue())) == model
+    def test_path_roundtrip(self, tmp_path, tiny_corpus):
+        train, path = tmp_path / "train.conll", tmp_path / "model.txt"
+        train.write_text(TINY_TRAIN, encoding="utf-8")
+        assert main(["train", str(train), "--learner", "igtree", "-o", str(path)]) == 0
+        assert loads_model(path.read_text(encoding="utf-8")) == trained("igtree", tiny_corpus)
+
+    def test_file_object_roundtrip(self, tmp_path, tiny_corpus, capsys):
+        train = tmp_path / "train.conll"
+        train.write_text(TINY_TRAIN, encoding="utf-8")
+        assert main(["train", str(train), "--learner", "rules"]) == 0
+        assert loads_model(capsys.readouterr().out) == trained("rules", tiny_corpus)
 
 
 class TestMalformedInput:
@@ -236,6 +235,39 @@ class TestMalformedInput:
         text = self.replace_line(self.good(tiny_corpus, kind), prefix, line.format(bad))
         with pytest.raises(ParseError, match="finite"):
             loads_model(text)
+
+    @pytest.mark.parametrize("window", ["window left_words=2", "window x", "igtree"])
+    def test_a_baseline_window_line_must_be_a_dash(self, tiny_corpus, tmp_path, capsys, window):
+        if window == "igtree":
+            igtree = self.good(tiny_corpus, "igtree").splitlines()
+            window = next(line for line in igtree if line.startswith("window "))
+        self.rejected(tmp_path, capsys, self.replace_line(self.good(tiny_corpus, "baseline"),
+                                                          "window ", window), "must be 'window -'")
+
+    # The maxent window has 21 slots, each giving at most one active feature.
+    @pytest.mark.parametrize("constant", ["-7", "0", "22"])
+    def test_maxent_constant_must_count_at_most_the_slots(self, tiny_corpus, tmp_path, capsys,
+                                                           constant):
+        text = self.replace_line(self.good(tiny_corpus, "maxent"), "constant ", f"constant {constant}")
+        self.rejected(tmp_path, capsys, text, r"constant must be in \[1, 21\]")
+
+    @pytest.mark.parametrize("accuracy, support", [("7.5", "6"), ("-0.5", "6"), ("1.0", "0"),
+                                                   ("0.5", "-3")])
+    def test_rule_accuracy_and_support_must_be_possible(self, tiny_corpus, tmp_path, capsys,
+                                                        accuracy, support):
+        text = self.replace_line(self.good(tiny_corpus, "rules"), "rule ",
+                                 f"rule B-NP {accuracy} {support} 1 6 DT")
+        self.rejected(tmp_path, capsys, text, "accuracy must be in")
+
+    def rejected(self, tmp_path, capsys, text, match):
+        """``text`` fails to load, and ``tag`` exits 2 on it."""
+        with pytest.raises(ParseError, match=match):
+            loads_model(text)
+        model, test = tmp_path / "model.txt", tmp_path / "test.conll"
+        model.write_text(text, encoding="utf-8")
+        test.write_text("the DT\n", encoding="utf-8")
+        assert main(["tag", str(model), str(test)]) == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("kind", ["knn", "igtree", "maxent", "rules"])
     def test_slots_must_match_the_window(self, tiny_corpus, kind):

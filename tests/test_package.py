@@ -107,3 +107,70 @@ def test_star_import_binds_every_export():
     namespace = {}
     exec("from chunkvote import *", namespace)
     assert sorted(set(chunkvote.__all__) - set(namespace)) == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _uses(tree, own_definitions):
+    """Names a module loads or imports, each counted only outside the
+    top-level statement that defines it when ``own_definitions``."""
+    used = set()
+    for statement in tree.body:
+        defined = set()
+        if own_definitions:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(statement.name)
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+        used -= defined
+    return used
+
+
+def test_every_export_is_used_outside_the_tests():
+    """A public name lives for the command line, the library's own code or
+    the benchmark, never for tests alone."""
+    used = set()
+    for path in (ROOT / "src" / "chunkvote").glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _uses(ast.parse(path.read_text()), own_definitions=True)
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        used.update(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[0] == "chunkvote" for alias in node.names)
+    assert sorted(set(chunkvote.__all__) - used) == []
+
+
+def test_model_fields_the_benchmark_reads_exist(tiny_corpus):
+    """The fields ``perfbench`` reads off the models that ``loads_model``,
+    ``LearnerSpec.train`` and ``stacked_train`` return, which the import
+    guard above cannot follow."""
+    from chunkvote import LearnerSpec, dumps_model, loads_model, read_table, stacked_train
+
+    options = {"knn": {"k": 2}, "maxent": {"iterations": 3}}
+    models = {kind: LearnerSpec("sys", kind, **options.get(kind, {})).train(tiny_corpus)
+              for kind in ("knn", "igtree", "maxent", "rules")}
+    loaded = {kind: loads_model(dumps_model(model)) for kind, model in models.items()}
+    for knn in (models["knn"], loaded["knn"]):
+        assert knn.k == 2 and knn.memory and knn.weights and knn.class_counts
+        assert knn.window is not None
+    for tree in (models["igtree"], loaded["igtree"]):
+        assert tree.root.children and tree.root.default
+    trace = models["maxent"].trace
+    assert trace.iterations == 3 and len(trace.loglik) == 4  # one before each pass, one after
+    assert models["maxent"].weights
+    rules = loaded["rules"]
+    vector = next(iter(loaded["knn"].memory))[0]
+    assert rules.window is not None and rules.rules
+    assert all(rule.matches(vector) in (True, False) for rule in rules.rules)
+
+    tuning = read_table("gold pos a b\nB-NP DT B-NP O\nI-NP NN I-NP I-NP\n\nO VB O O\n")
+    stacked_knn = stacked_train(tuning, learner="knn", add_pos=True)
+    assert stacked_knn.memory and stacked_knn.weights and stacked_knn.k and stacked_knn.class_counts
+    assert stacked_train(tuning, learner="igtree").root.default
