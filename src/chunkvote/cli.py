@@ -298,8 +298,10 @@ def _cmd_train(args) -> None:
         raise UsageError("--learner is required")
     options = {field: getattr(args, field) for field, _, _ in _LEARNER_OPTIONS.values()}
     spec = _learner_spec("model", args.learner, options)
-    corpus = _read_corpus(args.train, args.scheme, 3, strict=True)
-    _write_text(args.output, dumps_model(spec.train(corpus)))
+    # No name here holds the corpus, which training frees once featurized,
+    # or the model, which goes once its text is made.
+    text = dumps_model(spec.train(_read_corpus(args.train, args.scheme, 3, strict=True)))
+    _write_text(args.output, text)
 
 
 def _cmd_tag(args) -> None:

@@ -40,6 +40,8 @@ if TYPE_CHECKING:
     from .metrics import EvalReport
 
 VOTING_METHODS = ("majority", "tot-precision", "tag-precision", "precision-recall", "tag-pair")
+# The methods whose weights are keyed by whole tags such as B-NP.
+_TAG_WEIGHTED_METHODS = ("tag-precision", "precision-recall", "tag-pair")
 
 # Vote value meaning "no bracket here" in start/end streams.  Chunk types
 # named O are therefore not supported in bracket level combination.
@@ -245,7 +247,9 @@ def cv_tuning_table(corpus: Corpus, specs: Sequence[LearnerSpec], folds: int = 1
                 model = spec.fit(train)
                 for i in range(fold, len(sentences), folds):
                     predicted[spec.name][i] = tag_sentence(model, sentences[i])
-        del featurized, train, model  # before the next group featurizes
+                del model  # weights, trace and index, before the next fit
+            del train
+        del featurized  # before the next group featurizes
     gold = [sentence.chunk_tags for sentence in sentences]
     return _table(sentences, predicted, gold)  # type: ignore[arg-type]
 
@@ -580,9 +584,11 @@ def combine_bracket_sentence(
     unmatched brackets are dropped, and so is any rebuilt chunk that
     overlaps an earlier one.  The tuning tag counts of ``weights`` are of
     whole tags, which no bracket value is but the no-bracket ``O``, so they
-    play no part: ties are broken as without weights, and precision-recall
-    candidates are the proposed values only.
+    play no part: ties are broken as without weights.  For the same reason
+    the methods that weigh a system by its tags are rejected.
     """
+    if method in _TAG_WEIGHTED_METHODS:
+        raise ConfigError(f"voting method {method!r} weighs whole tags, so it cannot vote on brackets")
     if weights is not None:
         weights = replace(weights, tag_counts={})
     starts = []

@@ -465,8 +465,11 @@ def train_maxent(
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
     if cutoff < 1:
         raise ConfigError(f"cutoff must be >= 1, got {cutoff}")
-    if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
-        raise ConfigError(f"sigma must be a finite number > 0, got {sigma}")
+    # The Gaussian penalty divides by sigma^2, which must not underflow to 0
+    # nor leave an inverse that overflows.
+    if sigma is not None and not (math.isfinite(sigma) and sigma > 0 and sigma * sigma > 0
+                                  and math.isfinite(1.0 / (sigma * sigma))):
+        raise ConfigError(f"sigma must be a finite number > 0 with a finite 1 / sigma^2, got {sigma}")
     classes = tuple(sorted({label for _, label in dataset.items}))
     class_counts = dataset.class_counts()
 
@@ -498,9 +501,12 @@ def train_maxent(
     del raw
     n_features = len(features)
     class_ids = {c: ci for ci, c in enumerate(classes)}
-    # Each unique vector's (class index, count) pairs, in class order.
-    gold = [tuple(sorted((class_ids[label], n) for label, n in counts.items()))
-            for counts in label_counts]
+    # Each unique vector's (class index, count) pairs, in class order; one
+    # tuple per distinct pattern, since few patterns cover most vectors.
+    patterns: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
+    gold = [patterns.setdefault(pairs, pairs)
+            for pairs in (tuple(sorted((class_ids[label], n) for label, n in counts.items()))
+                          for counts in label_counts)]
     del label_counts
 
     # Active feature ids per unique vector and class, in slot order, found
@@ -525,8 +531,7 @@ def train_maxent(
     lambdas = [0.0] * n_features
     corr_lambda = 0.0
     loglik: list[float] = []
-    expected = [0.0] * n_features
-    exp_corr = 0.0
+    expected: list[float] = []
 
     def pass_over_data() -> tuple[list[float], float, float]:
         exp_ = [0.0] * n_features
@@ -554,6 +559,7 @@ def train_maxent(
 
     done = 0
     for _ in range(iterations):
+        del expected  # the last pass's counts, before this pass makes its own
         expected, exp_corr, ll = pass_over_data()
         loglik.append(ll)
         if tol > 0.0:
@@ -570,8 +576,10 @@ def train_maxent(
         if emp_corr > 0.0:
             corr_lambda += _gis_delta(emp_corr, exp_corr, corr_lambda, constant, sigma)
         done += 1
+    del expected
     expected, exp_corr, ll = pass_over_data()
     loglik.append(ll)
+    del active, gold, totals  # before the weight and trace dicts are built
 
     return MaxEntModel(
         weights=dict(zip(features, lambdas)),
@@ -801,7 +809,11 @@ class LearnerSpec:
         return trainer(dataset, **options | {"window": self.resolved_window()})
 
     def train(self, corpus: Corpus) -> TrainedModel:
-        return self.fit(self.featurize(corpus))
+        """``fit(featurize(corpus))``, letting go of ``corpus`` before fitting,
+        so that a corpus no caller holds is freed once featurized."""
+        dataset = self.featurize(corpus)
+        del corpus
+        return self.fit(dataset)
 
 
 def train_baseline(corpus: Corpus, io_encoding: bool = False) -> IGTreeModel:

@@ -71,8 +71,9 @@ def score_chunks(
     beta: float = 1.0,
 ) -> EvalReport:
     """Score predicted spans against gold spans, sentence by sentence."""
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ConfigError(f"beta must be a finite number >= 0, got {beta}")
+    # F weighs precision by beta^2, which must not overflow.
+    if not (beta >= 0 and math.isfinite(beta * beta)):
+        raise ConfigError(f"beta must be a finite number >= 0 with a finite beta^2, got {beta}")
     if len(gold) != len(pred):
         raise AlignmentError(f"gold has {len(gold)} sentences, predictions have {len(pred)}")
     tallies: dict[str, list[int]] = {}

@@ -99,7 +99,8 @@ def dumps_model(model: TrainedModel) -> str:
             lines.append(" ".join([head, *(f"{slot} {value}" for slot, value in rule.premises)]))
     else:
         raise ParseError(f"cannot serialize model kind {type(model).__name__}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text to add it
+    return "\n".join(lines)
 
 
 def loads_model(text: str) -> TrainedModel:

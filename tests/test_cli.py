@@ -344,15 +344,23 @@ class TestTrainTagEval:
         assert main(["tag", model_path, train, "-o", out_path(files)]) == 2
         assert "repeated class line 'class B-NP 999'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+    # 1e-162 squares to 0 and 1e-155 to a number whose inverse overflows.
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf", "1e-155", "1e-162"])
     def test_a_meaningless_sigma_is_a_data_error(self, files, capsys, sigma):
         train = files("train.conll", TINY_TRAIN)
         assert main(["train", train, "--learner", "maxent", "--iterations", "2",
                      "--sigma", sigma, "-o", out_path(files)]) == 2
         assert "sigma must be a finite number > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["1e-155", "1e-162"])
+    def test_cv_tune_rejects_a_sigma_whose_square_underflows(self, files, capsys, sigma):
+        train = files("train.conll", TINY_TRAIN)
+        assert main(["cv-tune", train, "--system", f"ent=maxent,iterations=2,sigma={sigma}",
+                     "--folds", "2", "-o", out_path(files)]) == 2
+        assert "with a finite 1 / sigma^2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["eval", "report"])
-    @pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-1", "1e160", "1e200"])
     def test_a_meaningless_beta_is_a_data_error(self, files, capsys, command, beta):
         train = files("train.conll", TINY_TRAIN)
         pred = [train] if command == "eval" else ["--pred", "gold=" + train]

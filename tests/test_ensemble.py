@@ -1,3 +1,5 @@
+import weakref
+
 import pytest
 
 import chunkvote.learners
@@ -314,6 +316,22 @@ class TestCvTuningTable:
         assert write_table(table) == write_table(expected)
         # tree and nn share the default window; rio reads it io-encoded
         assert len(windows) == 4
+
+    def test_each_model_is_freed_before_the_next_fit(self, tiny_corpus, monkeypatch):
+        # A maxent model holds its weights, trace and scoring index.
+        models, alive = [], []
+        fit = LearnerSpec.fit
+
+        def spy(spec, dataset):
+            alive.append(sum(ref() is not None for ref in models))
+            model = fit(spec, dataset)
+            models.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(LearnerSpec, "fit", spy)
+        specs = [LearnerSpec("ent", "maxent", iterations=2), LearnerSpec("tree", "igtree")]
+        cv_tuning_table(tiny_corpus, specs, folds=3)
+        assert alive == [0] * 6
 
     def test_config_errors(self, tiny_corpus):
         spec = LearnerSpec("base", "baseline")
@@ -866,6 +884,24 @@ class TestBracketCombination:
         weighted = combine_corpus(table, bracket_level=True, weights=estimate_weights(tuning))
         assert weighted.sentences[0].chunk_tags == ("B-NP", "I-NP")
         assert weighted == combine_corpus(table, bracket_level=True)
+
+    def test_methods_weighing_whole_tags_are_rejected(self):
+        # Tuning saw every system tag-perfect, but its weights are keyed by
+        # tags such as B-VP, never by a bracket value such as VP: these
+        # methods would score every proposed bracket 0 and return O O.
+        outputs = {"a": [spans((0, 2, "VP"))], "b": [spans((0, 2, "VP"))], "c": [[]]}
+        table = bracket_table(outputs, [2])
+        tuning = table_from_rows(["a", "b", "c"], [[("VB", ("B-VP",) * 3), ("NN", ("O",) * 3)]],
+                                 gold=[["B-VP", "O"]])
+        weights = estimate_weights(tuning)
+        for method in ("majority", "tot-precision"):
+            voted = combine_corpus(table, method, weights, bracket_level=True)
+            assert voted.sentences[0].chunk_tags == ("B-VP", "I-VP")
+        for method in ("tag-precision", "precision-recall", "tag-pair"):
+            with pytest.raises(ConfigError, match=f"{method}.*cannot vote on brackets"):
+                combine_corpus(table, method, weights, bracket_level=True)
+            with pytest.raises(ConfigError, match="cannot vote on brackets"):
+                combine_bracket_sentence([spans((0, 2, "VP")), []], ["a", "c"], 2, method, weights)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_majority_is_the_same_with_and_without_weights(self, seed):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import weakref
 from array import array
 
 import pytest
@@ -627,6 +628,25 @@ class TestMaxEnt:
             assert model.scores(query) == oracle_maxent_scores(model, query)
             assert foreign.scores(query) == oracle_maxent_scores(foreign, query)
 
+    def test_peak_memory_per_distinct_vector_is_bounded(self):
+        # Each distinct vector needs its id tuples, one per class (~230 bytes
+        # here), and a slot in the gold list.  Its (class, count) pairs repeat
+        # one pattern, which a tuple per vector would cost ~230 bytes more.
+        # The slope between two sizes cancels the costs per feature.
+        r = datagen.rng(47_000)
+        vectors = r.sample([(f"a{i}", f"b{j}") for i in range(200) for j in range(200)], 6_000)
+
+        def peak(n):
+            data = dataset([(vector, label) for vector in vectors[:n] for label in "XYZ"])
+            tracemalloc.start()
+            try:
+                train_maxent(data, iterations=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(6_000) - peak(3_000)) / 3_000 < 384
+
     def test_training_is_deterministic(self):
         data = dataset([(["a", "p"], "X"), (["b", "p"], "Y"), (["a", "q"], "Y")])
         first = train_maxent(data, iterations=15, cutoff=1)
@@ -641,9 +661,11 @@ class TestMaxEnt:
             train_maxent(self.skewed(), iterations=0)
         with pytest.raises(ConfigError):
             train_maxent(self.skewed(), cutoff=0)
-        for bad in (0.0, -1.0, math.nan, math.inf):
+        # 1e-162 squares to 0 and 1e-155 to a number whose inverse overflows
+        for bad in (0.0, -1.0, math.nan, math.inf, 1e-155, 1e-162):
             with pytest.raises(ConfigError, match="sigma"):
                 train_maxent(self.skewed(), sigma=bad)
+        assert math.isfinite(train_maxent(self.skewed(), sigma=1e-150).correction)
         model = train_maxent(self.skewed())
         with pytest.raises(ValidationError):
             predict_maxent(model, ("x", "y"))
@@ -859,6 +881,20 @@ class TestLearnerSpec:
         maxent = LearnerSpec("me", "maxent", iterations=3).train(tiny_corpus)
         assert isinstance(maxent, MaxEntModel)
         assert maxent.window == MAXENT_WINDOW
+
+    @pytest.mark.parametrize("learner, options", [("igtree", {}), ("rules", {"io_encoding": True})])
+    def test_train_frees_a_temporary_corpus_before_fit(self, tiny_corpus, monkeypatch, learner, options):
+        class Spied(Corpus):
+            """A corpus that can be weakly referenced, which a slotted one cannot."""
+
+        refs, alive = [], []
+        featurize, fit = LearnerSpec.featurize, LearnerSpec.fit
+        monkeypatch.setattr(LearnerSpec, "featurize",
+                            lambda spec, corpus: refs.append(weakref.ref(corpus)) or featurize(spec, corpus))
+        monkeypatch.setattr(LearnerSpec, "fit",
+                            lambda spec, data: alive.append(refs[0]() is not None) or fit(spec, data))
+        LearnerSpec("sys", learner, **options).train(Spied(tiny_corpus.sentences, tiny_corpus.scheme))
+        assert alive == [False]
 
     def test_trained_models_carry_their_window(self, tiny_corpus):
         model = LearnerSpec("sys", "knn", k=1).train(tiny_corpus)

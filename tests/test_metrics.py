@@ -119,7 +119,8 @@ class TestScoreChunks:
         assert report.beta == 2.0
         assert report.f_rate == 0.0
 
-    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0])
+    # 1e160 and 1e200 are finite, but their squares are not.
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0, 1e160, 1e200])
     def test_beta_must_be_finite_and_non_negative(self, beta):
         with pytest.raises(ConfigError, match="beta"):
             score_chunks([spans((0, 1, "NP"))], [[]], beta=beta)
