@@ -5,15 +5,15 @@ tag every system predicted and optionally the gold tag.  Tables are built
 by cross validation over the training data (so the combiner weights are
 estimated on predictions for unseen text) and consumed by five weighted
 voting methods, by stacked classifiers and by best subset selection.
-A second combination mode votes on chunk start and end brackets instead
-of whole tags.
+A second combination mode takes a majority vote on chunk start and end
+brackets instead of whole tags.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .corpus import (
@@ -40,14 +40,14 @@ if TYPE_CHECKING:
     from .metrics import EvalReport
 
 VOTING_METHODS = ("majority", "tot-precision", "tag-precision", "precision-recall", "tag-pair")
-# The methods whose weights are keyed by whole tags such as B-NP.
-_TAG_WEIGHTED_METHODS = ("tag-precision", "precision-recall", "tag-pair")
 
 # Vote value meaning "no bracket here" in start/end streams.  Chunk types
 # named O are therefore not supported in bracket level combination.
 NO_BRACKET = "O"
 
 _RESERVED_COLUMNS = ("gold", "pos")
+# The fields of each kind of weights file line that hold chunk tags.
+_TAG_FIELDS = {"tagcount": (1,), "tagprec": (2,), "tagrec": (2,), "pair": (3, 4, 5)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -350,8 +350,7 @@ def _rate(line: str, text: str) -> float:
     return value
 
 
-def read_weights(source) -> CombinerWeights:
-    text = source if isinstance(source, str) else source.read()
+def read_weights(text: str) -> CombinerWeights:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0].split() != ["combiner-weights", "1"]:
         raise ParseError("not a combiner-weights file")
@@ -381,6 +380,11 @@ def read_weights(source) -> CombinerWeights:
                 key, value = fields[5], _rate(line, fields[6])
             else:
                 raise ParseError(f"bad weights line {line!r}")
+            try:
+                for i in _TAG_FIELDS.get(fields[0], ()):
+                    check_chunk_tag(fields[i])
+            except ValidationError as exc:
+                raise ParseError(f"{exc} in weights line {line!r}") from None
             if key in target:
                 raise ParseError(f"repeated key in weights line {line!r}")
             target[key] = value
@@ -551,58 +555,29 @@ def best_n_select(table: PredictionTable, n: int) -> tuple[str, ...]:
 #---------------------------------------------------------------------------
 # bracket level combination
 
-def _vote_stream(
-    streams: Sequence[dict[int, str]],
-    systems: Sequence[str],
-    length: int,
-    method: str,
-    weights: CombinerWeights | None,
-) -> dict[int, str]:
+def _vote_stream(streams: Sequence[dict[int, str]], length: int) -> dict[int, str]:
+    """Each position's majority bracket, ties to the alphabetically smaller."""
     winners = {}
     for position in range(length):
-        pairs = [
-            (name, stream.get(position, NO_BRACKET))
-            for name, stream in zip(systems, streams)
-        ]
-        winner = vote(pairs, method, weights)
+        winner = pick_best(Counter(stream.get(position, NO_BRACKET) for stream in streams))
         if winner != NO_BRACKET:
             winners[position] = winner
     return winners
 
 
 def combine_bracket_sentence(
-    spans_per_system: Sequence[Sequence[ChunkSpan]],
-    systems: Sequence[str],
-    length: int,
-    method: str = "majority",
-    weights: CombinerWeights | None = None,
+    spans_per_system: Sequence[Sequence[ChunkSpan]], length: int
 ) -> list[ChunkSpan]:
-    """Vote on chunk starts and ends separately, then rebuild chunks.
+    """Majority vote on chunk starts and ends separately, then rebuild chunks.
 
     A start of type T at position p is matched with the nearest end of
     type T at a position >= p that precedes the next start of type T;
     unmatched brackets are dropped, and so is any rebuilt chunk that
-    overlaps an earlier one.  The tuning tag counts of ``weights`` are of
-    whole tags, which no bracket value is but the no-bracket ``O``, so they
-    play no part: ties are broken as without weights.  For the same reason
-    the methods that weigh a system by its tags are rejected.
+    overlaps an earlier one.
     """
-    if method in _TAG_WEIGHTED_METHODS:
-        raise ConfigError(f"voting method {method!r} weighs whole tags, so it cannot vote on brackets")
-    if weights is not None:
-        weights = replace(weights, tag_counts={})
-    starts = []
-    ends = []
-    for spans in spans_per_system:
-        start_stream: dict[int, str] = {}
-        end_stream: dict[int, str] = {}
-        for span in spans:
-            start_stream[span.begin] = span.label
-            end_stream[span.end - 1] = span.label
-        starts.append(start_stream)
-        ends.append(end_stream)
-    start_winners = _vote_stream(starts, systems, length, method, weights)
-    end_winners = _vote_stream(ends, systems, length, method, weights)
+    systems = spans_per_system
+    start_winners = _vote_stream([{s.begin: s.label for s in system} for system in systems], length)
+    end_winners = _vote_stream([{s.end - 1: s.label for s in system} for system in systems], length)
 
     spans: list[ChunkSpan] = []
     for begin in sorted(start_winners):
@@ -660,20 +635,21 @@ def combine_corpus(
     """Combine a test table into one tagged corpus under IOB2.
 
     With ``bracket_level`` the systems' chunk starts and ends are voted on
-    separately and chunks are rebuilt from the surviving brackets;
-    otherwise each token's tags are voted on directly.  Words are taken
-    from ``words`` when given, else a placeholder is written.  ``weights``
-    must cover every system of the table.
+    separately by majority and chunks are rebuilt from the surviving
+    brackets; otherwise each token's tags are voted on directly.  Words are
+    taken from ``words`` when given, else a placeholder is written.
+    ``weights`` must cover every system of the table; brackets ignore them.
     """
     if weights is not None:
         missing = [name for name in table.systems if name not in weights.systems]
         if missing:
             raise ValidationError(f"weights have no estimates for systems: {' '.join(missing)}")
     if bracket_level:
+        if method != "majority":
+            raise ConfigError(f"bracket level combination is majority only, got {method!r}")
         spans = [
             combine_bracket_sentence(
-                [extract_chunks(column) for column in zip(*(row.preds for row in rows))],
-                table.systems, len(rows), method, weights,
+                [extract_chunks(column) for column in zip(*(row.preds for row in rows))], len(rows)
             )
             for rows in table.sentences
         ]
@@ -691,11 +667,14 @@ def stacked_corpus(
     words: Corpus | None = None,
 ) -> Corpus:
     """Apply a stacked model to every row of a test table and normalise to
-    IOB2.  Reads only the model's ``slot_names`` and ``predict``."""
-    add_pos = len(model.slot_names) == len(table.systems) + 1
-    if not add_pos and len(model.slot_names) != len(table.systems):
+    IOB2.  Reads only the model's ``slot_names`` and ``predict``: the slot
+    names less a trailing ``pos`` must be the table's systems, in order."""
+    names = tuple(model.slot_names)
+    add_pos = names[-1:] == ("pos",)
+    systems = names[:-1] if add_pos else names
+    if systems != table.systems:
         raise ValidationError(
-            f"model expects {len(model.slot_names)} columns, table has {len(table.systems)} systems"
+            f"model columns {' '.join(systems)} differ from table systems {' '.join(table.systems)}"
         )
     tags = _decide_rows(table, lambda row: model.predict(_stacked_vector(row, add_pos)))
     return _normalised_corpus([extract_chunks(t) for t in tags], table, words)

@@ -23,11 +23,18 @@ from .corpus import (
 from .errors import AlignmentError, ConfigError, ValidationError
 
 
+def _check_beta(beta: float) -> None:
+    # F weighs precision by beta^2, which must not overflow.
+    if not (beta >= 0 and math.isfinite(beta * beta)):
+        raise ConfigError(f"beta must be a finite number >= 0 with a finite beta^2, got {beta}")
+
+
 def f_beta(precision: float, recall: float, beta: float = 1.0) -> float:
     """Weighted harmonic mean of precision and recall, 0 when both are 0.
 
     ``beta`` > 1 favours recall, ``beta`` < 1 favours precision.
     """
+    _check_beta(beta)
     if precision + recall == 0:
         return 0.0
     b2 = beta * beta
@@ -71,9 +78,7 @@ def score_chunks(
     beta: float = 1.0,
 ) -> EvalReport:
     """Score predicted spans against gold spans, sentence by sentence."""
-    # F weighs precision by beta^2, which must not overflow.
-    if not (beta >= 0 and math.isfinite(beta * beta)):
-        raise ConfigError(f"beta must be a finite number >= 0 with a finite beta^2, got {beta}")
+    _check_beta(beta)
     if len(gold) != len(pred):
         raise AlignmentError(f"gold has {len(gold)} sentences, predictions have {len(pred)}")
     tallies: dict[str, list[int]] = {}

@@ -148,6 +148,46 @@ def oracle_vote(votes, method, weights=None):
     return _argmax(scores, frequencies)
 
 
+def oracle_bracket_vote(spans_per_system, length):
+    """Bracket level majority: vote on each position's start and end
+    bracket (no bracket is ``O``, ties to the alphabetically smaller), pair
+    each start with the first end of its type found scanning right before
+    another start of that type, then keep chunks that overlap no kept one."""
+    def winners(position_of):
+        streams = []
+        for spans in spans_per_system:
+            stream = {}
+            for span in spans:
+                stream[position_of(span)] = span.label  # a later span replaces an earlier
+            streams.append(stream)
+        result = {}
+        for position in range(length):
+            counts = Counter(stream.get(position, "O") for stream in streams)
+            best = sorted(counts, key=lambda value: (-counts[value], value))[0]
+            if best != "O":
+                result[position] = best
+        return result
+
+    starts = winners(lambda span: span.begin)
+    ends = winners(lambda span: span.end - 1)
+    rebuilt = []
+    for begin in range(length):
+        label = starts.get(begin)
+        if label is None:
+            continue
+        for q in range(begin, length):
+            if q > begin and starts.get(q) == label:
+                break
+            if ends.get(q) == label:
+                rebuilt.append(ChunkSpan(begin, q + 1, label))
+                break
+    kept = []
+    for span in sorted(rebuilt, key=lambda span: (span.begin, span.end)):
+        if all(span.begin >= other.end or span.end <= other.begin for other in kept):
+            kept.append(span)
+    return kept
+
+
 def oracle_knn(memory, weights, k, vector, class_counts):
     """Brute force: all distances, the k smallest distinct values vote."""
     distances = []

@@ -554,6 +554,16 @@ class TestCombineCommand:
                      "--weights", weights, "-o", out_path(files)]) == 2
         assert "rate outside [0, 1]" in capsys.readouterr().err
 
+    def test_weights_with_a_bad_tag_are_a_data_error(self, files):
+        table_path = build_table(files)
+        text = write_weights(estimate_weights(read_table(Path(table_path).read_text())))
+        weights = files("q.weights", text + "tagcount Q 7\n")
+        results = [run_module(["combine", table_path, "--method", "precision-recall",
+                               "--weights", weights], hash_seed=seed) for seed in ("0", "1", "2")]
+        assert [result.returncode for result in results] == [2, 2, 2]
+        assert "in weights line 'tagcount Q 7'" in results[0].stderr
+        assert results[1].stderr == results[2].stderr == results[0].stderr
+
     def test_a_repeated_weights_key_is_a_data_error(self, files, capsys):
         table_path = build_table(files)
         text = write_weights(estimate_weights(read_table(Path(table_path).read_text())))
@@ -627,6 +637,22 @@ class TestCombineCommand:
         assert main(["combine", table_path, "--method", "stacked-knn", "--tuning", table_path,
                      "-o", out_path(files)]) == 0
         assert len(reads) == 2  # the table to combine and the tuning table
+
+    def test_stacking_matches_systems_by_name(self, files, capsys):
+        table_path = build_table(files)
+        table = read_table(Path(table_path).read_text())
+        renamed = files("renamed.txt", write_table(type(table)(("x", "y"), table.sentences)))
+        swapped = files("swapped.txt", write_table(type(table)(("tree", "base"), tuple(
+            tuple(type(row)(row.pos, row.preds[::-1], row.gold) for row in rows)
+            for rows in table.sentences
+        ))))
+        for test_table, names in ((renamed, "x y"), (swapped, "tree base")):
+            for method in ("stacked-igtree", "stacked-knn-pos"):
+                assert main(["combine", test_table, "--method", method, "--tuning", table_path,
+                             "-o", out_path(files)]) == 2
+                assert f"columns base tree differ from table systems {names}" in (
+                    capsys.readouterr().err
+                )
 
     def test_stacked_methods_need_tuning(self, files, capsys):
         table_path = build_table(files)

@@ -1,3 +1,4 @@
+import re
 import weakref
 
 import pytest
@@ -42,7 +43,7 @@ from chunkvote.ensemble import evaluate_subset
 
 import datagen
 from conftest import make_sentence
-from oracles import oracle_vote
+from oracles import oracle_bracket_vote, oracle_vote
 
 TAGS = ("B-NP", "I-NP", "O")
 
@@ -465,6 +466,22 @@ class TestWeightsIO:
         with pytest.raises(ParseError, match="no accuracy line for: b"):
             read_weights("combiner-weights 1\nsystem a\nsystem b\naccuracy a 0.5\n")
 
+    @pytest.mark.parametrize("line", [
+        "tagcount Q 7", "tagprec a B-O 0.5", "tagrec a I- 0.5",
+        "pair a b Q O O 0.5", "pair a b O Q O 0.5", "pair a b O O Q 0.5",
+    ])
+    def test_bad_chunk_tags_are_rejected(self, line):
+        # An unproposed tag such as Q would win every disputed
+        # precision-recall row, and dropping it leaves O behind.
+        text = "combiner-weights 1\nsystem a\nsystem b\naccuracy a 0.5\naccuracy b 0.5\n"
+        with pytest.raises(ParseError, match=re.escape(f"in weights line {line!r}")):
+            read_weights(text + line + "\n")
+
+    def test_the_first_bad_tag_in_file_order_is_named(self):
+        text = "combiner-weights 1\ntagrec a Z 0.5\ntagcount Q 7\nsystem a\naccuracy a 0.5\n"
+        with pytest.raises(ParseError, match=r"bad chunk tag 'Z'.*'tagrec a Z 0.5'"):
+            read_weights(text)
+
     def test_negative_tag_counts_are_rejected(self):
         with pytest.raises(ParseError, match="negative tag count"):
             read_weights("combiner-weights 1\ntagcount B-NP -1\n")
@@ -707,6 +724,20 @@ class TestStacking:
         with pytest.raises(ValidationError, match="columns"):
             stacked_corpus(model, one_system)
 
+    @pytest.mark.parametrize("add_pos", [False, True])
+    def test_table_systems_must_be_the_model_systems_in_order(self, add_pos):
+        table = self.table()
+        model = stacked_train(table, learner="igtree", add_pos=add_pos)
+        renamed = PredictionTable(("x", "y"), table.sentences)
+        with pytest.raises(ValidationError, match="columns m1 m2 differ from table systems x y"):
+            stacked_corpus(model, renamed)
+        swapped = PredictionTable(("m2", "m1"), tuple(
+            tuple(PredictionRow(row.pos, row.preds[::-1]) for row in rows)
+            for rows in table.sentences
+        ))
+        with pytest.raises(ValidationError, match="table systems m2 m1"):
+            stacked_corpus(model, swapped)
+
     def test_a_model_needs_only_slot_names_and_predict(self):
         # A wrapper that times each prediction passes an object with only these.
         class Bare:
@@ -796,9 +827,7 @@ def bracket_table(outputs, lengths):
 class TestBracketCombination:
     def test_unanimous_flat_spans_are_a_fixed_point(self):
         chunked = spans((0, 2, "NP"), (2, 4, "NP"), (5, 6, "VP"))
-        got = combine_bracket_sentence(
-            [chunked, chunked, chunked], ["a", "b", "c"], 7,
-        )
+        got = combine_bracket_sentence([chunked, chunked, chunked], 7)
         assert got == chunked
 
     def test_majority_on_each_bracket_stream(self):
@@ -807,7 +836,7 @@ class TestBracketCombination:
             spans((0, 2, "NP")),
             spans((0, 3, "NP")),
         ]
-        got = combine_bracket_sentence(per_system, ["a", "b", "c"], 4)
+        got = combine_bracket_sentence(per_system, 4)
         assert got == spans((0, 2, "NP"))
 
     def test_start_without_a_matching_end_is_dropped(self):
@@ -816,7 +845,7 @@ class TestBracketCombination:
             spans((0, 1, "NP")),
             [],
         ]
-        got = combine_bracket_sentence(per_system, ["a", "b", "c"], 3)
+        got = combine_bracket_sentence(per_system, 3)
         assert got == []
 
     def test_end_search_stops_at_the_next_same_type_start(self):
@@ -827,31 +856,13 @@ class TestBracketCombination:
             spans((0, 1, "NP"), (2, 4, "NP")),
             spans((0, 2, "NP"), (2, 4, "NP")),
         ]
-        got = combine_bracket_sentence(per_system, ["a", "b", "c"], 5)
+        got = combine_bracket_sentence(per_system, 5)
         assert got == spans((0, 2, "NP"), (2, 4, "NP"))
 
     def test_nested_input_is_flattened_by_the_overlap_sweep(self):
         nested = spans((0, 4, "NP"), (1, 3, "VP"))
-        got = combine_bracket_sentence([nested], ["only"], 5)
+        got = combine_bracket_sentence([nested], 5)
         assert got == spans((0, 4, "NP"))
-
-    def test_weighted_methods_apply_to_the_streams(self):
-        per_system = [
-            spans((0, 2, "NP")),
-            [],
-            [],
-        ]
-        w = make_weights(
-            systems=("a", "b", "c"),
-            accuracy={"a": 0.99, "b": 0.1, "c": 0.1},
-            tag_counts={"NP": 5, "O": 5},
-        )
-        assert combine_bracket_sentence(
-            [list(s) for s in per_system], ["a", "b", "c"], 3, "tot-precision", w
-        ) == spans((0, 2, "NP"))
-        assert combine_bracket_sentence(
-            [list(s) for s in per_system], ["a", "b", "c"], 3, "majority"
-        ) == []
 
     def test_combine_brackets_over_a_corpus(self):
         # sentence 2 splits one against one; the tie rule prefers the
@@ -885,23 +896,19 @@ class TestBracketCombination:
         assert weighted.sentences[0].chunk_tags == ("B-NP", "I-NP")
         assert weighted == combine_corpus(table, bracket_level=True)
 
-    def test_methods_weighing_whole_tags_are_rejected(self):
-        # Tuning saw every system tag-perfect, but its weights are keyed by
-        # tags such as B-VP, never by a bracket value such as VP: these
-        # methods would score every proposed bracket 0 and return O O.
+    def test_methods_other_than_majority_are_rejected(self):
+        # Weights are keyed by whole tags such as B-VP, never by a bracket
+        # value such as VP, so no weighted method has anything to weigh.
         outputs = {"a": [spans((0, 2, "VP"))], "b": [spans((0, 2, "VP"))], "c": [[]]}
         table = bracket_table(outputs, [2])
         tuning = table_from_rows(["a", "b", "c"], [[("VB", ("B-VP",) * 3), ("NN", ("O",) * 3)]],
                                  gold=[["B-VP", "O"]])
         weights = estimate_weights(tuning)
-        for method in ("majority", "tot-precision"):
-            voted = combine_corpus(table, method, weights, bracket_level=True)
-            assert voted.sentences[0].chunk_tags == ("B-VP", "I-VP")
-        for method in ("tag-precision", "precision-recall", "tag-pair"):
-            with pytest.raises(ConfigError, match=f"{method}.*cannot vote on brackets"):
+        voted = combine_corpus(table, "majority", weights, bracket_level=True)
+        assert voted.sentences[0].chunk_tags == ("B-VP", "I-VP")
+        for method in VOTING_METHODS[1:]:
+            with pytest.raises(ConfigError, match=f"majority only, got '{method}'"):
                 combine_corpus(table, method, weights, bracket_level=True)
-            with pytest.raises(ConfigError, match="cannot vote on brackets"):
-                combine_bracket_sentence([spans((0, 2, "VP")), []], ["a", "c"], 2, method, weights)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_majority_is_the_same_with_and_without_weights(self, seed):
@@ -918,13 +925,29 @@ class TestBracketCombination:
         )
 
     @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_oracle(self, seed):
+        r = datagen.rng(20_800 + seed)
+        for _ in range(50):
+            length = r.randint(1, 12)
+            per_system = []
+            for _ in range(r.randint(1, 5)):
+                system = datagen.random_spans(r, length, ("NP", "PP", "VP", "ADJP"))
+                if r.random() < 0.3:  # nested and crossing spans
+                    extra = datagen.random_spans(r, length)
+                    system = sorted(system + extra, key=lambda s: s.begin)
+                per_system.append(system)
+            assert combine_bracket_sentence(per_system, length) == oracle_bracket_vote(
+                per_system, length
+            )
+
+    @pytest.mark.parametrize("seed", range(10))
     def test_output_never_overlaps(self, seed):
         r = datagen.rng(20_000 + seed)
         for _ in range(20):
             length = r.randint(1, 12)
             names = ["a", "b", "c"]
             per_system = [datagen.random_spans(r, length) for _ in names]
-            got = combine_bracket_sentence(per_system, names, length)
+            got = combine_bracket_sentence(per_system, length)
             for first, second in zip(got, got[1:]):
                 assert first.end <= second.begin
 

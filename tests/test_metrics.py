@@ -61,6 +61,17 @@ class TestFBeta:
             )
             assert f_beta(p, rec, beta) == pytest.approx(oracle_f(p, rec, beta))
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0, 1e160, 1e200])
+    def test_beta_is_checked_as_score_chunks_checks_it(self, beta):
+        with pytest.raises(ConfigError, match="beta must be a finite number >= 0"):
+            f_beta(0.5, 0.5, beta)
+        with pytest.raises(ConfigError, match="beta must be a finite number >= 0"):
+            f_beta(0.0, 0.0, beta)
+        with pytest.raises(ConfigError, match="beta must be a finite number >= 0"):
+            Counts(found=4, gold=5, correct=3).f(beta)
+        with pytest.raises(ConfigError, match="beta must be a finite number >= 0"):
+            EvalReport(Counts(found=4, gold=5, correct=3), beta=beta).f_rate
+
     def test_beta_one_is_the_harmonic_mean(self):
         p, rec = 0.9404, 0.9100
         assert f_beta(p, rec) == pytest.approx(2 * p * rec / (p + rec))
