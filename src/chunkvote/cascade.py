@@ -20,6 +20,7 @@ from .corpus import (
     NestedSentence,
     Sentence,
     TagScheme,
+    check_chunk_tag,
     extract_chunks,
     strip_tags,
     tags_from_chunks,
@@ -106,6 +107,8 @@ def cascade_bracket(
     found: dict[ChunkSpan, None] = {}
     for _ in range(max_depth):
         tags = tagger(current)
+        for tag in dict.fromkeys(tags):  # in token order, as with_tags checks them
+            check_chunk_tag(tag)
         level_spans = extract_chunks(tags)
         if not level_spans:
             break

@@ -373,19 +373,18 @@ def text_lines(text: str) -> Iterator[str]:
         start = cut
 
 
-def column_blocks(source) -> Iterator[tuple[int, list[list[str]]]]:
+def column_blocks(text: str) -> Iterator[tuple[int, list[list[str]]]]:
     """Yield each sentence of a column file as its first line number and
     the fields of its lines.
 
-    ``source`` is a string or an iterable of lines.  Fields are split on
-    any whitespace, so a line of only spaces or tabs closes a sentence like
-    an empty one, and line ends need no stripping.  Equal fields within one
-    call are one string object; corpora repeat words and tags heavily.
+    Fields are split on any whitespace, so a line of only spaces or tabs
+    closes a sentence like an empty one, and line ends need no stripping.
+    Equal fields within one call are one string object; corpora repeat
+    words and tags heavily.
     """
-    lines = text_lines(source) if isinstance(source, str) else source
     share = {}.setdefault
     block: list[list[str]] = []
-    for lineno, fields in enumerate(map(str.split, lines), start=1):
+    for lineno, fields in enumerate(map(str.split, text_lines(text)), start=1):
         if fields:
             block.append(list(map(share, fields, fields)))
         elif block:  # a sentence's lines are consecutive, so its first is known
@@ -395,18 +394,18 @@ def column_blocks(source) -> Iterator[tuple[int, list[list[str]]]]:
         yield lineno + 1 - len(block), block
 
 
-def parse_conll(source, scheme: TagScheme, columns: int = 3, strict: bool = True) -> Corpus:
-    """Read a 2 or 3 column chunk file into a Corpus.
+def parse_conll(text: str, scheme: TagScheme, columns: int = 3, strict: bool = True) -> Corpus:
+    """Read the text of a 2 or 3 column chunk file into a Corpus.
 
-    ``source`` is a string or an iterable of lines.  With ``strict`` the
-    tag sequences must be legal under ``scheme``; raw system output can be
-    read with ``strict=False`` and repaired later by ``extract_chunks``.
+    With ``strict`` the tag sequences must be legal under ``scheme``; raw
+    system output can be read with ``strict=False`` and repaired later by
+    ``extract_chunks``.
     """
     if columns not in (2, 3):
         raise ValidationError(f"columns must be 2 or 3, got {columns}")
     sentences: list[Sentence] = []
     check = ColumnCheck()
-    for first, rows in column_blocks(source):
+    for first, rows in column_blocks(text):
         fields = tuple(zip(*rows)) if set(map(len, rows)) == {columns} else ()
         if not fields or not check.passes(*fields):
             for i, line in enumerate(rows):  # the first fault, as a token by token read meets it
@@ -482,8 +481,8 @@ def _bracket_spans(
     return spans
 
 
-def parse_nested(source) -> list[NestedSentence]:
-    """Read a nested 3 column bracket file.
+def parse_nested(text: str) -> list[NestedSentence]:
+    """Read the text of a nested 3 column bracket file.
 
     Brackets may nest but never cross; unbalanced brackets raise a
     ParseError naming the sentence.  Equal spans within one call are one
@@ -491,7 +490,7 @@ def parse_nested(source) -> list[NestedSentence]:
     """
     sentences: list[NestedSentence] = []
     check, parsed, pool = ColumnCheck(), {}, {}
-    for first, rows in column_blocks(source):
+    for first, rows in column_blocks(text):
         fields = tuple(zip(*rows)) if set(map(len, rows)) == {3} else ()
         checked = bool(fields) and check.passes(*fields[:2])
         spans = _bracket_spans(rows, first, len(sentences) + 1, checked, parsed, pool)

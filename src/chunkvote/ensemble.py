@@ -46,6 +46,14 @@ VOTING_METHODS = ("majority", "tot-precision", "tag-precision", "precision-recal
 NO_BRACKET = "O"
 
 _RESERVED_COLUMNS = ("gold", "pos")
+
+
+def _check_not_reserved(names: Sequence[str]) -> None:
+    for name in names:
+        if name in _RESERVED_COLUMNS:
+            raise ValidationError(f"system name {name!r} is reserved")
+
+
 # The fields of each kind of weights file line that hold chunk tags.
 _TAG_FIELDS = {"tagcount": (1,), "tagprec": (2,), "tagrec": (2,), "pair": (3, 4, 5)}
 
@@ -71,9 +79,7 @@ class PredictionTable:
             raise ValidationError("a prediction table needs at least one system")
         if len(set(self.systems)) != len(self.systems):
             raise ValidationError("system names must be unique")
-        for name in self.systems:
-            if name in _RESERVED_COLUMNS:
-                raise ValidationError(f"system name {name!r} is reserved")
+        _check_not_reserved(self.systems)
         golds = set()
         # Each distinct cell in first-row order (gold before predictions, as
         # in a table file), to name the first bad one.
@@ -167,21 +173,18 @@ def write_table(table: PredictionTable) -> str:
     return "".join(parts)
 
 
-def read_table(source) -> PredictionTable:
-    """Read a table: its header is the first line of the first block."""
-    blocks = column_blocks(source)
+def read_table(text: str) -> PredictionTable:
+    """Read the text of a table: its header is the first line of the first block."""
+    blocks = column_blocks(text)
     first = next(blocks, None)
     if first is None:
         raise ParseError("empty prediction table")
     start, (header, *rest) = first
-    if header[0] == "gold":
-        if len(header) < 3 or header[1] != "pos":
-            raise ParseError("table header must start with 'gold pos' or 'pos'")
-    elif header[0] != "pos":
-        raise ParseError("table header must start with 'gold pos' or 'pos'")
-    elif len(header) < 2:
-        raise ParseError("table header names no systems")
     has_gold = header[0] == "gold"
+    if header[has_gold:has_gold + 1] != ["pos"]:
+        raise ParseError("table header must start with 'gold pos' or 'pos'")
+    if len(header) < 2 + has_gold:
+        raise ParseError("table header names no systems")
     width = len(header)
     sentences: list[tuple[PredictionRow, ...]] = []
     for start, block in itertools.chain([(start + 1, rest)], blocks):
@@ -189,13 +192,11 @@ def read_table(source) -> PredictionTable:
         for lineno, fields in enumerate(block, start):
             if len(fields) != width:
                 raise ParseError(f"line {lineno}: expected {width} columns, got {len(fields)}")
-            if has_gold:
-                rows.append(PredictionRow(fields[1], tuple(fields[2:]), fields[0]))
-            else:
-                rows.append(PredictionRow(fields[0], tuple(fields[1:])))
+            rows.append(PredictionRow(fields[has_gold], tuple(fields[1 + has_gold:]),
+                                      fields[0] if has_gold else None))
         if rows:
             sentences.append(tuple(rows))
-    return PredictionTable(tuple(header[2:] if has_gold else header[1:]), tuple(sentences))
+    return PredictionTable(tuple(header[1 + has_gold:]), tuple(sentences))
 
 
 #---------------------------------------------------------------------------
@@ -220,6 +221,7 @@ def cv_tuning_table(corpus: Corpus, specs: Sequence[LearnerSpec], folds: int = 1
     names = [spec.name for spec in specs]
     if len(set(names)) != len(names):
         raise ConfigError("system names must be unique")
+    _check_not_reserved(names)
     # Checked before training, which would number a sentence within its fold.
     for i, sentence in enumerate(corpus.sentences, start=1):
         if None in sentence.chunk_tags:

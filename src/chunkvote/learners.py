@@ -354,13 +354,9 @@ def predict_igtree(model: IGTreeModel, vector: FeatureVector) -> str:
 
 @dataclass(frozen=True)
 class MaxEntTrace:
-    """Training diagnostics: per iteration log likelihood and final counts."""
+    """Training diagnostics: log likelihood per iteration and under the final weights."""
 
     loglik: tuple[float, ...]
-    empirical: Mapping[tuple[int, str, str], float]
-    expected: Mapping[tuple[int, str, str], float]
-    empirical_correction: float
-    expected_correction: float
     iterations: int
 
 
@@ -446,7 +442,6 @@ def train_maxent(
     iterations: int = 100,
     sigma: float | None = None,
     cutoff: int = 2,
-    tol: float = 0.0,
     window: WindowConfig | None = None,
 ) -> MaxEntModel:
     """Iterative scaling over (slot value, class) indicator features.
@@ -455,9 +450,7 @@ def train_maxent(
     padded to a constant number of active features by one shared
     correction feature, and each iteration moves every weight by
     log(empirical / expected) divided by that constant.  With ``sigma``
-    set, weights shrink towards 0 under a Gaussian penalty.  A positive
-    ``tol`` stops early once every feature's expected count is within
-    ``tol`` of its empirical count.
+    set, weights shrink towards 0 under a Gaussian penalty.
     """
     if not dataset.items:
         raise TrainingError("cannot train on an empty dataset")
@@ -557,29 +550,17 @@ def train_maxent(
                 ll += n * (scores[ci] - log_z)
         return exp_, exp_c, ll
 
-    done = 0
     for _ in range(iterations):
         del expected  # the last pass's counts, before this pass makes its own
         expected, exp_corr, ll = pass_over_data()
         loglik.append(ll)
-        if tol > 0.0:
-            gap = max(
-                (abs(e - x) for e, x in zip(empirical, expected)),
-                default=0.0,
-            )
-            if emp_corr > 0.0:
-                gap = max(gap, abs(emp_corr - exp_corr))
-            if gap <= tol:
-                break
         for fid in range(n_features):
             lambdas[fid] += _gis_delta(empirical[fid], expected[fid], lambdas[fid], constant, sigma)
         if emp_corr > 0.0:
             corr_lambda += _gis_delta(emp_corr, exp_corr, corr_lambda, constant, sigma)
-        done += 1
     del expected
-    expected, exp_corr, ll = pass_over_data()
-    loglik.append(ll)
-    del active, gold, totals  # before the weight and trace dicts are built
+    loglik.append(pass_over_data()[2])
+    del active, gold, totals  # before the weight dict is built
 
     return MaxEntModel(
         weights=dict(zip(features, lambdas)),
@@ -589,14 +570,7 @@ def train_maxent(
         class_counts=dict(class_counts),
         slot_names=dataset.slot_names,
         window=window,
-        trace=MaxEntTrace(
-            loglik=tuple(loglik),
-            empirical=dict(zip(features, empirical)),
-            expected=dict(zip(features, expected)),
-            empirical_correction=emp_corr,
-            expected_correction=exp_corr,
-            iterations=done,
-        ),
+        trace=MaxEntTrace(loglik=tuple(loglik), iterations=iterations),
     )
 
 

@@ -236,6 +236,17 @@ def oracle_maxent_scores(model, vector):
     return scores
 
 
+def oracle_maxent_loglik(model, items):
+    """The log likelihood of ``items`` under the stored weights of ``model``."""
+    total = 0.0
+    for vector, label in items:
+        scores = oracle_maxent_scores(model, vector)
+        top = max(scores.values())
+        log_z = top + math.log(sum(math.exp(s - top) for s in scores.values()))
+        total += scores[label] - log_z
+    return total
+
+
 def oracle_maxent_counts(model, items):
     """Empirical and expected feature counts under a trained model.
 
@@ -374,11 +385,10 @@ def oracle_features(sentence, index, slot_names, tags):
     return tuple(value(name) for name in slot_names)
 
 
-def _oracle_blocks(source):
+def _oracle_blocks(text):
     """Each sentence's (line number, fields) pairs; a line of no fields ends one."""
-    lines = source.splitlines() if isinstance(source, str) else source
     block = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if fields:
             block.append((lineno, fields))
@@ -389,12 +399,12 @@ def _oracle_blocks(source):
         yield block
 
 
-def oracle_parse_conll(source, scheme, columns=3, strict=True):
+def oracle_parse_conll(text, scheme, columns=3, strict=True):
     """A chunk file read token by token: one Token per line, checked as built."""
     if columns not in (2, 3):
         raise ValidationError(f"columns must be 2 or 3, got {columns}")
     sentences = []
-    for block in _oracle_blocks(source):
+    for block in _oracle_blocks(text):
         tokens = []
         for lineno, fields in block:
             if len(fields) != columns:
@@ -415,10 +425,10 @@ def oracle_parse_conll(source, scheme, columns=3, strict=True):
 _ORACLE_BRACKET = re.compile(r"((?:\([A-Za-z0-9]+)*)\*(\)*)")
 
 
-def oracle_parse_nested(source):
+def oracle_parse_nested(text):
     """A bracket file read token by token, a stack of open brackets per sentence."""
     sentences = []
-    for block in _oracle_blocks(source):
+    for block in _oracle_blocks(text):
         tokens, spans, stack = [], [], []
         for lineno, fields in block:
             if len(fields) != 3:

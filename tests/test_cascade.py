@@ -21,6 +21,7 @@ from chunkvote import (
     scheme_violation,
     strip_tags,
     tag_sentence,
+    with_tags,
     write_nested,
 )
 from chunkvote.cascade import HEAD_CHOICES, _innermost_level, local_spans, original_range
@@ -287,6 +288,24 @@ class TestCascadeBracket:
         sentence = plain(*[(f"w{i}", "NN") for i in range(6)])
         got = cascade_bracket(sentence, grabby, max_depth=depth)
         assert len(got.spans) == expected
+
+    @pytest.mark.parametrize("tags", [
+        ["B-NP", "I-NP", "B-O", "I-O", "O"],
+        ["O", "I-X_Y", "B-O", "Q", "B-NP"],
+        ["B-NP", "I-NP", "B-NP", "I-NP", "Q"],
+    ])
+    def test_each_round_checks_its_tags_as_with_tags_does(self, tags):
+        # Every distinct tag in token order, so the first bad token is named.
+        with pytest.raises(ValidationError) as want:
+            with_tags(FIVE, tags)
+        with pytest.raises(ValidationError) as got:
+            cascade_bracket(FIVE, lambda sentence: tags)
+        assert str(got.value) == str(want.value)
+
+    def test_a_later_round_is_checked_too(self):
+        tagger = scripted([["B-NP", "I-NP", "O", "O", "O"], ["O", "B-O", "O", "O"]])
+        with pytest.raises(ValidationError, match="bad chunk tag 'B-O'"):
+            cascade_bracket(FIVE, tagger)
 
     def test_max_depth_must_be_positive(self):
         with pytest.raises(ConfigError, match="max_depth"):

@@ -431,6 +431,18 @@ class TestTableCommands:
         expected = write_table(cv_tuning_table(TINY_CORPUS, specs, folds=3))
         assert (files.dir / "table.txt").read_text() == expected
 
+    @pytest.mark.parametrize("name", ["gold", "pos"])
+    def test_a_reserved_system_name_is_a_data_error_before_training(self, files, capsys,
+                                                                    monkeypatch, name):
+        fits = []
+        monkeypatch.setattr(LearnerSpec, "fit", lambda spec, dataset: fits.append(spec))
+        train = files("train.conll", TINY_TRAIN)
+        table_path = out_path(files, "table.txt")
+        args = ["cv-tune", train, "--system", f"{name}=igtree", "--folds", "2", "-o", table_path]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: system name '{name}' is reserved\n"
+        assert fits == [] and not Path(table_path).exists()
+
     def test_cv_tune_requires_a_system(self, files, capsys):
         train = files("train.conll", TINY_TRAIN)
         assert main(["cv-tune", train]) == 1
@@ -735,6 +747,18 @@ class TestCascadeCommand:
         ]) == 0
         assert (files.dir / "parsed.txt").read_text() == nested_text
 
+    def test_a_model_that_tags_a_reserved_chunk_type_is_a_data_error(self, files, capsys):
+        # Chunk type O and the type X_Y have no bracket field a nested file can hold.
+        model = files("model.txt", "chunker-model 1\nkind baseline\nclass B-O 3\n"
+                                   "class I-X_Y 2\nwindow -\nfallback B-O\npos NN I-X_Y\n")
+        words = files("input.conll", "a DT\nb NN\nc VB\n\n")
+        out = out_path(files, "parsed.txt")
+        assert main(["tag", model, words, "--columns", "2", "-o", out]) == 2
+        tag_error = capsys.readouterr().err
+        assert tag_error.startswith("error: bad chunk tag 'B-O'")
+        assert main(["cascade", model, words, "--columns", "2", "-o", out]) == 2
+        assert capsys.readouterr().err == tag_error
+        assert not Path(out).exists()
 
     def test_each_sentence_is_stripped_once(self, files, monkeypatch):
         train = files("train.conll", TINY_TRAIN)

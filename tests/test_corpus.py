@@ -305,11 +305,6 @@ class TestConllFiles:
         corpus = parse_conll("the DT B-NP", TagScheme.IOB2)
         assert len(corpus) == 1
 
-    def test_parse_from_line_iterable(self):
-        with_newlines = [line + "\n" for line in self.TEXT.splitlines()]
-        corpus = parse_conll(iter(with_newlines), TagScheme.IOB2)
-        assert len(corpus) == 2
-
     def test_column_count_errors(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_conll("the DT B-NP\ndog NN\n", TagScheme.IOB2)
@@ -570,13 +565,13 @@ class TestColumnBlocks:
         table = read_table(f"pos m1\nDT B-NP\n{blank}\nNN O\n")
         assert [len(rows) for rows in table.sentences] == [1, 1]
 
-    def test_crlf_line_iterables(self):
-        lines = ["a DT B-NP\r\n", "b NN I-NP\r\n", "\r\n", "c VB O\r\n"]
-        corpus = parse_conll(iter(lines), TagScheme.IOB2)
+    def test_crlf_line_ends(self):
+        text = "a DT B-NP\r\nb NN I-NP\r\n\r\nc VB O\r\n"
+        corpus = parse_conll(text, TagScheme.IOB2)
         assert [s.chunk_tags for s in corpus.sentences] == [("B-NP", "I-NP"), ("O",)]
-        nested = parse_nested(iter(["a DT (NP*\r\n", "b NN *)\r\n", "\r\n"]))
+        nested = parse_nested("a DT (NP*\r\nb NN *)\r\n\r\n")
         assert [(s.begin, s.end, s.label) for s in nested[0].spans] == [(0, 2, "NP")]
-        table = read_table(iter(["gold pos m1\r\n", "O DT O\r\n", "\r\n"]))
+        table = read_table("gold pos m1\r\nO DT O\r\n\r\n")
         assert table.systems == ("m1",)
         assert table.gold_column() == [["O"]]
 

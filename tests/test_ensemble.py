@@ -163,11 +163,6 @@ class TestTableIO:
         assert read_table(text) == table
         assert write_table(read_table(text)) == text
 
-    def test_read_from_lines(self):
-        text = write_table(self.table())
-        lines = [line + "\n" for line in text.splitlines()]
-        assert read_table(iter(lines)) == self.table()
-
     def test_blank_lines_after_the_header_are_skipped(self):
         header, body = write_table(self.table()).split("\n", 1)
         assert read_table(header + "\n\n \n" + body) == self.table()
@@ -179,8 +174,9 @@ class TestTableIO:
             read_table("word pos m1\n")
         with pytest.raises(ParseError, match="header"):
             read_table("gold m1\n")
-        with pytest.raises(ParseError, match="names no systems"):
-            read_table("pos\n")
+        for header in ("pos\n", "gold pos\n"):
+            with pytest.raises(ParseError, match="^table header names no systems$"):
+                read_table(header)
         with pytest.raises(ParseError, match="line 3"):
             read_table("gold pos m1\nB-NP DT B-NP\nB-NP DT\n")
 
@@ -333,6 +329,16 @@ class TestCvTuningTable:
         specs = [LearnerSpec("ent", "maxent", iterations=2), LearnerSpec("tree", "igtree")]
         cv_tuning_table(tiny_corpus, specs, folds=3)
         assert alive == [0] * 6
+
+    @pytest.mark.parametrize("name", ["gold", "pos"])
+    def test_reserved_names_are_rejected_before_any_training(self, tiny_corpus, monkeypatch, name):
+        calls = []
+        monkeypatch.setattr(LearnerSpec, "featurize", lambda spec, corpus: calls.append("featurize"))
+        monkeypatch.setattr(LearnerSpec, "fit", lambda spec, dataset: calls.append("fit"))
+        specs = [LearnerSpec("base", "baseline"), LearnerSpec(name, "igtree")]
+        with pytest.raises(ValidationError, match=f"^system name '{name}' is reserved$"):
+            cv_tuning_table(tiny_corpus, specs, folds=2)
+        assert calls == []
 
     def test_config_errors(self, tiny_corpus):
         spec = LearnerSpec("base", "baseline")
