@@ -69,12 +69,12 @@ class _Parser(argparse.ArgumentParser):
 #---------------------------------------------------------------------------
 # settings
 #
-# A setting is one flag plus the config key of the same name.  It is
-# declared once, with one converter from text that serves both: a bad
-# config value is a ConfigError (exit 2), a bad flag value a usage error
-# (exit 1).  Flags leave unset settings off the namespace; after parsing
-# they are filled from the config file and finally from the default, so
-# the flag always wins.
+# A setting is one flag plus the config key of its long name, dashes made
+# underscores.  It is declared once, with one converter from text that
+# serves both: a bad config value is a ConfigError (exit 2), a bad flag
+# value a usage error (exit 1).  Flags leave unset settings off the
+# namespace; after parsing they are filled from the config file and
+# finally from the default, so the flag always wins.
 
 def _conv_int(value: str) -> int:
     try:
@@ -154,10 +154,11 @@ def _setting(sub, *flags, conv, default=None, help, **kwargs) -> None:
     action = sub.add_argument(*flags, default=argparse.SUPPRESS, help=help, **kwargs)
     if isinstance(conv, _Choice):
         action.metavar = conv  # set after add_argument, which would format it
-    sub.get_default("_settings")[action.dest] = (conv, default)
+    key = flags[-1].lstrip("-").replace("-", "_")
+    sub.get_default("_settings")[key] = (action.dest, conv, default)
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str, settings: dict) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
@@ -166,21 +167,21 @@ def _load_config(path: str) -> dict[str, str]:
         key, eq, value = line.partition("=")
         if not eq:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in settings:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: repeated config key {key!r}")
+        values[key] = value.strip()
     return values
 
 
 def _resolve(args) -> None:
     settings = args._settings
-    values: dict[str, str] = {}
-    if args.config is not None:
-        for key, value in _load_config(args.config).items():
-            if key not in settings:
-                raise ConfigError(f"unknown config key {key!r}")
-            values[key] = value
-    for dest, (conv, default) in settings.items():
+    values = _load_config(args.config, settings) if args.config is not None else {}
+    for key, (dest, conv, default) in settings.items():
         if not hasattr(args, dest):
-            setattr(args, dest, conv(values[dest]) if dest in values else default)
+            setattr(args, dest, conv(values[key]) if key in values else default)
 
 
 #---------------------------------------------------------------------------

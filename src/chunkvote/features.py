@@ -199,7 +199,7 @@ def _entropy(counts: Iterable[int], total: int) -> float:
     return h
 
 
-def slot_gains(dataset: Dataset, slots: Iterable[int], ratio: bool) -> list[float]:
+def slot_gains(dataset: Dataset, ratio: bool) -> list[float]:
     """Information gain (in bits) of each slot, or with ``ratio`` its gain ratio.
 
     A slot's information gain is the reduction of class entropy from
@@ -214,16 +214,12 @@ def slot_gains(dataset: Dataset, slots: Iterable[int], ratio: bool) -> list[floa
     """
     if not dataset.items:
         raise TrainingError("cannot measure a slot on an empty dataset")
-    slots = list(slots)
-    for slot in slots:
-        if not 0 <= slot < dataset.arity:
-            raise ValidationError(f"slot {slot} outside arity {dataset.arity}")
     vectors = list(map(itemgetter(0), dataset.items))
     labels = list(map(itemgetter(1), dataset.items))
     total = len(labels)
     class_entropy = _entropy(Counter(labels).values(), total)
     gains = []
-    for slot in slots:
+    for slot in range(dataset.arity):
         by_value: dict[str, list[int]] = {}
         for (value, _), n in Counter(zip(map(itemgetter(slot), vectors), labels)).items():
             by_value.setdefault(value, []).append(n)

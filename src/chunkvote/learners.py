@@ -48,7 +48,7 @@ WEIGHTINGS = ("gain_ratio", "information_gain")
 def _slot_weights(dataset: Dataset, weighting: str) -> tuple[float, ...]:
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
-    return tuple(slot_gains(dataset, range(dataset.arity), ratio=weighting == "gain_ratio"))
+    return tuple(slot_gains(dataset, ratio=weighting == "gain_ratio"))
 
 
 #---------------------------------------------------------------------------
@@ -115,74 +115,6 @@ def _group_positions(values, rare: int = 0) -> dict[str, int | array]:
         value: positions if len(positions) < rare else _bitset(positions)
         for value, positions in groups.items()
     }
-
-
-@dataclass(frozen=True)
-class KnnModel:
-    kind = "knn"
-    memory: tuple[tuple[FeatureVector, str], ...]
-    weights: tuple[float, ...]
-    k: int
-    class_counts: Mapping[str, int]
-    slot_names: tuple[str, ...]
-    window: WindowConfig | None = None
-
-    def predict(self, vector: FeatureVector) -> str:
-        return predict_knn(self, vector)
-
-    @cached_property
-    def index(self) -> KnnIndex:
-        """The search index, built on first use; not a field, so never
-        compared, printed or saved."""
-        weights = self.weights
-        order = tuple(sorted((s for s, w in enumerate(weights) if w > 0),
-                             key=lambda s: (-weights[s], s)))
-        return KnnIndex(
-            order=order,
-            postings=tuple(
-                _group_positions((v[s] for v, _ in self.memory), RARE_POSTINGS) for s in order
-            ),
-            labels=_group_positions(label for _, label in self.memory),
-            everything=(1 << len(self.memory)) - 1,
-            distances={},
-        )
-
-
-def valid_knn_weights(weights: Sequence[float]) -> bool:
-    """Whether every weight is finite and non-negative."""
-    return all(math.isfinite(w) and w >= 0.0 for w in weights)
-
-
-def train_knn(
-    dataset: Dataset,
-    k: int = 1,
-    weights: Sequence[float] | None = None,
-    weighting: str = "gain_ratio",
-    window: WindowConfig | None = None,
-) -> KnnModel:
-    """Store the dataset verbatim together with per slot relevance weights.
-
-    Given ``weights`` must be finite and non-negative, which the exact
-    search in ``predict_knn`` relies on.
-    """
-    if not dataset.items:
-        raise TrainingError("cannot train on an empty dataset")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if weights is None:
-        weights = _slot_weights(dataset, weighting)
-    elif len(weights) != dataset.arity:
-        raise ValidationError(f"{len(weights)} weights for arity {dataset.arity}")
-    elif not valid_knn_weights(weights):
-        raise ValidationError(f"k-NN weights must be finite and non-negative, got {tuple(weights)}")
-    return KnnModel(
-        memory=dataset.items,
-        weights=tuple(weights),
-        k=k,
-        class_counts=dict(dataset.class_counts()),
-        slot_names=dataset.slot_names,
-        window=window,
-    )
 
 
 def _mask_distance(weights: tuple[float, ...], mask: int) -> float:
@@ -266,6 +198,62 @@ def predict_knn(model: KnnModel, vector: FeatureVector) -> str:
     return pick_best(votes, model.class_counts)
 
 
+@dataclass(frozen=True)
+class KnnModel:
+    kind = "knn"
+    memory: tuple[tuple[FeatureVector, str], ...]
+    weights: tuple[float, ...]
+    k: int
+    class_counts: Mapping[str, int]
+    slot_names: tuple[str, ...]
+    window: WindowConfig | None = None
+    predict = predict_knn
+
+    @cached_property
+    def index(self) -> KnnIndex:
+        """The search index, built on first use; not a field, so never
+        compared, printed or saved."""
+        weights = self.weights
+        order = tuple(sorted((s for s, w in enumerate(weights) if w > 0),
+                             key=lambda s: (-weights[s], s)))
+        return KnnIndex(
+            order=order,
+            postings=tuple(
+                _group_positions((v[s] for v, _ in self.memory), RARE_POSTINGS) for s in order
+            ),
+            labels=_group_positions(label for _, label in self.memory),
+            everything=(1 << len(self.memory)) - 1,
+            distances={},
+        )
+
+
+def valid_knn_weights(weights: Sequence[float]) -> bool:
+    """Whether every weight is finite and non-negative, as the exact search
+    in ``predict_knn`` needs."""
+    return all(math.isfinite(w) and w >= 0.0 for w in weights)
+
+
+def train_knn(
+    dataset: Dataset,
+    k: int = 1,
+    weighting: str = "gain_ratio",
+    window: WindowConfig | None = None,
+) -> KnnModel:
+    """Store the dataset verbatim together with per slot relevance weights."""
+    if not dataset.items:
+        raise TrainingError("cannot train on an empty dataset")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    return KnnModel(
+        memory=dataset.items,
+        weights=_slot_weights(dataset, weighting),
+        k=k,
+        class_counts=dict(dataset.class_counts()),
+        slot_names=dataset.slot_names,
+        window=window,
+    )
+
+
 #---------------------------------------------------------------------------
 # oblivious decision tree ordered by slot relevance
 
@@ -273,6 +261,21 @@ def predict_knn(model: KnnModel, vector: FeatureVector) -> str:
 class IGTreeNode:
     default: str
     children: Mapping[str, "IGTreeNode"]
+
+
+def predict_igtree(model: IGTreeModel, vector: FeatureVector) -> str:
+    """Walk the tree in slot order; a missing branch answers with the default."""
+    if len(vector) != len(model.slot_names):
+        raise ValidationError(f"vector arity {len(vector)}, model expects {len(model.slot_names)}")
+    node = model.root
+    for slot in model.feature_order:
+        if not node.children:
+            break
+        child = node.children.get(vector[slot])
+        if child is None:
+            break
+        node = child
+    return node.default
 
 
 @dataclass(frozen=True)
@@ -283,9 +286,7 @@ class IGTreeModel:
     class_counts: Mapping[str, int]
     slot_names: tuple[str, ...]
     window: WindowConfig | None = None
-
-    def predict(self, vector: FeatureVector) -> str:
-        return predict_igtree(self, vector)
+    predict = predict_igtree
 
 
 def train_igtree(
@@ -334,21 +335,6 @@ def train_igtree(
     )
 
 
-def predict_igtree(model: IGTreeModel, vector: FeatureVector) -> str:
-    """Walk the tree in slot order; a missing branch answers with the default."""
-    if len(vector) != len(model.slot_names):
-        raise ValidationError(f"vector arity {len(vector)}, model expects {len(model.slot_names)}")
-    node = model.root
-    for slot in model.feature_order:
-        if not node.children:
-            break
-        child = node.children.get(vector[slot])
-        if child is None:
-            break
-        node = child
-    return node.default
-
-
 #---------------------------------------------------------------------------
 # maximum entropy
 
@@ -358,6 +344,10 @@ class MaxEntTrace:
 
     loglik: tuple[float, ...]
     iterations: int
+
+
+def predict_maxent(model: MaxEntModel, vector: FeatureVector) -> str:
+    return pick_best(model.scores(vector), model.class_counts)
 
 
 @dataclass(frozen=True)
@@ -371,6 +361,7 @@ class MaxEntModel:
     slot_names: tuple[str, ...]
     window: WindowConfig | None = None
     trace: MaxEntTrace | None = field(default=None, compare=False, repr=False)
+    predict = predict_maxent
 
     @cached_property
     def index(self) -> dict[tuple[int, str], list[tuple[int, float]]]:
@@ -393,9 +384,6 @@ class MaxEntModel:
         return {c: score + self.correction * (self.constant - n)
                 for c, score, n in zip(self.classes, totals, active)}
 
-    def predict(self, vector: FeatureVector) -> str:
-        return predict_maxent(self, vector)
-
 
 def _by_slot_value(features: Iterable[tuple[tuple[int, str, str], Any]], classes: Sequence[str]) -> dict:
     """Each (slot, value) with the (class index, payload) pairs of those
@@ -415,10 +403,6 @@ def _sum_in_order(values) -> float:
     for value in values:
         total += value
     return total
-
-
-def predict_maxent(model: MaxEntModel, vector: FeatureVector) -> str:
-    return pick_best(model.scores(vector), model.class_counts)
 
 
 def _gis_delta(emp: float, exp_: float, lam: float, constant: int, sigma: float | None) -> float:
@@ -463,25 +447,20 @@ def train_maxent(
     if sigma is not None and not (math.isfinite(sigma) and sigma > 0 and sigma * sigma > 0
                                   and math.isfinite(1.0 / (sigma * sigma))):
         raise ConfigError(f"sigma must be a finite number > 0 with a finite 1 / sigma^2, got {sigma}")
-    classes = tuple(sorted({label for _, label in dataset.items}))
     class_counts = dataset.class_counts()
+    classes = tuple(sorted(class_counts))
 
-    # Aggregate duplicate vectors; chunking data repeats contexts heavily.
-    vector_index: dict[FeatureVector, int] = {}
-    totals: list[int] = []
-    label_counts: list[dict[str, int]] = []
+    # The label counts of each unique vector; chunking data repeats contexts heavily.
+    label_counts: dict[FeatureVector, dict[str, int]] = {}
     for vector, label in dataset.items:
-        u = vector_index.setdefault(vector, len(totals))
-        if u == len(totals):
-            totals.append(0)
-            label_counts.append({})
-        totals[u] += 1
-        label_counts[u][label] = label_counts[u].get(label, 0) + 1
-    vectors = list(vector_index)
-    del vector_index
+        counts = label_counts.get(vector)
+        if counts is None:
+            label_counts[vector] = {label: 1}
+        else:
+            counts[label] = counts.get(label, 0) + 1
 
     raw: Counter = Counter()
-    for vector, counts in zip(vectors, label_counts):
+    for vector, counts in label_counts.items():
         for label, n in counts.items():
             for slot, value in enumerate(vector):
                 raw[(slot, value, label)] += n
@@ -499,7 +478,9 @@ def train_maxent(
     patterns: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
     gold = [patterns.setdefault(pairs, pairs)
             for pairs in (tuple(sorted((class_ids[label], n) for label, n in counts.items()))
-                          for counts in label_counts)]
+                          for counts in label_counts.values())]
+    totals = [sum(counts.values()) for counts in label_counts.values()]
+    vectors = list(label_counts)
     del label_counts
 
     # Active feature ids per unique vector and class, in slot order, found
@@ -524,10 +505,10 @@ def train_maxent(
     lambdas = [0.0] * n_features
     corr_lambda = 0.0
     loglik: list[float] = []
-    expected: list[float] = []
 
-    def pass_over_data() -> tuple[list[float], float, float]:
-        exp_ = [0.0] * n_features
+    def pass_over_data(expected: list[float] | None) -> tuple[float, float]:
+        """The correction's expected count and the log likelihood; adds each
+        feature's expected count to ``expected`` unless it is None."""
         exp_c = 0.0
         ll = 0.0
         for per_class, total, pairs in zip(active, totals, gold):
@@ -541,25 +522,26 @@ def train_maxent(
             exps = [math.exp(s - top) for s in scores]
             z = _sum_in_order(exps)
             log_z = top + math.log(z)
-            for ids, e in zip(per_class, exps):
-                w = total * (e / z)
-                for fid in ids:
-                    exp_[fid] += w
-                exp_c += w * (constant - len(ids))
+            if expected is not None:
+                for ids, e in zip(per_class, exps):
+                    w = total * (e / z)
+                    for fid in ids:
+                        expected[fid] += w
+                    exp_c += w * (constant - len(ids))
             for ci, n in pairs:
                 ll += n * (scores[ci] - log_z)
-        return exp_, exp_c, ll
+        return exp_c, ll
 
     for _ in range(iterations):
-        del expected  # the last pass's counts, before this pass makes its own
-        expected, exp_corr, ll = pass_over_data()
+        expected = [0.0] * n_features
+        exp_corr, ll = pass_over_data(expected)
         loglik.append(ll)
         for fid in range(n_features):
             lambdas[fid] += _gis_delta(empirical[fid], expected[fid], lambdas[fid], constant, sigma)
         if emp_corr > 0.0:
             corr_lambda += _gis_delta(emp_corr, exp_corr, corr_lambda, constant, sigma)
-    del expected
-    loglik.append(pass_over_data()[2])
+        del expected  # before the next pass makes its own
+    loglik.append(pass_over_data(None)[1])
     del active, gold, totals  # before the weight dict is built
 
     return MaxEntModel(
@@ -588,19 +570,6 @@ class Rule:
         return all(vector[slot] == value for slot, value in self.premises)
 
 
-@dataclass(frozen=True)
-class RuleSetModel:
-    kind = "rules"
-    rules: tuple[Rule, ...]
-    default_class: str
-    class_counts: Mapping[str, int]
-    slot_names: tuple[str, ...]
-    window: WindowConfig | None = None
-
-    def predict(self, vector: FeatureVector) -> str:
-        return predict_rules(self, vector)
-
-
 def predict_rules(model: RuleSetModel, vector: FeatureVector) -> str:
     """Answer of the first (most specific) matching rule, else the default."""
     if len(vector) != len(model.slot_names):
@@ -609,6 +578,17 @@ def predict_rules(model: RuleSetModel, vector: FeatureVector) -> str:
         if rule.matches(vector):
             return rule.conclusion
     return model.default_class
+
+
+@dataclass(frozen=True)
+class RuleSetModel:
+    kind = "rules"
+    rules: tuple[Rule, ...]
+    default_class: str
+    class_counts: Mapping[str, int]
+    slot_names: tuple[str, ...]
+    window: WindowConfig | None = None
+    predict = predict_rules
 
 
 def _slot_rank(name: str) -> int:

@@ -3,7 +3,8 @@
 A model file is line based and self describing: a format header, the model
 kind, the training class counts, the window configuration, the slot names,
 and then one kind specific table.  Numbers are written with full precision
-(``repr``), so saving and loading reproduces a model exactly.
+(``repr``), so saving and loading reproduces a model exactly.  Every chunk
+tag the table names must be one of the class lines' tags.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import itertools
 import math
 from typing import Iterator
 
-from .corpus import text_lines
-from .errors import ParseError
+from .corpus import check_chunk_tag, text_lines
+from .errors import ParseError, ValidationError
 from .features import WindowConfig
 from .learners import (
     BASELINE_WINDOW,
@@ -126,6 +127,10 @@ def _loads_model(text: str) -> TrainedModel:
     while fields and fields[0] == "class":
         if len(fields) != 3 or int(fields[2]) < 0:
             raise ParseError(f"bad class line {' '.join(fields)!r}")
+        try:
+            check_chunk_tag(fields[1])
+        except ValidationError as exc:
+            raise ParseError(f"{exc}, in line {' '.join(fields)!r}") from None
         class_counts[_new_key(class_counts, fields[1], fields)] = int(fields[2])
         fields = next(lines, None)
     # The first line that is not a class count goes back, to be read as the window.
@@ -150,10 +155,10 @@ def _loads_model(text: str) -> TrainedModel:
     common = {"class_counts": class_counts, "slot_names": slot_names, "window": window}
 
     if kind == "baseline":
-        fallback = _line(lines, "fallback", 2)[1]
+        fallback = _declared(_line(lines, "fallback", 2), 1, class_counts)
         leaves: dict[str, IGTreeNode] = {}
         for fields in _records(lines, "pos", 3):
-            leaves[_new_key(leaves, fields[1], fields)] = IGTreeNode(fields[2], {})
+            leaves[_new_key(leaves, fields[1], fields)] = IGTreeNode(_declared(fields, 2, class_counts), {})
         return IGTreeModel(feature_order=(0,), root=IGTreeNode(fallback, leaves), **common)
     if kind == "knn":
         k = int(_line(lines, "k", 2)[1])
@@ -167,7 +172,7 @@ def _loads_model(text: str) -> TrainedModel:
         pool: dict[str, str] = {}
         share = pool.setdefault
         memory = tuple(
-            (tuple([share(v, v) for v in fields[2:]]), share(fields[1], fields[1]))
+            (tuple([share(v, v) for v in fields[2:]]), share(fields[1], _declared(fields, 1, class_counts)))
             for fields in _records(lines, "item", len(slot_names) + 2)
         )
         return KnnModel(memory=memory, weights=weights, k=k, **common)
@@ -175,7 +180,7 @@ def _loads_model(text: str) -> TrainedModel:
         order = tuple(int(s) for s in _line(lines, "order")[1:])
         if sorted(order) != list(range(len(slot_names))):
             raise ParseError("order line must list every slot index once")
-        root = _read_tree(lines, len(order))
+        root = _read_tree(lines, len(order), class_counts)
         if next(lines, None) is not None:
             raise ParseError("igtree model has lines after its tree")
         return IGTreeModel(feature_order=order, root=root, **common)
@@ -192,12 +197,12 @@ def _loads_model(text: str) -> TrainedModel:
         correction = _finite(_line(lines, "correction", 2)[1])
         weights: dict[tuple[int, str, str], float] = {}
         for fields in _records(lines, "feature", 5):
-            key = (_slot(fields[1], slot_names), fields[2], fields[3])
+            key = (_slot(fields[1], slot_names), fields[2], _declared(fields, 3, class_counts))
             weights[_new_key(weights, key, fields)] = _finite(fields[4])
         return MaxEntModel(weights=weights, classes=classes, constant=constant,
                            correction=correction, **common)
     if kind == "rules":
-        default = _line(lines, "default", 2)[1]
+        default = _declared(_line(lines, "default", 2), 1, class_counts)
         rules = []
         for fields in _records(lines, "rule"):
             if len(fields) < 5 or len(fields) != 5 + 2 * int(fields[4]):
@@ -206,7 +211,7 @@ def _loads_model(text: str) -> TrainedModel:
             accuracy, support = _finite(fields[2]), int(fields[3])
             if not 0.0 <= accuracy <= 1.0 or support < 1:
                 raise ParseError(f"rule accuracy must be in [0, 1] and support >= 1: {' '.join(fields)!r}")
-            rules.append(Rule(premises, fields[1], accuracy, support))
+            rules.append(Rule(premises, _declared(fields, 1, class_counts), accuracy, support))
         return RuleSetModel(rules=tuple(rules), default_class=default, **common)
     raise ParseError(f"unknown model kind {kind!r}")
 
@@ -230,7 +235,7 @@ def _records(lines: Iterator[list[str]], keyword: str, size: int | None = None) 
         yield fields
 
 
-def _read_tree(lines: Iterator[list[str]], depth_limit: int) -> IGTreeNode:
+def _read_tree(lines: Iterator[list[str]], depth_limit: int, classes: dict[str, int]) -> IGTreeNode:
     """An igtree in pre-order: a node line with its default class and child
     count, then per child an edge line and the child's subtree."""
     # The open nodes from the root down, each as its children and the count
@@ -245,8 +250,8 @@ def _read_tree(lines: Iterator[list[str]], depth_limit: int) -> IGTreeNode:
             continue
         open_node[1] -= 1
         value = _line(lines, "edge", 2)[1] if len(path) > 1 else ""
-        _, default, raw = _line(lines, "node", 3)
-        count = int(raw)
+        fields = _line(lines, "node", 3)
+        default, count = _declared(fields, 1, classes), int(fields[2])
         # A node past the last slot has no slot left to branch on.
         if count < 0 or count and len(path) > depth_limit:
             raise ParseError(f"igtree node at depth {len(path) - 1} has {count} children")
@@ -264,6 +269,14 @@ def _new_key(table: dict, key, fields: list[str]):
     if key in table:
         raise ParseError(f"repeated {fields[0]} line {' '.join(fields)!r}")
     return key
+
+
+def _declared(fields: list[str], at: int, classes: dict[str, int]) -> str:
+    """The chunk tag ``fields[at]``, if it is one of ``classes``, the tags of
+    the class lines."""
+    if fields[at] not in classes:
+        raise ParseError(f"{fields[0]} line names a tag no class line declares: {' '.join(fields)!r}")
+    return fields[at]
 
 
 def _slot(raw: str, slot_names: tuple[str, ...]) -> int:

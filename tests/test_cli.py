@@ -981,6 +981,35 @@ class TestConfigFiles:
         assert main(["eval", train, train, "--config", cfg]) == 2
         assert "expected a number" in capsys.readouterr().err
 
+    def test_keys_are_flag_names_not_destinations(self, files, capsys):
+        inp = files("in.conll", TINY_TRAIN)
+        cfg = files("convert.cfg", "from = iob2\nto = iob1\n")
+        flags = ["--from", "iob2", "--to", "iob1"]
+        assert main(["convert", inp, *flags, "-o", out_path(files, "flag.conll")]) == 0
+        assert main(["convert", inp, "--config", cfg, "-o", out_path(files, "cfg.conll")]) == 0
+        assert (files.dir / "cfg.conll").read_text() == (files.dir / "flag.conll").read_text()
+        cfg = files("dest.cfg", "from_scheme = iob2\nto_scheme = iob1\n")
+        assert main(["convert", inp, "--config", cfg]) == 2
+        assert "unknown config key 'from_scheme'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", [
+        "beta = 2\nbeta = 0.5\n",
+        "beta = 2\nbeta = 2\n",
+        "kv = true\n\nbeta = 2\n# beta again\nbeta = 0.5\n",
+    ], ids=["other value", "same value", "lines apart"])
+    def test_a_repeated_key_is_an_error(self, files, capsys, lines):
+        # the error names the repeating line, the last of each file
+        train = files("train.conll", TINY_TRAIN)
+        cfg = files("twice.cfg", lines)
+        assert main(["eval", train, train, "--kv", "--config", cfg]) == 2
+        assert f"error: {cfg}:{len(lines.splitlines())}: repeated config key 'beta'" in capsys.readouterr().err
+
+    def test_spellings_of_one_key_are_one_key(self, files, capsys):
+        train = files("train.conll", TINY_TRAIN)
+        cfg = files("twice.cfg", "io-encoding = true\nio_encoding = false\n")
+        assert main(["train", train, "--learner", "rules", "--config", cfg]) == 2
+        assert f"{cfg}:2: repeated config key 'io_encoding'" in capsys.readouterr().err
+
 
 class TestTablePosTags:
     # weights and best-n read no Token, so only the table's own check sees the pos column

@@ -69,7 +69,7 @@ class TestRoundTrip:
         assert loads_model(dumps_model(model)) == model
 
     def test_missing_window_roundtrips_to_none(self):
-        model = train_knn(dataset([(["a"], "X")]), k=1)
+        model = train_knn(dataset([(["a"], "B-NP")]), k=1)
         assert model.window is None
         assert "window -" in dumps_model(model)
         assert loads_model(dumps_model(model)).window is None
@@ -83,7 +83,7 @@ class TestRoundTrip:
     def test_random_knn_models_roundtrip(self, seed):
         r = datagen.rng(15_000 + seed)
         rows = [
-            ([r.choice("abcd") for _ in range(3)], r.choice("XY"))
+            ([r.choice("abcd") for _ in range(3)], r.choice(("B-NP", "O")))
             for _ in range(r.randint(1, 30))
         ]
         model = train_knn(dataset(rows), k=r.randint(1, 3))
@@ -258,6 +258,28 @@ class TestMalformedInput:
         text = self.replace_line(self.good(tiny_corpus, "rules"), "rule ",
                                  f"rule B-NP {accuracy} {support} 1 6 DT")
         self.rejected(tmp_path, capsys, text, "accuracy must be in")
+
+    # The tiny corpus trains on B-NP B-PP B-VP I-NP O; I-ZZ is none of them.
+    @pytest.mark.parametrize("kind, old, new", [
+        ("maxent", "feature 0 __PAD__ B-NP ", "feature 0 __PAD__ I-ZZ "),
+        ("igtree", "node B-NP 6", "node I-ZZ 6"),
+        ("igtree", "node B-VP 0", "node I-ZZ 0"),
+        ("baseline", "fallback B-NP", "fallback I-ZZ"),
+        ("baseline", "pos VBD B-VP", "pos VBD I-ZZ"),
+        ("rules", "default B-NP", "default I-ZZ"),
+        ("rules", "rule B-VP ", "rule I-ZZ "),
+        ("knn", "item B-VP ", "item I-ZZ "),
+    ])
+    def test_every_tag_must_have_a_class_line(self, tiny_corpus, tmp_path, capsys, kind, old, new):
+        text = self.good(tiny_corpus, kind)
+        assert old in text
+        self.rejected(tmp_path, capsys, text.replace(old, new, 1), "no class line declares")
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("tag", ["B-O", "I-O", "X", "B-X_Y"])
+    def test_class_lines_hold_chunk_tags(self, tiny_corpus, tmp_path, capsys, kind, tag):
+        text = self.good(tiny_corpus, kind).replace("class O 6", f"class {tag} 6", 1)
+        self.rejected(tmp_path, capsys, text, f"bad chunk tag '{tag}'.*, in line 'class {tag} 6'")
 
     def rejected(self, tmp_path, capsys, text, match):
         """``text`` fails to load, and ``tag`` exits 2 on it."""
