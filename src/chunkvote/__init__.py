@@ -29,7 +29,7 @@ _EXPORTS = {
     "ensemble": """VOTING_METHODS CombinerWeights PredictionRow PredictionTable best_n_select
         combine_bracket_sentence combine_corpus cv_tuning_table estimate_weights from_corpora
         read_table read_weights stacked_corpus stacked_train vote write_table write_weights""",
-    "cascade": "cascade_bracket cascade_training_corpus collapse identity_map",
+    "cascade": "cascade_bracket cascade_training_corpus",
 }
 # The one name -> module table the exports are read from.
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -3,15 +3,16 @@
 A flat chunker only sees one level of structure.  To recover nesting,
 each round tags the current token sequence, records the chunks found,
 then collapses every chunk to its head token and runs again on the
-shorter sequence.  Spans found on collapsed sequences are translated
-back to positions in the original sentence through a collapse map.
+shorter sequence.  Each position of a collapsed sequence keeps the
+range of original tokens it stands for, through which the spans found
+on it are translated back to positions in the original sentence.
 The same collapsing, applied to a treebank, yields one flat training
 sentence per nesting level.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from bisect import bisect_left
 from typing import Callable, Sequence
 
 from .corpus import (
@@ -30,58 +31,43 @@ from .errors import ConfigError, ValidationError
 
 HEAD_CHOICES = ("last", "first")
 
-# original-token range, one entry per token of a collapsed sentence
-CollapseMap = tuple[tuple[int, int], ...]
 
-
-def identity_map(length: int) -> CollapseMap:
-    return tuple((i, i + 1) for i in range(length))
-
-
-def original_range(mapping: CollapseMap, begin: int, end: int) -> tuple[int, int]:
-    """The original tokens of collapsed positions ``begin`` to ``end - 1``:
-    from the start of the first one's range to the end of the last one's.
-
-    Applied to a span found on a collapsed sentence it gives the span's
-    original offsets; applied to every range of a map over that sentence
-    it composes the two maps.
-    """
-    if not 0 <= begin < end <= len(mapping):
-        raise ValidationError(f"range ({begin}, {end}) outside collapse map")
-    return mapping[begin][0], mapping[end - 1][1]
-
-
-def collapse(
-    sentence: Sentence,
-    spans: Sequence[ChunkSpan],
-    head: str = "last",
-) -> tuple[Sentence, CollapseMap]:
-    """Replace each chunk by its head token; other tokens pass through.
-
-    The head keeps its word and pos, and every token loses its chunk tag.
-    Spans must be disjoint.  Returns the shorter sentence and a map from
-    its positions to original token ranges.
-    """
+def _check_head(head: str) -> None:
     if head not in HEAD_CHOICES:
         raise ConfigError(f"head must be one of {HEAD_CHOICES}, got {head!r}")
-    ordered = sorted(spans, key=attrgetter("begin"))
-    for left, right in zip(ordered, ordered[1:]):
-        if right.begin < left.end:
-            raise ValidationError(f"cannot collapse overlapping spans {left} and {right}")
-    for span in ordered:
-        if span.end > len(sentence):
-            raise ValidationError(f"span {span} outside sentence of length {len(sentence)}")
-    mapping: list[tuple[int, int]] = []
+
+
+def _collapse(
+    original: Sentence,
+    firsts: list[int],
+    lasts: list[int],
+    spans: Sequence[ChunkSpan],
+    head: str,
+) -> tuple[list[int], list[int], Sentence]:
+    """Replace each chunk of the current sentence by its head token.
+
+    Position ``i`` of the current sentence covers original tokens
+    ``firsts[i]`` to ``lasts[i]`` and shows the first or the last of them,
+    as ``head`` says.  ``spans``, in current positions, must be ordered
+    and disjoint, as ``extract_chunks`` and ``_innermost_level`` give
+    them.  A span's positions become one covering their tokens; other
+    positions pass through.  Returns the next sentence's ranges and the
+    sentence, untagged.
+    """
+    next_firsts: list[int] = []
+    next_lasts: list[int] = []
     position = 0
-    for span in ordered:
-        mapping += ((i, i + 1) for i in range(position, span.begin))
-        mapping.append((span.begin, span.end))
+    for span in spans:
+        next_firsts += firsts[position:span.begin + 1]
+        next_lasts += lasts[position:span.begin]
+        next_lasts.append(lasts[span.end - 1])
         position = span.end
-    mapping += ((i, i + 1) for i in range(position, len(sentence)))
-    heads = [end - 1 for _, end in mapping] if head == "last" else [begin for begin, _ in mapping]
-    words = tuple(map(sentence.words.__getitem__, heads))
-    pos_tags = tuple(map(sentence.pos_tags.__getitem__, heads))
-    return Sentence.from_checked(words, pos_tags), tuple(mapping)
+    next_firsts += firsts[position:]
+    next_lasts += lasts[position:]
+    heads = next_firsts if head == "first" else next_lasts
+    words = tuple(map(original.words.__getitem__, heads))
+    pos_tags = tuple(map(original.pos_tags.__getitem__, heads))
+    return next_firsts, next_lasts, Sentence.from_checked(words, pos_tags)
 
 
 def cascade_bracket(
@@ -102,25 +88,23 @@ def cascade_bracket(
     """
     if max_depth < 1:
         raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
+    _check_head(head)
     stripped = current = strip_tags(sentence)
-    mapping = identity_map(len(sentence))
+    firsts = lasts = list(range(len(stripped)))  # _collapse makes new lists
     found: dict[ChunkSpan, None] = {}
     for _ in range(max_depth):
         tags = tagger(current)
+        if len(tags) != len(current):
+            raise ValidationError(f"{len(tags)} tags for {len(current)} tokens")
         for tag in dict.fromkeys(tags):  # in token order, as with_tags checks them
             check_chunk_tag(tag)
         level_spans = extract_chunks(tags)
-        if not level_spans:
+        seen = len(found)
+        for span in level_spans:
+            found[ChunkSpan(firsts[span.begin], lasts[span.end - 1] + 1, span.label)] = None
+        if len(found) == seen:
             break
-        translated = [ChunkSpan(*original_range(mapping, span.begin, span.end), span.label)
-                      for span in level_spans]
-        new = [span for span in translated if span not in found]
-        for span in new:
-            found[span] = None
-        if not new:
-            break
-        current, level_map = collapse(current, level_spans, head)
-        mapping = tuple([original_range(mapping, b, e) for b, e in level_map])
+        firsts, lasts, current = _collapse(stripped, firsts, lasts, level_spans, head)
         if len(current) == 1:
             break
     return NestedSentence(stripped, found)
@@ -152,36 +136,26 @@ def cascade_training_corpus(
     level collapses those and carries the chunks that became innermost.
     A final sentence with no chunks teaches the chunker when to stop.
     """
+    _check_head(head)
     flat: list[Sentence] = []
     for nested in sentences:
         current = nested.sentence
-        remaining = list(nested.spans)  # sorted, and kept so: collapsing keeps span order
-        mapping = identity_map(len(current))
+        firsts = lasts = list(range(len(current)))  # _collapse makes new lists
+        remaining = list(nested.spans)  # sorted, and kept so
         while remaining:
-            local = local_spans(remaining, mapping)
-            taken = _innermost_level(local)
-            level = [local[i] for i in taken]
+            # The remaining spans align with the current positions, so the
+            # innermost ones are found on their original offsets.
+            taken = _innermost_level(remaining)
+            level = []
+            for i in taken:
+                span = remaining[i]
+                begin = bisect_left(firsts, span.begin)
+                level.append(ChunkSpan(begin, bisect_left(firsts, span.end, begin), span.label))
             tags = tags_from_chunks(len(current), level, TagScheme.IOB2)
             flat.append(with_tags(current, tags))
             drop = set(taken)
             remaining = [span for i, span in enumerate(remaining) if i not in drop]
-            current, level_map = collapse(current, level, head)
-            mapping = tuple([original_range(mapping, b, e) for b, e in level_map])
+            firsts, lasts, current = _collapse(nested.sentence, firsts, lasts, level, head)
         flat.append(with_tags(current, ["O"] * len(current)))
     return Corpus(tuple(flat), TagScheme.IOB2)
 
-
-def local_spans(spans: Sequence[ChunkSpan], mapping: CollapseMap) -> list[ChunkSpan]:
-    """Express original-coordinate spans in collapsed coordinates.
-
-    Each span's boundaries must coincide with collapsed token boundaries,
-    which holds for any remaining span of a properly nested sentence.
-    """
-    begins = {begin: i for i, (begin, _) in enumerate(mapping)}
-    ends = {end: i + 1 for i, (_, end) in enumerate(mapping)}
-    local = []
-    for span in spans:
-        if span.begin not in begins or span.end not in ends:
-            raise ValidationError(f"span {span} does not align with collapsed tokens")
-        local.append(ChunkSpan(begins[span.begin], ends[span.end], span.label))
-    return local

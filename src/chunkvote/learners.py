@@ -386,13 +386,19 @@ class MaxEntModel:
 
 
 def _by_slot_value(features: Iterable[tuple[tuple[int, str, str], Any]], classes: Sequence[str]) -> dict:
-    """Each (slot, value) with the (class index, payload) pairs of those
-    ((slot, value, class), payload) ``features`` whose class is in ``classes``."""
+    """Each (slot, value) with the (class index, payload) pairs of its
+    ((slot, value, class), payload) ``features``; raises ValidationError
+    for a feature whose class is not in ``classes``."""
     class_ids = {c: ci for ci, c in enumerate(classes)}
     index: dict[tuple[int, str], list] = {}
     for (slot, value, c), payload in features:
-        if c in class_ids:
-            index.setdefault((slot, value), []).append((class_ids[c], payload))
+        try:
+            ci = class_ids[c]
+        except KeyError:
+            raise ValidationError(
+                f"feature {(slot, value, c)} has class {c!r}, not one of the model's classes"
+            ) from None
+        index.setdefault((slot, value), []).append((ci, payload))
     return index
 
 

@@ -58,10 +58,13 @@ def _parse_window(fields: list[str]) -> WindowConfig | None:
 
 def dumps_model(model: TrainedModel) -> str:
     """The model's file text; an igtree over ``BASELINE_WINDOW`` is written
-    as a ``baseline`` model, whose table lists each leaf by its pos tag."""
+    as a ``baseline`` model, whose table lists each leaf by its pos tag.
+    Raises ValidationError for a class that is not a chunk tag, which
+    ``loads_model`` would reject."""
     baseline = isinstance(model, IGTreeModel) and model.window == BASELINE_WINDOW
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}", f"kind {'baseline' if baseline else model.kind}"]
     for tag in sorted(model.class_counts):
+        check_chunk_tag(tag)
         lines.append(f"class {tag} {model.class_counts[tag]}")
     lines.append(_window_line(None if baseline else model.window))
     if baseline:

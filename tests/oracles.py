@@ -18,10 +18,16 @@ from chunkvote import (
     NestedSentence,
     ParseError,
     Sentence,
+    TagScheme,
     Token,
     ValidationError,
+    extract_chunks,
+    strip_tags,
+    tags_from_chunks,
     validate_corpus,
+    with_tags,
 )
+from chunkvote.corpus import check_chunk_tag
 
 
 def oracle_chunks(tags):
@@ -508,3 +514,82 @@ def oracle_write_nested(sentences):
             parts.append(f"{token.word} {token.pos} {bracket}\n")
         parts.append("\n")
     return "".join(parts)
+
+
+# The cascade as it was written over collapse maps: a tuple of original
+# (begin, end) ranges per collapsed position, rebuilt and re-checked by a
+# sorting ``collapse`` every round and composed with the previous map.
+
+def _reference_original_range(mapping, begin, end):
+    if not 0 <= begin < end <= len(mapping):
+        raise ValidationError(f"range ({begin}, {end}) outside collapse map")
+    return mapping[begin][0], mapping[end - 1][1]
+
+
+def _reference_collapse(sentence, spans, head):
+    ordered = sorted(spans, key=lambda s: s.begin)
+    for left, right in zip(ordered, ordered[1:]):
+        if right.begin < left.end:
+            raise ValidationError(f"cannot collapse overlapping spans {left} and {right}")
+    for span in ordered:
+        if span.end > len(sentence):
+            raise ValidationError(f"span {span} outside sentence of length {len(sentence)}")
+    mapping = []
+    position = 0
+    for span in ordered:
+        mapping += ((i, i + 1) for i in range(position, span.begin))
+        mapping.append((span.begin, span.end))
+        position = span.end
+    mapping += ((i, i + 1) for i in range(position, len(sentence)))
+    heads = [end - 1 for _, end in mapping] if head == "last" else [begin for begin, _ in mapping]
+    words = tuple(sentence.words[i] for i in heads)
+    pos_tags = tuple(sentence.pos_tags[i] for i in heads)
+    return Sentence.from_checked(words, pos_tags), tuple(mapping)
+
+
+def reference_cascade_bracket(sentence, tagger, max_depth=5, head="last"):
+    """``cascade_bracket`` over collapse maps."""
+    stripped = current = strip_tags(sentence)
+    mapping = tuple((i, i + 1) for i in range(len(sentence)))
+    found = {}
+    for _ in range(max_depth):
+        tags = tagger(current)
+        for tag in dict.fromkeys(tags):
+            check_chunk_tag(tag)
+        level_spans = extract_chunks(tags)
+        if not level_spans:
+            break
+        translated = [ChunkSpan(*_reference_original_range(mapping, s.begin, s.end), s.label)
+                      for s in level_spans]
+        new = [s for s in translated if s not in found]
+        for s in new:
+            found[s] = None
+        if not new:
+            break
+        current, level_map = _reference_collapse(current, level_spans, head)
+        mapping = tuple(_reference_original_range(mapping, b, e) for b, e in level_map)
+        if len(current) == 1:
+            break
+    return NestedSentence(stripped, tuple(found))
+
+
+def reference_cascade_training_corpus(sentences, head="last"):
+    """``cascade_training_corpus`` over collapse maps, each level picked by
+    ``oracle_innermost_level`` on the remaining spans in collapsed offsets."""
+    flat = []
+    for nested in sentences:
+        current = nested.sentence
+        remaining = list(nested.spans)
+        mapping = tuple((i, i + 1) for i in range(len(current)))
+        while remaining:
+            begins = {begin: i for i, (begin, _) in enumerate(mapping)}
+            ends = {end: i + 1 for i, (_, end) in enumerate(mapping)}
+            local = [ChunkSpan(begins[s.begin], ends[s.end], s.label) for s in remaining]
+            level = oracle_innermost_level(local)
+            flat.append(with_tags(current, tags_from_chunks(len(current), level, TagScheme.IOB2)))
+            for s in level:
+                remaining.remove(ChunkSpan(*_reference_original_range(mapping, s.begin, s.end), s.label))
+            current, level_map = _reference_collapse(current, level, head)
+            mapping = tuple(_reference_original_range(mapping, b, e) for b, e in level_map)
+        flat.append(with_tags(current, ["O"] * len(current)))
+    return Corpus(tuple(flat), TagScheme.IOB2)

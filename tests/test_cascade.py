@@ -13,10 +13,9 @@ from chunkvote import (
     ValidationError,
     cascade_bracket,
     cascade_training_corpus,
-    collapse,
     extract_chunks,
-    identity_map,
     parse_conll,
+    parse_nested,
     properly_nested,
     scheme_violation,
     strip_tags,
@@ -24,27 +23,29 @@ from chunkvote import (
     with_tags,
     write_nested,
 )
-from chunkvote.cascade import HEAD_CHOICES, _innermost_level, local_spans, original_range
+from chunkvote.cascade import HEAD_CHOICES, _collapse, _innermost_level
 from chunkvote.cli import main
 from chunkvote.corpus import _span_sort_key
 
 import datagen
 from conftest import make_sentence, make_untagged
-from oracles import oracle_innermost_level
+from oracles import oracle_innermost_level, reference_cascade_bracket, reference_cascade_training_corpus
 
 
 def span(begin, end, label="NP"):
     return ChunkSpan(begin, end, label)
 
 
-def compose(outer, inner):
-    """``inner``'s ranges through ``outer``, as the cascade composes maps."""
-    return tuple([original_range(outer, b, e) for b, e in inner])
-
-
-def translate(found, mapping):
-    """A span found on a collapsed sentence, in original offsets."""
-    return ChunkSpan(*original_range(mapping, found.begin, found.end), found.label)
+def collapse(original, spans, head="last", ranges=None):
+    """``_collapse`` from each position's (begin, end) range of original
+    tokens, one token each by default; returns the collapsed sentence and
+    its positions' ranges."""
+    if ranges is None:
+        ranges = [(i, i + 1) for i in range(len(original))]
+    firsts = [begin for begin, _ in ranges]
+    lasts = [end - 1 for _, end in ranges]
+    firsts, lasts, collapsed = _collapse(original, firsts, lasts, spans, head)
+    return collapsed, tuple((first, last + 1) for first, last in zip(firsts, lasts))
 
 
 def plain(*word_pos):
@@ -82,22 +83,21 @@ class TestCollapse:
         assert mapping == ((0, 1), (1, 3), (3, 4), (4, 5))
 
     def test_several_spans_and_a_tail(self):
-        collapsed, mapping = collapse(FIVE, [span(3, 4, "VP"), span(0, 2)])
+        collapsed, mapping = collapse(FIVE, [span(0, 2), span(3, 4, "VP")])
         assert collapsed.words == ("big", "dog", "sat", ".")
         assert mapping == ((0, 2), (2, 3), (3, 4), (4, 5))
 
     def test_no_spans_is_the_identity(self):
         collapsed, mapping = collapse(FIVE, [])
         assert collapsed.words == FIVE.words
-        assert mapping == identity_map(len(FIVE))
+        assert mapping == tuple((i, i + 1) for i in range(len(FIVE)))
 
     def test_errors(self):
-        with pytest.raises(ValidationError, match="overlapping"):
-            collapse(FIVE, [span(0, 3), span(2, 4)])
-        with pytest.raises(ValidationError, match="outside sentence"):
-            collapse(FIVE, [span(3, 9)])
-        with pytest.raises(ConfigError, match="head"):
-            collapse(FIVE, [span(0, 2)], head="middle")
+        # Spans come from the tagger's tags, so tags that do not fit the
+        # sentence are rejected before they could fall outside it.
+        for tags in (["B-NP"] * 6, ["B-NP", "I-NP"]):
+            with pytest.raises(ValidationError, match=f"{len(tags)} tags for 5 tokens"):
+                cascade_bracket(FIVE, lambda sentence: tags)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_mapping_partitions_the_sentence(self, seed):
@@ -112,58 +112,83 @@ class TestCollapse:
 
 class TestMaps:
     def test_identity(self):
-        assert identity_map(3) == ((0, 1), (1, 2), (2, 3))
-        assert identity_map(0) == ()
+        # Before any collapse each position stands for its own token.
+        tags = ["B-NP", "I-NP", "O", "I-VP", "B-PP"]
+        got = cascade_bracket(FIVE, lambda sentence: tags, max_depth=1)
+        assert got.spans == tuple(extract_chunks(tags))
 
     def test_compose(self):
         outer = ((0, 2), (2, 3), (3, 5))
-        inner = ((0, 2), (2, 3))
-        assert compose(outer, inner) == ((0, 3), (3, 5))
+        assert collapse(FIVE, [span(0, 2), span(3, 5)])[1] == outer
+        assert collapse(FIVE, [span(0, 2)], ranges=outer)[1] == ((0, 3), (3, 5))
 
     def test_compose_with_identity(self):
         outer = ((0, 2), (2, 3), (3, 5))
-        assert compose(outer, identity_map(3)) == outer
-        assert compose(identity_map(5), outer) == outer
+        assert collapse(FIVE, [], ranges=outer)[1] == outer
+        assert collapse(FIVE, [span(1, 2)], ranges=outer)[1] == outer
 
     def test_compose_bounds(self):
-        with pytest.raises(ValidationError, match="outside collapse map"):
-            compose(((0, 1),), ((0, 2),))
+        # A later round's tags must fit the collapsed sentence, not the original.
+        tagger = scripted([["B-NP", "I-NP", "O", "O", "O"], ["O"] * 5])
+        with pytest.raises(ValidationError, match="5 tags for 4 tokens"):
+            cascade_bracket(FIVE, tagger)
 
     def test_translate_span(self):
-        mapping = ((0, 3), (3, 4), (4, 6))
-        assert translate(span(1, 2), mapping) == span(3, 4)
-        assert translate(span(0, 3, "VP"), mapping) == span(0, 6, "VP")
-        with pytest.raises(ValidationError, match="outside collapse map"):
-            translate(span(0, 4), mapping)
+        # After round one the positions cover (0, 3), (3, 4) and (4, 5).
+        tagger = scripted([["B-NP", "I-NP", "I-NP", "O", "O"], ["B-VP", "I-VP", "B-PP"]])
+        got = cascade_bracket(FIVE, tagger)
+        assert got.spans == (span(0, 4, "VP"), span(0, 3), span(4, 5, "PP"))
+        assert tagger.calls == [5, 3, 2]
 
     def test_local_spans(self):
-        mapping = ((0, 3), (3, 4), (4, 6))
-        assert local_spans([span(0, 3), span(3, 6, "VP")], mapping) == [span(0, 1), span(1, 3, "VP")]
-        with pytest.raises(ValidationError, match="does not align"):
-            local_spans([span(1, 4)], mapping)
+        # Each level is tagged in the positions of the sentence collapsed so far.
+        tokens = plain(*[(f"w{i}", "NN") for i in range(6)]).tokens
+        nested = NestedSentence(tokens, (span(0, 3), span(4, 6), span(3, 6, "VP"), span(0, 6, "PP")))
+        corpus = cascade_training_corpus([nested])
+        assert [s.chunk_tags for s in corpus.sentences] == [
+            ("B-NP", "I-NP", "I-NP", "O", "B-NP", "I-NP"),
+            ("O", "B-VP", "I-VP"),
+            ("B-PP", "I-PP"),
+            ("O",),
+        ]
+        assert [s.words for s in corpus.sentences[1:]] == [("w2", "w3", "w5"), ("w2", "w5"), ("w5",)]
 
     def test_local_spans_inverts_translate_span(self):
+        # Every level's chunks, translated back through the collapsed
+        # ranges, are the innermost of the spans not yet taken.
         r = datagen.rng(5)
         for _ in range(50):
-            length = r.randint(1, 10)
-            sentence = plain(*[(f"w{i}", "NN") for i in range(length)])
-            _, mapping = collapse(sentence, datagen.random_spans(r, length))
-            local = datagen.random_spans(r, len(mapping))
-            assert local_spans([translate(s, mapping) for s in local], mapping) == local
+            nested = datagen.random_nested_sentence(r, r.randint(1, 10), types=("NP", "PP"))
+            nested = with_chains(r, nested)
+            remaining = list(nested.spans)
+            firsts = lasts = list(range(len(nested)))
+            for level in cascade_training_corpus([nested]).sentences:
+                local = extract_chunks(level.chunk_tags)
+                want = oracle_innermost_level(remaining)
+                assert [ChunkSpan(firsts[s.begin], lasts[s.end - 1] + 1, s.label) for s in local] == want
+                for s in want:
+                    remaining.remove(s)
+                firsts, lasts, _ = _collapse(nested.sentence, firsts, lasts, local, "last")
+            assert remaining == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_composed_maps_still_partition(self, seed):
         r = datagen.rng(23_000 + seed)
         length = r.randint(2, 14)
-        mapping = identity_map(length)
+        sentence = plain(*[(f"w{i}", "NN") for i in range(length)])
+        mapping = None
         for _ in range(3):
-            if len(mapping) == 0:
-                break
-            inner_spans = datagen.random_spans(r, len(mapping))
-            sentence = plain(*[(f"w{i}", "NN") for i in range(len(mapping))])
-            _, level_map = collapse(sentence, inner_spans)
-            mapping = compose(mapping, level_map)
+            inner_spans = datagen.random_spans(r, length if mapping is None else len(mapping))
+            _, mapping = collapse(sentence, inner_spans, ranges=mapping)
             assert_partition(mapping, length)
+
+
+def with_chains(r, nested):
+    """``nested`` with a second span over some of its ranges, so that
+    chains of spans sharing a range surface over several levels."""
+    chains = [span(s.begin, s.end, r.choice(("NP", "PP", s.label)))
+              for s in nested.spans if r.random() < 0.4]
+    return NestedSentence(nested.sentence, nested.spans + tuple(chains))
 
 
 class TestTrainingCorpus:
@@ -206,6 +231,10 @@ class TestTrainingCorpus:
         assert [s.chunk_tags for s in corpus.sentences] == [
             ("B-VP", "I-VP"), ("B-NP",), ("O",),
         ]
+
+    def test_a_bad_head_is_rejected(self):
+        with pytest.raises(ConfigError, match="head must be one of"):
+            cascade_training_corpus(parse_nested("a DT *\nb NN *\n"), head="middle")
 
     def test_sentences_stay_in_input_order(self, money_example):
         other = NestedSentence(plain(("x", "NN")).tokens, ())
@@ -311,6 +340,12 @@ class TestCascadeBracket:
         with pytest.raises(ConfigError, match="max_depth"):
             cascade_bracket(FIVE, scripted([]), max_depth=0)
 
+    def test_a_bad_head_is_rejected_before_any_tagging(self):
+        tagger = scripted([])
+        with pytest.raises(ConfigError, match="head must be one of"):
+            cascade_bracket(FIVE, tagger, head="middle")
+        assert tagger.calls == []
+
     def test_head_is_forwarded_to_collapse(self):
         seen = []
 
@@ -378,6 +413,57 @@ class TestTokenReuse:
         collapsed, _ = collapse(tagged, [span(0, 2)])
         assert (stripped.words, stripped.chunk_tags) == (tagged.words, (None,) * 3)
         assert (collapsed.words, collapsed.pos_tags) == (("dog", "sat"), ("NN", "VBD"))
+        got = cascade_bracket(tagged, scripted([["B-NP", "I-NP", "O"], ["B-VP", "I-VP"]]))
+        assert got.spans == (span(0, 3, "VP"), span(0, 2))
+
+
+def taggers(seed):
+    """Taggers whose tags depend on the sentence alone, so that two
+    cascades over the same sentences see the same tags."""
+
+    def soup(sentence):  # illegal I- openings included
+        r = datagen.rng(f"{seed}:{' '.join(sentence.words)}")
+        return datagen.random_raw_tags(r, len(sentence), types=("NP", "VP"))
+
+    def pairs(sentence):  # halves the sentence each round
+        return ["B-NP" if i % 2 == 0 else "I-NP" for i in range(len(sentence))]
+
+    def stuck(sentence):
+        return ["B-NP"] + ["O"] * (len(sentence) - 1)
+
+    def one_chunk(sentence):  # collapses the sentence to one token
+        return ["I-PP"] * len(sentence)
+
+    return soup, pairs, stuck, one_chunk
+
+
+class TestAgainstTheCollapseMapReference:
+    @pytest.mark.parametrize("head", HEAD_CHOICES)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bracketing_matches_with_chaotic_taggers(self, seed, head):
+        r = datagen.rng(34_000 + seed)
+        sentences = [datagen.random_sentence(r, r.randint(1, 12)) for _ in range(15)]
+        for tagger in taggers(seed):
+            for depth in range(1, 7):
+                for sentence in sentences:
+                    assert (cascade_bracket(sentence, tagger, depth, head)
+                            == reference_cascade_bracket(sentence, tagger, depth, head))
+
+    @pytest.mark.parametrize("head", HEAD_CHOICES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_levels_and_a_trained_cascade_match_on_treebanks(self, seed, head):
+        r = datagen.rng(35_000 + seed)
+        treebank = [
+            with_chains(r, datagen.random_nested_sentence(r, r.randint(1, 14), types=("NP", "PP")))
+            for _ in range(40)
+        ]
+        levels = cascade_training_corpus(treebank, head)
+        assert levels == reference_cascade_training_corpus(treebank, head)
+        tagger = functools.partial(tag_sentence, LearnerSpec("tree", "igtree").train(levels))
+        for nested in treebank:
+            for depth in range(1, 7):
+                assert (cascade_bracket(nested.sentence, tagger, depth, head)
+                        == reference_cascade_bracket(nested.sentence, tagger, depth, head))
 
 
 class TestInnermostLevel:

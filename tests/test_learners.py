@@ -613,12 +613,14 @@ class TestMaxEnt:
         data = Dataset(data.items + ((("a", "b", "c"), "W"),), data.slot_names)
         model = train_maxent(data, iterations=5, cutoff=2)
         assert "W" in model.classes and all(c != "W" for _, _, c in model.weights)
-        # A feature of a class the model does not score changes no score.
-        foreign = dataclasses.replace(model, weights={**model.weights, (0, "a", "V"): 1.5})
         for _ in range(30):
             query = tuple(r.choice(("a", "b", "c", "d", "unseen")) for _ in range(3))
             assert model.scores(query) == oracle_maxent_scores(model, query)
-            assert foreign.scores(query) == oracle_maxent_scores(foreign, query)
+        # A feature of a class the model does not declare is an error, as
+        # in a model file, not a weight that is never scored.
+        foreign = dataclasses.replace(model, weights={**model.weights, (0, "a", "V"): 1.5})
+        with pytest.raises(ValidationError, match=r"feature \(0, 'a', 'V'\) has class 'V'"):
+            foreign.scores(query)
 
     def test_peak_memory_per_distinct_vector_is_bounded(self):
         # Each distinct vector needs its id tuples, one per class (~230 bytes

@@ -4,9 +4,11 @@ import chunkvote.corpus
 from chunkvote import (
     ChunkvoteError,
     Corpus,
+    Dataset,
     LearnerSpec,
     ParseError,
     TagScheme,
+    ValidationError,
     WindowConfig,
     dumps_model,
     loads_model,
@@ -24,9 +26,13 @@ from conftest import TINY_TRAIN, make_sentence, make_untagged
 from test_learners import dataset
 
 
-def trained(kind, corpus):
+def spec(kind):
     extra = {"maxent": {"iterations": 5}, "knn": {"k": 2}}.get(kind, {})
-    return LearnerSpec("sys", kind, **extra).train(corpus)
+    return LearnerSpec("sys", kind, **extra)
+
+
+def trained(kind, corpus):
+    return spec(kind).train(corpus)
 
 
 ALL_KINDS = ["baseline", "knn", "igtree", "maxent", "rules"]
@@ -93,6 +99,17 @@ class TestRoundTrip:
     def test_grammar_corpus_models_roundtrip_byte_exact(self, kind):
         text = dumps_model(trained(kind, datagen.grammar_corpus(datagen.rng(16_000), 40)))
         assert dumps_model(loads_model(text)) == text
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_a_class_that_is_not_a_chunk_tag_is_not_written(self, kind, tiny_corpus):
+        # loads_model would reject the file's class line.
+        featurized = spec(kind).featurize(tiny_corpus)
+        relabelled = Dataset(
+            [(vector, "X" if label == "B-NP" else label) for vector, label in featurized.items],
+            featurized.slot_names,
+        )
+        with pytest.raises(ValidationError, match="bad chunk tag 'X'"):
+            dumps_model(spec(kind).fit(relabelled))
 
     def test_loaded_knn_values_share_one_string(self, tiny_corpus):
         model = loads_model(dumps_model(trained("knn", tiny_corpus)))
