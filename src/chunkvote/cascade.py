@@ -21,13 +21,13 @@ from .corpus import (
     NestedSentence,
     Sentence,
     TagScheme,
-    check_chunk_tag,
+    check_tag_row,
     extract_chunks,
     strip_tags,
     tags_from_chunks,
     with_tags,
 )
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 
 HEAD_CHOICES = ("last", "first")
 
@@ -94,10 +94,7 @@ def cascade_bracket(
     found: dict[ChunkSpan, None] = {}
     for _ in range(max_depth):
         tags = tagger(current)
-        if len(tags) != len(current):
-            raise ValidationError(f"{len(tags)} tags for {len(current)} tokens")
-        for tag in dict.fromkeys(tags):  # in token order, as with_tags checks them
-            check_chunk_tag(tag)
+        check_tag_row(tags, len(current))
         level_spans = extract_chunks(tags)
         seen = len(found)
         for span in level_spans:

@@ -176,13 +176,18 @@ def strip_tags(sentence: Sentence) -> Sentence:
     return Sentence.from_checked(sentence.words, sentence.pos_tags)
 
 
-def with_tags(sentence: Sentence, tags: Sequence[str]) -> Sentence:
-    """Return the sentence with its chunk tags replaced."""
-    if len(tags) != len(sentence):
-        raise ValidationError(f"{len(tags)} tags for {len(sentence)} tokens")
+def check_tag_row(tags: Sequence[str | None], length: int) -> None:
+    """Raise ValidationError unless ``tags`` holds ``length`` chunk tags or Nones."""
+    if len(tags) != length:
+        raise ValidationError(f"{len(tags)} tags for {length} tokens")
     for tag in dict.fromkeys(tags):  # in token order, so the first bad tag is the first bad token's
         if tag is not None:
             check_chunk_tag(tag)
+
+
+def with_tags(sentence: Sentence, tags: Sequence[str]) -> Sentence:
+    """Return the sentence with its chunk tags replaced."""
+    check_tag_row(tags, len(sentence))
     return Sentence.from_checked(sentence.words, sentence.pos_tags, tuple(tags))
 
 

@@ -31,7 +31,7 @@ from .corpus import (
     pick_best,
     tags_from_chunks,
 )
-from .errors import AlignmentError, ConfigError, ParseError, TrainingError, ValidationError
+from .errors import AlignmentError, ConfigError, ParseError, ValidationError
 
 # Weights, voting and brackets load no learner or metrics code: the
 # functions that train, tag or score import what they call.
@@ -222,10 +222,6 @@ def cv_tuning_table(corpus: Corpus, specs: Sequence[LearnerSpec], folds: int = 1
     if len(set(names)) != len(names):
         raise ConfigError("system names must be unique")
     _check_not_reserved(names)
-    # Checked before training, which would number a sentence within its fold.
-    for i, sentence in enumerate(corpus.sentences, start=1):
-        if None in sentence.chunk_tags:
-            raise TrainingError(f"sentence {i} has untagged tokens")
     sentences = corpus.sentences
     predicted: dict[str, list[list[str] | None]] = {
         spec.name: [None] * len(sentences) for spec in specs
@@ -236,6 +232,7 @@ def cv_tuning_table(corpus: Corpus, specs: Sequence[LearnerSpec], folds: int = 1
     # featurizing that fold's sentences would have made it.
     groups: dict[tuple, list[LearnerSpec]] = {}
     for spec in specs:
+        spec.check_options()  # every spec's, before the first group trains
         groups.setdefault((spec.resolved_window(), spec.io_encoding), []).append(spec)
     bounds = [0, *itertools.accumulate(map(len, sentences))]
     for group in groups.values():
@@ -441,11 +438,11 @@ def vote(
         raise ValidationError("cannot combine an empty vote row")
     if method not in VOTING_METHODS:
         raise ConfigError(f"unknown voting method {method!r}, expected one of {VOTING_METHODS}")
+    if method != "majority" and weights is None:
+        raise ConfigError(f"voting method {method!r} needs combiner weights")
     tags = [tag for _, tag in votes]
     if all(tag == tags[0] for tag in tags):
         return tags[0]
-    if method != "majority" and weights is None:
-        raise ConfigError(f"voting method {method!r} needs combiner weights")
     frequencies = weights.tag_counts if weights is not None else {}
 
     scores: dict[str, float]
@@ -507,7 +504,7 @@ def stacked_train(
     from .features import Dataset
     from .learners import train_igtree, train_knn
 
-    trainer = {"knn": train_knn, "igtree": train_igtree}.get(learner)
+    trainer = {"knn": lambda data: train_knn(data, k=1), "igtree": train_igtree}.get(learner)
     if trainer is None:
         raise ConfigError(f"stacked learner must be 'knn' or 'igtree', got {learner!r}")
     if not table.has_gold:

@@ -153,7 +153,7 @@ def make_features(
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labelled feature vectors with shared slot names."""
+    """Labelled feature vectors with shared slot names; never empty."""
 
     items: tuple[tuple[FeatureVector, str], ...]
     slot_names: tuple[str, ...]
@@ -161,6 +161,8 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
         object.__setattr__(self, "slot_names", tuple(self.slot_names))
+        if not self.items:
+            raise TrainingError("cannot train on an empty dataset")
         for vector, _ in self.items:
             if len(vector) != len(self.slot_names):
                 raise ValidationError(
@@ -212,8 +214,6 @@ def slot_gains(dataset: Dataset, ratio: bool) -> list[float]:
     the same ints in the same order as a per-item tally, so every sum, and
     with it every bit of the result, is that of the per-item definition.
     """
-    if not dataset.items:
-        raise TrainingError("cannot measure a slot on an empty dataset")
     vectors = list(map(itemgetter(0), dataset.items))
     labels = list(map(itemgetter(1), dataset.items))
     total = len(labels)

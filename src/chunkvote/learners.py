@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .corpus import Corpus, Sentence, TagScheme, check_system_name, pick_best, with_tags
-from .errors import ConfigError, TrainingError, ValidationError
+from .errors import ConfigError, ValidationError
 from .features import (
     Dataset,
     FeatureVector,
@@ -45,10 +45,20 @@ from .features import (
 WEIGHTINGS = ("gain_ratio", "information_gain")
 
 
-def _slot_weights(dataset: Dataset, weighting: str) -> tuple[float, ...]:
-    if weighting not in WEIGHTINGS:
-        raise ConfigError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
-    return tuple(slot_gains(dataset, ratio=weighting == "gain_ratio"))
+def _check_options(**options: Any) -> None:
+    """Raise ConfigError for the first learner option, in the order given, out of range."""
+    for name, value in options.items():
+        if name in ("k", "iterations", "cutoff") and value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+        # The Gaussian penalty divides by sigma^2, which must not underflow
+        # to 0 nor leave an inverse that overflows.
+        if name == "sigma" and value is not None and not (
+                0 < value < math.inf and value * value > 0 and math.isfinite(1.0 / (value * value))):
+            raise ConfigError(f"sigma must be a finite number > 0 with a finite 1 / sigma^2, got {value}")
+        if name == "threshold" and not 0.0 < value <= 1.0:
+            raise ConfigError(f"threshold must be in (0, 1], got {value}")
+        if name == "weighting" and value not in WEIGHTINGS:
+            raise ConfigError(f"unknown weighting {value!r}, expected one of {WEIGHTINGS}")
 
 
 #---------------------------------------------------------------------------
@@ -235,18 +245,15 @@ def valid_knn_weights(weights: Sequence[float]) -> bool:
 
 def train_knn(
     dataset: Dataset,
-    k: int = 1,
+    k: int,
     weighting: str = "gain_ratio",
     window: WindowConfig | None = None,
 ) -> KnnModel:
     """Store the dataset verbatim together with per slot relevance weights."""
-    if not dataset.items:
-        raise TrainingError("cannot train on an empty dataset")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    _check_options(k=k, weighting=weighting)
     return KnnModel(
         memory=dataset.items,
-        weights=_slot_weights(dataset, weighting),
+        weights=tuple(slot_gains(dataset, ratio=weighting == "gain_ratio")),
         k=k,
         class_counts=dict(dataset.class_counts()),
         slot_names=dataset.slot_names,
@@ -300,9 +307,8 @@ def train_igtree(
     every node keeps the modal class of its items as the default answer
     for unseen branch values.
     """
-    if not dataset.items:
-        raise TrainingError("cannot train on an empty dataset")
-    weights = _slot_weights(dataset, weighting)
+    _check_options(weighting=weighting)
+    weights = slot_gains(dataset, ratio=weighting == "gain_ratio")
     order = tuple(sorted(range(dataset.arity), key=lambda s: (-weights[s], s)))
     global_counts = dataset.class_counts()
 
@@ -429,7 +435,7 @@ def _gis_delta(emp: float, exp_: float, lam: float, constant: int, sigma: float 
 
 def train_maxent(
     dataset: Dataset,
-    iterations: int = 100,
+    iterations: int,
     sigma: float | None = None,
     cutoff: int = 2,
     window: WindowConfig | None = None,
@@ -442,17 +448,7 @@ def train_maxent(
     log(empirical / expected) divided by that constant.  With ``sigma``
     set, weights shrink towards 0 under a Gaussian penalty.
     """
-    if not dataset.items:
-        raise TrainingError("cannot train on an empty dataset")
-    if iterations < 1:
-        raise ConfigError(f"iterations must be >= 1, got {iterations}")
-    if cutoff < 1:
-        raise ConfigError(f"cutoff must be >= 1, got {cutoff}")
-    # The Gaussian penalty divides by sigma^2, which must not underflow to 0
-    # nor leave an inverse that overflows.
-    if sigma is not None and not (math.isfinite(sigma) and sigma > 0 and sigma * sigma > 0
-                                  and math.isfinite(1.0 / (sigma * sigma))):
-        raise ConfigError(f"sigma must be a finite number > 0 with a finite 1 / sigma^2, got {sigma}")
+    _check_options(iterations=iterations, cutoff=cutoff, sigma=sigma)
     class_counts = dataset.class_counts()
     classes = tuple(sorted(class_counts))
 
@@ -624,10 +620,7 @@ def train_rules(
     improves the accuracy.  The result keeps one rule per focus value,
     ordered most specific first, plus a global default class.
     """
-    if not dataset.items:
-        raise TrainingError("cannot train on an empty dataset")
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
+    _check_options(threshold=threshold)
     focus_slot = dataset.slot_names.index("p[+0]") if "p[+0]" in dataset.slot_names else 0
     if not 0 <= focus_slot < dataset.arity:
         raise ValidationError(f"focus slot {focus_slot} outside arity {dataset.arity}")
@@ -709,16 +702,16 @@ MAXENT_WINDOW = WindowConfig(
     left_words=3, right_words=2, left_pos=3, right_pos=2, left_chunk_tags=3, complex_pairs=True,
 )
 
-# Per learner kind: its trainer, the LearnerSpec options it reads and its
-# default window.  LearnerSpec.train passes the trainer each option read, by
-# name, but io_encoding, which it applies itself, and the resolved window.
-# A spec rejects the options its kind does not read unless they keep their
-# defaults.
+# Per learner kind: its trainer, the LearnerSpec options it reads, in the
+# order the trainer checks them, and its default window.  LearnerSpec.train
+# passes the trainer each option read, by name, but io_encoding, which it
+# applies itself, and the resolved window.  A spec rejects the options its
+# kind does not read unless they keep their defaults.
 _LEARNERS: dict[str, tuple[Callable[..., TrainedModel], tuple[str, ...], WindowConfig]] = {
-    "baseline": (train_igtree, ("weighting", "io_encoding"), BASELINE_WINDOW),
+    "baseline": (train_igtree, ("io_encoding",), BASELINE_WINDOW),
     "knn": (train_knn, ("window", "k", "weighting"), WindowConfig()),
     "igtree": (train_igtree, ("window", "weighting"), WindowConfig()),
-    "maxent": (train_maxent, ("window", "iterations", "sigma", "cutoff"), MAXENT_WINDOW),
+    "maxent": (train_maxent, ("window", "iterations", "cutoff", "sigma"), MAXENT_WINDOW),
     "rules": (train_rules, ("window", "threshold", "io_encoding"), WindowConfig()),
 }
 LEARNER_KINDS = tuple(_LEARNERS)
@@ -753,6 +746,10 @@ class LearnerSpec:
         """The spec's window, else its kind's default."""
         return self.window if self.window is not None else _LEARNERS[self.learner][2]
 
+    def check_options(self) -> None:
+        """Raise ConfigError as ``fit`` would for an option out of range."""
+        _check_options(**{name: getattr(self, name) for name in _LEARNERS[self.learner][1]})
+
     def featurize(self, corpus: Corpus) -> Dataset:
         """The training items: io-encoded if asked, windowed by ``resolved_window``.
 
@@ -769,8 +766,9 @@ class LearnerSpec:
         return trainer(dataset, **options | {"window": self.resolved_window()})
 
     def train(self, corpus: Corpus) -> TrainedModel:
-        """``fit(featurize(corpus))``, letting go of ``corpus`` before fitting,
-        so that a corpus no caller holds is freed once featurized."""
+        """``fit(featurize(corpus))`` after ``check_options``, letting go of
+        ``corpus`` before fitting, so that a corpus no caller holds is freed once featurized."""
+        self.check_options()
         dataset = self.featurize(corpus)
         del corpus
         return self.fit(dataset)

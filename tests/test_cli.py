@@ -359,6 +359,17 @@ class TestTrainTagEval:
                      "--folds", "2", "-o", out_path(files)]) == 2
         assert "with a finite 1 / sigma^2" in capsys.readouterr().err
 
+    def test_cv_tune_rejects_a_bad_option_before_any_system_trains(self, files, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("featurized or fitted")
+
+        monkeypatch.setattr(LearnerSpec, "featurize", fail)
+        monkeypatch.setattr(LearnerSpec, "fit", fail)
+        train = files("train.conll", TINY_TRAIN)
+        assert main(["cv-tune", train, "--system", "e=maxent,iterations=5", "--system", "b=knn,k=0",
+                     "--folds", "2", "-o", out_path(files)]) == 2
+        assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
+
     @pytest.mark.parametrize("command", ["eval", "report"])
     @pytest.mark.parametrize("beta", ["nan", "inf", "-1", "1e160", "1e200"])
     def test_a_meaningless_beta_is_a_data_error(self, files, capsys, command, beta):
@@ -921,6 +932,8 @@ class TestSettings:
         (["train", "TRAIN", "--learner", "igtree", "--threshold", "0.5"],
          "the igtree learner does not use threshold"),
         (["cv-tune", "TRAIN", "--system", "ent=maxent,k=5"], "the maxent learner does not use k"),
+        (["train", "TRAIN", "--learner", "baseline", "--weighting", "information_gain"],
+         "the baseline learner does not use weighting"),
     ])
     def test_options_the_learner_ignores_are_usage_errors(self, files, capsys, argv, message):
         train = files("train.conll", TINY_TRAIN)

@@ -277,6 +277,17 @@ class TestCvTuningTable:
         with pytest.raises(TrainingError, match=f"^sentence {index + 1} has untagged tokens$"):
             cv_tuning_table(corpus, [LearnerSpec("base", "baseline")], folds=2)
 
+    def test_a_bad_option_of_a_later_group_stops_it_before_any_training(self, tiny_corpus,
+                                                                        monkeypatch):
+        def fail(*args):
+            raise AssertionError("featurized or fitted")
+
+        monkeypatch.setattr(LearnerSpec, "featurize", fail)
+        monkeypatch.setattr(LearnerSpec, "fit", fail)
+        specs = [LearnerSpec("ent", "maxent", iterations=5), LearnerSpec("nn", "knn", k=0)]
+        with pytest.raises(ConfigError, match=r"^k must be >= 1, got 0$"):
+            cv_tuning_table(tiny_corpus, specs, folds=2)
+
     def test_featurizes_once_per_window_and_matches_training_per_fold(self, monkeypatch):
         corpus = datagen.grammar_corpus(datagen.rng(42_000), 30)
         specs = [
@@ -628,6 +639,14 @@ class TestVote:
             tag_precision={("s1", "B-NP"): 0.3, ("s2", "O"): 0.5},
         )
         assert vote(votes, "tag-pair", flipped) == "O"
+
+    @pytest.mark.parametrize("method", VOTING_METHODS[1:])
+    def test_a_weighted_method_needs_weights_on_unanimous_rows_too(self, method):
+        with pytest.raises(ConfigError, match="needs combiner weights"):
+            vote([("a", "O"), ("b", "O")], method)
+        table = read_table("pos a b\nDT B-NP B-NP\nNN I-NP I-NP\n\n")
+        with pytest.raises(ConfigError, match="needs combiner weights"):
+            combine_corpus(table, method=method)
 
     def test_errors(self):
         with pytest.raises(ValidationError):

@@ -13,7 +13,7 @@ from chunkvote import (
     make_features,
 )
 from chunkvote.features import slot_gains
-from chunkvote.learners import MAXENT_WINDOW, WEIGHTINGS, _slot_weights, tag_sentence
+from chunkvote.learners import MAXENT_WINDOW, WEIGHTINGS, tag_sentence, train_knn
 
 import datagen
 from conftest import make_sentence
@@ -341,11 +341,10 @@ class TestRelevanceMeasures:
         assert slot_gains(data, ratio=True)[0] == pytest.approx(0.0)
 
     def test_errors(self):
-        empty = Dataset((), ("s0",))
         with pytest.raises(TrainingError):
-            slot_gains(empty, ratio=False)
+            slot_gains(Dataset((), ("s0",)), ratio=False)
         with pytest.raises(TrainingError):
-            slot_gains(empty, ratio=True)
+            slot_gains(Dataset((), ("s0",)), ratio=True)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_direct_formulas(self, seed):
@@ -419,8 +418,8 @@ class TestGainsAreBitExact:
             ratios = [reference_gain_ratio(d.items, s) for s in range(d.arity)]
             assert slot_gains(d, ratio=False) == gains
             assert slot_gains(d, ratio=True) == ratios
-            assert _slot_weights(d, "information_gain") == tuple(gains)
-            assert _slot_weights(d, "gain_ratio") == tuple(ratios)
+            assert train_knn(d, k=1, weighting="information_gain").weights == tuple(gains)
+            assert train_knn(d, k=1, weighting="gain_ratio").weights == tuple(ratios)
 
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
     @pytest.mark.parametrize("name", sorted(WINDOW_GRID))
@@ -432,6 +431,6 @@ class TestGainsAreBitExact:
         data = corpus_to_dataset(corpus, WINDOW_GRID[name])
         reference = (reference_gain_ratio if weighting == "gain_ratio"
                      else reference_information_gain)
-        assert _slot_weights(data, weighting) == tuple(
+        assert train_knn(data, k=1, weighting=weighting).weights == tuple(
             reference(data.items, s) for s in range(data.arity)
         )

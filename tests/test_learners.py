@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import math
 import tracemalloc
 import weakref
@@ -39,7 +40,7 @@ from chunkvote import (
     train_rules,
 )
 from chunkvote.learners import (
-    BASELINE_WINDOW, MAXENT_WINDOW, _slot_weights, _sum_in_order, io_corpus, pick_best,
+    BASELINE_WINDOW, MAXENT_WINDOW, _sum_in_order, io_corpus, pick_best,
 )
 
 import datagen
@@ -186,11 +187,11 @@ class TestKnn:
         with pytest.raises(ConfigError):
             train_knn(data, k=0)
         with pytest.raises(TrainingError):
-            train_knn(Dataset((), ("s0",)))
+            train_knn(Dataset((), ("s0",)), k=1)
         with pytest.raises(ConfigError):
-            train_knn(data, weighting="nonsense")
+            train_knn(data, k=1, weighting="nonsense")
         with pytest.raises(ValidationError):
-            predict_knn(train_knn(data), ("a", "b"))
+            predict_knn(train_knn(data, k=1), ("a", "b"))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force(self, seed):
@@ -516,7 +517,8 @@ PINNED_SLOT_WEIGHTS = {
 @pytest.mark.parametrize("weighting", sorted(PINNED_SLOT_WEIGHTS))
 def test_slot_weights_are_pinned(weighting):
     data = corpus_to_dataset(pinned_corpus(), WindowConfig())
-    assert [w.hex() for w in _slot_weights(data, weighting)] == PINNED_SLOT_WEIGHTS[weighting]
+    weights = train_knn(data, k=1, weighting=weighting).weights
+    assert [w.hex() for w in weights] == PINNED_SLOT_WEIGHTS[weighting]
 
 
 class TestMaxEnt:
@@ -525,14 +527,14 @@ class TestMaxEnt:
 
     @pytest.mark.parametrize("cutoff", [1, 2])
     def test_learns_the_three_to_one_split(self, cutoff):
-        model = train_maxent(self.skewed(), cutoff=cutoff)
+        model = train_maxent(self.skewed(), iterations=100, cutoff=cutoff)
         scores = model.scores(("x",))
         assert 1.0 / (1.0 + math.exp(scores["B"] - scores["A"])) == pytest.approx(0.75, abs=1e-3)
         assert predict_maxent(model, ("x",)) == "A"
 
     def test_cutoff_drops_rare_features(self):
-        with_rare = train_maxent(self.skewed(), cutoff=1)
-        without = train_maxent(self.skewed(), cutoff=2)
+        with_rare = train_maxent(self.skewed(), iterations=100, cutoff=1)
+        without = train_maxent(self.skewed(), iterations=100, cutoff=2)
         assert (0, "x", "B") in with_rare.weights
         assert (0, "x", "B") not in without.weights
 
@@ -557,8 +559,8 @@ class TestMaxEnt:
         assert model.trace.loglik[-1] == pytest.approx(oracle_maxent_loglik(model, data.items), abs=1e-9)
 
     def test_gaussian_prior_shrinks_the_weights(self):
-        plain = train_maxent(self.skewed(), cutoff=1)
-        damped = train_maxent(self.skewed(), cutoff=1, sigma=1.0)
+        plain = train_maxent(self.skewed(), iterations=100, cutoff=1)
+        damped = train_maxent(self.skewed(), iterations=100, cutoff=1, sigma=1.0)
         plain_norm = sum(abs(w) for w in plain.weights.values())
         damped_norm = sum(abs(w) for w in damped.weights.values())
         assert damped_norm < plain_norm
@@ -650,17 +652,17 @@ class TestMaxEnt:
 
     def test_validation(self):
         with pytest.raises(TrainingError):
-            train_maxent(Dataset((), ("s0",)))
+            train_maxent(Dataset((), ("s0",)), iterations=100)
         with pytest.raises(ConfigError):
             train_maxent(self.skewed(), iterations=0)
         with pytest.raises(ConfigError):
-            train_maxent(self.skewed(), cutoff=0)
+            train_maxent(self.skewed(), iterations=100, cutoff=0)
         # 1e-162 squares to 0 and 1e-155 to a number whose inverse overflows
         for bad in (0.0, -1.0, math.nan, math.inf, 1e-155, 1e-162):
             with pytest.raises(ConfigError, match="sigma"):
-                train_maxent(self.skewed(), sigma=bad)
-        assert math.isfinite(train_maxent(self.skewed(), sigma=1e-150).correction)
-        model = train_maxent(self.skewed())
+                train_maxent(self.skewed(), iterations=100, sigma=bad)
+        assert math.isfinite(train_maxent(self.skewed(), iterations=100, sigma=1e-150).correction)
+        model = train_maxent(self.skewed(), iterations=100)
         with pytest.raises(ValidationError):
             predict_maxent(model, ("x", "y"))
 
@@ -839,7 +841,7 @@ class TestLearnerSpec:
     OPTION_VALUES = {"window": WindowConfig(left_words=1), "k": 1, "iterations": 5, "sigma": 1.0, "cutoff": 1, "threshold": 0.5,
                      "weighting": "information_gain", "io_encoding": True}
     OPTIONS_READ = {
-        "baseline": {"weighting", "io_encoding"},
+        "baseline": {"io_encoding"},
         "knn": {"window", "k", "weighting"},
         "igtree": {"window", "weighting"},
         "maxent": {"window", "iterations", "sigma", "cutoff"},
@@ -854,6 +856,40 @@ class TestLearnerSpec:
             else:
                 with pytest.raises(ConfigError, match=f"{learner} learner does not use {option}"):
                     LearnerSpec("sys", learner, **{option: value})
+
+    def test_a_trainer_defaults_an_option_as_the_spec_does(self):
+        """Training through a spec and calling the trainer agree on every
+        option the call leaves out, or the trainer requires it."""
+        defaults = {f.name: f.default for f in dataclasses.fields(LearnerSpec)}
+        for trainer, _, _ in chunkvote.learners._LEARNERS.values():
+            for name, parameter in inspect.signature(trainer).parameters.items():
+                if name in defaults and parameter.default is not parameter.empty:
+                    assert parameter.default == defaults[name], f"{trainer.__name__} {name}"
+
+    # Options out of range, some two at once, so that the first is named.
+    @pytest.mark.parametrize("learner, options", [
+        ("knn", {"k": 0}),
+        ("knn", {"k": 0, "weighting": "nonsense"}),
+        ("igtree", {"weighting": "nonsense"}),
+        ("maxent", {"iterations": 0, "cutoff": 0}),
+        ("maxent", {"sigma": -1.0, "cutoff": 0}),
+        ("maxent", {"sigma": 1e-162}),
+        ("rules", {"threshold": 0.0}),
+    ])
+    def test_train_rejects_a_bad_option_before_featurizing(self, tiny_corpus, monkeypatch,
+                                                           learner, options):
+        spec = LearnerSpec("sys", learner, **options)
+        with pytest.raises(ConfigError) as want:  # the trainer's own check
+            spec.fit(corpus_to_dataset(tiny_corpus, spec.resolved_window()))
+
+        def fail(*args):
+            raise AssertionError("featurized or fitted")
+
+        monkeypatch.setattr(LearnerSpec, "featurize", fail)
+        monkeypatch.setattr(LearnerSpec, "fit", fail)
+        with pytest.raises(ConfigError) as got:
+            spec.train(tiny_corpus)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("learner", LEARNER_KINDS)
     def test_options_at_their_defaults_are_accepted(self, learner):
