@@ -13,6 +13,7 @@ sentence per nesting level.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .corpus import (
@@ -21,13 +22,13 @@ from .corpus import (
     NestedSentence,
     Sentence,
     TagScheme,
+    _chunk_ranges,
     check_tag_row,
-    extract_chunks,
     strip_tags,
     tags_from_chunks,
     with_tags,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 
 HEAD_CHOICES = ("last", "first")
 
@@ -41,32 +42,33 @@ def _collapse(
     original: Sentence,
     firsts: list[int],
     lasts: list[int],
-    spans: Sequence[ChunkSpan],
+    spans: Sequence[tuple[int, int, str]],
     head: str,
 ) -> tuple[list[int], list[int], Sentence]:
     """Replace each chunk of the current sentence by its head token.
 
     Position ``i`` of the current sentence covers original tokens
     ``firsts[i]`` to ``lasts[i]`` and shows the first or the last of them,
-    as ``head`` says.  ``spans``, in current positions, must be ordered
-    and disjoint, as ``extract_chunks`` and ``_innermost_level`` give
-    them.  A span's positions become one covering their tokens; other
-    positions pass through.  Returns the next sentence's ranges and the
-    sentence, untagged.
+    as ``head`` says.  ``spans``, (begin, end, label) in current positions,
+    must be ordered and disjoint, as ``_chunk_ranges`` and
+    ``_innermost_level`` give them.  A span's positions become one covering
+    their tokens; other positions pass through.  Returns the next
+    sentence's ranges and the sentence, untagged.
     """
     next_firsts: list[int] = []
     next_lasts: list[int] = []
     position = 0
-    for span in spans:
-        next_firsts += firsts[position:span.begin + 1]
-        next_lasts += lasts[position:span.begin]
-        next_lasts.append(lasts[span.end - 1])
-        position = span.end
+    for begin, end, _ in spans:
+        next_firsts += firsts[position:begin + 1]
+        next_lasts += lasts[position:begin]
+        next_lasts.append(lasts[end - 1])
+        position = end
     next_firsts += firsts[position:]
     next_lasts += lasts[position:]
     heads = next_firsts if head == "first" else next_lasts
-    words = tuple(map(original.words.__getitem__, heads))
-    pos_tags = tuple(map(original.pos_tags.__getitem__, heads))
+    # itemgetter gives a bare value, not a tuple, for a single index
+    pick = itemgetter(*heads) if len(heads) > 1 else lambda column: (column[heads[0]],)
+    words, pos_tags = pick(original.words), pick(original.pos_tags)
     return next_firsts, next_lasts, Sentence.from_checked(words, pos_tags)
 
 
@@ -91,20 +93,23 @@ def cascade_bracket(
     _check_head(head)
     stripped = current = strip_tags(sentence)
     firsts = lasts = list(range(len(stripped)))  # _collapse makes new lists
-    found: dict[ChunkSpan, None] = {}
+    found, passed = set(), set()  # spans as (begin, end, label); tags a round passed
     for _ in range(max_depth):
         tags = tagger(current)
-        check_tag_row(tags, len(current))
-        level_spans = extract_chunks(tags)
+        if len(tags) != len(current) or not passed.issuperset(tags):
+            check_tag_row(tags, len(current))
+            if None in tags:
+                raise ValidationError(f"token {tags.index(None) + 1}: None is not a chunk tag")
+            passed.update(tags)
+        level = _chunk_ranges(tags)
         seen = len(found)
-        for span in level_spans:
-            found[ChunkSpan(firsts[span.begin], lasts[span.end - 1] + 1, span.label)] = None
+        found.update((firsts[begin], lasts[end - 1] + 1, label) for begin, end, label in level)
         if len(found) == seen:
             break
-        firsts, lasts, current = _collapse(stripped, firsts, lasts, level_spans, head)
+        firsts, lasts, current = _collapse(stripped, firsts, lasts, level, head)
         if len(current) == 1:
             break
-    return NestedSentence(stripped, found)
+    return NestedSentence(stripped, [ChunkSpan(*span) for span in found])
 
 
 def _innermost_level(spans: Sequence[ChunkSpan]) -> list[int]:
@@ -147,8 +152,8 @@ def cascade_training_corpus(
             for i in taken:
                 span = remaining[i]
                 begin = bisect_left(firsts, span.begin)
-                level.append(ChunkSpan(begin, bisect_left(firsts, span.end, begin), span.label))
-            tags = tags_from_chunks(len(current), level, TagScheme.IOB2)
+                level.append((begin, bisect_left(firsts, span.end, begin), span.label))
+            tags = tags_from_chunks(len(current), [ChunkSpan(*r) for r in level], TagScheme.IOB2)
             flat.append(with_tags(current, tags))
             drop = set(taken)
             remaining = [span for i, span in enumerate(remaining) if i not in drop]

@@ -36,7 +36,7 @@ PAD = "__PAD__"
 
 _TAG_RE = re.compile(r"O|[BI]-(?!O\Z)[A-Za-z0-9]+")
 _FIELD_RE = re.compile(r"\S+")
-_BRACKET_RE = re.compile(r"((?:\([A-Za-z0-9]+)*)\*(\)*)")
+_BRACKET_RE = re.compile(r"((?:\((?!O[(*])[A-Za-z0-9]+)*)\*(\)*)")  # chunk type O is reserved
 _set = object.__setattr__  # records are frozen; their constructors fill them
 
 
@@ -307,19 +307,24 @@ def extract_chunks(tags: Sequence[str]) -> list[ChunkSpan]:
     lenient behaviour expected when scoring raw system output.  The scan
     gives identical spans for IOB1 and IOB2 input.
     """
-    spans: list[ChunkSpan] = []
+    return [ChunkSpan(*chunk) for chunk in _chunk_ranges(tags)]
+
+
+def _chunk_ranges(tags: Sequence[str]) -> list[tuple[int, int, str]]:
+    """``extract_chunks`` as (begin, end, label) tuples, in order."""
+    ranges: list[tuple[int, int, str]] = []
     open_label: str | None = None
     open_begin = 0
     for i, tag in enumerate(tags):
         marker, label = tag[0], tag[2:]  # tag_parts inlined; O is never opened
         if open_label is not None and (marker != "I" or label != open_label):
-            spans.append(ChunkSpan(open_begin, i, open_label))
+            ranges.append((open_begin, i, open_label))
             open_label = None
         if marker == "B" or (marker == "I" and open_label is None):
             open_label, open_begin = label, i
     if open_label is not None:
-        spans.append(ChunkSpan(open_begin, len(tags), open_label))
-    return spans
+        ranges.append((open_begin, len(tags), open_label))
+    return ranges
 
 
 def tags_from_chunks(length: int, spans: Iterable[ChunkSpan], scheme: TagScheme) -> list[str]:

@@ -54,13 +54,14 @@ class WindowConfig:
             raise ConfigError("window selects no slots at all")
 
     @cached_property
-    def _layout(self) -> tuple[tuple[tuple[str, int], ...], tuple[tuple[int, int], ...], tuple[str, ...]]:
+    def _layout(self) -> tuple[int, int, tuple[tuple[int, int], ...], tuple, tuple[str, ...]]:
         """The slot layout, computed once per config.
 
-        One ``(source, offset)`` pair per plain slot, source ``w`` (word),
-        ``p`` (pos tag) or ``t`` (left chunk tag); one ``(i, j)`` pair per
-        ``complex_pairs`` slot, indexing the plain slots it joins; and the
-        slot names.
+        The padding a sentence's word and pos columns get on the left and on
+        the right; per word or pos slot, its column (0 words, 1 pos tags) and
+        its first position in the padded column; one ``(i, j)`` pair per
+        ``complex_pairs`` slot, indexing the slots it joins; and the slot
+        names.
         """
 
         def run(source: str, left: int, focus: bool, right: int) -> list[tuple[str, int]]:
@@ -79,10 +80,12 @@ class WindowConfig:
             if self.left_chunk_tags >= 1 and self.use_focus_pos:
                 pairs.append((names.index("t[-1]"), names.index("p[+0]")))
             names += [f"{names[i]}&{names[j]}" for i, j in pairs]
-        return tuple(plain), tuple(pairs), tuple(names)
+        left, right = max(self.left_words, self.left_pos), max(self.right_words, self.right_pos)
+        cuts = tuple(("wp".index(source), left + off) for source, off in plain if source != "t")
+        return left, right, cuts, tuple(pairs), tuple(names)
 
     def slot_names(self) -> tuple[str, ...]:
-        return self._layout[2]
+        return self._layout[4]
 
 
 FeatureVector = tuple[str, ...]
@@ -98,23 +101,19 @@ def window_vectors(
     """Feature vectors of tokens ``start`` to ``stop - 1``, in order.
 
     Each word or pos slot of all these tokens is one slice of the word or
-    pos column, padded once per call.  Token i's chunk tag slots and pairs
-    read ``tags[:i]`` only when its vector is made, so a tagger may append
-    each decision to ``tags`` before it asks for the next vector.
+    pos column, padded once per call, zipped as the vectors are made.
+    Token i's chunk tag slots and pairs read ``tags[:i]`` only when its
+    vector is made, so a tagger may append each decision to ``tags``
+    before it asks for the next vector.
     """
-    plain, pairs, _ = config._layout
-    stop = len(sentence) if stop is None else stop
+    left, right, cuts, pairs, _ = config._layout
+    n = len(sentence.words)
+    stop = n if stop is None else stop
     size = stop - start
-    left = max(config.left_words, config.left_pos)
-    right = max(config.right_words, config.right_pos)
-    first, last = max(0, start - left), min(len(sentence), stop + right)
+    first, last = max(0, start - left), min(n, stop + right)
     head, tail = [PAD] * (first - start + left), [PAD] * (stop + right - last)
-    padded = {
-        "w": [*head, *sentence.words[first:last], *tail],
-        "p": [*head, *sentence.pos_tags[first:last], *tail],
-    }
-    columns = [padded[source][left + off:left + off + size] for source, off in plain if source != "t"]
-    rows = list(zip(*columns)) if columns else [()] * size
+    padded = ([*head, *sentence.words[first:last], *tail], [*head, *sentence.pos_tags[first:last], *tail])
+    rows = zip(*[padded[c][cut:cut + size] for c, cut in cuts]) if cuts else [()] * size
     k = config.left_chunk_tags
     pads = (PAD,) * k
     for i, row in zip(range(start, stop), rows):

@@ -428,7 +428,7 @@ def oracle_parse_conll(text, scheme, columns=3, strict=True):
     return corpus
 
 
-_ORACLE_BRACKET = re.compile(r"((?:\([A-Za-z0-9]+)*)\*(\)*)")
+_ORACLE_BRACKET = re.compile(r"((?:\((?!O[(*])[A-Za-z0-9]+)*)\*(\)*)")  # chunk type O is reserved
 
 
 def oracle_parse_nested(text):

@@ -1,5 +1,8 @@
 import functools
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -44,7 +47,8 @@ def collapse(original, spans, head="last", ranges=None):
         ranges = [(i, i + 1) for i in range(len(original))]
     firsts = [begin for begin, _ in ranges]
     lasts = [end - 1 for _, end in ranges]
-    firsts, lasts, collapsed = _collapse(original, firsts, lasts, spans, head)
+    level = [(s.begin, s.end, s.label) for s in spans]
+    firsts, lasts, collapsed = _collapse(original, firsts, lasts, level, head)
     return collapsed, tuple((first, last + 1) for first, last in zip(firsts, lasts))
 
 
@@ -168,7 +172,8 @@ class TestMaps:
                 assert [ChunkSpan(firsts[s.begin], lasts[s.end - 1] + 1, s.label) for s in local] == want
                 for s in want:
                     remaining.remove(s)
-                firsts, lasts, _ = _collapse(nested.sentence, firsts, lasts, local, "last")
+                level = [(s.begin, s.end, s.label) for s in local]
+                firsts, lasts, _ = _collapse(nested.sentence, firsts, lasts, level, "last")
             assert remaining == []
 
     @pytest.mark.parametrize("seed", range(10))
@@ -330,6 +335,26 @@ class TestCascadeBracket:
         with pytest.raises(ValidationError) as got:
             cascade_bracket(FIVE, lambda sentence: tags)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("tags, token", [([None] * 5, 1), (["B-NP", "I-NP", None, "O", None], 3)])
+    def test_a_row_without_a_tag_names_its_token(self, tags, token):
+        with pytest.raises(ValidationError, match=f"^token {token}: None is not a chunk tag$"):
+            cascade_bracket(FIVE, lambda sentence: tags)
+
+    def test_the_first_bad_token_is_named_whatever_the_hash_seed(self):
+        # Each distinct tag is checked once, in token order, not set order.
+        code = (
+            "from chunkvote import cascade_bracket, parse_conll, TagScheme\n"
+            "s = parse_conll('a DT\\nb NN\\nc NN\\nd VB\\n', TagScheme.IOB2, columns=2).sentences[0]\n"
+            "try:\n"
+            "    cascade_bracket(s, lambda s: ['B-NP', 'B-O', 'I-X_Y', 'B-O'])\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+            got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert got.stdout.startswith("ValidationError bad chunk tag 'B-O'"), got.stderr
 
     def test_a_later_round_is_checked_too(self):
         tagger = scripted([["B-NP", "I-NP", "O", "O", "O"], ["O", "B-O", "O", "O"]])

@@ -123,6 +123,12 @@ class TestParsing:
         assert main(["train", train, "--learner", "igtree", "-o", out_path(files)]) == 2
         assert "reserved" in capsys.readouterr().err
 
+    def test_a_nested_file_with_chunk_type_o_is_a_data_error(self, files, capsys):
+        nested = files("nested.txt", "a DT (O*)\nb NN *\n")
+        for argv in (["eval", nested, nested, "--nested"], ["convert", nested, "--nested-to-levels"]):
+            assert main(argv) == 2
+            assert "line 1: bad bracket field '(O*)'" in capsys.readouterr().err
+
     def test_internal_errors_exit_three(self, files, capsys, monkeypatch):
         import chunkvote.learners as learners
 

@@ -30,7 +30,7 @@ from chunkvote import (
     write_nested,
 )
 import chunkvote.corpus
-from chunkvote.corpus import column_blocks, text_lines
+from chunkvote.corpus import _chunk_ranges, column_blocks, text_lines
 from chunkvote.learners import IGTreeNode
 
 import datagen
@@ -194,13 +194,15 @@ class TestExtractChunks:
             scheme = r.choice((TagScheme.IOB1, TagScheme.IOB2))
             tags = datagen.random_tags(r, length, scheme=scheme)
             assert extract_chunks(tags) == oracle_chunks(tags)
+            assert _chunk_ranges(tags) == [(s.begin, s.end, s.label) for s in oracle_chunks(tags)]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_oracle_on_tag_soup(self, seed):
         r = datagen.rng(1000 + seed)
         for _ in range(25):
-            tags = datagen.random_raw_tags(r, r.randint(0, 15))
+            tags = datagen.random_raw_tags(r, r.randint(0, 15))  # illegal I- openings included
             assert extract_chunks(tags) == oracle_chunks(tags)
+            assert _chunk_ranges(tags) == [(s.begin, s.end, s.label) for s in oracle_chunks(tags)]
 
 
 class TestTagsFromChunks:
@@ -532,6 +534,10 @@ class TestReadersMatchTheTokenReaders:
         ("a DT (NP*\nb NN *) x\n", "expected 3 columns"),
         ("a DT (NP*\nb NN )*\n", "bad bracket field"),
         ("a DT (NP*\n \t \nb NN *)\n", "1 unclosed bracket"),
+        ("a DT (O*)\nb NN *\n", "line 1: bad bracket field '(O*)'"),
+        ("a DT (NP(O*))\nb NN *\n", "bad bracket field"),
+        ("a DT (NP*\nb NN (O(PP*))\n", "line 2: bad bracket field"),
+        ("a DT (OP*)\nb NN (NP(ON*))\n", None),
     ])
     def test_bracket_file_faults(self, text, error):
         got = _outcome(parse_nested, text)
