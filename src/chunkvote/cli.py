@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 bad input data, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from importlib import import_module
@@ -505,8 +504,8 @@ def _learner_option(sub, key: str) -> None:
     from .learners import LearnerSpec
 
     field, conv, help = _LEARNER_OPTIONS[key]
-    default = {f.name: f.default for f in dataclasses.fields(LearnerSpec)}[field]
-    _setting(sub, "--" + field.replace("_", "-"), conv=conv, default=default, help=help)
+    _setting(sub, "--" + field.replace("_", "-"), conv=conv, default=LearnerSpec.OPTIONS[field],
+             help=help)
 
 
 @_command("convert", _cmd_convert, "convert tag schemes or flatten nested files",

@@ -19,9 +19,9 @@ exact for single-space files.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, ParseError, ValidationError
@@ -59,17 +59,65 @@ def tag_parts(tag: str) -> tuple[str, str | None]:
     return tag[0], tag[2:]
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    word: str
-    pos: str
-    chunk_tag: str | None = None
+class Record:
+    """A frozen record: assigning or deleting an attribute raises
+    AttributeError, and ``==``, ``hash`` and ``repr`` go over the fields
+    ``_fields`` names, in order.  Only records of one class compare equal.
 
-    def __post_init__(self):
-        _check_field(self.word, "word")
-        check_pos_tag(self.pos)
-        if self.chunk_tag is not None:
-            check_chunk_tag(self.chunk_tag)
+    Constructors fill their fields with ``_set`` or ``_init``.  The hot
+    records (Token, ChunkSpan, PredictionRow, IGTreeNode) spell out their
+    ``__eq__`` and ``__hash__``, since reading named attributes is faster
+    than the generic ``attrgetter``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Token(Record):
+    __slots__ = _fields = ("word", "pos", "chunk_tag")
+
+    def __init__(self, word: str, pos: str, chunk_tag: str | None = None):
+        _check_field(word, "word")
+        check_pos_tag(pos)
+        if chunk_tag is not None:
+            check_chunk_tag(chunk_tag)
+        _set(self, "word", word)
+        _set(self, "pos", pos)
+        _set(self, "chunk_tag", chunk_tag)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.word, self.pos, self.chunk_tag) == (other.word, other.pos, other.chunk_tag)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.word, self.pos, self.chunk_tag))
 
 
 def _check_field(value: str, what: str) -> None:
@@ -131,15 +179,12 @@ class ColumnCheck:
         return True
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Sentence:
+class Sentence(Record):
     """A sentence held as one tuple per token field; ``chunk_tags`` holds
     None for an untagged token.  ``tokens`` is built on first use."""
 
-    words: tuple[str, ...]
-    pos_tags: tuple[str, ...]
-    chunk_tags: tuple[str | None, ...]
-    _tokens: tuple[Token, ...] | None = field(default=None, compare=False, repr=False)
+    _fields = ("words", "pos_tags", "chunk_tags")
+    __slots__ = (*_fields, "_tokens")
 
     def __init__(self, tokens: Iterable[Token]):
         tokens = tuple(tokens)
@@ -191,31 +236,37 @@ def with_tags(sentence: Sentence, tags: Sequence[str]) -> Sentence:
     return Sentence.from_checked(sentence.words, sentence.pos_tags, tuple(tags))
 
 
-@dataclass(frozen=True, slots=True)
-class Corpus:
-    sentences: tuple[Sentence, ...]
-    scheme: TagScheme
+class Corpus(Record):
+    __slots__ = _fields = ("sentences", "scheme")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sentences", tuple(self.sentences))
+    def __init__(self, sentences: Iterable[Sentence], scheme: TagScheme):
+        self._init(tuple(sentences), scheme)
 
     def __len__(self) -> int:
         return len(self.sentences)
 
 
-@dataclass(frozen=True, slots=True)
-class ChunkSpan:
+class ChunkSpan(Record):
     """Half-open token span [begin, end) carrying a chunk type label."""
 
-    begin: int
-    end: int
-    label: str
+    __slots__ = _fields = ("begin", "end", "label")
 
-    def __post_init__(self):
-        if self.begin < 0 or self.end <= self.begin:
-            raise ValidationError(f"bad span [{self.begin}, {self.end})")
-        if not self.label:
+    def __init__(self, begin: int, end: int, label: str):
+        if begin < 0 or end <= begin:
+            raise ValidationError(f"bad span [{begin}, {end})")
+        if not label:
             raise ValidationError("span label must be non-empty")
+        _set(self, "begin", begin)
+        _set(self, "end", end)
+        _set(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.begin, self.end, self.label) == (other.begin, other.end, other.label)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.begin, self.end, self.label))
 
 
 def _span_sort_key(span: ChunkSpan) -> tuple[int, int, str]:
@@ -223,15 +274,16 @@ def _span_sort_key(span: ChunkSpan) -> tuple[int, int, str]:
     return (span.begin, -span.end, span.label)
 
 
-def properly_nested(spans: Iterable[ChunkSpan]) -> bool:
+def properly_nested(spans: Iterable[ChunkSpan], ordered: bool = False) -> bool:
     """True when every pair of spans is disjoint or fully contained.
 
     One pass, outermost first, over a stack of the ends of the spans that
     enclose the current one: a span crosses another exactly when it ends
-    after the innermost span still open at its begin.
+    after the innermost span still open at its begin.  ``ordered`` spans
+    are in ``_span_sort_key`` order already, and are not sorted again.
     """
     ends: list[int] = []
-    for span in sorted(spans, key=_span_sort_key):
+    for span in spans if ordered else sorted(spans, key=_span_sort_key):
         while ends and ends[-1] <= span.begin:
             ends.pop()
         if ends and span.end > ends[-1]:
@@ -240,27 +292,26 @@ def properly_nested(spans: Iterable[ChunkSpan]) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class NestedSentence:
+class NestedSentence(Record):
     """An untagged sentence with a multiset of nested (never crossing) chunk
     spans, kept in ``_span_sort_key`` order.  Its Token records may stand
     for ``sentence``."""
 
-    sentence: Sentence
-    spans: tuple[ChunkSpan, ...]
+    __slots__ = _fields = ("sentence", "spans")
 
-    def __post_init__(self):
-        if not isinstance(self.sentence, Sentence):
-            _set(self, "sentence", Sentence(self.sentence))
-        if any(self.sentence.chunk_tags):
+    def __init__(self, sentence: Sentence | Iterable[Token], spans: Iterable[ChunkSpan]):
+        if not isinstance(sentence, Sentence):
+            sentence = Sentence(sentence)
+        if any(sentence.chunk_tags):
             raise ValidationError("nested sentences carry spans, not chunk tags")
-        _set(self, "spans", tuple(sorted(self.spans, key=_span_sort_key)))
-        n = len(self.sentence)
-        for s in self.spans:
+        spans = tuple(sorted(spans, key=_span_sort_key))
+        n = len(sentence)
+        for s in spans:
             if s.end > n:
                 raise ValidationError(f"span [{s.begin}, {s.end}) exceeds sentence length {n}")
-        if not properly_nested(self.spans):
+        if not properly_nested(spans, ordered=True):
             raise ValidationError("spans cross: every pair must be disjoint or nested")
+        self._init(sentence, spans)
 
     words = property(lambda self: self.sentence.words)
     pos_tags = property(lambda self: self.sentence.pos_tags)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .corpus import (
@@ -21,6 +20,7 @@ from .corpus import (
     ChunkSpan,
     ColumnCheck,
     Corpus,
+    Record,
     Sentence,
     TagScheme,
     Token,
@@ -57,36 +57,45 @@ def _check_not_reserved(names: Sequence[str]) -> None:
 # The fields of each kind of weights file line that hold chunk tags.
 _TAG_FIELDS = {"tagcount": (1,), "tagprec": (2,), "tagrec": (2,), "pair": (3, 4, 5)}
 
-
-@dataclass(frozen=True, slots=True)
-class PredictionRow:
-    pos: str
-    preds: tuple[str, ...]
-    gold: str | None = None
+_set = object.__setattr__  # records are frozen; their constructors fill them
 
 
-@dataclass(frozen=True)
-class PredictionTable:
+class PredictionRow(Record):
+    __slots__ = _fields = ("pos", "preds", "gold")
+
+    def __init__(self, pos: str, preds: tuple[str, ...], gold: str | None = None):
+        _set(self, "pos", pos)
+        _set(self, "preds", preds)
+        _set(self, "gold", gold)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pos, self.preds, self.gold) == (other.pos, other.preds, other.gold)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pos, self.preds, self.gold))
+
+
+class PredictionTable(Record):
     """Aligned per-token predictions of several systems."""
 
-    systems: tuple[str, ...]
-    sentences: tuple[tuple[PredictionRow, ...], ...]
+    _fields = ("systems", "sentences")
 
-    def __post_init__(self):
-        object.__setattr__(self, "systems", tuple(self.systems))
-        object.__setattr__(self, "sentences", tuple(tuple(rows) for rows in self.sentences))
-        if not self.systems:
+    def __init__(self, systems: Iterable[str], sentences: Iterable[Iterable[PredictionRow]]):
+        systems, sentences = tuple(systems), tuple(map(tuple, sentences))
+        if not systems:
             raise ValidationError("a prediction table needs at least one system")
-        if len(set(self.systems)) != len(self.systems):
+        if len(set(systems)) != len(systems):
             raise ValidationError("system names must be unique")
-        _check_not_reserved(self.systems)
+        _check_not_reserved(systems)
         golds = set()
         # Each distinct cell in first-row order (gold before predictions, as
         # in a table file), to name the first bad one.
         tags: dict[str, None] = {}
         pos_tags = {}
-        width = len(self.systems)
-        for rows in self.sentences:
+        width = len(systems)
+        for rows in sentences:
             if not rows:
                 raise ValidationError("empty sentence in prediction table")
             for row in rows:
@@ -105,6 +114,7 @@ class PredictionTable:
             check_pos_tag(pos)
         for tag in tags:
             check_chunk_tag(tag)
+        self._init(systems, sentences)
 
     @property
     def has_gold(self) -> bool:
@@ -256,16 +266,17 @@ def cv_tuning_table(corpus: Corpus, specs: Sequence[LearnerSpec], folds: int = 1
 #---------------------------------------------------------------------------
 # combiner weights
 
-@dataclass(frozen=True)
-class CombinerWeights:
+class CombinerWeights(Record):
     """Reliability estimates for every system, measured on a tuning table."""
 
-    systems: tuple[str, ...]
-    accuracy: Mapping[str, float]
-    tag_precision: Mapping[tuple[str, str], float]
-    tag_recall: Mapping[tuple[str, str], float]
-    pair_prob: Mapping[tuple[str, str, str, str], Mapping[str, float]]
-    tag_counts: Mapping[str, int]
+    _fields = ("systems", "accuracy", "tag_precision", "tag_recall", "pair_prob", "tag_counts")
+
+    def __init__(self, systems: tuple[str, ...], accuracy: Mapping[str, float],
+                 tag_precision: Mapping[tuple[str, str], float],
+                 tag_recall: Mapping[tuple[str, str], float],
+                 pair_prob: Mapping[tuple[str, str, str, str], Mapping[str, float]],
+                 tag_counts: Mapping[str, int]):
+        self._init(systems, accuracy, tag_precision, tag_recall, pair_prob, tag_counts)
 
     def accuracy_of(self, system: str) -> float:
         return self.accuracy.get(system, 0.0)

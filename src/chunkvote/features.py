@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from sys import intern
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import PAD, Corpus, Sentence
+from .corpus import PAD, Corpus, Record, Sentence
 from .errors import ConfigError, TrainingError, ValidationError
 
 
-@dataclass(frozen=True)
-class WindowConfig:
+class WindowConfig(Record):
     """Which context slots a feature vector contains.
 
     The defaults describe the chunking window: the focus word and pos tag,
@@ -33,25 +31,20 @@ class WindowConfig:
     such a conjunction would join and that contain ``|`` themselves.
     """
 
-    left_words: int = 2
-    right_words: int = 1
-    left_pos: int = 2
-    right_pos: int = 1
-    left_chunk_tags: int = 2
-    use_focus_word: bool = True
-    use_focus_pos: bool = True
-    complex_pairs: bool = False
+    _fields = ("left_words", "right_words", "left_pos", "right_pos", "left_chunk_tags",
+               "use_focus_word", "use_focus_pos", "complex_pairs")
 
-    def __post_init__(self):
-        for name in ("left_words", "right_words", "left_pos", "right_pos", "left_chunk_tags"):
-            if getattr(self, name) < 0:
+    def __init__(self, left_words: int = 2, right_words: int = 1, left_pos: int = 2,
+                 right_pos: int = 1, left_chunk_tags: int = 2, use_focus_word: bool = True,
+                 use_focus_pos: bool = True, complex_pairs: bool = False):
+        values = (left_words, right_words, left_pos, right_pos, left_chunk_tags,
+                  use_focus_word, use_focus_pos, complex_pairs)
+        for name, size in zip(self._fields[:5], values):
+            if size < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        if not (
-            self.left_words or self.right_words or self.use_focus_word
-            or self.left_pos or self.right_pos or self.use_focus_pos
-            or self.left_chunk_tags
-        ):
+        if not any(values[:7]):
             raise ConfigError("window selects no slots at all")
+        self._init(*values)
 
     @cached_property
     def _layout(self) -> tuple[int, int, tuple[tuple[int, int], ...], tuple, tuple[str, ...]]:
@@ -150,23 +143,21 @@ def make_features(
     return next(window_vectors(sentence, config, predicted_tags, index, index + 1))
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Labelled feature vectors with shared slot names; never empty."""
 
-    items: tuple[tuple[FeatureVector, str], ...]
-    slot_names: tuple[str, ...]
+    _fields = ("items", "slot_names")
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        object.__setattr__(self, "slot_names", tuple(self.slot_names))
-        if not self.items:
+    def __init__(self, items: Iterable[tuple[FeatureVector, str]], slot_names: Iterable[str]):
+        items, slot_names = tuple(items), tuple(slot_names)
+        if not items:
             raise TrainingError("cannot train on an empty dataset")
-        for vector, _ in self.items:
-            if len(vector) != len(self.slot_names):
+        for vector, _ in items:
+            if len(vector) != len(slot_names):
                 raise ValidationError(
-                    f"vector arity {len(vector)} does not match {len(self.slot_names)} slots"
+                    f"vector arity {len(vector)} does not match {len(slot_names)} slots"
                 )
+        self._init(items, slot_names)
 
     @property
     def arity(self) -> int:

@@ -27,11 +27,10 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .corpus import Corpus, Sentence, TagScheme, check_system_name, pick_best, with_tags
+from .corpus import Corpus, Record, Sentence, TagScheme, check_system_name, pick_best, with_tags
 from .errors import ConfigError, ValidationError
 from .features import (
     Dataset,
@@ -43,6 +42,7 @@ from .features import (
 )
 
 WEIGHTINGS = ("gain_ratio", "information_gain")
+_set = object.__setattr__  # records are frozen; their constructors fill them
 
 
 def _check_options(**options: Any) -> None:
@@ -78,8 +78,7 @@ def io_corpus(corpus: Corpus) -> Corpus:
 #---------------------------------------------------------------------------
 # nearest neighbour
 
-@dataclass(frozen=True)
-class KnnIndex:
+class KnnIndex(Record):
     """Item sets over a k-NN memory, as bitsets whose bit i stands for
     ``memory[i]``.
 
@@ -94,11 +93,11 @@ class KnnIndex:
     each mismatch slot mask met so far.
     """
 
-    order: tuple[int, ...]
-    postings: tuple[dict[str, int | array], ...]
-    labels: dict[str, int]
-    everything: int
-    distances: dict[int, float]
+    _fields = ("order", "postings", "labels", "everything", "distances")
+
+    def __init__(self, order: tuple[int, ...], postings: tuple[dict[str, int | array], ...],
+                 labels: dict[str, int], everything: int, distances: dict[int, float]):
+        self._init(order, postings, labels, everything, distances)
 
 
 RARE_POSTINGS = 64
@@ -208,16 +207,15 @@ def predict_knn(model: KnnModel, vector: FeatureVector) -> str:
     return pick_best(votes, model.class_counts)
 
 
-@dataclass(frozen=True)
-class KnnModel:
+class KnnModel(Record):
     kind = "knn"
-    memory: tuple[tuple[FeatureVector, str], ...]
-    weights: tuple[float, ...]
-    k: int
-    class_counts: Mapping[str, int]
-    slot_names: tuple[str, ...]
-    window: WindowConfig | None = None
+    _fields = ("memory", "weights", "k", "class_counts", "slot_names", "window")
     predict = predict_knn
+
+    def __init__(self, memory: tuple[tuple[FeatureVector, str], ...], weights: tuple[float, ...],
+                 k: int, class_counts: Mapping[str, int], slot_names: tuple[str, ...],
+                 window: WindowConfig | None = None):
+        self._init(memory, weights, k, class_counts, slot_names, window)
 
     @cached_property
     def index(self) -> KnnIndex:
@@ -264,10 +262,17 @@ def train_knn(
 #---------------------------------------------------------------------------
 # oblivious decision tree ordered by slot relevance
 
-@dataclass(frozen=True, slots=True)
-class IGTreeNode:
-    default: str
-    children: Mapping[str, "IGTreeNode"]
+class IGTreeNode(Record):
+    __slots__ = _fields = ("default", "children")
+
+    def __init__(self, default: str, children: Mapping[str, IGTreeNode]):
+        _set(self, "default", default)
+        _set(self, "children", children)
+
+    def __eq__(self, other):  # and no __hash__: a node holds a dict, so is unhashable
+        if other.__class__ is self.__class__:
+            return (self.default, self.children) == (other.default, other.children)
+        return NotImplemented
 
 
 def predict_igtree(model: IGTreeModel, vector: FeatureVector) -> str:
@@ -285,15 +290,14 @@ def predict_igtree(model: IGTreeModel, vector: FeatureVector) -> str:
     return node.default
 
 
-@dataclass(frozen=True)
-class IGTreeModel:
+class IGTreeModel(Record):
     kind = "igtree"
-    feature_order: tuple[int, ...]
-    root: IGTreeNode
-    class_counts: Mapping[str, int]
-    slot_names: tuple[str, ...]
-    window: WindowConfig | None = None
+    _fields = ("feature_order", "root", "class_counts", "slot_names", "window")
     predict = predict_igtree
+
+    def __init__(self, feature_order: tuple[int, ...], root: IGTreeNode, class_counts: Mapping[str, int],
+                 slot_names: tuple[str, ...], window: WindowConfig | None = None):
+        self._init(feature_order, root, class_counts, slot_names, window)
 
 
 def train_igtree(
@@ -344,30 +348,30 @@ def train_igtree(
 #---------------------------------------------------------------------------
 # maximum entropy
 
-@dataclass(frozen=True)
-class MaxEntTrace:
+class MaxEntTrace(Record):
     """Training diagnostics: log likelihood per iteration and under the final weights."""
 
-    loglik: tuple[float, ...]
-    iterations: int
+    _fields = ("loglik", "iterations")
+
+    def __init__(self, loglik: tuple[float, ...], iterations: int):
+        self._init(loglik, iterations)
 
 
 def predict_maxent(model: MaxEntModel, vector: FeatureVector) -> str:
     return pick_best(model.scores(vector), model.class_counts)
 
 
-@dataclass(frozen=True)
-class MaxEntModel:
+class MaxEntModel(Record):
     kind = "maxent"
-    weights: Mapping[tuple[int, str, str], float]
-    classes: tuple[str, ...]
-    constant: int
-    correction: float
-    class_counts: Mapping[str, int]
-    slot_names: tuple[str, ...]
-    window: WindowConfig | None = None
-    trace: MaxEntTrace | None = field(default=None, compare=False, repr=False)
+    _fields = ("weights", "classes", "constant", "correction", "class_counts", "slot_names", "window")
     predict = predict_maxent
+
+    def __init__(self, weights: Mapping[tuple[int, str, str], float], classes: tuple[str, ...],
+                 constant: int, correction: float, class_counts: Mapping[str, int],
+                 slot_names: tuple[str, ...], window: WindowConfig | None = None,
+                 trace: MaxEntTrace | None = None):
+        self._init(weights, classes, constant, correction, class_counts, slot_names, window)
+        _set(self, "trace", trace)  # not a field, so never compared or printed
 
     @cached_property
     def index(self) -> dict[tuple[int, str], list[tuple[int, float]]]:
@@ -561,12 +565,12 @@ def train_maxent(
 #---------------------------------------------------------------------------
 # refined rules
 
-@dataclass(frozen=True)
-class Rule:
-    premises: tuple[tuple[int, str], ...]
-    conclusion: str
-    accuracy: float
-    support: int
+class Rule(Record):
+    _fields = ("premises", "conclusion", "accuracy", "support")
+
+    def __init__(self, premises: tuple[tuple[int, str], ...], conclusion: str, accuracy: float,
+                 support: int):
+        self._init(premises, conclusion, accuracy, support)
 
     def matches(self, vector: FeatureVector) -> bool:
         return all(vector[slot] == value for slot, value in self.premises)
@@ -582,15 +586,14 @@ def predict_rules(model: RuleSetModel, vector: FeatureVector) -> str:
     return model.default_class
 
 
-@dataclass(frozen=True)
-class RuleSetModel:
+class RuleSetModel(Record):
     kind = "rules"
-    rules: tuple[Rule, ...]
-    default_class: str
-    class_counts: Mapping[str, int]
-    slot_names: tuple[str, ...]
-    window: WindowConfig | None = None
+    _fields = ("rules", "default_class", "class_counts", "slot_names", "window")
     predict = predict_rules
+
+    def __init__(self, rules: tuple[Rule, ...], default_class: str, class_counts: Mapping[str, int],
+                 slot_names: tuple[str, ...], window: WindowConfig | None = None):
+        self._init(rules, default_class, class_counts, slot_names, window)
 
 
 def _slot_rank(name: str) -> int:
@@ -705,8 +708,7 @@ MAXENT_WINDOW = WindowConfig(
 # Per learner kind: its trainer, the LearnerSpec options it reads, in the
 # order the trainer checks them, and its default window.  LearnerSpec.train
 # passes the trainer each option read, by name, but io_encoding, which it
-# applies itself, and the resolved window.  A spec rejects the options its
-# kind does not read unless they keep their defaults.
+# applies itself, and the resolved window.
 _LEARNERS: dict[str, tuple[Callable[..., TrainedModel], tuple[str, ...], WindowConfig]] = {
     "baseline": (train_igtree, ("io_encoding",), BASELINE_WINDOW),
     "knn": (train_knn, ("window", "k", "weighting"), WindowConfig()),
@@ -717,30 +719,31 @@ _LEARNERS: dict[str, tuple[Callable[..., TrainedModel], tuple[str, ...], WindowC
 LEARNER_KINDS = tuple(_LEARNERS)
 
 
-@dataclass(frozen=True)
-class LearnerSpec:
-    """A named, reproducible recipe for training one base chunker."""
+class LearnerSpec(Record):
+    """A named, reproducible recipe for training one base chunker.
 
-    name: str
-    learner: str
-    # Every field from here on is an option, read by the kinds _LEARNERS names.
-    window: WindowConfig | None = None
-    k: int = 3
-    iterations: int = 100
-    sigma: float | None = None
-    cutoff: int = 2
-    threshold: float = 0.95
-    weighting: str = "gain_ratio"
-    io_encoding: bool = False
+    Options are given by keyword.  ``OPTIONS`` holds each with its
+    default; a spec rejects the options its kind does not read
+    (``_LEARNERS``) unless they keep their defaults.
+    """
 
-    def __post_init__(self):
-        check_system_name(self.name)
-        if self.learner not in LEARNER_KINDS:
-            raise ConfigError(f"unknown learner {self.learner!r}, expected one of {LEARNER_KINDS}")
-        read = _LEARNERS[self.learner][1]
-        for option in fields(self)[2:]:
-            if option.name not in read and getattr(self, option.name) != option.default:
-                raise ConfigError(f"the {self.learner} learner does not use {option.name}")
+    OPTIONS = {"window": None, "k": 3, "iterations": 10, "sigma": None, "cutoff": 2,
+               "threshold": 0.95, "weighting": "gain_ratio", "io_encoding": False}
+    _fields = ("name", "learner", *OPTIONS)
+
+    def __init__(self, name: str, learner: str, **options: Any):
+        unknown = [option for option in options if option not in self.OPTIONS]
+        if unknown:
+            raise TypeError(f"LearnerSpec() got an unexpected keyword argument {unknown[0]!r}")
+        check_system_name(name)
+        if learner not in LEARNER_KINDS:
+            raise ConfigError(f"unknown learner {learner!r}, expected one of {LEARNER_KINDS}")
+        options = self.OPTIONS | options
+        read = _LEARNERS[learner][1]
+        for option, default in self.OPTIONS.items():
+            if option not in read and options[option] != default:
+                raise ConfigError(f"the {learner} learner does not use {option}")
+        self._init(name, learner, *options.values())
 
     def resolved_window(self) -> WindowConfig:
         """The spec's window, else its kind's default."""

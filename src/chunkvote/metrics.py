@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .corpus import (
@@ -18,6 +17,7 @@ from .corpus import (
     ChunkSpan,
     Corpus,
     NestedSentence,
+    Record,
     extract_chunks,
 )
 from .errors import AlignmentError, ConfigError, ValidationError
@@ -41,13 +41,13 @@ def f_beta(precision: float, recall: float, beta: float = 1.0) -> float:
     return (b2 + 1) * precision * recall / (b2 * precision + recall)
 
 
-@dataclass(frozen=True)
-class Counts:
+class Counts(Record):
     """Found, gold and correct chunk counts for one label or overall."""
 
-    found: int = 0
-    gold: int = 0
-    correct: int = 0
+    _fields = ("found", "gold", "correct")
+
+    def __init__(self, found: int = 0, gold: int = 0, correct: int = 0):
+        self._init(found, gold, correct)
 
     @property
     def precision(self) -> float:
@@ -61,11 +61,12 @@ class Counts:
         return f_beta(self.precision, self.recall, beta)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    overall: Counts
-    per_label: Mapping[str, Counts] = field(default_factory=dict)
-    beta: float = 1.0
+class EvalReport(Record):
+    _fields = ("overall", "per_label", "beta")
+
+    def __init__(self, overall: Counts, per_label: Mapping[str, Counts] | None = None,
+                 beta: float = 1.0):
+        self._init(overall, {} if per_label is None else per_label, beta)
 
     @property
     def f_rate(self) -> float:

@@ -9,7 +9,6 @@ tag the table names must be one of the class lines' tags.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from typing import Iterator
@@ -32,7 +31,7 @@ from .learners import (
 FORMAT_NAME = "chunker-model"
 FORMAT_VERSION = 1
 
-_WINDOW_FIELDS = tuple(field.name for field in dataclasses.fields(WindowConfig))
+_WINDOW_FIELDS = WindowConfig._fields
 
 
 def _window_line(window: WindowConfig | None) -> str:

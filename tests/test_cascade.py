@@ -430,10 +430,10 @@ class TestTokenReuse:
     def test_strip_and_collapse_build_no_tokens(self, monkeypatch):
         tagged = make_sentence([("the", "DT", "B-NP"), ("dog", "NN", "I-NP"), ("sat", "VBD", "O")])
 
-        def built(token):
-            raise AssertionError(f"built {token}")
+        def built(token, *fields):
+            raise AssertionError(f"built a token of {fields}")
 
-        monkeypatch.setattr(Token, "__post_init__", built)
+        monkeypatch.setattr(Token, "__init__", built)
         stripped = strip_tags(tagged)
         collapsed, _ = collapse(tagged, [span(0, 2)])
         assert (stripped.words, stripped.chunk_tags) == (tagged.words, (None,) * 3)

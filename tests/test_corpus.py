@@ -1,19 +1,25 @@
-import dataclasses
-
 import pytest
 
 from chunkvote import (
     PLACEHOLDER_WORD,
     ChunkSpan,
     ChunkvoteError,
+    CombinerWeights,
     Corpus,
+    Counts,
+    Dataset,
+    EvalReport,
+    LearnerSpec,
+    MaxEntModel,
     NestedSentence,
     ParseError,
     PredictionRow,
+    PredictionTable,
     Sentence,
     TagScheme,
     Token,
     ValidationError,
+    WindowConfig,
     convert_scheme,
     extract_chunks,
     parse_conll,
@@ -24,6 +30,10 @@ from chunkvote import (
     strip_tags,
     tag_parts,
     tags_from_chunks,
+    train_igtree,
+    train_knn,
+    train_maxent,
+    train_rules,
     validate_corpus,
     with_tags,
     write_conll,
@@ -31,7 +41,7 @@ from chunkvote import (
 )
 import chunkvote.corpus
 from chunkvote.corpus import _chunk_ranges, column_blocks, text_lines
-from chunkvote.learners import IGTreeNode
+from chunkvote.learners import IGTreeNode, KnnIndex, MaxEntTrace, Rule
 
 import datagen
 from oracles import (
@@ -160,6 +170,31 @@ class TestProperNesting:
             expected = oracle_properly_nested(family)
             assert properly_nested(family) == expected
             outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_nested_sentence_takes_what_properly_nested_accepts(self, seed):
+        """NestedSentence sorts its spans once and checks them in that
+        order; it accepts a shuffled family exactly when properly_nested does."""
+        r = datagen.rng(44_500 + seed)
+        outcomes = set()
+        for _ in range(100):
+            length = r.randint(1, 9)
+            family = datagen.random_nested_spans(r, length, types=("NP", "VP"))
+            for _ in range(r.randint(0, 2)):
+                begin = r.randrange(length)
+                family.append(ChunkSpan(begin, r.randint(begin + 1, length), "NP"))
+            r.shuffle(family)
+            tokens = [Token(f"w{i}", "NN") for i in range(length)]
+            accepted = properly_nested(family)
+            if accepted:
+                ordered = NestedSentence(tokens, family).spans
+                assert ordered == tuple(sorted(family, key=lambda s: (s.begin, -s.end, s.label)))
+                assert properly_nested(ordered, ordered=True)
+            else:
+                with pytest.raises(ValidationError, match="spans cross"):
+                    NestedSentence(tokens, family)
+            outcomes.add(accepted)
         assert outcomes == {True, False}
 
 
@@ -655,22 +690,92 @@ class TestTextLines:
             read(newline.join(lines))
 
 
-# One instance of each per-token, per-row or per-node record, and a field.
+DATA = Dataset(((("a", "NN"), "B-NP"), (("b", "VB"), "O"), (("a", "NN"), "B-NP")), ("w[+0]", "p[+0]"))
+ROW = PredictionRow("NN", ("O",), "O")
+
+# A builder of one instance of each record, and one of its fields.
 RECORDS = {
-    "Token": (Token("dog", "NN", "B-NP"), "word"),
-    "Sentence": (Sentence((Token("dog", "NN"),)), "words"),
-    "Corpus": (Corpus((), TagScheme.IOB2), "scheme"),
-    "ChunkSpan": (ChunkSpan(0, 1, "NP"), "label"),
-    "NestedSentence": (NestedSentence((Token("dog", "NN"),), spans((0, 1, "NP"))), "spans"),
-    "PredictionRow": (PredictionRow("NN", ("O",), "O"), "gold"),
-    "IGTreeNode": (IGTreeNode("O", {}), "default"),
+    "Token": (lambda: Token("dog", "NN", "B-NP"), "word"),
+    "Sentence": (lambda: Sentence((Token("dog", "NN"),)), "words"),
+    "Corpus": (lambda: Corpus((), TagScheme.IOB2), "scheme"),
+    "ChunkSpan": (lambda: ChunkSpan(0, 1, "NP"), "label"),
+    "NestedSentence": (lambda: NestedSentence((Token("dog", "NN"),), spans((0, 1, "NP"))), "spans"),
+    "WindowConfig": (lambda: WindowConfig(left_words=1), "left_words"),
+    "Dataset": (lambda: Dataset(DATA.items, DATA.slot_names), "items"),
+    "KnnIndex": (lambda: KnnIndex((0,), ({"a": 1},), {"O": 1}, 1, {}), "order"),
+    "KnnModel": (lambda: train_knn(DATA, k=1), "k"),
+    "IGTreeNode": (lambda: IGTreeNode("O", {}), "default"),
+    "IGTreeModel": (lambda: train_igtree(DATA), "root"),
+    "MaxEntTrace": (lambda: MaxEntTrace((-1.5, -1.0), 1), "loglik"),
+    "MaxEntModel": (lambda: train_maxent(DATA, iterations=1, cutoff=1), "weights"),
+    "Rule": (lambda: Rule(((1, "NN"),), "B-NP", 1.0, 2), "conclusion"),
+    "RuleSetModel": (lambda: train_rules(DATA), "rules"),
+    "LearnerSpec": (lambda: LearnerSpec("sys", "knn", k=1), "k"),
+    "PredictionRow": (lambda: PredictionRow("NN", ("O",), "O"), "gold"),
+    "PredictionTable": (lambda: PredictionTable(("a",), ((ROW,),)), "systems"),
+    "CombinerWeights": (lambda: CombinerWeights(("a",), {"a": 1.0}, {}, {}, {}, {"O": 1}), "accuracy"),
+    "Counts": (lambda: Counts(2, 3, 1), "found"),
+    "EvalReport": (lambda: EvalReport(Counts(2, 3, 1), {"NP": Counts(2, 3, 1)}), "beta"),
 }
+# Per-token, per-row and per-node records keep no instance dict.
+SLOTTED = {"Token", "Sentence", "Corpus", "ChunkSpan", "NestedSentence", "PredictionRow", "IGTreeNode"}
+# Records holding a dict or a model, so unhashable as with a dict field.
+UNHASHABLE = {"KnnIndex", "KnnModel", "IGTreeNode", "IGTreeModel", "MaxEntModel", "RuleSetModel",
+              "CombinerWeights", "EvalReport"}
 
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_records_have_slots_and_stay_frozen(name):
-    record, field = RECORDS[name]
-    assert "__slots__" in type(record).__dict__
-    assert not hasattr(record, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(record, field, getattr(record, field))
+    build, field = RECORDS[name]
+    record, twin = build(), build()
+    assert type(record).__name__ == name
+    if name in SLOTTED:
+        assert "__slots__" in type(record).__dict__
+        assert not hasattr(record, "__dict__")
+    value = getattr(record, field)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.no_such_field = 1
+    assert getattr(record, field) is value
+    assert record is not twin and record == twin and not record != twin
+    assert repr(record) == repr(twin) and repr(record).startswith(f"{name}({record._fields[0]}=")
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin)
+        assert {record: 1}[twin] == 1
+
+
+def test_records_of_other_classes_or_values_differ():
+    assert ChunkSpan(0, 1, "NP") != ChunkSpan(0, 2, "NP")
+    assert ChunkSpan(0, 1, "NP") != (0, 1, "NP")
+    assert Token("dog", "NN") != Token("dog", "NN", "O")
+    assert PredictionRow("NN", ("O",)) != ROW
+    assert Counts(1, 2, 3) != Counts(1, 2, 4)
+    assert WindowConfig() != WindowConfig(complex_pairs=True)
+
+
+def test_a_window_config_is_a_dict_key():
+    windows = {WindowConfig(): "default", WindowConfig(left_words=1): "narrow"}
+    assert windows[WindowConfig()] == "default"
+    assert windows[WindowConfig(left_words=1)] == "narrow"
+    assert WindowConfig(left_words=2, complex_pairs=False) in windows
+
+
+def test_models_leave_what_they_build_or_trace_out_of_eq_and_repr():
+    knn, maxent = train_knn(DATA, k=1), train_maxent(DATA, iterations=1, cutoff=1)
+    knn.index, maxent.index  # built on first use
+    assert "index" in vars(knn) and "index" in vars(maxent)
+    for model in (knn, maxent):
+        assert "index" not in repr(model)
+    assert maxent.trace is not None and "trace" not in repr(maxent)
+    assert maxent == MaxEntModel(maxent.weights, maxent.classes, maxent.constant, maxent.correction,
+                                 maxent.class_counts, maxent.slot_names, maxent.window)
+    assert knn == train_knn(DATA, k=1)
+    sentence = Sentence((Token("dog", "NN"),))
+    sentence.tokens  # built on first use
+    assert sentence == Sentence.from_checked(("dog",), ("NN",)) and "_tokens" not in repr(sentence)

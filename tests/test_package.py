@@ -78,7 +78,7 @@ def test_benchmark_calls_into_the_package_still_bind(source):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                     and node.value.id in instances:
                 cls = instances[node.value.id]
-                fields = getattr(cls, "__dataclass_fields__", {})
+                fields = getattr(cls, "_fields", ())
                 assert node.attr in fields or hasattr(cls, node.attr), f"{cls.__name__}.{node.attr}"
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                     and isinstance(node.func.value, ast.Name) and node.func.value.id in instances:
