@@ -31,7 +31,7 @@ from .corpus import (
     with_tags,
     write_conll,
 )
-from .errors import ChunkvoteError, ConfigError
+from .errors import ChunkvoteError, ConfigError, ParseError
 
 if TYPE_CHECKING:
     from .learners import LearnerSpec
@@ -187,7 +187,11 @@ def _resolve(args) -> None:
 # small IO helpers
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The text of a UTF-8 file, without a leading byte-order mark."""
+    try:
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import partial
+from itertools import chain, groupby
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -76,9 +77,10 @@ class Record:
     def __init_subclass__(cls):
         cls._values = attrgetter(*cls._fields)
 
-    def _init(self, *values) -> None:
+    def _init(self, *values):
         for name, value in zip(self._fields, values):
             _set(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -169,6 +171,8 @@ class ColumnCheck:
     def passes(self, *columns: Iterable) -> bool:
         """True when every value of the columns given passes its checks."""
         for values, passed, check in zip(columns, self._passed, self._CHECKS):
+            if passed.issuperset(values):
+                continue
             new = set(values).difference(passed)
             try:
                 for value in new:
@@ -313,6 +317,11 @@ class NestedSentence(Record):
             raise ValidationError("spans cross: every pair must be disjoint or nested")
         self._init(sentence, spans)
 
+    @classmethod
+    def from_checked(cls, sentence: Sentence, spans: tuple[ChunkSpan, ...]) -> NestedSentence:
+        """An untagged ``sentence`` and spans nested in it, in ``_span_sort_key`` order."""
+        return object.__new__(cls)._init(sentence, spans)
+
     words = property(lambda self: self.sentence.words)
     pos_tags = property(lambda self: self.sentence.pos_tags)
 
@@ -339,15 +348,18 @@ def scheme_violation(tags: Sequence[str], scheme: TagScheme) -> int | None:
 
 def validate_corpus(corpus: Corpus) -> None:
     """Raise ValidationError if any sentence is illegal under the corpus scheme."""
+    legal: set[tuple[str, str]] = set()  # the (previous tag, tag) pairs of legal sentences
     for si, sentence in enumerate(corpus.sentences, start=1):
         tags = sentence.chunk_tags
-        if any(tag is None for tag in tags):
+        # a tag's legality depends only on the tag before it, O at the start
+        if None in tags or legal.issuperset(zip(("O", *tags), tags)):
             continue
         ti = scheme_violation(tags, corpus.scheme)  # type: ignore[arg-type]
         if ti is not None:
             raise ValidationError(
                 f"sentence {si}, token {ti + 1}: tag {tags[ti]!r} is illegal under {corpus.scheme.value}"
             )
+        legal.update(zip(("O", *tags), tags))
 
 
 def extract_chunks(tags: Sequence[str]) -> list[ChunkSpan]:
@@ -427,11 +439,10 @@ def text_lines(text: str) -> Iterator[str]:
     Each piece ends just after a ``\\n``, which ends a line whatever
     precedes it (``\\r\\n`` stays whole), or at the end of the text.
     """
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + LINE_PIECE) + 1 or len(text)
-        yield from text[start:cut].splitlines()
-        start = cut
+    cuts = [0]
+    while cuts[-1] < len(text):
+        cuts.append(text.find("\n", cuts[-1] + LINE_PIECE) + 1 or len(text))
+    return chain.from_iterable(map(str.splitlines, map(text.__getitem__, map(slice, cuts, cuts[1:]))))
 
 
 def column_blocks(text: str) -> Iterator[tuple[int, list[list[str]]]]:
@@ -440,19 +451,21 @@ def column_blocks(text: str) -> Iterator[tuple[int, list[list[str]]]]:
 
     Fields are split on any whitespace, so a line of only spaces or tabs
     closes a sentence like an empty one, and line ends need no stripping.
-    Equal fields within one call are one string object; corpora repeat
-    words and tags heavily.
     """
-    share = {}.setdefault
-    block: list[list[str]] = []
-    for lineno, fields in enumerate(map(str.split, text_lines(text)), start=1):
-        if fields:
-            block.append(list(map(share, fields, fields)))
-        elif block:  # a sentence's lines are consecutive, so its first is known
-            yield lineno - len(block), block
-            block = []
-    if block:
-        yield lineno + 1 - len(block), block
+    lineno = 1
+    for filled, lines in groupby(map(str.split, text_lines(text)), bool):
+        rows = list(lines)
+        if filled:
+            yield lineno, rows
+        lineno += len(rows)
+
+
+def pooled_columns(rows: list[list[str]], width: int, share) -> tuple[tuple[str, ...], ...]:
+    """The columns of ``rows``, each field through the ``setdefault`` of a
+    read's pool, ``share``, or () unless every row has ``width`` fields."""
+    if set(map(len, rows)) != {width}:
+        return ()
+    return tuple(tuple(map(share, column, column)) for column in zip(*rows))
 
 
 def parse_conll(text: str, scheme: TagScheme, columns: int = 3, strict: bool = True) -> Corpus:
@@ -465,9 +478,9 @@ def parse_conll(text: str, scheme: TagScheme, columns: int = 3, strict: bool = T
     if columns not in (2, 3):
         raise ValidationError(f"columns must be 2 or 3, got {columns}")
     sentences: list[Sentence] = []
-    check = ColumnCheck()
+    check, share = ColumnCheck(), {}.setdefault
     for first, rows in column_blocks(text):
-        fields = tuple(zip(*rows)) if set(map(len, rows)) == {columns} else ()
+        fields = pooled_columns(rows, columns, share)
         if not fields or not check.passes(*fields):
             for i, line in enumerate(rows):  # the first fault, as a token by token read meets it
                 if len(line) != columns:
@@ -500,62 +513,58 @@ def write_conll(corpus: Corpus) -> str:
 #---------------------------------------------------------------------------
 # nested bracket files
 
-def _bracket_spans(
-    rows: list[list[str]], first: int, number: int, checked: bool, parsed: dict, pool: dict
-) -> list[ChunkSpan]:
-    """The spans of sentence ``number``, read line by line.
-
-    Raises the first fault that a token by token read meets, a bad word or
-    pos tag included unless they are ``checked`` already.  ``parsed`` holds
-    each distinct bracket field's opener labels and closer count, and
-    ``pool`` each distinct span, for one read.
-    """
-    spans: list[ChunkSpan] = []
-    stack: list[tuple[str, int]] = []
-    for i, fields in enumerate(rows):
-        line = first + i
-        if len(fields) != 3:
-            raise ParseError(f"line {line}: expected 3 columns, got {len(fields)}")
-        if fields[2] not in parsed:
-            match = _BRACKET_RE.fullmatch(fields[2])
-            parsed[fields[2]] = match and (match[1].split("(")[1:], len(match[2]))
-        if not parsed[fields[2]]:
-            raise ParseError(f"line {line}: bad bracket field {fields[2]!r}")
-        labels, closers = parsed[fields[2]]
-        for label in labels:
-            stack.append((label, i))
-        if not checked:
-            try:
-                Token(*fields[:2])
-            except ValidationError as exc:
-                raise ValidationError(f"line {line}: {exc}") from None
-        if closers > len(stack):
-            raise ParseError(f"sentence {number} (line {line}): unmatched closer")
-        for _ in range(closers):
-            label, begin = stack.pop()
-            key = (begin, i + 1, label)
-            if key not in pool:
-                pool[key] = ChunkSpan(*key)
-            spans.append(pool[key])
-    if stack:
-        raise ParseError(f"sentence {number} (line {line}): {len(stack)} unclosed bracket(s)")
-    return spans
-
-
 def parse_nested(text: str) -> list[NestedSentence]:
     """Read the text of a nested 3 column bracket file.
 
     Brackets may nest but never cross; unbalanced brackets raise a
-    ParseError naming the sentence.  Equal spans within one call are one
+    ParseError naming the sentence.  A fault raises the error that a token
+    by token read meets first.  Equal spans within one call are one
     ChunkSpan object.
     """
     sentences: list[NestedSentence] = []
-    check, parsed, pool = ColumnCheck(), {}, {}
+    check, share = ColumnCheck(), {}.setdefault
+    parsed: dict[str, tuple[list[str], range]] = {}  # a good bracket field's opener labels and closers
+    pool: dict[tuple[int, int, str], ChunkSpan] = {}  # the span of each (begin, -end, label) key
     for first, rows in column_blocks(text):
-        fields = tuple(zip(*rows)) if set(map(len, rows)) == {3} else ()
-        checked = bool(fields) and check.passes(*fields[:2])
-        spans = _bracket_spans(rows, first, len(sentences) + 1, checked, parsed, pool)
-        sentences.append(NestedSentence(Sentence.from_checked(*fields[:2]), spans))
+        fields = pooled_columns(rows, 3, share)
+        checked = bool(fields) and check.passes(*fields[:2])  # else each word and pos tag as read
+        keys: list = []  # per opener, in opening order, so outermost first at a token
+        stack: list[tuple[int, str, int]] = []  # each open bracket's slot in keys, label and begin
+        for i, line in enumerate(rows):
+            if len(line) != 3:
+                raise ParseError(f"line {first + i}: expected 3 columns, got {len(line)}")
+            brackets = parsed.get(line[2])
+            if brackets is None:
+                match = _BRACKET_RE.fullmatch(line[2])
+                if match is None:
+                    raise ParseError(f"line {first + i}: bad bracket field {line[2]!r}")
+                brackets = parsed[line[2]] = (match[1].split("(")[1:], range(len(match[2])))
+            labels, closers = brackets
+            for label in labels:
+                stack.append((len(keys), label, i))
+                keys.append(None)
+            if not checked:
+                try:
+                    Token(*line[:2])
+                except ValidationError as exc:
+                    raise ValidationError(f"line {first + i}: {exc}") from None
+            if len(closers) > len(stack):
+                raise ParseError(f"sentence {len(sentences) + 1} (line {first + i}): unmatched closer")
+            for _ in closers:
+                slot, label, begin = stack.pop()
+                key = (begin, -i - 1, label)
+                # the keys after this one nest in its span: it moves past those of its range
+                while slot + 1 < len(keys) and keys[slot + 1] < key:
+                    keys[slot] = keys[slot + 1]
+                    slot += 1
+                keys[slot] = key
+        if stack:
+            raise ParseError(
+                f"sentence {len(sentences) + 1} (line {first + i}): {len(stack)} unclosed bracket(s)")
+        for key in set(keys).difference(pool):
+            pool[key] = ChunkSpan(key[0], -key[1], key[2])
+        spans = tuple(map(pool.__getitem__, keys))
+        sentences.append(NestedSentence.from_checked(Sentence.from_checked(*fields[:2]), spans))
     return sentences
 
 

@@ -29,6 +29,7 @@ from .corpus import (
     column_blocks,
     extract_chunks,
     pick_best,
+    pooled_columns,
     tags_from_chunks,
 )
 from .errors import AlignmentError, ConfigError, ParseError, ValidationError
@@ -196,16 +197,16 @@ def read_table(text: str) -> PredictionTable:
     if len(header) < 2 + has_gold:
         raise ParseError("table header names no systems")
     width = len(header)
+    share = {}.setdefault
     sentences: list[tuple[PredictionRow, ...]] = []
-    for start, block in itertools.chain([(start + 1, rest)], blocks):
-        rows: list[PredictionRow] = []
-        for lineno, fields in enumerate(block, start):
-            if len(fields) != width:
-                raise ParseError(f"line {lineno}: expected {width} columns, got {len(fields)}")
-            rows.append(PredictionRow(fields[has_gold], tuple(fields[1 + has_gold:]),
-                                      fields[0] if has_gold else None))
-        if rows:
-            sentences.append(tuple(rows))
+    for start, block in itertools.chain([(start + 1, rest)] if rest else (), blocks):
+        columns = pooled_columns(block, width, share)
+        if not columns:
+            for lineno, fields in enumerate(block, start):
+                if len(fields) != width:
+                    raise ParseError(f"line {lineno}: expected {width} columns, got {len(fields)}")
+        golds = columns[0] if has_gold else itertools.repeat(None)
+        sentences.append(tuple(map(PredictionRow, columns[has_gold], zip(*columns[1 + has_gold:]), golds)))
     return PredictionTable(tuple(header[1 + has_gold:]), tuple(sentences))
 
 

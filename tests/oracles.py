@@ -8,6 +8,7 @@ the same left-to-right order as the package on purpose: the tests
 compare results exactly.
 """
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -17,17 +18,20 @@ from chunkvote import (
     Corpus,
     NestedSentence,
     ParseError,
+    PredictionRow,
+    PredictionTable,
     Sentence,
     TagScheme,
     Token,
     ValidationError,
     extract_chunks,
+    scheme_violation,
     strip_tags,
     tags_from_chunks,
     validate_corpus,
     with_tags,
 )
-from chunkvote.corpus import check_chunk_tag
+from chunkvote.corpus import ColumnCheck, check_chunk_tag
 
 
 def oracle_chunks(tags):
@@ -593,3 +597,130 @@ def reference_cascade_training_corpus(sentences, head="last"):
             mapping = tuple(_reference_original_range(mapping, b, e) for b, e in level_map)
         flat.append(with_tags(current, ["O"] * len(current)))
     return Corpus(tuple(flat), TagScheme.IOB2)
+
+
+# The column readers as they were written a line at a time: each line's
+# fields pooled as it is split, each sentence's spans sorted and checked
+# for nesting by ``NestedSentence``, and every sentence's tags scanned.
+
+def reference_column_blocks(text):
+    """``column_blocks`` pooling each line's fields as it is split."""
+    share = {}.setdefault
+    block = []
+    for lineno, fields in enumerate(map(str.split, text.splitlines()), start=1):
+        if fields:
+            block.append(list(map(share, fields, fields)))
+        elif block:
+            yield lineno - len(block), block
+            block = []
+    if block:
+        yield lineno + 1 - len(block), block
+
+
+def reference_validate_corpus(corpus):
+    """``validate_corpus`` scanning every tagged sentence."""
+    for si, sentence in enumerate(corpus.sentences, start=1):
+        tags = sentence.chunk_tags
+        if any(tag is None for tag in tags):
+            continue
+        ti = scheme_violation(tags, corpus.scheme)
+        if ti is not None:
+            raise ValidationError(
+                f"sentence {si}, token {ti + 1}: tag {tags[ti]!r} is illegal under {corpus.scheme.value}"
+            )
+
+
+def reference_parse_conll(text, scheme, columns=3, strict=True):
+    """``parse_conll`` over ``reference_column_blocks``."""
+    if columns not in (2, 3):
+        raise ValidationError(f"columns must be 2 or 3, got {columns}")
+    sentences = []
+    check = ColumnCheck()
+    for first, rows in reference_column_blocks(text):
+        fields = tuple(zip(*rows)) if set(map(len, rows)) == {columns} else ()
+        if not fields or not check.passes(*fields):
+            for i, line in enumerate(rows):
+                if len(line) != columns:
+                    raise ParseError(f"line {first + i}: expected {columns} columns, got {len(line)}")
+                try:
+                    Token(*line)
+                except ValidationError as exc:
+                    where = f"sentence {len(sentences) + 1}, token {i + 1} (line {first + i})"
+                    raise ValidationError(f"{where}: {exc}") from None
+        sentences.append(Sentence.from_checked(*fields))
+    corpus = Corpus(tuple(sentences), scheme)
+    if strict and columns == 3:
+        reference_validate_corpus(corpus)
+    return corpus
+
+
+def _reference_bracket_spans(rows, first, number, checked, parsed, pool):
+    """The spans of one sentence in closing order, innermost first."""
+    spans = []
+    stack = []
+    for i, fields in enumerate(rows):
+        line = first + i
+        if len(fields) != 3:
+            raise ParseError(f"line {line}: expected 3 columns, got {len(fields)}")
+        if fields[2] not in parsed:
+            match = _ORACLE_BRACKET.fullmatch(fields[2])
+            parsed[fields[2]] = match and (match[1].split("(")[1:], len(match[2]))
+        if not parsed[fields[2]]:
+            raise ParseError(f"line {line}: bad bracket field {fields[2]!r}")
+        labels, closers = parsed[fields[2]]
+        for label in labels:
+            stack.append((label, i))
+        if not checked:
+            try:
+                Token(*fields[:2])
+            except ValidationError as exc:
+                raise ValidationError(f"line {line}: {exc}") from None
+        if closers > len(stack):
+            raise ParseError(f"sentence {number} (line {line}): unmatched closer")
+        for _ in range(closers):
+            label, begin = stack.pop()
+            key = (begin, i + 1, label)
+            if key not in pool:
+                pool[key] = ChunkSpan(*key)
+            spans.append(pool[key])
+    if stack:
+        raise ParseError(f"sentence {number} (line {line}): {len(stack)} unclosed bracket(s)")
+    return spans
+
+
+def reference_parse_nested(text):
+    """``parse_nested`` through the checking ``NestedSentence`` constructor."""
+    sentences = []
+    check, parsed, pool = ColumnCheck(), {}, {}
+    for first, rows in reference_column_blocks(text):
+        fields = tuple(zip(*rows)) if set(map(len, rows)) == {3} else ()
+        checked = bool(fields) and check.passes(*fields[:2])
+        spans = _reference_bracket_spans(rows, first, len(sentences) + 1, checked, parsed, pool)
+        sentences.append(NestedSentence(Sentence.from_checked(*fields[:2]), spans))
+    return sentences
+
+
+def reference_read_table(text):
+    """``read_table`` building a row per line of ``reference_column_blocks``."""
+    blocks = reference_column_blocks(text)
+    first = next(blocks, None)
+    if first is None:
+        raise ParseError("empty prediction table")
+    start, (header, *rest) = first
+    has_gold = header[0] == "gold"
+    if header[has_gold:has_gold + 1] != ["pos"]:
+        raise ParseError("table header must start with 'gold pos' or 'pos'")
+    if len(header) < 2 + has_gold:
+        raise ParseError("table header names no systems")
+    width = len(header)
+    sentences = []
+    for start, block in itertools.chain([(start + 1, rest)], blocks):
+        rows = []
+        for lineno, fields in enumerate(block, start):
+            if len(fields) != width:
+                raise ParseError(f"line {lineno}: expected {width} columns, got {len(fields)}")
+            rows.append(PredictionRow(fields[has_gold], tuple(fields[1 + has_gold:]),
+                                      fields[0] if has_gold else None))
+        if rows:
+            sentences.append(tuple(rows))
+    return PredictionTable(tuple(header[1 + has_gold:]), tuple(sentences))

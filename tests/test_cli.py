@@ -1147,6 +1147,57 @@ class TestStartUp:
         assert loaded_modules("import sys, chunkvote.cli; " + PRINT_LOADED) == self.BASE
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+class TestFileEncoding:
+    """Every input file is read as UTF-8, without a leading byte-order mark;
+    a file that is not UTF-8 is a data error naming it and the bad byte."""
+
+    # Per input role, a command reading a file of that role as BAD.
+    ROLES = {
+        "corpus": "train BAD --learner baseline",
+        "nested": "convert BAD --nested-to-levels",
+        "table": "weights BAD",
+        "weights": "combine {d}/table.txt --method tag-pair --weights BAD",
+        "model": "tag BAD {d}/train.conll",
+        "config": "eval {d}/train.conll {d}/train.conll --config BAD",
+    }
+
+    @pytest.mark.parametrize("bom", [b"", BOM], ids=["plain", "bom"])
+    @pytest.mark.parametrize("role", ROLES)
+    def test_a_file_that_is_not_utf8_is_a_data_error(self, startup_dir, files, capsys, role, bom):
+        bad = files.dir / "bad.txt"
+        bad.write_bytes(bom + b"The DT B-NP\ncat\xff NN I-NP\n\n")
+        argv = self.ROLES[role].format(d=startup_dir).replace("BAD", str(bad)).split()
+        assert main(argv + ["-o", out_path(files)]) == 2
+        offset = len(bom) + len(b"The DT B-NP\ncat")  # a byte-order mark counts
+        assert capsys.readouterr().err == f"error: {bad}: byte {offset} is not UTF-8 (invalid start byte)\n"
+
+    def test_a_corpus_trains_the_same_model_with_a_byte_order_mark(self, startup_dir, files, capsys):
+        plain = startup_dir / "train.conll"
+        marked = files.dir / "marked.conll"
+        marked.write_bytes(BOM + plain.read_bytes())
+        models = []
+        for name, train in (("plain.txt", plain), ("marked.txt", marked)):
+            assert main(["train", str(train), "--learner", "igtree", "-o", out_path(files, name)]) == 0
+            models.append((files.dir / name).read_bytes())
+        assert models[0] == models[1]
+        assert main(["eval", str(marked), str(plain), "--kv"]) == 0
+        assert "overall.f=1.0\n" in capsys.readouterr().out
+
+    def test_a_model_file_with_a_byte_order_mark_tags_the_same_bytes(self, startup_dir, files):
+        model = startup_dir / "model.txt"
+        marked = files.dir / "marked.txt"
+        marked.write_bytes(BOM + model.read_bytes())
+        tagged = []
+        for name, path in (("plain.out", model), ("marked.out", marked)):
+            argv = ["tag", str(path), str(startup_dir / "train.conll"), "-o", out_path(files, name)]
+            assert main(argv) == 0
+            tagged.append((files.dir / name).read_bytes())
+        assert tagged[0] == tagged[1]
+
+
 # sha256 of ``chunkvote [COMMAND] --help`` at 80 columns, as the parser
 # printed it when it declared every subcommand up front
 HELP_SHA256 = {

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from chunkvote import (
@@ -38,6 +40,7 @@ from chunkvote import (
     with_tags,
     write_conll,
     write_nested,
+    write_table,
 )
 import chunkvote.corpus
 from chunkvote.corpus import _chunk_ranges, column_blocks, text_lines
@@ -51,6 +54,10 @@ from oracles import (
     oracle_properly_nested,
     oracle_write_conll,
     oracle_write_nested,
+    reference_parse_conll,
+    reference_parse_nested,
+    reference_read_table,
+    reference_validate_corpus,
 )
 
 
@@ -322,6 +329,30 @@ class TestSchemes:
         corpus = Corpus((Sentence((Token("the", "DT"),)),), TagScheme.IOB2)
         validate_corpus(corpus)
 
+    @pytest.mark.parametrize("scheme", TagScheme)
+    def test_validate_corpus_faults_what_scheme_violation_faults(self, scheme):
+        for length in range(1, 5):
+            for tags in itertools.product(("O", "B-NP", "I-NP", "B-VP", "I-VP"), repeat=length):
+                corpus = Corpus([Sentence.from_checked(("w",) * length, ("NN",) * length, tags)], scheme)
+                ti = scheme_violation(tags, scheme)
+                if ti is None:
+                    validate_corpus(corpus)
+                    continue
+                with pytest.raises(ValidationError) as exc:
+                    validate_corpus(corpus)
+                message = f"sentence 1, token {ti + 1}: tag {tags[ti]!r} is illegal under {scheme.value}"
+                assert str(exc.value) == message
+
+    def test_a_pair_first_met_after_legal_sentences_is_checked(self):
+        def sentence(*tags):
+            return Sentence.from_checked(("w",) * len(tags), ("NN",) * len(tags), tags)
+
+        known = sentence("B-NP", "I-NP", "O", "B-VP", "I-VP", "O", "B-NP")
+        # every pair of the third sentence is known legal but (O, I-VP)
+        corpus = Corpus([known, sentence("O", "B-VP"), sentence("B-NP", "I-NP", "O", "I-VP")], TagScheme.IOB2)
+        with pytest.raises(ValidationError, match=r"^sentence 3, token 4: tag 'I-VP' is illegal under iob2$"):
+            validate_corpus(corpus)
+
 
 class TestConllFiles:
     TEXT = "the DT B-NP\ndog NN I-NP\nsat VBD B-VP\n\n. . O\n\n"
@@ -446,6 +477,39 @@ class TestNestedFiles:
     def test_tagged_tokens_are_rejected(self):
         with pytest.raises(ValidationError, match="spans, not chunk tags"):
             NestedSentence((Token("a", "DT", "O"),), ())
+
+
+class TestNestedSpansInReadingOrder:
+    """``parse_nested`` builds each sentence with ``NestedSentence.from_checked``
+    from spans put in order as they are read."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_read_equals_the_checking_constructor(self, seed):
+        r = datagen.rng(49_000 + seed)
+        batch = []
+        for _ in range(6):
+            nested = datagen.random_nested_sentence(r, r.randint(1, 10), types=("NP", "PP", "VP"))
+            # repeated spans, and spans of one range with other labels
+            twins = [ChunkSpan(s.begin, s.end, r.choice(("NP", "PP", "VP", s.label)))
+                     for s in nested.spans for _ in range(r.choice((0, 0, 1, 2)))]
+            spans = [*nested.spans, *twins]
+            batch.append(NestedSentence(nested.sentence, r.sample(spans, len(spans))))
+        text = write_nested(batch)
+        read = parse_nested(text)
+        assert read == batch
+        for got, built in zip(read, batch):
+            assert got.spans == built.spans and hash(got) == hash(built)
+        # the openers of each token in any order, so equal ranges come in any label order
+        lines = [line.split() for line in text.splitlines()]
+        for fields in filter(None, lines):
+            openers, star, closers = fields[2].partition("*")
+            labels = openers.split("(")[1:]
+            fields[2] = "".join("(" + label for label in r.sample(labels, len(labels))) + star + closers
+        seen: dict = {}
+        for got in parse_nested("\n".join(map(" ".join, lines)) + "\n"):
+            rebuilt = NestedSentence(got.sentence, r.sample(got.spans, len(got.spans)))
+            assert got.spans == rebuilt.spans and got == rebuilt and hash(got) == hash(rebuilt)
+            assert all(seen.setdefault(span, span) is span for span in got.spans)  # one object per equal span
 
 
 class TestColumnRecords:
@@ -579,6 +643,81 @@ class TestReadersMatchTheTokenReaders:
         assert got == _outcome(oracle_parse_nested, text)
         assert (error is None) == isinstance(got, list)
         assert error is None or error in got[1]
+
+
+# Values that readers often mishandle, put in fields by ``datagen.mutate``.
+HOSTILE_VALUES = ("B-O", "(O*)", "*))", "((NP*", "__PAD__", "I-NP", "O", "B-NP", "(NP*", "*)", "*",
+                  "pos", "gold")
+LINE_BREAKS = ("\n", "\n", "\r\n", "\r", "\x0b", "\x0c")
+
+
+def _hostile(r, text):
+    """``text`` after up to three ``datagen.mutate`` edits, with mixed line
+    breaks, separator lines of blanks and perhaps no final line break."""
+    for _ in range(r.randint(0, 3)):
+        text = datagen.mutate(r, text, HOSTILE_VALUES)
+    lines = [line if line else r.choice(("", "", " ", "\t", " \t ")) for line in text.splitlines()]
+    text = "".join(line + r.choice(LINE_BREAKS) for line in lines)
+    return text.rstrip("\n\r\x0b\x0c") if r.random() < 0.25 else text
+
+
+class TestReadersMatchTheReferenceReaders:
+    """The sentence-at-a-time readers against the line-at-a-time ones of
+    ``oracles``, on 1,000 mutated files of each kind."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_chunk_files(self, seed):
+        r = datagen.rng(50_000 + seed)
+        scheme = r.choice(list(TagScheme))
+        sentences = [datagen.random_sentence(r, r.randint(1, 8), scheme=scheme) for _ in range(4)]
+        corpus = Corpus(sentences, scheme)
+        texts = {3: write_conll(corpus), 2: write_conll(Corpus(map(strip_tags, corpus.sentences), scheme))}
+        for _ in range(20):
+            for columns, text in texts.items():
+                damaged = _hostile(r, text)
+                for args in itertools.product(TagScheme, (columns,), (True, False)):
+                    got = _outcome(parse_conll, damaged, *args)
+                    assert got == _outcome(reference_parse_conll, damaged, *args)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_bracket_files(self, seed):
+        r = datagen.rng(51_000 + seed)
+        batch = []
+        for _ in range(4):
+            nested = datagen.random_nested_sentence(r, r.randint(1, 8), types=("NP", "PP"))
+            twins = [ChunkSpan(s.begin, s.end, r.choice(("NP", "PP")))
+                     for s in nested.spans if r.random() < 0.3]
+            batch.append(NestedSentence(nested.sentence, [*nested.spans, *twins]))
+        text = write_nested(batch)
+        for _ in range(40):
+            damaged = _hostile(r, text)
+            got = _outcome(parse_nested, damaged)
+            assert got == _outcome(reference_parse_nested, damaged)
+            if isinstance(got, list):
+                assert [s.spans for s in got] == [s.spans for s in reference_parse_nested(damaged)]
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_table_files(self, seed):
+        r = datagen.rng(52_000 + seed)
+        gold, predictions = datagen.random_table_data(r, 4, ("m1", "m2"), ("O", "B-NP", "I-NP", "B-VP"))
+        with_gold = r.random() < 0.5
+        golds = [[tag if with_gold else None for _, tag in rows] for rows in gold]
+        rows = [tuple(map(PredictionRow, [pos for pos, _ in g], zip(*preds), tags))
+                for g, tags, *preds in zip(gold, golds, *predictions.values())]
+        text = write_table(PredictionTable(tuple(predictions), rows))
+        for _ in range(40):
+            damaged = _hostile(r, text)
+            assert _outcome(read_table, damaged) == _outcome(reference_read_table, damaged)
+
+    def test_validate_corpus(self):
+        r = datagen.rng(53_000)
+        for _ in range(200):
+            rows = [datagen.random_raw_tags(r, r.randint(1, 5)) for _ in range(r.randint(1, 6))]
+            sentences = [Sentence.from_checked(("w",) * len(tags), ("NN",) * len(tags), tuple(tags))
+                         for tags in rows]
+            for scheme in TagScheme:
+                corpus = Corpus(sentences, scheme)
+                assert _outcome(validate_corpus, corpus) == _outcome(reference_validate_corpus, corpus)
 
 
 # The three column file readers, each with a two-sentence text that has a
