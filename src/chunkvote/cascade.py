@@ -33,6 +33,11 @@ from .errors import ConfigError, ValidationError
 HEAD_CHOICES = ("last", "first")
 
 
+def _check_max_depth(max_depth: int) -> None:
+    if max_depth < 1:
+        raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
+
+
 def _check_head(head: str) -> None:
     if head not in HEAD_CHOICES:
         raise ConfigError(f"head must be one of {HEAD_CHOICES}, got {head!r}")
@@ -88,8 +93,7 @@ def cascade_bracket(
     rounds; a chunker stuck re-deriving the same brackets therefore
     terminates after one wasted round.
     """
-    if max_depth < 1:
-        raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
+    _check_max_depth(max_depth)
     _check_head(head)
     stripped = current = strip_tags(sentence)
     firsts = lasts = list(range(len(stripped)))  # _collapse makes new lists

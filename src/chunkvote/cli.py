@@ -410,10 +410,12 @@ def _cmd_best_n(args) -> None:
 
 
 def _cmd_cascade(args) -> None:
-    from .cascade import cascade_bracket
+    from .cascade import _check_head, _check_max_depth, cascade_bracket
     from .learners import tag_sentence
     from .model_io import loads_model
 
+    _check_max_depth(args.max_depth)  # before the model and the input are read
+    _check_head(args.head)
     tagger = functools.partial(tag_sentence, loads_model(_read_text(args.model)))
     corpus = _read_corpus(args.input, "iob1", args.columns, strict=False)
     nested = (

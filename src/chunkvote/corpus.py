@@ -65,10 +65,10 @@ class Record:
     AttributeError, and ``==``, ``hash`` and ``repr`` go over the fields
     ``_fields`` names, in order.  Only records of one class compare equal.
 
-    Constructors fill their fields with ``_set`` or ``_init``.  The hot
-    records (Token, ChunkSpan, PredictionRow, IGTreeNode) spell out their
-    ``__eq__`` and ``__hash__``, since reading named attributes is faster
-    than the generic ``attrgetter``.
+    Constructors fill their fields with ``_set`` or ``_init``.  Only
+    ChunkSpan spells out its ``__eq__`` and ``__hash__``: scoring hashes
+    every span, and reading named attributes is faster than the generic
+    ``attrgetter``.
     """
 
     __slots__ = ()
@@ -109,21 +109,11 @@ class Token(Record):
         check_pos_tag(pos)
         if chunk_tag is not None:
             check_chunk_tag(chunk_tag)
-        _set(self, "word", word)
-        _set(self, "pos", pos)
-        _set(self, "chunk_tag", chunk_tag)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.word, self.pos, self.chunk_tag) == (other.word, other.pos, other.chunk_tag)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.word, self.pos, self.chunk_tag))
+        self._init(word, pos, chunk_tag)
 
 
 def _check_field(value: str, what: str) -> None:
-    if not value or not _FIELD_RE.fullmatch(value):
+    if not _FIELD_RE.fullmatch(value):
         raise ValidationError(f"bad {what} {value!r}: must be non-empty without whitespace")
     if value == PAD:
         raise ValidationError(f"{PAD} is reserved for padding and cannot be a word or pos tag")
@@ -161,25 +151,22 @@ def pick_best(scores: Mapping[str, float], frequencies: Mapping[str, int] | None
 
 class ColumnCheck:
     """Token's checks of the words, pos tags and chunk tags (None for no
-    tag) of sentences, each distinct value checked once per instance."""
-
-    _CHECKS = (partial(_check_field, what="word"), check_pos_tag, check_chunk_tag)
+    tag) of sentences whose fields ``str.split`` made.  Such a field is
+    non-empty and holds no whitespace, so a word or pos tag fails only by
+    being ``PAD``; each distinct chunk tag is checked once per instance."""
 
     def __init__(self):
-        self._passed: tuple[set, ...] = (set(), set(), {None})
+        self._tags = {None}
 
-    def passes(self, *columns: Iterable) -> bool:
+    def passes(self, words: Sequence[str], pos_tags: Sequence[str], chunk_tags: Sequence = ()) -> bool:
         """True when every value of the columns given passes its checks."""
-        for values, passed, check in zip(columns, self._passed, self._CHECKS):
-            if passed.issuperset(values):
-                continue
-            new = set(values).difference(passed)
-            try:
-                for value in new:
-                    check(value)
-            except ValidationError:
+        if PAD in words or PAD in pos_tags:
+            return False
+        if not self._tags.issuperset(chunk_tags):
+            new = set(chunk_tags).difference(self._tags)
+            if not all(map(_TAG_RE.fullmatch, new)):
                 return False
-            passed |= new
+            self._tags |= new
         return True
 
 
@@ -197,8 +184,9 @@ class Sentence(Record):
 
     @classmethod
     def from_checked(cls, words: tuple[str, ...], pos_tags: tuple[str, ...], chunk_tags=None) -> Sentence:
-        """A sentence of column tuples of one length whose values passed
-        Token's checks (``ColumnCheck``); no ``chunk_tags``: untagged."""
+        """A sentence of column tuples of one length whose values pass
+        Token's checks: split fields that ``ColumnCheck`` passed, or values
+        taken from checked records; no ``chunk_tags``: untagged."""
         return object.__new__(cls)._fill(words, pos_tags, chunk_tags or (None,) * len(words), None)
 
     def _fill(self, words, pos_tags, chunk_tags, tokens) -> Sentence:

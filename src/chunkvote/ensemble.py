@@ -18,12 +18,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 from .corpus import (
     PLACEHOLDER_WORD,
     ChunkSpan,
-    ColumnCheck,
     Corpus,
     Record,
     Sentence,
     TagScheme,
-    Token,
     check_chunk_tag,
     check_pos_tag,
     column_blocks,
@@ -69,14 +67,6 @@ class PredictionRow(Record):
         _set(self, "preds", preds)
         _set(self, "gold", gold)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pos, self.preds, self.gold) == (other.pos, other.preds, other.gold)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.pos, self.preds, self.gold))
-
 
 class PredictionTable(Record):
     """Aligned per-token predictions of several systems."""
@@ -90,6 +80,8 @@ class PredictionTable(Record):
         if len(set(systems)) != len(systems):
             raise ValidationError("system names must be unique")
         _check_not_reserved(systems)
+        if not sentences:
+            raise ValidationError("a prediction table needs at least one sentence")
         golds = set()
         # Each distinct cell in first-row order (gold before predictions, as
         # in a table file), to name the first bad one.
@@ -119,7 +111,7 @@ class PredictionTable(Record):
 
     @property
     def has_gold(self) -> bool:
-        return bool(self.sentences) and self.sentences[0][0].gold is not None
+        return self.sentences[0][0].gold is not None
 
     def rows(self) -> Iterable[PredictionRow]:
         for sentence in self.sentences:
@@ -622,17 +614,15 @@ def _normalised_corpus(
         raise AlignmentError(
             f"word corpus has {len(words.sentences)} sentences, table has {len(table.sentences)}"
         )
+    # Words come from a checked corpus or are placeholders, pos tags from the
+    # checked table and tags from the labels of checked tags: all pass Token's checks.
     sentences = []
-    check = ColumnCheck()
     for si, (rows, spans) in enumerate(zip(table.sentences, spans_per_sentence)):
         clean = tuple(tags_from_chunks(len(rows), spans, TagScheme.IOB2))
         word_list = (PLACEHOLDER_WORD,) * len(rows) if words is None else words.sentences[si].words
         if len(word_list) != len(rows):
             raise AlignmentError(f"sentence {si + 1}: word count differs from table")
-        pos_tags = tuple(row.pos for row in rows)
-        if not check.passes(word_list, pos_tags, clean):
-            tuple(map(Token, word_list, pos_tags, clean))  # raises for the first bad token
-        sentences.append(Sentence.from_checked(word_list, pos_tags, clean))
+        sentences.append(Sentence.from_checked(word_list, tuple(row.pos for row in rows), clean))
     return Corpus(tuple(sentences), TagScheme.IOB2)
 
 

@@ -269,11 +269,6 @@ class IGTreeNode(Record):
         _set(self, "default", default)
         _set(self, "children", children)
 
-    def __eq__(self, other):  # and no __hash__: a node holds a dict, so is unhashable
-        if other.__class__ is self.__class__:
-            return (self.default, self.children) == (other.default, other.children)
-        return NotImplemented
-
 
 def predict_igtree(model: IGTreeModel, vector: FeatureVector) -> str:
     """Walk the tree in slot order; a missing branch answers with the default."""

@@ -31,7 +31,7 @@ from chunkvote import (
     validate_corpus,
     with_tags,
 )
-from chunkvote.corpus import ColumnCheck, check_chunk_tag
+from chunkvote.corpus import check_chunk_tag
 
 
 def oracle_chunks(tags):
@@ -600,8 +600,9 @@ def reference_cascade_training_corpus(sentences, head="last"):
 
 
 # The column readers as they were written a line at a time: each line's
-# fields pooled as it is split, each sentence's spans sorted and checked
-# for nesting by ``NestedSentence``, and every sentence's tags scanned.
+# fields pooled as it is split and checked by ``Token``, each sentence's
+# spans sorted and checked for nesting by ``NestedSentence``, and every
+# sentence's tags scanned.
 
 def reference_column_blocks(text):
     """``column_blocks`` pooling each line's fields as it is split."""
@@ -635,26 +636,23 @@ def reference_parse_conll(text, scheme, columns=3, strict=True):
     if columns not in (2, 3):
         raise ValidationError(f"columns must be 2 or 3, got {columns}")
     sentences = []
-    check = ColumnCheck()
     for first, rows in reference_column_blocks(text):
-        fields = tuple(zip(*rows)) if set(map(len, rows)) == {columns} else ()
-        if not fields or not check.passes(*fields):
-            for i, line in enumerate(rows):
-                if len(line) != columns:
-                    raise ParseError(f"line {first + i}: expected {columns} columns, got {len(line)}")
-                try:
-                    Token(*line)
-                except ValidationError as exc:
-                    where = f"sentence {len(sentences) + 1}, token {i + 1} (line {first + i})"
-                    raise ValidationError(f"{where}: {exc}") from None
-        sentences.append(Sentence.from_checked(*fields))
+        for i, line in enumerate(rows):
+            if len(line) != columns:
+                raise ParseError(f"line {first + i}: expected {columns} columns, got {len(line)}")
+            try:
+                Token(*line)
+            except ValidationError as exc:
+                where = f"sentence {len(sentences) + 1}, token {i + 1} (line {first + i})"
+                raise ValidationError(f"{where}: {exc}") from None
+        sentences.append(Sentence.from_checked(*zip(*rows)))
     corpus = Corpus(tuple(sentences), scheme)
     if strict and columns == 3:
         reference_validate_corpus(corpus)
     return corpus
 
 
-def _reference_bracket_spans(rows, first, number, checked, parsed, pool):
+def _reference_bracket_spans(rows, first, number, parsed, pool):
     """The spans of one sentence in closing order, innermost first."""
     spans = []
     stack = []
@@ -670,11 +668,10 @@ def _reference_bracket_spans(rows, first, number, checked, parsed, pool):
         labels, closers = parsed[fields[2]]
         for label in labels:
             stack.append((label, i))
-        if not checked:
-            try:
-                Token(*fields[:2])
-            except ValidationError as exc:
-                raise ValidationError(f"line {line}: {exc}") from None
+        try:
+            Token(*fields[:2])
+        except ValidationError as exc:
+            raise ValidationError(f"line {line}: {exc}") from None
         if closers > len(stack):
             raise ParseError(f"sentence {number} (line {line}): unmatched closer")
         for _ in range(closers):
@@ -691,12 +688,11 @@ def _reference_bracket_spans(rows, first, number, checked, parsed, pool):
 def reference_parse_nested(text):
     """``parse_nested`` through the checking ``NestedSentence`` constructor."""
     sentences = []
-    check, parsed, pool = ColumnCheck(), {}, {}
+    parsed, pool = {}, {}
     for first, rows in reference_column_blocks(text):
-        fields = tuple(zip(*rows)) if set(map(len, rows)) == {3} else ()
-        checked = bool(fields) and check.passes(*fields[:2])
-        spans = _reference_bracket_spans(rows, first, len(sentences) + 1, checked, parsed, pool)
-        sentences.append(NestedSentence(Sentence.from_checked(*fields[:2]), spans))
+        spans = _reference_bracket_spans(rows, first, len(sentences) + 1, parsed, pool)
+        words, pos_tags, _ = zip(*rows)
+        sentences.append(NestedSentence(Sentence.from_checked(words, pos_tags), spans))
     return sentences
 
 

@@ -744,6 +744,17 @@ class TestBestNCommand:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["weights"], ["combine"], ["best-n", "-n", "1"]],
+                         ids=["weights", "combine", "best-n"])
+def test_a_table_with_a_header_and_no_rows_is_a_data_error(files, capsys, argv):
+    # Its gold column could not be written back: has_gold reads the first row.
+    table = files("table.txt", "gold pos a\n\n")
+    out = out_path(files)
+    assert main([argv[0], table, *argv[1:], "-o", out]) == 2
+    assert capsys.readouterr().err == "error: a prediction table needs at least one sentence\n"
+    assert not Path(out).exists()
+
+
 class TestCascadeCommand:
     def test_recovers_the_nested_example(self, files, money_example):
         nested_text = write_nested([money_example])
@@ -775,6 +786,16 @@ class TestCascadeCommand:
         assert tag_error.startswith("error: bad chunk tag 'B-O'")
         assert main(["cascade", model, words, "--columns", "2", "-o", out]) == 2
         assert capsys.readouterr().err == tag_error
+        assert not Path(out).exists()
+
+    def test_max_depth_is_checked_before_any_file_is_read(self, files, capsys):
+        model = out_path(files, "model.txt")
+        assert main(["train", files("train.conll", TINY_TRAIN), "--learner", "igtree", "-o", model]) == 0
+        empty = files("empty.conll", "")
+        out = out_path(files, "parsed.txt")
+        for model_path in (model, out_path(files, "missing.txt")):
+            assert main(["cascade", model_path, empty, "--max-depth", "0", "-o", out]) == 2
+            assert capsys.readouterr().err == "error: max_depth must be >= 1, got 0\n"
         assert not Path(out).exists()
 
     def test_each_sentence_is_stripped_once(self, files, monkeypatch):

@@ -1,4 +1,7 @@
 import itertools
+import re
+import sys
+from collections import Counter
 
 import pytest
 
@@ -43,7 +46,7 @@ from chunkvote import (
     write_table,
 )
 import chunkvote.corpus
-from chunkvote.corpus import _chunk_ranges, column_blocks, text_lines
+from chunkvote.corpus import ColumnCheck, _chunk_ranges, column_blocks, text_lines
 from chunkvote.learners import IGTreeNode, KnnIndex, MaxEntTrace, Rule
 
 import datagen
@@ -659,6 +662,37 @@ def _hostile(r, text):
     lines = [line if line else r.choice(("", "", " ", "\t", " \t ")) for line in text.splitlines()]
     text = "".join(line + r.choice(LINE_BREAKS) for line in lines)
     return text.rstrip("\n\r\x0b\x0c") if r.random() < 0.25 else text
+
+
+# Values that ``str.split`` keeps whole (a zero width space, a title case
+# letter) or cuts (a no-break space, the unit and line separators).
+FIELD_VALUES = (*HOSTILE_VALUES, "a\u200bb", "\u2028x", "\x1f", "x\xa0y", "B-", "I-NP_X", "\u01c5")
+
+
+class TestColumnCheck:
+    """``ColumnCheck`` tests a word or pos tag only for ``PAD``: no other
+    value ``str.split`` makes fails Token's checks."""
+
+    def test_str_isspace_is_the_field_regex_whitespace(self):
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", text) == [c for c in text if c.isspace()]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_passes_a_split_line_exactly_when_token_does(self, seed):
+        r = datagen.rng(54_000 + seed)
+        sentences = [datagen.random_sentence(r, r.randint(1, 8)) for _ in range(4)]
+        text = write_conll(Corpus(sentences, TagScheme.IOB2))
+        check, outcomes = ColumnCheck(), Counter()  # one check per read, as the readers keep it
+        for _ in range(60):
+            damaged = text
+            for _ in range(r.randint(1, 3)):
+                damaged = datagen.mutate(r, damaged, FIELD_VALUES)
+            for _, rows in column_blocks(damaged):
+                for fields in filter(lambda fields: len(fields) in (2, 3), rows):
+                    passed = not isinstance(_outcome(Token, *fields), tuple)
+                    assert check.passes(*([field] for field in fields)) == passed, fields
+                    outcomes[passed] += 1
+        assert outcomes[True] > 500 and outcomes[False] > 0, outcomes
 
 
 class TestReadersMatchTheReferenceReaders:

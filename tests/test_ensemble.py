@@ -15,7 +15,9 @@ from chunkvote import (
     ParseError,
     PredictionRow,
     PredictionTable,
+    Sentence,
     TagScheme,
+    Token,
     TrainingError,
     ValidationError,
     VOTING_METHODS,
@@ -97,6 +99,8 @@ class TestPredictionTable:
             PredictionTable(("gold",), ())
         with pytest.raises(ValidationError, match="reserved"):
             PredictionTable(("pos",), ())
+        with pytest.raises(ValidationError, match="^a prediction table needs at least one sentence$"):
+            PredictionTable(("a",), ())
         with pytest.raises(ValidationError, match="empty sentence"):
             PredictionTable(("a",), ((),))
         with pytest.raises(ValidationError, match="predictions for"):
@@ -179,6 +183,9 @@ class TestTableIO:
                 read_table(header)
         with pytest.raises(ParseError, match="line 3"):
             read_table("gold pos m1\nB-NP DT B-NP\nB-NP DT\n")
+        for text in ("gold pos m1\n", "pos m1\n\n \n"):
+            with pytest.raises(ValidationError, match="at least one sentence"):
+                read_table(text)
 
 
 class TestFromCorpora:
@@ -216,6 +223,9 @@ class TestFromCorpora:
         )
         with pytest.raises(ValidationError, match="untagged"):
             from_corpora({"a": bare})
+        empty = Corpus((), TagScheme.IOB2)
+        with pytest.raises(ValidationError, match="at least one sentence"):
+            from_corpora({"a": empty}, gold=empty)
 
     def test_single_fault_messages(self, tiny_corpus):
         def replaced(index, tokens):
@@ -522,12 +532,19 @@ def fuzz_table():
     return table_from_rows(["a", "b", "c"], sentences, [[tag for _, tag in rows] for rows in gold])
 
 
+def assert_token_values(corpus):
+    """Every value of ``corpus`` passes Token's checks: combining builds its
+    sentences unchecked, from values checked as read."""
+    for sentence in corpus.sentences:
+        assert Sentence(map(Token, sentence.words, sentence.pos_tags, sentence.chunk_tags)) == sentence
+
+
 def combine_every_way(table, weights):
     """Every combination a reader's output feeds; only ChunkvoteError may escape."""
-    combine_corpus(table, bracket_level=True, weights=weights)
+    assert_token_values(combine_corpus(table, bracket_level=True, weights=weights))
     for method in VOTING_METHODS:
         if weights is not None or method == "majority":
-            combine_corpus(table, method=method, weights=weights)
+            assert_token_values(combine_corpus(table, method=method, weights=weights))
 
 
 class TestMutatedReaders:
@@ -1064,6 +1081,29 @@ class TestCombineCorpus:
         corpus = combine_corpus(table)
         for sentence in corpus.sentences:
             assert scheme_violation(sentence.chunk_tags, TagScheme.IOB2) is None
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_output_value_passes_the_token_checks(self, seed):
+        r = datagen.rng(23_000 + seed)
+        tags = ("B-NP", "I-NP", "B-VP", "I-VP", "I-PP", "O")
+        tables = []
+        for with_gold in (True, False):
+            gold, preds = datagen.random_table_data(r, 10, "abc", tags, 0.4)
+            sentences = [[(pos, tuple(preds[n][si][ti] for n in "abc")) for ti, (pos, _) in enumerate(rows)]
+                         for si, rows in enumerate(gold)]
+            golds = [[tag for _, tag in rows] for rows in gold] if with_gold else None
+            tables.append(read_table(write_table(table_from_rows("abc", sentences, golds))))
+        tuning, test = tables
+        weights = estimate_weights(tuning)
+        words = Corpus([datagen.random_sentence(r, len(rows)) for rows in test.sentences], TagScheme.IOB2)
+        outputs = []
+        for given in (None, words):
+            outputs.append(combine_corpus(test, bracket_level=True, words=given))
+            outputs += [combine_corpus(test, method, weights, words=given) for method in VOTING_METHODS]
+            outputs += [stacked_corpus(stacked_train(tuning, learner, add_pos), test, words=given)
+                        for learner in ("knn", "igtree") for add_pos in (False, True)]
+        for corpus in outputs:
+            assert_token_values(corpus)
 
     def test_stacked_corpus_applies_and_normalises(self):
         table = TestStacking().table()
