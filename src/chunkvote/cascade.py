@@ -13,8 +13,7 @@ sentence per nesting level.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import itemgetter
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .corpus import (
     ChunkSpan,
@@ -23,6 +22,7 @@ from .corpus import (
     Sentence,
     TagScheme,
     _chunk_ranges,
+    _span_sort_key,
     check_tag_row,
     strip_tags,
     tags_from_chunks,
@@ -71,9 +71,8 @@ def _collapse(
     next_firsts += firsts[position:]
     next_lasts += lasts[position:]
     heads = next_firsts if head == "first" else next_lasts
-    # itemgetter gives a bare value, not a tuple, for a single index
-    pick = itemgetter(*heads) if len(heads) > 1 else lambda column: (column[heads[0]],)
-    words, pos_tags = pick(original.words), pick(original.pos_tags)
+    words = tuple(map(original.words.__getitem__, heads))
+    pos_tags = tuple(map(original.pos_tags.__getitem__, heads))
     return next_firsts, next_lasts, Sentence.from_checked(words, pos_tags)
 
 
@@ -97,14 +96,12 @@ def cascade_bracket(
     _check_head(head)
     stripped = current = strip_tags(sentence)
     firsts = lasts = list(range(len(stripped)))  # _collapse makes new lists
-    found, passed = set(), set()  # spans as (begin, end, label); tags a round passed
+    found = set()  # spans as (begin, end, label)
     for _ in range(max_depth):
         tags = tagger(current)
-        if len(tags) != len(current) or not passed.issuperset(tags):
-            check_tag_row(tags, len(current))
-            if None in tags:
-                raise ValidationError(f"token {tags.index(None) + 1}: None is not a chunk tag")
-            passed.update(tags)
+        check_tag_row(tags, len(current))
+        if None in tags:
+            raise ValidationError(f"token {tags.index(None) + 1}: None is not a chunk tag")
         level = _chunk_ranges(tags)
         seen = len(found)
         found.update((firsts[begin], lasts[end - 1] + 1, label) for begin, end, label in level)
@@ -113,7 +110,10 @@ def cascade_bracket(
         firsts, lasts, current = _collapse(stripped, firsts, lasts, level, head)
         if len(current) == 1:
             break
-    return NestedSentence(stripped, [ChunkSpan(*span) for span in found])
+    # A round's spans cover whole positions, each one token or the range of
+    # an earlier span, so every span found nests and lies in the sentence.
+    spans = sorted((ChunkSpan(*span) for span in found), key=_span_sort_key)
+    return NestedSentence.from_checked(stripped, tuple(spans))
 
 
 def _innermost_level(spans: Sequence[ChunkSpan]) -> list[int]:

@@ -16,7 +16,6 @@ import functools
 import sys
 from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .corpus import (
@@ -32,9 +31,6 @@ from .corpus import (
     write_conll,
 )
 from .errors import ChunkvoteError, ConfigError, ParseError
-
-if TYPE_CHECKING:
-    from .learners import LearnerSpec
 
 # Each handler imports what it calls, and each subcommand declares its
 # flags when it first parses, so that a call loads only the modules its

@@ -19,11 +19,11 @@ exact for single-space files.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from functools import partial
 from itertools import chain, groupby
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, ParseError, ValidationError
 
@@ -149,25 +149,25 @@ def pick_best(scores: Mapping[str, float], frequencies: Mapping[str, int] | None
     return min(scores, key=lambda c: (-scores[c], -freq.get(c, 0), c))
 
 
-class ColumnCheck:
-    """Token's checks of the words, pos tags and chunk tags (None for no
-    tag) of sentences whose fields ``str.split`` made.  Such a field is
-    non-empty and holds no whitespace, so a word or pos tag fails only by
-    being ``PAD``; each distinct chunk tag is checked once per instance."""
+# The strings that passed ``_TAG_RE``, and None for no tag.  A tag's
+# validity depends on the string alone, so one memo serves every read.
+_VALID_TAGS: set[str | None] = {None}
 
-    def __init__(self):
-        self._tags = {None}
 
-    def passes(self, words: Sequence[str], pos_tags: Sequence[str], chunk_tags: Sequence = ()) -> bool:
-        """True when every value of the columns given passes its checks."""
-        if PAD in words or PAD in pos_tags:
-            return False
-        if not self._tags.issuperset(chunk_tags):
-            new = set(chunk_tags).difference(self._tags)
+def columns_pass(words: Sequence[str], pos_tags: Sequence[str], *tag_columns: Sequence[str]) -> bool:
+    """True when Token's checks pass every word, pos tag and chunk tag of
+    columns whose fields ``str.split`` made.  Such a field is non-empty
+    and holds no whitespace, so a word or pos tag fails only by being
+    ``PAD``."""
+    if PAD in words or PAD in pos_tags:
+        return False
+    for tags in tag_columns:
+        if not _VALID_TAGS.issuperset(tags):
+            new = set(tags).difference(_VALID_TAGS)
             if not all(map(_TAG_RE.fullmatch, new)):
                 return False
-            self._tags |= new
-        return True
+            _VALID_TAGS.update(new)
+    return True
 
 
 class Sentence(Record):
@@ -185,7 +185,7 @@ class Sentence(Record):
     @classmethod
     def from_checked(cls, words: tuple[str, ...], pos_tags: tuple[str, ...], chunk_tags=None) -> Sentence:
         """A sentence of column tuples of one length whose values pass
-        Token's checks: split fields that ``ColumnCheck`` passed, or values
+        Token's checks: split fields that ``columns_pass`` passed, or values
         taken from checked records; no ``chunk_tags``: untagged."""
         return object.__new__(cls)._fill(words, pos_tags, chunk_tags or (None,) * len(words), None)
 
@@ -217,9 +217,11 @@ def check_tag_row(tags: Sequence[str | None], length: int) -> None:
     """Raise ValidationError unless ``tags`` holds ``length`` chunk tags or Nones."""
     if len(tags) != length:
         raise ValidationError(f"{len(tags)} tags for {length} tokens")
-    for tag in dict.fromkeys(tags):  # in token order, so the first bad tag is the first bad token's
-        if tag is not None:
-            check_chunk_tag(tag)
+    if not _VALID_TAGS.issuperset(tags):
+        for tag in dict.fromkeys(tags):  # in token order, so the first bad tag is the first bad token's
+            if tag not in _VALID_TAGS:
+                check_chunk_tag(tag)
+                _VALID_TAGS.add(tag)
 
 
 def with_tags(sentence: Sentence, tags: Sequence[str]) -> Sentence:
@@ -466,10 +468,10 @@ def parse_conll(text: str, scheme: TagScheme, columns: int = 3, strict: bool = T
     if columns not in (2, 3):
         raise ValidationError(f"columns must be 2 or 3, got {columns}")
     sentences: list[Sentence] = []
-    check, share = ColumnCheck(), {}.setdefault
+    share = {}.setdefault
     for first, rows in column_blocks(text):
         fields = pooled_columns(rows, columns, share)
-        if not fields or not check.passes(*fields):
+        if not fields or not columns_pass(*fields):
             for i, line in enumerate(rows):  # the first fault, as a token by token read meets it
                 if len(line) != columns:
                     raise ParseError(f"line {first + i}: expected {columns} columns, got {len(line)}")
@@ -510,14 +512,14 @@ def parse_nested(text: str) -> list[NestedSentence]:
     ChunkSpan object.
     """
     sentences: list[NestedSentence] = []
-    check, share = ColumnCheck(), {}.setdefault
+    share = {}.setdefault
     parsed: dict[str, tuple[list[str], range]] = {}  # a good bracket field's opener labels and closers
-    pool: dict[tuple[int, int, str], ChunkSpan] = {}  # the span of each (begin, -end, label) key
+    pool: dict[tuple[int, int, str], ChunkSpan] = {}  # the span of each (begin, end, label) key
     for first, rows in column_blocks(text):
         fields = pooled_columns(rows, 3, share)
-        checked = bool(fields) and check.passes(*fields[:2])  # else each word and pos tag as read
-        keys: list = []  # per opener, in opening order, so outermost first at a token
-        stack: list[tuple[int, str, int]] = []  # each open bracket's slot in keys, label and begin
+        checked = bool(fields) and columns_pass(*fields[:2])  # else each word and pos tag as read
+        spans: list[ChunkSpan] = []  # one per bracket, as it closes
+        stack: list[tuple[str, int]] = []  # each open bracket's label and begin
         for i, line in enumerate(rows):
             if len(line) != 3:
                 raise ParseError(f"line {first + i}: expected 3 columns, got {len(line)}")
@@ -529,8 +531,7 @@ def parse_nested(text: str) -> list[NestedSentence]:
                 brackets = parsed[line[2]] = (match[1].split("(")[1:], range(len(match[2])))
             labels, closers = brackets
             for label in labels:
-                stack.append((len(keys), label, i))
-                keys.append(None)
+                stack.append((label, i))
             if not checked:
                 try:
                     Token(*line[:2])
@@ -539,20 +540,14 @@ def parse_nested(text: str) -> list[NestedSentence]:
             if len(closers) > len(stack):
                 raise ParseError(f"sentence {len(sentences) + 1} (line {first + i}): unmatched closer")
             for _ in closers:
-                slot, label, begin = stack.pop()
-                key = (begin, -i - 1, label)
-                # the keys after this one nest in its span: it moves past those of its range
-                while slot + 1 < len(keys) and keys[slot + 1] < key:
-                    keys[slot] = keys[slot + 1]
-                    slot += 1
-                keys[slot] = key
+                label, begin = stack.pop()
+                key = (begin, i + 1, label)
+                spans.append(pool.get(key) or pool.setdefault(key, ChunkSpan(*key)))
         if stack:
             raise ParseError(
                 f"sentence {len(sentences) + 1} (line {first + i}): {len(stack)} unclosed bracket(s)")
-        for key in set(keys).difference(pool):
-            pool[key] = ChunkSpan(key[0], -key[1], key[2])
-        spans = tuple(map(pool.__getitem__, keys))
-        sentences.append(NestedSentence.from_checked(Sentence.from_checked(*fields[:2]), spans))
+        spans.sort(key=_span_sort_key)
+        sentences.append(NestedSentence.from_checked(Sentence.from_checked(*fields[:2]), tuple(spans)))
     return sentences
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .corpus import (
     PLACEHOLDER_WORD,
@@ -25,6 +25,7 @@ from .corpus import (
     check_chunk_tag,
     check_pos_tag,
     column_blocks,
+    columns_pass,
     extract_chunks,
     pick_best,
     pooled_columns,
@@ -33,10 +34,8 @@ from .corpus import (
 from .errors import AlignmentError, ConfigError, ParseError, ValidationError
 
 # Weights, voting and brackets load no learner or metrics code: the
-# functions that train, tag or score import what they call.
-if TYPE_CHECKING:
-    from .learners import IGTreeModel, KnnModel, LearnerSpec
-    from .metrics import EvalReport
+# functions that train, tag or score import what they call, and the
+# annotations name those modules' classes without importing them.
 
 VOTING_METHODS = ("majority", "tot-precision", "tag-precision", "precision-recall", "tag-pair")
 
@@ -193,10 +192,16 @@ def read_table(text: str) -> PredictionTable:
     sentences: list[tuple[PredictionRow, ...]] = []
     for start, block in itertools.chain([(start + 1, rest)] if rest else (), blocks):
         columns = pooled_columns(block, width, share)
-        if not columns:
-            for lineno, fields in enumerate(block, start):
+        tag_columns = columns[:has_gold] + columns[1 + has_gold:]
+        if not columns or not columns_pass((), columns[has_gold], *tag_columns):
+            for lineno, fields in enumerate(block, start):  # the first fault in file order
                 if len(fields) != width:
                     raise ParseError(f"line {lineno}: expected {width} columns, got {len(fields)}")
+                try:
+                    for i, field in enumerate(fields):
+                        (check_pos_tag if i == has_gold else check_chunk_tag)(field)
+                except ValidationError as exc:
+                    raise ValidationError(f"line {lineno}: {exc}") from None
         golds = columns[0] if has_gold else itertools.repeat(None)
         sentences.append(tuple(map(PredictionRow, columns[has_gold], zip(*columns[1 + has_gold:]), golds)))
     return PredictionTable(tuple(header[1 + has_gold:]), tuple(sentences))

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from operator import itemgetter
 from sys import intern
-from typing import Iterable, Iterator, Sequence
 
 from .corpus import PAD, Corpus, Record, Sentence
 from .errors import ConfigError, TrainingError, ValidationError

@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .corpus import Corpus, Record, Sentence, TagScheme, check_system_name, pick_best, with_tags
 from .errors import ConfigError, ValidationError
@@ -45,7 +45,7 @@ WEIGHTINGS = ("gain_ratio", "information_gain")
 _set = object.__setattr__  # records are frozen; their constructors fill them
 
 
-def _check_options(**options: Any) -> None:
+def _check_options(**options: object) -> None:
     """Raise ConfigError for the first learner option, in the order given, out of range."""
     for name, value in options.items():
         if name in ("k", "iterations", "cutoff") and value < 1:
@@ -390,7 +390,7 @@ class MaxEntModel(Record):
                 for c, score, n in zip(self.classes, totals, active)}
 
 
-def _by_slot_value(features: Iterable[tuple[tuple[int, str, str], Any]], classes: Sequence[str]) -> dict:
+def _by_slot_value(features: Iterable[tuple[tuple[int, str, str], object]], classes: Sequence[str]) -> dict:
     """Each (slot, value) with the (class index, payload) pairs of its
     ((slot, value, class), payload) ``features``; raises ValidationError
     for a feature whose class is not in ``classes``."""
@@ -726,7 +726,7 @@ class LearnerSpec(Record):
                "threshold": 0.95, "weighting": "gain_ratio", "io_encoding": False}
     _fields = ("name", "learner", *OPTIONS)
 
-    def __init__(self, name: str, learner: str, **options: Any):
+    def __init__(self, name: str, learner: str, **options: object):
         unknown = [option for option in options if option not in self.OPTIONS]
         if unknown:
             raise TypeError(f"LearnerSpec() got an unexpected keyword argument {unknown[0]!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 from .corpus import check_chunk_tag, text_lines
 from .errors import ParseError, ValidationError
@@ -46,9 +46,12 @@ def _parse_window(fields: list[str]) -> WindowConfig | None:
     values = {}
     for part in fields:
         name, _, raw = part.partition("=")
-        if name not in _WINDOW_FIELDS or not raw:
+        flag = name.startswith(("use_", "complex_"))
+        if name not in _WINDOW_FIELDS or not raw or flag and raw not in ("0", "1"):
             raise ParseError(f"bad window field {part!r}")
-        values[name] = bool(int(raw)) if name.startswith(("use_", "complex_")) else int(raw)
+        if name in values:
+            raise ParseError(f"repeated window field {name!r}")
+        values[name] = raw == "1" if flag else int(raw)
     missing = [name for name in _WINDOW_FIELDS if name not in values]
     if missing:
         raise ParseError(f"window line misses fields: {', '.join(missing)}")

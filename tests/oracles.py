@@ -697,7 +697,8 @@ def reference_parse_nested(text):
 
 
 def reference_read_table(text):
-    """``read_table`` building a row per line of ``reference_column_blocks``."""
+    """``read_table`` building a row per line of ``reference_column_blocks``,
+    each field checked as ``Token`` checks it as it is read."""
     blocks = reference_column_blocks(text)
     first = next(blocks, None)
     if first is None:
@@ -715,6 +716,11 @@ def reference_read_table(text):
         for lineno, fields in enumerate(block, start):
             if len(fields) != width:
                 raise ParseError(f"line {lineno}: expected {width} columns, got {len(fields)}")
+            for i, field in enumerate(fields):
+                try:
+                    Token("w", field) if i == has_gold else Token("w", "p", field)
+                except ValidationError as exc:
+                    raise ValidationError(f"line {lineno}: {exc}") from None
             rows.append(PredictionRow(fields[has_gold], tuple(fields[1 + has_gold:]),
                                       fields[0] if has_gold else None))
         if rows:

@@ -491,6 +491,36 @@ class TestAgainstTheCollapseMapReference:
                         == reference_cascade_bracket(nested.sentence, tagger, depth, head))
 
 
+class TestSpansNeedNoCheck:
+    """``cascade_bracket`` builds its result without the nesting and bounds
+    checks: the checking constructor accepts its spans and keeps their order."""
+
+    @pytest.mark.parametrize("head", HEAD_CHOICES)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_the_checking_constructor_agrees(self, seed, head):
+        r = datagen.rng(36_000 + seed)
+
+        def chains(sentence):  # one-position chunks find earlier ranges again, under other labels
+            return [r.choice(("O", "B-NP", "B-PP", "B-VP", "I-NP")) for _ in sentence.words]
+
+        def mixed(sentence):
+            if r.random() < 0.5:
+                return chains(sentence)
+            return datagen.random_raw_tags(r, len(sentence), types=("NP", "PP"))
+
+        chained = stopped = 0
+        for tagger in (*taggers(seed), chains, mixed):
+            for _ in range(12):
+                sentence = datagen.random_sentence(r, r.randint(1, 14))
+                depth, calls = r.randint(1, 8), []
+                got = cascade_bracket(sentence, lambda s: calls.append(s) or tagger(s), depth, head)
+                checked = NestedSentence(strip_tags(sentence), r.sample(got.spans, len(got.spans)))
+                assert got.spans == checked.spans and got == checked
+                chained += len(got.spans) - len({(s.begin, s.end) for s in got.spans})
+                stopped += len(calls) == depth
+        assert chained > 0 and stopped > 0
+
+
 class TestInnermostLevel:
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_the_pairwise_rule_level_by_level(self, seed):

@@ -1067,7 +1067,7 @@ class TestTablePosTags:
                      ["combine", table, "--method", "majority"]):
             assert main([*argv, "-o", out_path(files)]) == 2
             errors.append(capsys.readouterr().err)
-        assert errors == ["error: __PAD__ is reserved for padding and cannot be a word or pos tag\n"] * 3
+        assert errors == ["error: line 2: __PAD__ is reserved for padding and cannot be a word or pos tag\n"] * 3
 
 
 class TestTableChunkTags:
@@ -1088,25 +1088,27 @@ class TestTableChunkTags:
             assert done.returncode == 2
             errors.add(done.stderr)
         assert errors == {
-            "error: bad chunk tag 'Q': expected O, B-TYPE or I-TYPE; chunk type O is reserved\n"
+            "error: line 2: bad chunk tag 'Q': expected O, B-TYPE or I-TYPE; chunk type O is reserved\n"
         }
 
 
 NESTED_TEXT = "about IN (NP(NP*\n25 CD *)\n$ $ (NP*\nmillion CD *))\n\n"
-# The chunkvote submodules loaded, and dataclasses or inspect if loaded:
-# building records must generate no code at start-up.
+# The chunkvote submodules loaded, and dataclasses, inspect or typing if
+# loaded: building records must generate no code at start-up, and
+# annotations must import nothing.
 PRINT_LOADED = ("print(*sorted(m for m in sys.modules"
-                " if m.startswith('chunkvote.') or m in ('dataclasses', 'inspect')))")
+                " if m.startswith('chunkvote.') or m in ('dataclasses', 'inspect', 'typing')))")
 RUN_MAIN = "import sys; from chunkvote.cli import main; assert main(sys.argv[1:]) == 0; "
 
 
 def loaded_modules(code, *args):
     """The modules ``PRINT_LOADED`` names, ``chunkvote.`` left out, that a
-    fresh interpreter running ``code`` has loaded."""
+    fresh interpreter running ``code`` has loaded; started with ``-S``, so
+    that no site hook has loaded any of them first."""
     env = dict(os.environ)
     src = str(Path(chunkvote.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+    done = subprocess.run([sys.executable, "-S", "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return {name.removeprefix("chunkvote.") for name in done.stdout.split()}
@@ -1131,8 +1133,8 @@ def startup_dir(tmp_path_factory):
 
 
 class TestStartUp:
-    """A subcommand loads only the modules it runs, and neither
-    ``dataclasses`` nor ``inspect``."""
+    """A subcommand loads only the modules it runs, and none of
+    ``dataclasses``, ``inspect`` and ``typing``."""
 
     BASE = {"cli", "corpus", "errors"}
     LEARN = {"features", "learners"}

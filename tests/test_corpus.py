@@ -1,5 +1,7 @@
 import itertools
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 
@@ -25,6 +27,7 @@ from chunkvote import (
     Token,
     ValidationError,
     WindowConfig,
+    cascade_bracket,
     convert_scheme,
     extract_chunks,
     parse_conll,
@@ -46,7 +49,7 @@ from chunkvote import (
     write_table,
 )
 import chunkvote.corpus
-from chunkvote.corpus import ColumnCheck, _chunk_ranges, column_blocks, text_lines
+from chunkvote.corpus import _chunk_ranges, column_blocks, columns_pass, text_lines
 from chunkvote.learners import IGTreeNode, KnnIndex, MaxEntTrace, Rule
 
 import datagen
@@ -483,8 +486,9 @@ class TestNestedFiles:
 
 
 class TestNestedSpansInReadingOrder:
-    """``parse_nested`` builds each sentence with ``NestedSentence.from_checked``
-    from spans put in order as they are read."""
+    """``parse_nested`` collects a sentence's spans as their brackets close,
+    sorts them once by ``_span_sort_key`` and builds the sentence with
+    ``NestedSentence.from_checked``: the checking constructor agrees."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_a_read_equals_the_checking_constructor(self, seed):
@@ -670,7 +674,7 @@ FIELD_VALUES = (*HOSTILE_VALUES, "a\u200bb", "\u2028x", "\x1f", "x\xa0y", "B-", 
 
 
 class TestColumnCheck:
-    """``ColumnCheck`` tests a word or pos tag only for ``PAD``: no other
+    """``columns_pass`` tests a word or pos tag only for ``PAD``: no other
     value ``str.split`` makes fails Token's checks."""
 
     def test_str_isspace_is_the_field_regex_whitespace(self):
@@ -682,7 +686,7 @@ class TestColumnCheck:
         r = datagen.rng(54_000 + seed)
         sentences = [datagen.random_sentence(r, r.randint(1, 8)) for _ in range(4)]
         text = write_conll(Corpus(sentences, TagScheme.IOB2))
-        check, outcomes = ColumnCheck(), Counter()  # one check per read, as the readers keep it
+        outcomes = Counter()
         for _ in range(60):
             damaged = text
             for _ in range(r.randint(1, 3)):
@@ -690,9 +694,61 @@ class TestColumnCheck:
             for _, rows in column_blocks(damaged):
                 for fields in filter(lambda fields: len(fields) in (2, 3), rows):
                     passed = not isinstance(_outcome(Token, *fields), tuple)
-                    assert check.passes(*([field] for field in fields)) == passed, fields
+                    assert columns_pass(*([field] for field in fields)) == passed, fields
                     outcomes[passed] += 1
         assert outcomes[True] > 500 and outcomes[False] > 0, outcomes
+
+
+# Strings that ``_TAG_RE`` passes or fails, some only just.
+TAG_VALUES = ("O", "B-NP", "I-X_Y", "B-O", "I-O", "B-", "b-NP", "O-NP", "B-NP\n", "B-N P", "I-\u0660",
+              "", "Q", "BB-NP", "I-Np2")
+
+
+class TestValidTagMemo:
+    """One memo of the chunk tags that passed ``_TAG_RE`` serves every reader,
+    ``check_tag_row`` and the cascade."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_memo_holds_only_tags_that_pass(self, seed):
+        r = datagen.rng(56_000 + seed)
+        sentences = [datagen.random_sentence(r, r.randint(1, 8)) for _ in range(4)]
+        text = write_conll(Corpus(sentences, TagScheme.IOB2))
+        rows = [[PredictionRow(pos, (tag, r.choice(("O", "B-NP", "I-VP"))), tag)
+                 for pos, tag in zip(s.pos_tags, s.chunk_tags)] for s in sentences]
+        table = write_table(PredictionTable(("a", "b"), rows))
+        failed, values = 0, (*FIELD_VALUES, *TAG_VALUES)
+        for _ in range(50):
+            failed += isinstance(_outcome(parse_conll, datagen.mutate(r, text, values), TagScheme.IOB2, 3,
+                                          False), tuple)
+            failed += isinstance(_outcome(read_table, datagen.mutate(r, table, values)), tuple)
+            sentence = r.choice(sentences)
+            tags = r.choices(TAG_VALUES, k=len(sentence))
+            failed += isinstance(_outcome(with_tags, sentence, tags), tuple)
+            failed += isinstance(_outcome(cascade_bracket, sentence, lambda s: tags[:len(s)]), tuple)
+        assert failed > 50
+        assert all(tag is None or chunkvote.corpus._TAG_RE.fullmatch(tag)
+                   for tag in chunkvote.corpus._VALID_TAGS)
+
+    def test_the_first_bad_token_is_named_whatever_the_hash_seed(self):
+        code = (
+            "from chunkvote import TagScheme, cascade_bracket, parse_conll, with_tags\n"
+            "s = parse_conll('a DT\\nb NN\\nc NN\\nd VB\\ne NN\\n', TagScheme.IOB2, columns=2).sentences[0]\n"
+            "tags = ['B-NP', 'I-O', 'Q', 'b-NP', 'I-O']\n"
+            "for run in (lambda: with_tags(s, ['O'] * 5), lambda: with_tags(s, tags),\n"
+            "            lambda: cascade_bracket(s, lambda s: tags)):\n"
+            "    try:\n"
+            "        run()\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+        )
+        outputs = set()
+        for seed in "01234":
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        error = "ValidationError bad chunk tag 'I-O': expected O, B-TYPE or I-TYPE; chunk type O is reserved\n"
+        assert outputs == {error * 2}
 
 
 class TestReadersMatchTheReferenceReaders:

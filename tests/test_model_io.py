@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import chunkvote.corpus
@@ -168,6 +170,18 @@ class TestMalformedInput:
         text = self.good(tiny_corpus)
         text = text.replace("left_words=2", "side_words=2", 1)
         with pytest.raises(ParseError, match="bad window field"):
+            loads_model(text)
+
+    def test_a_repeated_window_field_is_rejected(self, tiny_corpus):
+        # the same value twice, so the slot names would not tell
+        text = self.good(tiny_corpus).replace("left_words=2 ", "left_words=2 left_words=2 ", 1)
+        with pytest.raises(ParseError, match="^repeated window field 'left_words'$"):
+            loads_model(text)
+
+    @pytest.mark.parametrize("raw", ["5", "2", "-1", "01", "+1", "true"])
+    def test_a_window_flag_must_be_0_or_1(self, tiny_corpus, raw):
+        text = self.good(tiny_corpus).replace("use_focus_word=1", f"use_focus_word={raw}", 1)
+        with pytest.raises(ParseError, match=f"^bad window field 'use_focus_word={re.escape(raw)}'$"):
             loads_model(text)
 
     def test_missing_window_field(self, tiny_corpus):
