@@ -71,9 +71,9 @@ def _collapse(
     next_firsts += firsts[position:]
     next_lasts += lasts[position:]
     heads = next_firsts if head == "first" else next_lasts
-    words = tuple(map(original.words.__getitem__, heads))
-    pos_tags = tuple(map(original.pos_tags.__getitem__, heads))
-    return next_firsts, next_lasts, Sentence.from_checked(words, pos_tags)
+    words, pos_tags = original.words, original.pos_tags  # a list's tuple is made at its size
+    return next_firsts, next_lasts, Sentence.from_checked(
+        tuple([words[i] for i in heads]), tuple([pos_tags[i] for i in heads]))
 
 
 def cascade_bracket(

@@ -65,10 +65,7 @@ class Record:
     AttributeError, and ``==``, ``hash`` and ``repr`` go over the fields
     ``_fields`` names, in order.  Only records of one class compare equal.
 
-    Constructors fill their fields with ``_set`` or ``_init``.  Only
-    ChunkSpan spells out its ``__eq__`` and ``__hash__``: scoring hashes
-    every span, and reading named attributes is faster than the generic
-    ``attrgetter``.
+    Constructors fill their fields with ``_set`` or ``_init``.
     """
 
     __slots__ = ()
@@ -253,14 +250,6 @@ class ChunkSpan(Record):
         _set(self, "begin", begin)
         _set(self, "end", end)
         _set(self, "label", label)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.begin, self.end, self.label) == (other.begin, other.end, other.label)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.begin, self.end, self.label))
 
 
 def _span_sort_key(span: ChunkSpan) -> tuple[int, int, str]:

@@ -22,6 +22,7 @@ from .corpus import (
     Record,
     Sentence,
     TagScheme,
+    _chunk_ranges,
     check_chunk_tag,
     check_pos_tag,
     column_blocks,
@@ -67,6 +68,16 @@ class PredictionRow(Record):
         _set(self, "gold", gold)
 
 
+def _check_table_shape(systems: tuple[str, ...], sentences: tuple) -> None:
+    if not systems:
+        raise ValidationError("a prediction table needs at least one system")
+    if len(set(systems)) != len(systems):
+        raise ValidationError("system names must be unique")
+    _check_not_reserved(systems)
+    if not sentences:
+        raise ValidationError("a prediction table needs at least one sentence")
+
+
 class PredictionTable(Record):
     """Aligned per-token predictions of several systems."""
 
@@ -74,13 +85,7 @@ class PredictionTable(Record):
 
     def __init__(self, systems: Iterable[str], sentences: Iterable[Iterable[PredictionRow]]):
         systems, sentences = tuple(systems), tuple(map(tuple, sentences))
-        if not systems:
-            raise ValidationError("a prediction table needs at least one system")
-        if len(set(systems)) != len(systems):
-            raise ValidationError("system names must be unique")
-        _check_not_reserved(systems)
-        if not sentences:
-            raise ValidationError("a prediction table needs at least one sentence")
+        _check_table_shape(systems, sentences)
         golds = set()
         # Each distinct cell in first-row order (gold before predictions, as
         # in a table file), to name the first bad one.
@@ -107,6 +112,11 @@ class PredictionTable(Record):
         for tag in tags:
             check_chunk_tag(tag)
         self._init(systems, sentences)
+
+    @classmethod
+    def from_checked(cls, systems: tuple[str, ...], sentences: tuple[tuple[PredictionRow, ...], ...]):
+        """A table of values that pass the constructor's checks, as a reader checked them."""
+        return object.__new__(cls)._init(systems, sentences)
 
     @property
     def has_gold(self) -> bool:
@@ -204,7 +214,10 @@ def read_table(text: str) -> PredictionTable:
                     raise ValidationError(f"line {lineno}: {exc}") from None
         golds = columns[0] if has_gold else itertools.repeat(None)
         sentences.append(tuple(map(PredictionRow, columns[has_gold], zip(*columns[1 + has_gold:]), golds)))
-    return PredictionTable(tuple(header[1 + has_gold:]), tuple(sentences))
+    # Every row has the header's width and passed the field checks above.
+    systems, table = tuple(header[1 + has_gold:]), tuple(sentences)
+    _check_table_shape(systems, table)
+    return PredictionTable.from_checked(systems, table)
 
 
 #---------------------------------------------------------------------------
@@ -526,19 +539,18 @@ def stacked_train(
 #---------------------------------------------------------------------------
 # best subset selection
 
-def _subset_report(table: PredictionTable, gold_spans: list, subset: Sequence[int]) -> EvalReport:
+def _subset_report(table: PredictionTable, gold_ranges: list, subset: Sequence[int]) -> EvalReport:
     """Chunk level score of majority voting over the systems at ``subset``."""
-    from .metrics import score_chunks
+    from .metrics import _score_ranges
 
     voted = _decide_rows(table, lambda row: vote([(table.systems[i], row.preds[i]) for i in subset]))
-    return score_chunks(gold_spans, [extract_chunks(tags) for tags in voted])
+    return _score_ranges(gold_ranges, list(map(_chunk_ranges, voted)))
 
 
 def evaluate_subset(table: PredictionTable, systems: Sequence[str]) -> EvalReport:
     """Chunk level score of majority voting over a subset of systems."""
     indices = [table.systems.index(name) for name in systems]
-    gold_spans = [extract_chunks(tags) for tags in table.gold_column()]
-    return _subset_report(table, gold_spans, indices)
+    return _subset_report(table, list(map(_chunk_ranges, table.gold_column())), indices)
 
 
 def best_n_select(table: PredictionTable, n: int) -> tuple[str, ...]:
@@ -552,10 +564,10 @@ def best_n_select(table: PredictionTable, n: int) -> tuple[str, ...]:
         raise ValidationError("subset selection needs a tuning table with gold tags")
     if not 1 <= n <= len(table.systems):
         raise ConfigError(f"n must be between 1 and {len(table.systems)}, got {n}")
-    gold_spans = [extract_chunks(tags) for tags in table.gold_column()]
+    gold_ranges = list(map(_chunk_ranges, table.gold_column()))
     best = max(
         itertools.combinations(range(len(table.systems)), n),
-        key=lambda subset: _subset_report(table, gold_spans, subset).f_rate,
+        key=lambda subset: _subset_report(table, gold_ranges, subset).f_rate,
     )
     return tuple(table.systems[i] for i in best)
 

@@ -29,6 +29,7 @@ from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cached_property
+from operator import itemgetter
 
 from .corpus import Corpus, Record, Sentence, TagScheme, check_system_name, pick_best, with_tags
 from .errors import ConfigError, ValidationError
@@ -460,18 +461,18 @@ def train_maxent(
         else:
             counts[label] = counts.get(label, 0) + 1
 
-    raw: Counter = Counter()
-    for vector, counts in label_counts.items():
-        for label, n in counts.items():
-            for slot, value in enumerate(vector):
-                raw[(slot, value, label)] += n
+    # Each slot's (value, label) pairs are counted in C, as slot_gains
+    # counts them, so features are numbered slot by slot.
+    item_vectors = list(map(itemgetter(0), dataset.items))
+    item_labels = list(map(itemgetter(1), dataset.items))
     features: list[tuple[int, str, str]] = []
     empirical: list[float] = []
-    for feat, n in raw.items():
-        if n >= cutoff:
-            features.append(feat)
-            empirical.append(float(n))
-    del raw
+    for slot in range(dataset.arity):
+        for (value, label), n in Counter(zip(map(itemgetter(slot), item_vectors), item_labels)).items():
+            if n >= cutoff:
+                features.append((slot, value, label))
+                empirical.append(float(n))
+    del item_vectors, item_labels
     n_features = len(features)
     class_ids = {c: ci for ci, c in enumerate(classes)}
     # Each unique vector's (class index, count) pairs, in class order; one
@@ -484,24 +485,30 @@ def train_maxent(
     vectors = list(label_counts)
     del label_counts
 
-    # Active feature ids per unique vector and class, in slot order, found
-    # through the (class index, feature id) pairs of each (slot, value).
-    # The correction feature pads each of them up to the constant.
-    by_value = _by_slot_value(zip(features, range(n_features)), classes)
-    active: list[tuple[tuple[int, ...], ...]] = []
-    for vector in vectors:
-        per_class: list[list[int]] = [[] for _ in classes]
-        for slot_value in enumerate(vector):
-            for ci, fid in by_value.get(slot_value, ()):
-                per_class[ci].append(fid)
-        active.append(tuple(map(tuple, per_class)))
+    # Per unique vector, the (class index, feature id) pairs of each of its
+    # (slot, value)s, in slot order, as one tuple per (slot, value) that all
+    # vectors share; and its feature count per class, one tuple per distinct
+    # pattern, which the correction feature pads up to the constant.
+    by_value = {key: tuple(pairs)
+                for key, pairs in _by_slot_value(zip(features, range(n_features)), classes).items()}
+    active = [tuple(filter(None, map(by_value.get, enumerate(vector)))) for vector in vectors]
     del vectors, by_value
-    constant = max(1, max(len(ids) for per_class in active for ids in per_class))
+    count_patterns: dict[tuple[int, ...], tuple[int, ...]] = {}
+    active_counts = []
+    for keys in active:
+        n = [0] * len(classes)
+        for pairs in keys:
+            for ci, _ in pairs:
+                n[ci] += 1
+        n = tuple(n)
+        active_counts.append(count_patterns.setdefault(n, n))
+    constant = max(1, max(map(max, count_patterns)))
+    del count_patterns
 
     emp_corr = 0.0
-    for per_class, pairs in zip(active, gold):
-        for ci, n in pairs:
-            emp_corr += n * (constant - len(per_class[ci]))
+    for n, pairs in zip(active_counts, gold):
+        for ci, k in pairs:
+            emp_corr += k * (constant - n[ci])
 
     lambdas = [0.0] * n_features
     corr_lambda = 0.0
@@ -509,28 +516,29 @@ def train_maxent(
 
     def pass_over_data(expected: list[float] | None) -> tuple[float, float]:
         """The correction's expected count and the log likelihood; adds each
-        feature's expected count to ``expected`` unless it is None."""
+        feature's expected count to ``expected`` unless it is None.  Each
+        class's score starts at its correction term and adds its lambdas
+        slot by slot."""
         exp_c = 0.0
         ll = 0.0
-        for per_class, total, pairs in zip(active, totals, gold):
-            scores = []
-            for ids in per_class:
-                s = corr_lambda * (constant - len(ids))
-                for fid in ids:
-                    s += lambdas[fid]
-                scores.append(s)
+        for keys, n, total, pairs in zip(active, active_counts, totals, gold):
+            scores = [corr_lambda * (constant - k) for k in n]
+            for key_pairs in keys:
+                for ci, fid in key_pairs:
+                    scores[ci] += lambdas[fid]
             top = max(scores)
             exps = [math.exp(s - top) for s in scores]
             z = _sum_in_order(exps)
             log_z = top + math.log(z)
             if expected is not None:
-                for ids, e in zip(per_class, exps):
-                    w = total * (e / z)
-                    for fid in ids:
-                        expected[fid] += w
-                    exp_c += w * (constant - len(ids))
-            for ci, n in pairs:
-                ll += n * (scores[ci] - log_z)
+                ws = [total * (e / z) for e in exps]
+                for key_pairs in keys:
+                    for ci, fid in key_pairs:
+                        expected[fid] += ws[ci]
+                for k, w in zip(n, ws):
+                    exp_c += w * (constant - k)
+            for ci, k in pairs:
+                ll += k * (scores[ci] - log_z)
         return exp_c, ll
 
     for _ in range(iterations):
@@ -543,7 +551,7 @@ def train_maxent(
             corr_lambda += _gis_delta(emp_corr, exp_corr, corr_lambda, constant, sigma)
         del expected  # before the next pass makes its own
     loglik.append(pass_over_data(None)[1])
-    del active, gold, totals  # before the weight dict is built
+    del active, active_counts, gold, totals  # before the weight dict is built
 
     return MaxEntModel(
         weights=dict(zip(features, lambdas)),

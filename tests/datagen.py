@@ -5,6 +5,7 @@ seed; nothing here touches the global RNG.
 """
 
 import random
+import zlib
 
 from chunkvote import (
     ChunkSpan,
@@ -14,7 +15,9 @@ from chunkvote import (
     Sentence,
     TagScheme,
     Token,
+    extract_chunks,
     tags_from_chunks,
+    with_tags,
 )
 
 CHUNK_TYPES = ("NP", "VP", "PP")
@@ -120,6 +123,20 @@ def grammar_sentence(r):
 
 def grammar_corpus(r, size):
     return Corpus(tuple(grammar_sentence(r) for _ in range(size)), TagScheme.IOB2)
+
+
+def split_chunk_types(corpus):
+    """The corpus with each chunk type split in two by the CRC-32 of the
+    chunk's first word: a chunk of type T keeps T or becomes T2.  The
+    5 chunk types of the benchmark corpora give 21 classes."""
+    sentences = []
+    for sentence in corpus.sentences:
+        spans = []
+        for span in extract_chunks(sentence.chunk_tags):
+            odd = zlib.crc32(sentence.words[span.begin].encode()) & 1
+            spans.append(ChunkSpan(span.begin, span.end, span.label + "2" * odd))
+        sentences.append(with_tags(sentence, tags_from_chunks(len(sentence), spans, corpus.scheme)))
+    return Corpus(sentences, corpus.scheme)
 
 
 def random_table_data(r, n_sentences, systems, tags, noise=0.2, min_len=1, max_len=8):

@@ -32,6 +32,7 @@ from chunkvote import (
     with_tags,
 )
 from chunkvote.corpus import check_chunk_tag
+from chunkvote.learners import MaxEntModel, MaxEntTrace, _gis_delta
 
 
 def oracle_chunks(tags):
@@ -726,3 +727,85 @@ def reference_read_table(text):
         if rows:
             sentences.append(tuple(rows))
     return PredictionTable(tuple(header[1 + has_gold:]), tuple(sentences))
+
+
+def reference_train_maxent(dataset, iterations, sigma=None, cutoff=2):
+    """``train_maxent`` holding one tuple of feature ids per unique vector
+    and class, with features numbered in order of first occurrence over
+    the unique vectors.  A pass sums each class's lambdas and adds each
+    expected count in the package's float order."""
+    class_counts = dataset.class_counts()
+    classes = tuple(sorted(class_counts))
+    class_ids = {c: ci for ci, c in enumerate(classes)}
+    label_counts = {}
+    for vector, label in dataset.items:
+        counts = label_counts.setdefault(vector, {})
+        counts[label] = counts.get(label, 0) + 1
+    raw = Counter()
+    for vector, counts in label_counts.items():
+        for label, n in counts.items():
+            for slot, value in enumerate(vector):
+                raw[(slot, value, label)] += n
+    features = [feat for feat, n in raw.items() if n >= cutoff]
+    empirical = [float(raw[feat]) for feat in features]
+    by_value = {}
+    for fid, (slot, value, label) in enumerate(features):
+        by_value.setdefault((slot, value), []).append((class_ids[label], fid))
+    active, gold, totals = [], [], []
+    for vector, counts in label_counts.items():
+        per_class = [[] for _ in classes]
+        for slot_value in enumerate(vector):
+            for ci, fid in by_value.get(slot_value, ()):
+                per_class[ci].append(fid)
+        active.append(per_class)
+        gold.append(sorted((class_ids[label], n) for label, n in counts.items()))
+        totals.append(sum(counts.values()))
+    constant = max(1, max(len(ids) for per_class in active for ids in per_class))
+    emp_corr = 0.0
+    for per_class, pairs in zip(active, gold):
+        for ci, n in pairs:
+            emp_corr += n * (constant - len(per_class[ci]))
+    lambdas = [0.0] * len(features)
+    corr_lambda = 0.0
+
+    def pass_over_data(expected):
+        exp_c = 0.0
+        ll = 0.0
+        for per_class, total, pairs in zip(active, totals, gold):
+            scores = []
+            for ids in per_class:
+                s = corr_lambda * (constant - len(ids))
+                for fid in ids:
+                    s += lambdas[fid]
+                scores.append(s)
+            top = max(scores)
+            exps = [math.exp(s - top) for s in scores]
+            z = 0.0
+            for e in exps:
+                z += e
+            log_z = top + math.log(z)
+            if expected is not None:
+                for ids, e in zip(per_class, exps):
+                    w = total * (e / z)
+                    for fid in ids:
+                        expected[fid] += w
+                    exp_c += w * (constant - len(ids))
+            for ci, n in pairs:
+                ll += n * (scores[ci] - log_z)
+        return exp_c, ll
+
+    loglik = []
+    for _ in range(iterations):
+        expected = [0.0] * len(features)
+        exp_corr, ll = pass_over_data(expected)
+        loglik.append(ll)
+        for fid in range(len(features)):
+            lambdas[fid] += _gis_delta(empirical[fid], expected[fid], lambdas[fid], constant, sigma)
+        if emp_corr > 0.0:
+            corr_lambda += _gis_delta(emp_corr, exp_corr, corr_lambda, constant, sigma)
+    loglik.append(pass_over_data(None)[1])
+    return MaxEntModel(
+        weights=dict(zip(features, lambdas)), classes=classes, constant=constant,
+        correction=corr_lambda, class_counts=dict(class_counts), slot_names=dataset.slot_names,
+        trace=MaxEntTrace(loglik=tuple(loglik), iterations=iterations),
+    )

@@ -1,3 +1,4 @@
+import itertools
 import re
 import weakref
 
@@ -11,6 +12,7 @@ from chunkvote import (
     CombinerWeights,
     ConfigError,
     Corpus,
+    Counts,
     LearnerSpec,
     ParseError,
     PredictionRow,
@@ -45,7 +47,7 @@ from chunkvote.ensemble import evaluate_subset
 
 import datagen
 from conftest import make_sentence
-from oracles import oracle_bracket_vote, oracle_vote
+from oracles import oracle_bracket_vote, oracle_chunks, oracle_score, oracle_vote, reference_read_table
 
 TAGS = ("B-NP", "I-NP", "O")
 
@@ -547,6 +549,14 @@ def combine_every_way(table, weights):
             assert_token_values(combine_corpus(table, method=method, weights=weights))
 
 
+def reader_outcome(read, text):
+    """What a reader gives: its records, or its error's class and message."""
+    try:
+        return read(text)
+    except ChunkvoteError as exc:
+        return type(exc), str(exc)
+
+
 class TestMutatedReaders:
     def test_only_chunkvote_errors_escape_read_table(self):
         r = datagen.rng(42_000)
@@ -566,6 +576,20 @@ class TestMutatedReaders:
             except ChunkvoteError:
                 pass
         assert read > 0
+
+    def test_read_table_names_the_first_fault_as_the_reference_does(self):
+        # Header edits give repeated and reserved system names; the reader
+        # checks them after the rows, as the checking constructor did.
+        r = datagen.rng(42_500)
+        header, body = write_table(fuzz_table()).split("\n", 1)
+        for _ in range(400):
+            fields = header.split()
+            if r.random() < 0.5:
+                fields[r.randrange(2, len(fields))] = r.choice(("a", "b", "c", "d", "gold", "pos"))
+            mutated = " ".join(fields) + "\n" + (body if r.random() < 0.95 else "")
+            for _ in range(r.randrange(3)):
+                mutated = datagen.mutate(r, mutated, READER_VALUES)
+            assert reader_outcome(read_table, mutated) == reader_outcome(reference_read_table, mutated)
 
     def test_only_chunkvote_errors_escape_read_weights(self):
         r = datagen.rng(43_000)
@@ -844,6 +868,32 @@ class TestBestN:
             len([s for s in p if s in g]) for g, p in zip(gold_spans, pred_spans)
         )
         assert report.f_rate == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_subset_scores_match_the_oracle_on_tag_soup(self, seed):
+        r = datagen.rng(44_000 + seed)
+        systems = ("a", "b", "c", "d")
+        sentences, gold = [], []
+        for _ in range(12):
+            length = r.randint(1, 8)
+            gold.append(datagen.random_raw_tags(r, length))
+            votes = zip(*(datagen.random_raw_tags(r, length) for _ in systems))
+            sentences.append([("NN", row) for row in votes])
+        table = table_from_rows(systems, sentences, gold)
+        gold_spans = [oracle_chunks(tags) for tags in gold]
+        for n in range(1, len(systems) + 1):
+            reports = {}
+            for subset in itertools.combinations(range(len(systems)), n):
+                voted = [[oracle_vote([(systems[i], row[i]) for i in subset], "majority") for _, row in rows]
+                         for rows in sentences]
+                overall, per_label = oracle_score(gold_spans, [oracle_chunks(tags) for tags in voted])
+                report = reports[subset] = evaluate_subset(table, [systems[i] for i in subset])
+                assert report.overall == Counts(**overall)
+                assert {k: (v.found, v.gold, v.correct) for k, v in report.per_label.items()} == {
+                    k: (v["found"], v["gold"], v["correct"]) for k, v in per_label.items()
+                }
+            best = max(reports, key=lambda subset: reports[subset].f_rate)
+            assert best_n_select(table, n) == tuple(systems[i] for i in best)
 
     def test_errors(self):
         table = self.table()

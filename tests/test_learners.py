@@ -44,7 +44,9 @@ from chunkvote.learners import (
 
 import datagen
 from conftest import make_sentence, make_untagged
-from oracles import oracle_igtree_path, oracle_knn, oracle_maxent_loglik, oracle_maxent_scores
+from oracles import (
+    oracle_igtree_path, oracle_knn, oracle_maxent_loglik, oracle_maxent_scores, reference_train_maxent,
+)
 
 
 def dataset(rows, slot_names=None):
@@ -647,6 +649,29 @@ class TestMaxEnt:
 
         assert (peak(6_000) - peak(3_000)) / 3_000 < 384
 
+    def test_peak_memory_per_distinct_vector_does_not_grow_with_classes(self):
+        # Every vector holds one value of each of two slots, and every value
+        # occurs with every class, so all vectors have equal feature counts
+        # per class.  What a vector costs is then its tuple of shared
+        # (slot, value) entries, whatever the class count; one id tuple per
+        # class and vector cost ~70 bytes more per class.
+        def slope(n_classes):
+            labels = [f"C{k}" for k in range(n_classes)]
+
+            def peak(rows):
+                data = dataset([((f"a{i}", f"b{j}"), labels[(i + j) % n_classes])
+                                for i in range(rows) for j in range(200)])
+                tracemalloc.start()
+                try:
+                    train_maxent(data, iterations=1, cutoff=1)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+            return (peak(30) - peak(15)) / 3_000
+
+        assert slope(12) < slope(3) + 48
+
     def test_training_is_deterministic(self):
         data = dataset([(["a", "p"], "X"), (["b", "p"], "Y"), (["a", "q"], "Y")])
         first = train_maxent(data, iterations=15, cutoff=1)
@@ -669,6 +694,56 @@ class TestMaxEnt:
         model = train_maxent(self.skewed(), iterations=100)
         with pytest.raises(ValidationError):
             predict_maxent(model, ("x", "y"))
+
+
+def maxent_data(r, n_classes, size=120, arity=4):
+    """Seeded items over small alphabets with Zipf-like labels from
+    ``n_classes`` classes.  Some vectors repeat with another label, and the
+    last class labels one item only, so a cutoff above 1 leaves it without
+    features."""
+    labels = [f"B-C{k:02d}" for k in range(n_classes)]
+    rows = []
+    for i in range(size):
+        vector = [r.choice("abcdefg"[:2 + slot]) for slot in range(arity)]
+        label = labels[i] if i < n_classes - 1 else labels[min(int(r.expovariate(0.4)), n_classes - 2)]
+        rows.append((vector, label))
+        if r.random() < 0.25:
+            rows.append((vector, r.choice(labels[:-1])))
+    rows.append((rows[0][0], labels[-1]))
+    return dataset(rows)
+
+
+def maxent_output(model):
+    t = model.trace
+    return dumps_model(model), repr((t.loglik, t.iterations))
+
+
+class TestMaxEntReference:
+    """GIS over shared (slot, value) entries gives the bytes of the layout
+    with one id tuple per vector and class."""
+
+    @pytest.mark.parametrize("iterations", [1, 3, 10])
+    @pytest.mark.parametrize("sigma", [None, 1.0])
+    @pytest.mark.parametrize("cutoff", [1, 3])
+    def test_model_file_and_trace_match_the_reference(self, iterations, sigma, cutoff):
+        r = datagen.rng(58_000 + 10 * iterations + 2 * cutoff + (sigma is None))
+        for n_classes in (2, 3, 5, 11, 21):
+            data = maxent_data(r, n_classes)
+            model = train_maxent(data, iterations=iterations, sigma=sigma, cutoff=cutoff)
+            assert len(model.classes) == n_classes
+            if cutoff > 1:
+                assert all(c != model.classes[-1] for _, _, c in model.weights)
+            expected = reference_train_maxent(data, iterations=iterations, sigma=sigma, cutoff=cutoff)
+            assert maxent_output(model) == maxent_output(expected)
+
+    def test_split_chunk_types_match_the_reference(self):
+        r = datagen.rng(58_500)
+        corpus = datagen.split_chunk_types(datagen.grammar_corpus(r, 150))
+        data = corpus_to_dataset(corpus, MAXENT_WINDOW)
+        assert len(data.class_counts()) > 2 * len(datagen.CHUNK_TYPES) + 1
+        for cutoff in (1, 2):
+            model = train_maxent(data, iterations=3, cutoff=cutoff)
+            assert maxent_output(model) == maxent_output(reference_train_maxent(data, 3, cutoff=cutoff))
 
 
 class TestRules:

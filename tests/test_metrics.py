@@ -25,7 +25,7 @@ from chunkvote import (
 
 import datagen
 from conftest import make_sentence
-from oracles import oracle_f, oracle_score
+from oracles import oracle_chunks, oracle_f, oracle_score
 
 
 def spans(*triples):
@@ -187,6 +187,20 @@ class TestScoreTagged:
         )
         assert report == direct
         assert report.overall == Counts(found=2, gold=2, correct=1)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_oracle_on_tag_soup(self, seed):
+        r = datagen.rng(5_500 + seed)
+        lengths = [r.randint(1, 12) for _ in range(15)]
+        gold = self.corpus(*(datagen.random_raw_tags(r, n) for n in lengths))
+        pred = self.corpus(*(datagen.random_raw_tags(r, n) for n in lengths))
+        report = score_tagged(gold, pred)
+        overall, per_label = oracle_score([oracle_chunks(s.chunk_tags) for s in gold.sentences],
+                                          [oracle_chunks(s.chunk_tags) for s in pred.sentences])
+        assert report.overall == Counts(**overall)
+        assert {k: (v.found, v.gold, v.correct) for k, v in report.per_label.items()} == {
+            k: (v["found"], v["gold"], v["correct"]) for k, v in per_label.items()
+        }
 
     def test_broken_prediction_tags_are_repaired(self):
         gold = self.corpus(["B-NP", "I-NP"])
