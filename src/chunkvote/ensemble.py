@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
+from operator import attrgetter
 
 from .corpus import (
     PLACEHOLDER_WORD,
@@ -310,17 +311,17 @@ def estimate_weights(table: PredictionTable) -> CombinerWeights:
     hit_count: Counter = Counter()
     gold_count: Counter = Counter()
     pair_counts: dict[tuple[str, str, str, str], Counter] = {}
-    for row in table.rows():
-        total += 1
-        gold_count[row.gold] += 1
-        for name, tag in zip(systems, row.preds):
-            if tag == row.gold:
-                correct[name] += 1
-                hit_count[(name, tag)] += 1
-            pred_count[(name, tag)] += 1
+    for (preds, gold), count in Counter((row.preds, row.gold) for row in table.rows()).items():
+        total += count
+        gold_count[gold] += count
+        for name, tag in zip(systems, preds):
+            if tag == gold:
+                correct[name] += count
+                hit_count[(name, tag)] += count
+            pred_count[(name, tag)] += count
         for (i, a), (j, b) in itertools.combinations(enumerate(systems), 2):
-            key = (a, b, row.preds[i], row.preds[j])
-            pair_counts.setdefault(key, Counter())[row.gold] += 1
+            key = (a, b, preds[i], preds[j])
+            pair_counts.setdefault(key, Counter())[gold] += count
     accuracy = {name: correct[name] / total for name in systems}
     tag_precision = {
         key: hit_count.get(key, 0) / n for key, n in pred_count.items()
@@ -505,9 +506,14 @@ def vote(
     return pick_best(scores, frequencies)
 
 
-def _decide_rows(table: PredictionTable, decide: Callable[[PredictionRow], str]) -> list[list[str]]:
-    """One decided tag per table row, per sentence."""
-    return [[decide(row) for row in rows] for rows in table.sentences]
+def _decide_rows(table: PredictionTable, key: Callable[[PredictionRow], Hashable],
+                 decide: Callable[[Hashable], str]) -> list[list[str]]:
+    """One decided tag per table row, per sentence.  A decision reads only
+    its row's ``key``, so each distinct key is decided once, in order of
+    first occurrence."""
+    keys = [list(map(key, rows)) for rows in table.sentences]
+    decided = {k: decide(k) for k in dict.fromkeys(itertools.chain.from_iterable(keys))}
+    return [list(map(decided.__getitem__, row_keys)) for row_keys in keys]
 
 
 #---------------------------------------------------------------------------
@@ -543,7 +549,9 @@ def _subset_report(table: PredictionTable, gold_ranges: list, subset: Sequence[i
     """Chunk level score of majority voting over the systems at ``subset``."""
     from .metrics import _score_ranges
 
-    voted = _decide_rows(table, lambda row: vote([(table.systems[i], row.preds[i]) for i in subset]))
+    names = [table.systems[i] for i in subset]
+    voted = _decide_rows(table, lambda row: tuple(map(row.preds.__getitem__, subset)),
+                         lambda preds: vote(list(zip(names, preds))))
     return _score_ranges(gold_ranges, list(map(_chunk_ranges, voted)))
 
 
@@ -673,7 +681,7 @@ def combine_corpus(
         ]
     else:
         voted = _decide_rows(
-            table, lambda row: vote(list(zip(table.systems, row.preds)), method, weights)
+            table, attrgetter("preds"), lambda preds: vote(list(zip(table.systems, preds)), method, weights)
         )
         spans = [extract_chunks(tags) for tags in voted]
     return _normalised_corpus(spans, table, words)
@@ -694,5 +702,5 @@ def stacked_corpus(
         raise ValidationError(
             f"model columns {' '.join(systems)} differ from table systems {' '.join(table.systems)}"
         )
-    tags = _decide_rows(table, lambda row: model.predict(_stacked_vector(row, add_pos)))
+    tags = _decide_rows(table, lambda row: _stacked_vector(row, add_pos), model.predict)
     return _normalised_corpus([extract_chunks(t) for t in tags], table, words)

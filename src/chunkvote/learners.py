@@ -370,33 +370,34 @@ class MaxEntModel(Record):
         _set(self, "trace", trace)  # not a field, so never compared or printed
 
     @cached_property
-    def index(self) -> dict[tuple[int, str], list[tuple[int, float]]]:
-        """Each (slot, value) with the (class index, weight) pairs of its
+    def index(self) -> list[dict[str, list[tuple[int, float]]]]:
+        """Per slot, each value with the (class index, weight) pairs of its
         features, built on first use; not a field, so never compared,
         printed or saved."""
-        return _by_slot_value(self.weights.items(), self.classes)
+        return _by_slot_value(self.weights.items(), self.classes, len(self.slot_names))
 
     def scores(self, vector: FeatureVector) -> dict[str, float]:
         if len(vector) != len(self.slot_names):
             raise ValidationError(f"vector arity {len(vector)}, model expects {len(self.slot_names)}")
-        index = self.index
         totals = [0.0] * len(self.classes)
         active = [0] * len(self.classes)
         # Each class's weights are added in slot order.
-        for slot_value in enumerate(vector):
-            for ci, lam in index.get(slot_value, ()):
+        for pairs in filter(None, map(dict.get, self.index, vector)):
+            for ci, lam in pairs:
                 totals[ci] += lam
                 active[ci] += 1
         return {c: score + self.correction * (self.constant - n)
                 for c, score, n in zip(self.classes, totals, active)}
 
 
-def _by_slot_value(features: Iterable[tuple[tuple[int, str, str], object]], classes: Sequence[str]) -> dict:
-    """Each (slot, value) with the (class index, payload) pairs of its
+def _by_slot_value(features: Iterable[tuple[tuple[int, str, str], object]], classes: Sequence[str],
+                   arity: int) -> list[dict]:
+    """Per slot, each value with the (class index, payload) pairs of its
     ((slot, value, class), payload) ``features``; raises ValidationError
-    for a feature whose class is not in ``classes``."""
+    for a feature whose slot is not one of the ``arity`` slots or whose
+    class is not in ``classes``."""
     class_ids = {c: ci for ci, c in enumerate(classes)}
-    index: dict[tuple[int, str], list] = {}
+    index: list[dict[str, list]] = [{} for _ in range(arity)]
     for (slot, value, c), payload in features:
         try:
             ci = class_ids[c]
@@ -404,7 +405,9 @@ def _by_slot_value(features: Iterable[tuple[tuple[int, str, str], object]], clas
             raise ValidationError(
                 f"feature {(slot, value, c)} has class {c!r}, not one of the model's classes"
             ) from None
-        index.setdefault((slot, value), []).append((ci, payload))
+        if not 0 <= slot < arity:
+            raise ValidationError(f"feature {(slot, value, c)} has slot {slot}, outside the {arity} slots")
+        index[slot].setdefault(value, []).append((ci, payload))
     return index
 
 
@@ -487,28 +490,38 @@ def train_maxent(
 
     # Per unique vector, the (class index, feature id) pairs of each of its
     # (slot, value)s, in slot order, as one tuple per (slot, value) that all
-    # vectors share; and its feature count per class, one tuple per distinct
-    # pattern, which the correction feature pads up to the constant.
-    by_value = {key: tuple(pairs)
-                for key, pairs in _by_slot_value(zip(features, range(n_features)), classes).items()}
-    active = [tuple(filter(None, map(by_value.get, enumerate(vector)))) for vector in vectors]
-    del vectors, by_value
-    count_patterns: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # vectors share.
+    slot_dicts = [{value: tuple(pairs) for value, pairs in by_value.items()}
+                  for by_value in _by_slot_value(zip(features, range(n_features)), classes, dataset.arity)]
+    active = [tuple(filter(None, map(dict.get, slot_dicts, vector))) for vector in vectors]
+    del vectors, slot_dicts
+
+    # The first pass runs at all-zero weights: every score is 0.0, so each
+    # class gets total * (1 / |classes|) and log Z is log |classes|, the
+    # very floats a scored pass computes.  One walk over each vector's pairs
+    # adds these to the expected counts and counts its features per class,
+    # which the correction feature pads up to the constant.
+    share = 1.0 / len(classes)
+    log_z = math.log(len(classes))
+    expected = [0.0] * n_features
     active_counts = []
-    for keys in active:
+    for keys, total in zip(active, totals):
+        w = total * share
         n = [0] * len(classes)
         for pairs in keys:
-            for ci, _ in pairs:
+            for ci, fid in pairs:
+                expected[fid] += w
                 n[ci] += 1
-        n = tuple(n)
-        active_counts.append(count_patterns.setdefault(n, n))
-    constant = max(1, max(map(max, count_patterns)))
-    del count_patterns
-
-    emp_corr = 0.0
-    for n, pairs in zip(active_counts, gold):
+        active_counts.append(tuple(n))
+    constant = max(1, max(map(max, active_counts)))
+    emp_corr = exp_corr = ll = 0.0
+    for n, total, pairs in zip(active_counts, totals, gold):
+        w = total * share
+        for k in n:
+            exp_corr += w * (constant - k)
         for ci, k in pairs:
             emp_corr += k * (constant - n[ci])
+            ll -= k * log_z
 
     lambdas = [0.0] * n_features
     corr_lambda = 0.0
@@ -541,9 +554,10 @@ def train_maxent(
                 ll += k * (scores[ci] - log_z)
         return exp_c, ll
 
-    for _ in range(iterations):
-        expected = [0.0] * n_features
-        exp_corr, ll = pass_over_data(expected)
+    for iteration in range(iterations):
+        if iteration:
+            expected = [0.0] * n_features
+            exp_corr, ll = pass_over_data(expected)
         loglik.append(ll)
         for fid in range(n_features):
             lambdas[fid] += _gis_delta(empirical[fid], expected[fid], lambdas[fid], constant, sigma)

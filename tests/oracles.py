@@ -15,6 +15,7 @@ from collections import Counter
 
 from chunkvote import (
     ChunkSpan,
+    CombinerWeights,
     Corpus,
     NestedSentence,
     ParseError,
@@ -727,6 +728,40 @@ def reference_read_table(text):
         if rows:
             sentences.append(tuple(rows))
     return PredictionTable(tuple(header[1 + has_gold:]), tuple(sentences))
+
+
+def reference_estimate_weights(table):
+    """``estimate_weights`` tallying every row of the table, one at a time."""
+    if not table.has_gold:
+        raise ValidationError("weights need a tuning table with gold tags")
+    systems = table.systems
+    total = 0
+    correct = Counter()
+    pred_count = Counter()
+    hit_count = Counter()
+    gold_count = Counter()
+    pair_counts = {}
+    for row in table.rows():
+        total += 1
+        gold_count[row.gold] += 1
+        for name, tag in zip(systems, row.preds):
+            if tag == row.gold:
+                correct[name] += 1
+                hit_count[(name, tag)] += 1
+            pred_count[(name, tag)] += 1
+        for (i, a), (j, b) in itertools.combinations(enumerate(systems), 2):
+            key = (a, b, row.preds[i], row.preds[j])
+            pair_counts.setdefault(key, Counter())[row.gold] += 1
+    return CombinerWeights(
+        systems=systems,
+        accuracy={name: correct[name] / total for name in systems},
+        tag_precision={key: hit_count.get(key, 0) / n for key, n in pred_count.items()},
+        tag_recall={(name, tag): hit_count.get((name, tag), 0) / gold_count[tag]
+                    for name in systems for tag in gold_count},
+        pair_prob={key: {tag: n / sum(counts.values()) for tag, n in counts.items()}
+                   for key, counts in pair_counts.items()},
+        tag_counts=dict(gold_count),
+    )
 
 
 def reference_train_maxent(dataset, iterations, sigma=None, cutoff=2):

@@ -47,7 +47,10 @@ from chunkvote.ensemble import evaluate_subset
 
 import datagen
 from conftest import make_sentence
-from oracles import oracle_bracket_vote, oracle_chunks, oracle_score, oracle_vote, reference_read_table
+from oracles import (
+    oracle_bracket_vote, oracle_chunks, oracle_score, oracle_vote, reference_estimate_weights,
+    reference_read_table,
+)
 
 TAGS = ("B-NP", "I-NP", "O")
 
@@ -1168,3 +1171,110 @@ class TestCombineCorpus:
             TagScheme.IOB2,
         )
         assert score_tagged(gold_corpus, corpus).f_rate == pytest.approx(1.0)
+
+
+DISTINCT_SYSTEMS = ("a", "b", "c", "d", "e")
+
+
+def repeating_table(r):
+    """Forty sentences whose rows take one of four prediction tuples, so
+    every tuple repeats many times, with the gold tag varying among them."""
+    pool = [tuple(r.choice(TAGS) for _ in DISTINCT_SYSTEMS) for _ in range(4)]
+    sentences, gold = [], []
+    for _ in range(40):
+        length = r.randint(1, 8)
+        sentences.append([(r.choice(("NN", "DT")), r.choice(pool)) for _ in range(length)])
+        gold.append([r.choice(TAGS) for _ in range(length)])
+    return table_from_rows(DISTINCT_SYSTEMS, sentences, gold)
+
+
+def distinct_table(r):
+    """Sentences over 60 rows whose prediction tuples are all different."""
+    rows = r.sample(list(itertools.product(TAGS, repeat=len(DISTINCT_SYSTEMS))), 60)
+    sentences, gold = [], []
+    while rows:
+        length = min(r.randint(1, 8), len(rows))
+        sentences.append([(r.choice(("NN", "DT")), rows.pop()) for _ in range(length)])
+        gold.append([r.choice(TAGS) for _ in range(length)])
+    return table_from_rows(DISTINCT_SYSTEMS, sentences, gold)
+
+
+class TestDistinctRowDecisions:
+    """Rows with equal predictions are decided once; every output equals
+    per-row decisions, on tables whose rows repeat heavily and on tables
+    whose rows are all distinct."""
+
+    def tables(self, seed):
+        r = datagen.rng(61_000 + seed)
+        return r, (repeating_table(r), distinct_table(r))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_combined_corpora_match_per_row_votes(self, seed):
+        r, tables = self.tables(seed)
+        for table in tables:
+            weights = random_weights(r, DISTINCT_SYSTEMS, TAGS)
+            for method in VOTING_METHODS:
+                voted = [[oracle_vote(list(zip(table.systems, row.preds)), method, weights) for row in rows]
+                         for rows in table.sentences]
+                assert corpus_spans(combine_corpus(table, method, weights)) == [
+                    oracle_chunks(tags) for tags in voted
+                ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subset_scores_match_per_row_votes(self, seed):
+        _, tables = self.tables(seed)
+        for table in tables:
+            gold_spans = [oracle_chunks(tags) for tags in table.gold_column()]
+            reports = {}
+            for subset in itertools.combinations(range(len(DISTINCT_SYSTEMS)), 2):
+                names = [DISTINCT_SYSTEMS[i] for i in subset]
+                voted = [[oracle_vote([(names[k], row.preds[i]) for k, i in enumerate(subset)], "majority")
+                          for row in rows] for rows in table.sentences]
+                overall, _ = oracle_score(gold_spans, [oracle_chunks(tags) for tags in voted])
+                report = reports[subset] = evaluate_subset(table, names)
+                assert report.overall == Counts(**overall)
+            best = max(reports, key=lambda subset: reports[subset].f_rate)
+            assert best_n_select(table, 2) == tuple(DISTINCT_SYSTEMS[i] for i in best)
+
+    @pytest.mark.parametrize("learner", ["knn", "igtree"])
+    @pytest.mark.parametrize("add_pos", [False, True])
+    def test_stacked_corpora_match_per_row_predictions(self, learner, add_pos):
+        _, (repeating, distinct) = self.tables(0)
+        model = stacked_train(repeating, learner=learner, add_pos=add_pos)
+
+        class Counting:
+            def __init__(self):
+                self.slot_names, self.calls = model.slot_names, []
+
+            def predict(self, vector):
+                self.calls.append(vector)
+                return model.predict(vector)
+
+        for table in (repeating, distinct):
+            vectors = [[row.preds + (row.pos,) if add_pos else row.preds for row in rows]
+                       for rows in table.sentences]
+            counting = Counting()
+            assert corpus_spans(stacked_corpus(counting, table)) == [
+                oracle_chunks([model.predict(vector) for vector in row_vectors]) for row_vectors in vectors
+            ]
+            assert counting.calls == list(dict.fromkeys(itertools.chain.from_iterable(vectors)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weights_match_the_per_row_tally(self, seed):
+        _, tables = self.tables(seed)
+        for table in tables:
+            weights = estimate_weights(table)
+            assert weights == reference_estimate_weights(table)
+            assert write_weights(weights) == write_weights(reference_estimate_weights(table))
+
+    def test_errors_are_raised_as_per_row(self):
+        _, (table, _) = self.tables(0)
+        with pytest.raises(ConfigError, match="unknown voting method 'plurality'"):
+            combine_corpus(table, method="plurality")
+        with pytest.raises(ConfigError, match="voting method 'tag-pair' needs combiner weights"):
+            combine_corpus(table, method="tag-pair")
+        partial = random_weights(datagen.rng(0), DISTINCT_SYSTEMS[:3], TAGS)
+        with pytest.raises(ValidationError, match="weights have no estimates for systems: d e"):
+            combine_corpus(table, method="tot-precision", weights=partial)
+        with pytest.raises(ValidationError, match="empty vote row"):
+            evaluate_subset(table, [])

@@ -629,6 +629,10 @@ class TestMaxEnt:
         foreign = replace(model, weights={**model.weights, (0, "a", "V"): 1.5})
         with pytest.raises(ValidationError, match=r"feature \(0, 'a', 'V'\) has class 'V'"):
             foreign.scores(query)
+        for slot in (3, -1):
+            outside = replace(model, weights={**model.weights, (slot, "a", model.classes[0]): 1.5})
+            with pytest.raises(ValidationError, match=rf"has slot {slot}, outside the 3 slots"):
+                outside.scores(query)
 
     def test_peak_memory_per_distinct_vector_is_bounded(self):
         # Each distinct vector needs its id tuples, one per class (~230 bytes
@@ -735,6 +739,38 @@ class TestMaxEntReference:
                 assert all(c != model.classes[-1] for _, _, c in model.weights)
             expected = reference_train_maxent(data, iterations=iterations, sigma=sigma, cutoff=cutoff)
             assert maxent_output(model) == maxent_output(expected)
+
+    @staticmethod
+    def edge_data(kind, r):
+        """Datasets the seeded mixes never make: one class only; vectors
+        whose every value the cutoff of 2 drops; no feature kept at all."""
+        if kind == "one class":
+            return dataset([([r.choice("abc") for _ in range(3)], "B-NP") for _ in range(40)])
+        labels = ("B-NP", "I-NP", "O")
+        if kind == "no features":
+            return dataset([([f"u{i}", f"v{i}"], r.choice(labels)) for i in range(30)])
+        rows = [([r.choice("ab"), r.choice("ab")], r.choice(labels)) for _ in range(40)]
+        rows += [([f"u{i}", f"v{i}"], r.choice(labels)) for i in range(10)]
+        r.shuffle(rows)
+        return dataset(rows)
+
+    @pytest.mark.parametrize("kind", ["one class", "featureless vectors", "no features"])
+    @pytest.mark.parametrize("iterations", [1, 3])
+    @pytest.mark.parametrize("sigma", [None, 1.0])
+    def test_edge_datasets_match_the_reference(self, kind, iterations, sigma):
+        data = self.edge_data(kind, datagen.rng(58_700 + len(kind)))
+        model = train_maxent(data, iterations=iterations, sigma=sigma, cutoff=2)
+        expected = reference_train_maxent(data, iterations=iterations, sigma=sigma, cutoff=2)
+        assert maxent_output(model) == maxent_output(expected)
+        if kind == "one class":
+            assert model.classes == ("B-NP",) and model.trace.loglik[0] == 0.0
+        elif kind == "no features":
+            assert not model.weights and model.constant == 1
+        else:
+            assert model.weights and any(
+                all((slot, value, c) not in model.weights for slot, value in enumerate(vector) for c in model.classes)
+                for vector, _ in data.items
+            )
 
     def test_split_chunk_types_match_the_reference(self):
         r = datagen.rng(58_500)
