@@ -593,14 +593,30 @@ class Rule(Record):
         return all(vector[slot] == value for slot, value in self.premises)
 
 
+def _first_match(rules: tuple[Rule, ...], positions: Sequence[int], vector: FeatureVector,
+                 below: int) -> int:
+    """Lowest of the ascending ``positions`` below ``below`` whose rule
+    matches, else ``below``."""
+    for position in positions:
+        if position >= below:
+            break
+        if rules[position].matches(vector):
+            return position
+    return below
+
+
 def predict_rules(model: RuleSetModel, vector: FeatureVector) -> str:
-    """Answer of the first (most specific) matching rule, else the default."""
+    """Answer of the first (most specific) matching rule in stored order,
+    else the default.  Only the premise-less rules and those whose first
+    premise the vector meets are tried."""
     if len(vector) != len(model.slot_names):
         raise ValidationError(f"vector arity {len(vector)}, model expects {len(model.slot_names)}")
-    for rule in model.rules:
-        if rule.matches(vector):
-            return rule.conclusion
-    return model.default_class
+    rules = model.rules
+    bare, by_slot = model.index
+    best = _first_match(rules, bare, vector, len(rules))
+    for slot, by_value in by_slot:
+        best = _first_match(rules, by_value.get(vector[slot], ()), vector, best)
+    return rules[best].conclusion if best < len(rules) else model.default_class
 
 
 class RuleSetModel(Record):
@@ -611,6 +627,22 @@ class RuleSetModel(Record):
     def __init__(self, rules: tuple[Rule, ...], default_class: str, class_counts: Mapping[str, int],
                  slot_names: tuple[str, ...], window: WindowConfig | None = None):
         self._init(rules, default_class, class_counts, slot_names, window)
+
+    @cached_property
+    def index(self) -> tuple[list[int], tuple[tuple[int, dict[str, list[int]]], ...]]:
+        """Rule positions by first premise, built on first use; not a field,
+        so never compared, printed or saved: the ascending positions of the
+        premise-less rules, and per first-premise slot each value with the
+        ascending positions of the rules that open with (slot, value)."""
+        bare: list[int] = []
+        by_slot: dict[int, dict[str, list[int]]] = {}
+        for position, rule in enumerate(self.rules):
+            if rule.premises:
+                slot, value = rule.premises[0]
+                by_slot.setdefault(slot, {}).setdefault(value, []).append(position)
+            else:
+                bare.append(position)
+        return bare, tuple(by_slot.items())
 
 
 def _slot_rank(name: str) -> int:

@@ -233,6 +233,15 @@ def oracle_igtree_path(items, order, vector, global_counts):
     return modal(current)
 
 
+def oracle_rules(model, vector):
+    """The conclusion of the first rule, in stored order, all of whose
+    premises the vector meets, else the model's default class."""
+    for rule in model.rules:
+        if all(vector[slot] == value for slot, value in rule.premises):
+            return rule.conclusion
+    return model.default_class
+
+
 def oracle_maxent_scores(model, vector):
     """Each class's score, looking up every (slot, value, class) feature in turn."""
     scores = {}

@@ -39,13 +39,14 @@ from chunkvote import (
     train_rules,
 )
 from chunkvote.learners import (
-    BASELINE_WINDOW, MAXENT_WINDOW, _sum_in_order, io_corpus, pick_best,
+    BASELINE_WINDOW, MAXENT_WINDOW, Rule, _sum_in_order, io_corpus, pick_best,
 )
 
 import datagen
 from conftest import make_sentence, make_untagged
 from oracles import (
-    oracle_igtree_path, oracle_knn, oracle_maxent_loglik, oracle_maxent_scores, reference_train_maxent,
+    oracle_igtree_path, oracle_knn, oracle_maxent_loglik, oracle_maxent_scores, oracle_rules,
+    reference_train_maxent,
 )
 
 
@@ -882,6 +883,102 @@ class TestRules:
         model = train_rules(data)
         with pytest.raises(ValidationError):
             predict_rules(model, ("a", "b"))
+
+
+RULE_VALUES = ("a", "b", "c")
+RULE_TAGS = ("B-NP", "I-NP", "O")
+
+
+def random_rule_set(r, arity):
+    """Rules with premise-less ones, first premises on several slots,
+    duplicates, and rules no vector reaches (contradictory premises, or
+    shadowed by an earlier rule)."""
+    rules = []
+    for _ in range(r.randint(0, 25)):
+        roll = r.random()
+        if rules and roll < 0.1:
+            rules.append(r.choice(rules))
+            continue
+        slots = [] if roll < 0.2 else r.sample(range(arity), r.randint(1, min(3, arity)))
+        premises = [(slot, r.choice(RULE_VALUES)) for slot in slots]
+        if premises and roll > 0.9:
+            slot, value = premises[0]
+            premises.append((slot, "b" if value == "a" else "a"))
+        rules.append(Rule(tuple(premises), r.choice(RULE_TAGS), r.random(), r.randint(1, 9)))
+    return RuleSetModel(tuple(rules), r.choice(RULE_TAGS), dict.fromkeys(RULE_TAGS, 1),
+                        tuple(f"s{i}" for i in range(arity)))
+
+
+def rule_queries(r, arity, values, count=60):
+    """Vectors over ``values`` and the value ``zz`` that no rule names."""
+    return [tuple(r.choice((*values, "zz")) for _ in range(arity)) for _ in range(count)] + [
+        ("zz",) * arity]
+
+
+class TestRuleIndex:
+    """``predict_rules`` tries only the rules its first-premise index selects."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_rule_sets_answer_as_the_linear_scan(self, seed):
+        r = datagen.rng(62_000 + seed)
+        arity = r.randint(1, 5)
+        model = random_rule_set(r, arity)
+        loaded = loads_model(dumps_model(model))
+        assert loaded == model
+        for vector in rule_queries(r, arity, RULE_VALUES):
+            expected = oracle_rules(model, vector)
+            assert predict_rules(model, vector) == expected
+            assert predict_rules(loaded, vector) == expected
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_trained_rules_answer_as_the_linear_scan(self, seed):
+        r = datagen.rng(63_000 + seed)
+        arity = r.randint(1, 4)
+        model = train_rules(random_dataset(r, r.randint(2, 60), arity),
+                            threshold=r.choice((0.6, 0.8, 0.95, 1.0)))
+        queries = rule_queries(r, arity, ("a", "b", "c", "d"))
+        for vector in queries:
+            assert predict_rules(model, vector) == oracle_rules(model, vector)
+        # every rule opens with focus slot 0, so a "zz" there reaches the default
+        assert predict_rules(model, queries[-1]) == model.default_class
+
+    def test_the_index_is_not_part_of_the_record(self):
+        r = datagen.rng(64_000)
+        model = train_rules(random_dataset(r, 40, 3, labels=RULE_TAGS))
+        text = dumps_model(model)
+        copy, before = loads_model(text), repr(model)
+        with pytest.raises(ValidationError, match="arity"):
+            predict_rules(model, ("a", "b", "c", "d"))
+        assert "index" not in vars(model)  # the arity check comes before any lookup
+        predict_rules(model, ("a", "b", "c"))
+        assert "index" in vars(model) and "index" not in vars(copy)
+        assert model == copy and copy == model
+        assert repr(model) == before and dumps_model(model) == text
+        # Its class counts are a dict, so a model has no hash, index or not;
+        # its rules do, and the index leaves them alone.
+        with pytest.raises(TypeError):
+            hash(model)
+        assert hash(model.rules) == hash(copy.rules)
+        with pytest.raises(ValidationError, match="arity"):
+            predict_rules(model, ("a",))
+
+    def test_a_prediction_tries_only_the_rules_it_selects(self, monkeypatch):
+        tags = ("B-NP", "I-NP", "O")
+        rules = [Rule(((0, f"P{i}"), (1, f"P{i % 7}")), tags[i % 3], 1.0, 1) for i in range(200)]
+        rules.insert(150, Rule((), "O", 0.5, 3))
+        model = loads_model(dumps_model(RuleSetModel(
+            tuple(rules), "O", dict.fromkeys(tags, 1), ("p[+0]", "p[-1]", "t[-1]"))))
+        calls = []
+        matches = Rule.matches
+        monkeypatch.setattr(Rule, "matches", lambda rule, vector: calls.append(rule) or matches(rule, vector))
+        r = datagen.rng(64_500)
+        for _ in range(300):
+            vector = (f"P{r.randrange(210)}", f"P{r.randrange(9)}", r.choice(tags))
+            calls.clear()
+            assert predict_rules(model, vector) == oracle_rules(model, vector)
+            candidates = [rule for rule in model.rules
+                          if not rule.premises or vector[rule.premises[0][0]] == rule.premises[0][1]]
+            assert len(calls) <= len(candidates) <= 2
 
 
 class TestTagSentence:
