@@ -345,12 +345,29 @@ def train_igtree(
 # maximum entropy
 
 class MaxEntTrace(Record):
-    """Training diagnostics: log likelihood per iteration and under the final weights."""
+    """Training diagnostics: log likelihood per iteration and under the final weights.
+
+    Given ``last``, ``loglik`` lacks its final entry until first read, when
+    ``last()`` computes it and is dropped with the training data it holds;
+    so ``train_maxent``'s final pass runs only for a trace that is read.
+    """
 
     _fields = ("loglik", "iterations")
 
-    def __init__(self, loglik: tuple[float, ...], iterations: int):
-        self._init(loglik, iterations)
+    def __init__(self, loglik: tuple[float, ...], iterations: int,
+                 last: Callable[[], float] | None = None):
+        if last is None:
+            self._init(loglik, iterations)
+        else:
+            _set(self, "iterations", iterations)
+            _set(self, "_pending", (loglik, last))
+
+    @cached_property
+    def loglik(self) -> tuple[float, ...]:
+        head, last = vars(self)["_pending"]
+        loglik = (*head, last())
+        del vars(self)["_pending"]
+        return loglik
 
 
 def predict_maxent(model: MaxEntModel, vector: FeatureVector) -> str:
@@ -494,25 +511,35 @@ def train_maxent(
     slot_dicts = [{value: tuple(pairs) for value, pairs in by_value.items()}
                   for by_value in _by_slot_value(zip(features, range(n_features)), classes, dataset.arity)]
     active = [tuple(filter(None, map(dict.get, slot_dicts, vector))) for vector in vectors]
-    del vectors, slot_dicts
+    del vectors
 
     # The first pass runs at all-zero weights: every score is 0.0, so each
     # class gets total * (1 / |classes|) and log Z is log |classes|, the
-    # very floats a scored pass computes.  One walk over each vector's pairs
-    # adds these to the expected counts and counts its features per class,
-    # which the correction feature pads up to the constant.
+    # very floats a scored pass computes.  Every id of a (slot, value) gets
+    # the same additions in the same vector order, so they are summed at the
+    # key's first id and copied to the rest.  Each vector's features are
+    # counted per class, which the correction feature pads up to the
+    # constant; with at most one feature per slot and class, under 256 slots
+    # the counts fit in bytes, a third of a tuple's size at 11 classes.
     share = 1.0 / len(classes)
     log_z = math.log(len(classes))
     expected = [0.0] * n_features
+    pack = bytes if dataset.arity < 256 else tuple
     active_counts = []
     for keys, total in zip(active, totals):
         w = total * share
         n = [0] * len(classes)
         for pairs in keys:
-            for ci, fid in pairs:
-                expected[fid] += w
+            expected[pairs[0][1]] += w
+            for ci, _ in pairs:
                 n[ci] += 1
-        active_counts.append(tuple(n))
+        active_counts.append(pack(n))
+    for by_value in slot_dicts:
+        for pairs in by_value.values():
+            w = expected[pairs[0][1]]
+            for _, fid in pairs:
+                expected[fid] = w
+    del slot_dicts
     constant = max(1, max(map(max, active_counts)))
     emp_corr = exp_corr = ll = 0.0
     for n, total, pairs in zip(active_counts, totals, gold):
@@ -564,9 +591,8 @@ def train_maxent(
         if emp_corr > 0.0:
             corr_lambda += _gis_delta(emp_corr, exp_corr, corr_lambda, constant, sigma)
         del expected  # before the next pass makes its own
-    loglik.append(pass_over_data(None)[1])
-    del active, active_counts, gold, totals  # before the weight dict is built
 
+    # The trace holds the layout until its last entry is read.
     return MaxEntModel(
         weights=dict(zip(features, lambdas)),
         classes=classes,
@@ -575,7 +601,7 @@ def train_maxent(
         class_counts=dict(class_counts),
         slot_names=dataset.slot_names,
         window=window,
-        trace=MaxEntTrace(loglik=tuple(loglik), iterations=iterations),
+        trace=MaxEntTrace(tuple(loglik), iterations, last=lambda: pass_over_data(None)[1]),
     )
 
 

@@ -29,6 +29,7 @@ from chunkvote import (
     estimate_weights,
     format_report,
     format_report_kv,
+    loads_model,
     parse_conll,
     parse_nested,
     read_table,
@@ -276,6 +277,19 @@ class TestTrainTagEval:
             assert main(["train", train, "--learner", "maxent", "--iterations", "20",
                          "-o", target]) == 0
         assert (files.dir / "m1.txt").read_bytes() == (files.dir / "m2.txt").read_bytes()
+
+    def test_a_maxent_cutoff_above_every_count_tags_the_majority_class(self, files):
+        train = files("train.conll", TINY_TRAIN)
+        model_path, tagged_path = out_path(files, "ent.model"), out_path(files, "ent.conll")
+        assert main(["train", train, "--learner", "maxent", "--iterations", "3", "--cutoff", "100",
+                     "-o", model_path]) == 0
+        model = loads_model(Path(model_path).read_text())
+        assert not model.weights and model.constant == 1 and model.trace is None
+        assert main(["tag", model_path, train, "-o", tagged_path]) == 0
+        tagged = parse_conll(Path(tagged_path).read_text(), TagScheme.IOB2)
+        assert {tag for s in tagged.sentences for tag in s.chunk_tags} == {"B-NP"}
+        gold = [tag for s in TINY_CORPUS.sentences for tag in s.chunk_tags]
+        assert max(set(gold), key=gold.count) == "B-NP"
 
     def test_knn_output_does_not_depend_on_the_hash_seed(self, files):
         train = files("train.conll", TINY_TRAIN)

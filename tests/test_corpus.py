@@ -1008,3 +1008,15 @@ def test_models_leave_what_they_build_or_trace_out_of_eq_and_repr():
     sentence = Sentence((Token("dog", "NN"),))
     sentence.tokens  # built on first use
     assert sentence == Sentence.from_checked(("dog",), ("NN",)) and "_tokens" not in repr(sentence)
+
+
+def test_a_read_maxent_trace_is_the_record_of_its_tuple():
+    trace = MaxEntTrace((-1.5, -1.0), 1)
+    assert repr(trace) == "MaxEntTrace(loglik=(-1.5, -1.0), iterations=1)"
+    assert hash(trace) == hash(((-1.5, -1.0), 1)) and set(vars(trace)) == {"loglik", "iterations"}
+    trained = train_maxent(DATA, iterations=2, cutoff=1).trace
+    assert "loglik" not in vars(trained)  # computed when first read
+    assert len(trained.loglik) == 3
+    twin = MaxEntTrace(trained.loglik, 2)
+    assert trained == twin and hash(trained) == hash(twin) and repr(trained) == repr(twin)
+    assert vars(trained) == vars(twin)

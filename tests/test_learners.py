@@ -1,9 +1,12 @@
+import gc
 import hashlib
 import inspect
 import math
 import tracemalloc
 import weakref
 from array import array
+from collections import Counter
+from operator import itemgetter
 
 import pytest
 
@@ -24,6 +27,7 @@ from chunkvote import (
     ValidationError,
     WindowConfig,
     corpus_to_dataset,
+    cv_tuning_table,
     dumps_model,
     extract_chunks,
     loads_model,
@@ -718,6 +722,9 @@ def maxent_data(r, n_classes, size=120, arity=4):
     return dataset(rows)
 
 
+FIVE_CHUNK_TYPES = ("NP", "VP", "PP", "ADJP", "ADVP")
+
+
 def maxent_output(model):
     t = model.trace
     return dumps_model(model), repr((t.loglik, t.iterations))
@@ -781,6 +788,123 @@ class TestMaxEntReference:
         for cutoff in (1, 2):
             model = train_maxent(data, iterations=3, cutoff=cutoff)
             assert maxent_output(model) == maxent_output(reference_train_maxent(data, 3, cutoff=cutoff))
+
+    @staticmethod
+    def five_type_dataset(split):
+        """Grammar sentences and random sentences over five chunk types: 11
+        classes, or 21 with each type split in two.  The focus pos tag DT
+        carries features of most classes."""
+        r = datagen.rng(58_900)
+        sentences = [datagen.grammar_sentence(r) for _ in range(30)]
+        sentences += [datagen.random_sentence(r, r.randint(3, 9), FIVE_CHUNK_TYPES) for _ in range(30)]
+        corpus = Corpus(tuple(sentences), TagScheme.IOB2)
+        return corpus_to_dataset(datagen.split_chunk_types(corpus) if split else corpus, MAXENT_WINDOW)
+
+    @pytest.mark.parametrize("iterations", [1, 2, 25])
+    @pytest.mark.parametrize("sigma", [None, 0.5])
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_every_loglik_entry_matches_the_reference_to_the_bit(self, iterations, sigma, cutoff, split):
+        data = self.five_type_dataset(split)
+        assert len(data.class_counts()) == (21 if split else 11)
+        model = train_maxent(data, iterations=iterations, sigma=sigma, cutoff=cutoff)
+        expected = reference_train_maxent(data, iterations=iterations, sigma=sigma, cutoff=cutoff)
+        assert dumps_model(model) == dumps_model(expected)
+        assert ([x.hex() for x in model.trace.loglik], model.trace.iterations) == (
+            [x.hex() for x in expected.trace.loglik], expected.trace.iterations)
+        assert len(model.trace.loglik) == iterations + 1
+        # one (slot, value) holds the features of many classes, whose
+        # expected counts the first pass sums once and copies
+        assert max(Counter((slot, value) for slot, value, _ in model.weights).values()) >= 8
+
+    @pytest.mark.parametrize("arity", [255, 256, 300])
+    def test_wide_vectors_match_the_reference(self, arity):
+        # a vector counts up to one feature per slot and class, so the
+        # constant reaches the arity, past what a byte holds
+        r = datagen.rng(59_000 + arity)
+        data = dataset([([r.choice("ab") for _ in range(arity)], r.choice(("B-NP", "I-NP", "O")))
+                        for _ in range(12)])
+        model = train_maxent(data, iterations=3, cutoff=1)
+        assert model.constant == arity
+        assert maxent_output(model) == maxent_output(reference_train_maxent(data, 3, cutoff=1))
+
+    @pytest.mark.parametrize("iterations", [1, 2, 25])
+    @pytest.mark.parametrize("sigma", [None, 0.5])
+    def test_a_cutoff_that_drops_every_feature_leaves_the_correction_alone(self, iterations, sigma):
+        data = self.five_type_dataset(False)
+        model = train_maxent(data, iterations=iterations, sigma=sigma, cutoff=len(data.items) + 1)
+        expected = reference_train_maxent(data, iterations=iterations, sigma=sigma,
+                                          cutoff=len(data.items) + 1)
+        assert maxent_output(model) == maxent_output(expected)
+        assert not model.weights and model.constant == 1
+        majority = pick_best(dict.fromkeys(model.classes, 0.0), model.class_counts)
+        assert majority == max(data.class_counts().items(), key=itemgetter(1))[0]
+        assert {predict_maxent(model, vector) for vector, _ in data.items} == {majority}
+
+
+class TestMaxEntDeferredTrace:
+    """The trace's last entry, one scores-only pass over the training
+    layout, is computed when ``loglik`` is first read."""
+
+    @staticmethod
+    def passes(monkeypatch):
+        """A list that grows by one for each vector a scored pass visits."""
+        calls = []
+        sum_in_order = chunkvote.learners._sum_in_order
+        monkeypatch.setattr(chunkvote.learners, "_sum_in_order",
+                            lambda values: calls.append(1) or sum_in_order(values))
+        return calls
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_the_last_entry_is_computed_once_on_first_read(self, monkeypatch, iterations):
+        data = TestMaxEntReference.five_type_dataset(False)
+        distinct = len(set(vector for vector, _ in data.items))
+        calls = self.passes(monkeypatch)
+        model = train_maxent(data, iterations=iterations, cutoff=1)
+        trace = model.trace
+        # a scored pass per iteration after the first, none for the trace
+        assert len(calls) == (iterations - 1) * distinct
+        assert "loglik" not in vars(trace) and trace.iterations == iterations
+        text = dumps_model(model)
+        for vector, _ in data.items:
+            predict_maxent(model, vector)
+        assert repr(model) and "loglik" not in vars(trace)
+        del calls[:]
+        loglik = trace.loglik
+        assert len(calls) == distinct
+        assert trace.loglik is loglik and len(calls) == distinct
+        assert loglik == reference_train_maxent(data, iterations=iterations, cutoff=1).trace.loglik
+        assert dumps_model(model) == text
+
+    def test_a_read_trace_holds_no_training_data(self):
+        data = TestMaxEntReference.five_type_dataset(True)
+        trace = train_maxent(data, iterations=2, cutoff=1).trace
+        assert trace.loglik
+        assert set(vars(trace)) == {"loglik", "iterations"}
+        # everything the trace still reaches: itself, its dict, the tuple and numbers
+        seen, todo = {id(trace)}, [trace]
+        while todo:
+            for obj in gc.get_referents(todo.pop()):
+                if id(obj) not in seen and not isinstance(obj, type):
+                    seen.add(id(obj))
+                    todo.append(obj)
+                    assert isinstance(obj, (dict, tuple, float, int, str)), type(obj)
+        assert len(seen) < 2 * len(trace.loglik) + 8
+
+    def test_cv_tuning_table_never_runs_the_pass(self, monkeypatch, tiny_corpus):
+        traces = []
+        fit = LearnerSpec.fit
+
+        def spy(spec, data):
+            model = fit(spec, data)
+            traces.append(model.trace)
+            return model
+
+        monkeypatch.setattr(LearnerSpec, "fit", spy)
+        calls = self.passes(monkeypatch)
+        cv_tuning_table(tiny_corpus, [LearnerSpec("ent", "maxent", iterations=1)], folds=2)
+        assert len(traces) == 2 and not calls
+        assert all("loglik" not in vars(trace) for trace in traces)
 
 
 class TestRules:
