@@ -13,7 +13,7 @@ only the modules its subcommand runs.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "corpus": """PAD PLACEHOLDER_WORD ChunkSpan Corpus NestedSentence Sentence TagScheme
+    "corpus": """PAD PLACEHOLDER_WORD Corpus NestedSentence Sentence TagScheme
         Token convert_scheme extract_chunks parse_conll parse_nested properly_nested
         scheme_violation strip_tags tag_parts tags_from_chunks validate_corpus with_tags
         write_conll write_nested""",

@@ -16,14 +16,14 @@ from bisect import bisect_left
 from collections.abc import Callable, Sequence
 
 from .corpus import (
-    ChunkSpan,
     Corpus,
     NestedSentence,
     Sentence,
+    Span,
     TagScheme,
-    _chunk_ranges,
-    _span_sort_key,
     check_tag_row,
+    extract_chunks,
+    span_order,
     strip_tags,
     tags_from_chunks,
     with_tags,
@@ -55,7 +55,7 @@ def _collapse(
     Position ``i`` of the current sentence covers original tokens
     ``firsts[i]`` to ``lasts[i]`` and shows the first or the last of them,
     as ``head`` says.  ``spans``, (begin, end, label) in current positions,
-    must be ordered and disjoint, as ``_chunk_ranges`` and
+    must be ordered and disjoint, as ``extract_chunks`` and
     ``_innermost_level`` give them.  A span's positions become one covering
     their tokens; other positions pass through.  Returns the next
     sentence's ranges and the sentence, untagged.
@@ -102,7 +102,7 @@ def cascade_bracket(
         check_tag_row(tags, len(current))
         if None in tags:
             raise ValidationError(f"token {tags.index(None) + 1}: None is not a chunk tag")
-        level = _chunk_ranges(tags)
+        level = extract_chunks(tags)
         seen = len(found)
         found.update((firsts[begin], lasts[end - 1] + 1, label) for begin, end, label in level)
         if len(found) == seen:
@@ -112,14 +112,13 @@ def cascade_bracket(
             break
     # A round's spans cover whole positions, each one token or the range of
     # an earlier span, so every span found nests and lies in the sentence.
-    spans = sorted((ChunkSpan(*span) for span in found), key=_span_sort_key)
-    return NestedSentence.from_checked(stripped, tuple(spans))
+    return NestedSentence.from_checked(stripped, tuple(sorted(map(Span._make, found), key=span_order)))
 
 
-def _innermost_level(spans: Sequence[ChunkSpan]) -> list[int]:
+def _innermost_level(spans: Sequence[tuple[int, int, str]]) -> list[int]:
     """Indices of the deepest spans, one per distinct range.
 
-    ``spans`` must nest properly and be sorted by ``_span_sort_key``.  Then
+    ``spans`` must nest properly and be sorted by ``span_order``.  Then
     the span after a span either shares its range, lies inside it or begins
     at or after its end, so a span is taken exactly when the next one
     begins at or after its end: no other span lies strictly inside it, and
@@ -127,8 +126,8 @@ def _innermost_level(spans: Sequence[ChunkSpan]) -> list[int]:
     rest of a chain surfaces again on later levels.
     """
     return [
-        i for i, span in enumerate(spans)
-        if i + 1 == len(spans) or spans[i + 1].begin >= span.end
+        i for i, (_, end, _) in enumerate(spans)
+        if i + 1 == len(spans) or spans[i + 1][0] >= end
     ]
 
 
@@ -154,10 +153,10 @@ def cascade_training_corpus(
             taken = _innermost_level(remaining)
             level = []
             for i in taken:
-                span = remaining[i]
-                begin = bisect_left(firsts, span.begin)
-                level.append((begin, bisect_left(firsts, span.end, begin), span.label))
-            tags = tags_from_chunks(len(current), [ChunkSpan(*r) for r in level], TagScheme.IOB2)
+                begin, end, label = remaining[i]
+                at = bisect_left(firsts, begin)
+                level.append((at, bisect_left(firsts, end, at), label))
+            tags = tags_from_chunks(len(current), level, TagScheme.IOB2)
             flat.append(with_tags(current, tags))
             drop = set(taken)
             remaining = [span for i, span in enumerate(remaining) if i not in drop]

@@ -19,11 +19,12 @@ exact for single-space files.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from functools import partial
 from itertools import chain, groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import ConfigError, ParseError, ValidationError
 
@@ -237,68 +238,69 @@ class Corpus(Record):
         return len(self.sentences)
 
 
-class ChunkSpan(Record):
-    """Half-open token span [begin, end) carrying a chunk type label."""
-
-    __slots__ = _fields = ("begin", "end", "label")
-
-    def __init__(self, begin: int, end: int, label: str):
-        if begin < 0 or end <= begin:
-            raise ValidationError(f"bad span [{begin}, {end})")
-        if not label:
-            raise ValidationError("span label must be non-empty")
-        _set(self, "begin", begin)
-        _set(self, "end", end)
-        _set(self, "label", label)
+# A chunk span is a (begin, end, label) tuple: the half-open token range
+# [begin, end) and its chunk type.  A NestedSentence keeps its spans as Span
+# tuples, whose fields can also be read by name; they compare and hash as
+# the plain tuples.
+Span = namedtuple("Span", "begin end label")
 
 
-def _span_sort_key(span: ChunkSpan) -> tuple[int, int, str]:
-    # outermost first among spans opening at the same token
-    return (span.begin, -span.end, span.label)
+def _check_span(begin: int, end: int, label: str, length: int) -> None:
+    if begin < 0 or end <= begin:
+        raise ValidationError(f"bad span [{begin}, {end})")
+    if not label:
+        raise ValidationError("span label must be non-empty")
+    if end > length:
+        raise ValidationError(f"span [{begin}, {end}) exceeds sentence length {length}")
 
 
-def properly_nested(spans: Iterable[ChunkSpan], ordered: bool = False) -> bool:
+def span_order(span: tuple[int, int, str]) -> tuple[int, int, str]:
+    """Sort key of nested spans: by begin, outermost first among spans
+    opening at the same token."""
+    begin, end, label = span
+    return (begin, -end, label)
+
+
+def properly_nested(spans: Iterable[tuple[int, int, str]]) -> bool:
     """True when every pair of spans is disjoint or fully contained.
 
-    One pass, outermost first, over a stack of the ends of the spans that
-    enclose the current one: a span crosses another exactly when it ends
-    after the innermost span still open at its begin.  ``ordered`` spans
-    are in ``_span_sort_key`` order already, and are not sorted again.
+    One pass in ``span_order`` order, outermost first, over a stack of
+    the ends of the spans that enclose the current one: a span crosses
+    another exactly when it ends after the innermost span still open at
+    its begin.
     """
     ends: list[int] = []
-    for span in spans if ordered else sorted(spans, key=_span_sort_key):
-        while ends and ends[-1] <= span.begin:
+    for begin, end, _ in sorted(spans, key=span_order):
+        while ends and ends[-1] <= begin:
             ends.pop()
-        if ends and span.end > ends[-1]:
+        if ends and end > ends[-1]:
             return False
-        ends.append(span.end)
+        ends.append(end)
     return True
 
 
 class NestedSentence(Record):
     """An untagged sentence with a multiset of nested (never crossing) chunk
-    spans, kept in ``_span_sort_key`` order.  Its Token records may stand
-    for ``sentence``."""
+    spans, ``Span`` tuples kept in ``span_order`` order.  Its Token records
+    may stand for ``sentence``."""
 
     __slots__ = _fields = ("sentence", "spans")
 
-    def __init__(self, sentence: Sentence | Iterable[Token], spans: Iterable[ChunkSpan]):
+    def __init__(self, sentence: Sentence | Iterable[Token], spans: Iterable[tuple[int, int, str]]):
         if not isinstance(sentence, Sentence):
             sentence = Sentence(sentence)
         if any(sentence.chunk_tags):
             raise ValidationError("nested sentences carry spans, not chunk tags")
-        spans = tuple(sorted(spans, key=_span_sort_key))
-        n = len(sentence)
-        for s in spans:
-            if s.end > n:
-                raise ValidationError(f"span [{s.begin}, {s.end}) exceeds sentence length {n}")
-        if not properly_nested(spans, ordered=True):
+        spans = tuple(sorted(map(Span._make, spans), key=span_order))
+        for begin, end, label in spans:
+            _check_span(begin, end, label, len(sentence))
+        if not properly_nested(spans):
             raise ValidationError("spans cross: every pair must be disjoint or nested")
         self._init(sentence, spans)
 
     @classmethod
-    def from_checked(cls, sentence: Sentence, spans: tuple[ChunkSpan, ...]) -> NestedSentence:
-        """An untagged ``sentence`` and spans nested in it, in ``_span_sort_key`` order."""
+    def from_checked(cls, sentence: Sentence, spans: tuple[Span, ...]) -> NestedSentence:
+        """An untagged ``sentence`` and Spans nested in it, in ``span_order`` order."""
         return object.__new__(cls)._init(sentence, spans)
 
     words = property(lambda self: self.sentence.words)
@@ -341,52 +343,46 @@ def validate_corpus(corpus: Corpus) -> None:
         legal.update(zip(("O", *tags), tags))
 
 
-def extract_chunks(tags: Sequence[str]) -> list[ChunkSpan]:
-    """Chunk spans encoded by a tag sequence, repairing illegal openings.
+def extract_chunks(tags: Sequence[str]) -> list[tuple[int, int, str]]:
+    """Chunk spans encoded by a tag sequence, as (begin, end, label) tuples
+    in order, repairing illegal openings.
 
     A chunk-initial I tag (after O, after a different type, or at the
     sentence start) is treated as if it were a B tag, which matches the
     lenient behaviour expected when scoring raw system output.  The scan
     gives identical spans for IOB1 and IOB2 input.
     """
-    return [ChunkSpan(*chunk) for chunk in _chunk_ranges(tags)]
-
-
-def _chunk_ranges(tags: Sequence[str]) -> list[tuple[int, int, str]]:
-    """``extract_chunks`` as (begin, end, label) tuples, in order."""
-    ranges: list[tuple[int, int, str]] = []
+    spans: list[tuple[int, int, str]] = []
     open_label: str | None = None
     open_begin = 0
     for i, tag in enumerate(tags):
         marker, label = tag[0], tag[2:]  # tag_parts inlined; O is never opened
         if open_label is not None and (marker != "I" or label != open_label):
-            ranges.append((open_begin, i, open_label))
+            spans.append((open_begin, i, open_label))
             open_label = None
         if marker == "B" or (marker == "I" and open_label is None):
             open_label, open_begin = label, i
     if open_label is not None:
-        ranges.append((open_begin, len(tags), open_label))
-    return ranges
+        spans.append((open_begin, len(tags), open_label))
+    return spans
 
 
-def tags_from_chunks(length: int, spans: Iterable[ChunkSpan], scheme: TagScheme) -> list[str]:
-    """Encode non-overlapping spans as a tag sequence under the scheme."""
-    ordered = sorted(spans, key=lambda s: s.begin)
+def tags_from_chunks(length: int, spans: Iterable[tuple[int, int, str]], scheme: TagScheme) -> list[str]:
+    """Encode non-overlapping (begin, end, label) spans as a tag sequence under the scheme."""
     tags = ["O"] * length
-    prev: ChunkSpan | None = None
-    for span in ordered:
-        if span.end > length:
-            raise ValidationError(f"span [{span.begin}, {span.end}) exceeds sentence length {length}")
-        if prev is not None and span.begin < prev.end:
-            raise ValidationError(f"spans [{prev.begin}, {prev.end}) and [{span.begin}, {span.end}) overlap")
-        adjacent_same = prev is not None and prev.end == span.begin and prev.label == span.label
+    prev_begin, prev_end, prev_label = 0, 0, None
+    for begin, end, label in sorted(spans, key=itemgetter(0)):
+        _check_span(begin, end, label, length)
+        if begin < prev_end:
+            raise ValidationError(f"spans [{prev_begin}, {prev_end}) and [{begin}, {end}) overlap")
+        adjacent_same = prev_end == begin and prev_label == label
         if scheme is TagScheme.IOB2 or adjacent_same:
-            tags[span.begin] = f"B-{span.label}"
+            tags[begin] = f"B-{label}"
         else:
-            tags[span.begin] = f"I-{span.label}"
-        for i in range(span.begin + 1, span.end):
-            tags[i] = f"I-{span.label}"
-        prev = span
+            tags[begin] = f"I-{label}"
+        for i in range(begin + 1, end):
+            tags[i] = f"I-{label}"
+        prev_begin, prev_end, prev_label = begin, end, label
     return tags
 
 
@@ -497,17 +493,16 @@ def parse_nested(text: str) -> list[NestedSentence]:
 
     Brackets may nest but never cross; unbalanced brackets raise a
     ParseError naming the sentence.  A fault raises the error that a token
-    by token read meets first.  Equal spans within one call are one
-    ChunkSpan object.
+    by token read meets first.  Equal spans within one call are one Span.
     """
     sentences: list[NestedSentence] = []
     share = {}.setdefault
     parsed: dict[str, tuple[list[str], range]] = {}  # a good bracket field's opener labels and closers
-    pool: dict[tuple[int, int, str], ChunkSpan] = {}  # the span of each (begin, end, label) key
+    pool: dict[tuple[int, int, str], Span] = {}  # the Span of each (begin, end, label) key
     for first, rows in column_blocks(text):
         fields = pooled_columns(rows, 3, share)
         checked = bool(fields) and columns_pass(*fields[:2])  # else each word and pos tag as read
-        spans: list[ChunkSpan] = []  # one per bracket, as it closes
+        spans: list[Span] = []  # one per bracket, as it closes
         stack: list[tuple[str, int]] = []  # each open bracket's label and begin
         for i, line in enumerate(rows):
             if len(line) != 3:
@@ -531,11 +526,11 @@ def parse_nested(text: str) -> list[NestedSentence]:
             for _ in closers:
                 label, begin = stack.pop()
                 key = (begin, i + 1, label)
-                spans.append(pool.get(key) or pool.setdefault(key, ChunkSpan(*key)))
+                spans.append(pool.get(key) or pool.setdefault(key, Span._make(key)))
         if stack:
             raise ParseError(
                 f"sentence {len(sentences) + 1} (line {first + i}): {len(stack)} unclosed bracket(s)")
-        spans.sort(key=_span_sort_key)
+        spans.sort(key=span_order)
         sentences.append(NestedSentence.from_checked(Sentence.from_checked(*fields[:2]), tuple(spans)))
     return sentences
 
@@ -543,9 +538,9 @@ def parse_nested(text: str) -> list[NestedSentence]:
 def nested_text(sentence: NestedSentence) -> str:
     """One nested sentence in the 3 column bracket format, closed by a blank line."""
     marks = ["*"] * len(sentence)
-    for span in reversed(sentence.spans):  # of the spans opening at a token, outermost first
-        marks[span.begin] = f"({span.label}{marks[span.begin]}"
-        marks[span.end - 1] += ")"
+    for begin, end, label in reversed(sentence.spans):  # of the spans opening at a token, outermost first
+        marks[begin] = f"({label}{marks[begin]}"
+        marks[end - 1] += ")"
     return "\n".join(map(" ".join, zip(sentence.words, sentence.pos_tags, marks))) + "\n\n"
 
 

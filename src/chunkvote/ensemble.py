@@ -18,12 +18,10 @@ from operator import attrgetter
 
 from .corpus import (
     PLACEHOLDER_WORD,
-    ChunkSpan,
     Corpus,
     Record,
     Sentence,
     TagScheme,
-    _chunk_ranges,
     check_chunk_tag,
     check_pos_tag,
     column_blocks,
@@ -545,20 +543,20 @@ def stacked_train(
 #---------------------------------------------------------------------------
 # best subset selection
 
-def _subset_report(table: PredictionTable, gold_ranges: list, subset: Sequence[int]) -> EvalReport:
+def _subset_report(table: PredictionTable, gold_spans: list, subset: Sequence[int]) -> EvalReport:
     """Chunk level score of majority voting over the systems at ``subset``."""
-    from .metrics import _score_ranges
+    from .metrics import score_chunks
 
     names = [table.systems[i] for i in subset]
     voted = _decide_rows(table, lambda row: tuple(map(row.preds.__getitem__, subset)),
                          lambda preds: vote(list(zip(names, preds))))
-    return _score_ranges(gold_ranges, list(map(_chunk_ranges, voted)))
+    return score_chunks(gold_spans, list(map(extract_chunks, voted)))
 
 
 def evaluate_subset(table: PredictionTable, systems: Sequence[str]) -> EvalReport:
     """Chunk level score of majority voting over a subset of systems."""
     indices = [table.systems.index(name) for name in systems]
-    return _subset_report(table, list(map(_chunk_ranges, table.gold_column())), indices)
+    return _subset_report(table, list(map(extract_chunks, table.gold_column())), indices)
 
 
 def best_n_select(table: PredictionTable, n: int) -> tuple[str, ...]:
@@ -572,10 +570,10 @@ def best_n_select(table: PredictionTable, n: int) -> tuple[str, ...]:
         raise ValidationError("subset selection needs a tuning table with gold tags")
     if not 1 <= n <= len(table.systems):
         raise ConfigError(f"n must be between 1 and {len(table.systems)}, got {n}")
-    gold_ranges = list(map(_chunk_ranges, table.gold_column()))
+    gold_spans = list(map(extract_chunks, table.gold_column()))
     best = max(
         itertools.combinations(range(len(table.systems)), n),
-        key=lambda subset: _subset_report(table, gold_ranges, subset).f_rate,
+        key=lambda subset: _subset_report(table, gold_spans, subset).f_rate,
     )
     return tuple(table.systems[i] for i in best)
 
@@ -594,21 +592,21 @@ def _vote_stream(streams: Sequence[dict[int, str]], length: int) -> dict[int, st
 
 
 def combine_bracket_sentence(
-    spans_per_system: Sequence[Sequence[ChunkSpan]], length: int
-) -> list[ChunkSpan]:
+    spans_per_system: Sequence[Sequence[tuple[int, int, str]]], length: int
+) -> list[tuple[int, int, str]]:
     """Majority vote on chunk starts and ends separately, then rebuild chunks.
 
     A start of type T at position p is matched with the nearest end of
     type T at a position >= p that precedes the next start of type T;
     unmatched brackets are dropped, and so is any rebuilt chunk that
-    overlaps an earlier one.
+    overlaps an earlier one.  Spans are (begin, end, label) tuples.
     """
     systems = spans_per_system
-    start_winners = _vote_stream([{s.begin: s.label for s in system} for system in systems], length)
-    end_winners = _vote_stream([{s.end - 1: s.label for s in system} for system in systems], length)
+    start_winners = _vote_stream([{b: label for b, _, label in system} for system in systems], length)
+    end_winners = _vote_stream([{e - 1: label for _, e, label in system} for system in systems], length)
 
-    spans: list[ChunkSpan] = []
-    for begin in sorted(start_winners):
+    kept: list[tuple[int, int, str]] = []
+    for begin in sorted(start_winners):  # each begin once, so rebuilt chunks come in order
         label = start_winners[begin]
         next_start = min(
             (p for p in start_winners if p > begin and start_winners[p] == label),
@@ -618,12 +616,8 @@ def combine_bracket_sentence(
             (p for p in end_winners if begin <= p < next_start and end_winners[p] == label),
             default=None,
         )
-        if end is not None:
-            spans.append(ChunkSpan(begin, end + 1, label))
-    kept: list[ChunkSpan] = []
-    for span in sorted(spans, key=lambda s: (s.begin, s.end)):
-        if not kept or span.begin >= kept[-1].end:
-            kept.append(span)
+        if end is not None and (not kept or begin >= kept[-1][1]):
+            kept.append((begin, end + 1, label))
     return kept
 
 
@@ -631,7 +625,7 @@ def combine_bracket_sentence(
 # corpus level combination
 
 def _normalised_corpus(
-    spans_per_sentence: Sequence[Sequence[ChunkSpan]],
+    spans_per_sentence: Sequence[Sequence[tuple[int, int, str]]],
     table: PredictionTable,
     words: Corpus | None,
 ) -> Corpus:

@@ -347,20 +347,17 @@ def train_igtree(
 class MaxEntTrace(Record):
     """Training diagnostics: log likelihood per iteration and under the final weights.
 
-    Given ``last``, ``loglik`` lacks its final entry until first read, when
-    ``last()`` computes it and is dropped with the training data it holds;
-    so ``train_maxent``'s final pass runs only for a trace that is read.
+    ``head`` holds the entry of each iteration; the final entry is computed
+    by ``last()`` when ``loglik`` is first read, and ``last`` is dropped
+    then with the training data it holds, so ``train_maxent``'s final pass
+    runs only for a trace that is read.
     """
 
     _fields = ("loglik", "iterations")
 
-    def __init__(self, loglik: tuple[float, ...], iterations: int,
-                 last: Callable[[], float] | None = None):
-        if last is None:
-            self._init(loglik, iterations)
-        else:
-            _set(self, "iterations", iterations)
-            _set(self, "_pending", (loglik, last))
+    def __init__(self, head: tuple[float, ...], iterations: int, last: Callable[[], float]):
+        _set(self, "iterations", iterations)
+        _set(self, "_pending", (head, last))
 
     @cached_property
     def loglik(self) -> tuple[float, ...]:

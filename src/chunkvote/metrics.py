@@ -11,16 +11,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from operator import attrgetter
 
-from .corpus import (
-    PLACEHOLDER_WORD,
-    ChunkSpan,
-    Corpus,
-    NestedSentence,
-    Record,
-    _chunk_ranges,
-)
+from .corpus import PLACEHOLDER_WORD, Corpus, NestedSentence, Record, extract_chunks
 from .errors import AlignmentError, ConfigError, ValidationError
 
 
@@ -74,26 +66,13 @@ class EvalReport(Record):
         return self.overall.f(self.beta)
 
 
-# A span as the (begin, end, label) tuple of ``_chunk_ranges``, hashed in C.
-_SPAN_RANGE = attrgetter("begin", "end", "label")
-
-
 def score_chunks(
-    gold: Sequence[Sequence[ChunkSpan]],
-    pred: Sequence[Sequence[ChunkSpan]],
-    beta: float = 1.0,
-) -> EvalReport:
-    """Score predicted spans against gold spans, sentence by sentence."""
-    return _score_ranges([map(_SPAN_RANGE, spans) for spans in gold],
-                        [map(_SPAN_RANGE, spans) for spans in pred], beta)
-
-
-def _score_ranges(
     gold: Sequence[Iterable[tuple[int, int, str]]],
     pred: Sequence[Iterable[tuple[int, int, str]]],
     beta: float = 1.0,
 ) -> EvalReport:
-    """``score_chunks`` over (begin, end, label) tuples, as ``_chunk_ranges`` gives them."""
+    """Score predicted (begin, end, label) spans against gold spans,
+    sentence by sentence."""
     _check_beta(beta)
     if len(gold) != len(pred):
         raise AlignmentError(f"gold has {len(gold)} sentences, predictions have {len(pred)}")
@@ -102,9 +81,9 @@ def _score_ranges(
     def tally(label: str) -> list[int]:
         return tallies.setdefault(label, [0, 0, 0])
 
-    for gold_ranges, pred_ranges in zip(gold, pred):
-        gold_counts = Counter(gold_ranges)
-        pred_counts = Counter(pred_ranges)
+    for gold_spans, pred_spans in zip(gold, pred):
+        gold_counts = Counter(gold_spans)
+        pred_counts = Counter(pred_spans)
         for (_, _, label), n in pred_counts.items():
             tally(label)[0] += n
         for (_, _, label), n in gold_counts.items():
@@ -141,15 +120,15 @@ def score_tagged(gold: Corpus, pred: Corpus, beta: float = 1.0) -> EvalReport:
     Illegal tag sequences on either side are repaired during chunk
     extraction, so raw system output never crashes the scorer.
     """
-    gold_ranges: list[list[tuple[int, int, str]]] = []
-    pred_ranges: list[list[tuple[int, int, str]]] = []
+    gold_spans: list[list[tuple[int, int, str]]] = []
+    pred_spans: list[list[tuple[int, int, str]]] = []
     for si, gs, ps in _aligned(gold.sentences, pred.sentences):
         for name, sentence in (("gold", gs), ("predicted", ps)):
             if any(tag is None for tag in sentence.chunk_tags):
                 raise ValidationError(f"sentence {si}: {name} side has untagged tokens")
-        gold_ranges.append(_chunk_ranges(gs.chunk_tags))  # type: ignore[arg-type]
-        pred_ranges.append(_chunk_ranges(ps.chunk_tags))  # type: ignore[arg-type]
-    return _score_ranges(gold_ranges, pred_ranges, beta)
+        gold_spans.append(extract_chunks(gs.chunk_tags))  # type: ignore[arg-type]
+        pred_spans.append(extract_chunks(ps.chunk_tags))  # type: ignore[arg-type]
+    return score_chunks(gold_spans, pred_spans, beta)
 
 
 def score_nested(

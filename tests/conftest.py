@@ -1,6 +1,6 @@
 import pytest
 
-from chunkvote import ChunkSpan, NestedSentence, Sentence, TagScheme, Token, parse_conll
+from chunkvote import NestedSentence, Sentence, TagScheme, Token, parse_conll
 
 
 TINY_TRAIN = """\
@@ -59,11 +59,7 @@ def money_example():
         Token("$", "$"),
         Token("million", "CD"),
     )
-    spans = (
-        ChunkSpan(0, 2, "NP"),
-        ChunkSpan(0, 4, "NP"),
-        ChunkSpan(2, 4, "NP"),
-    )
+    spans = ((0, 2, "NP"), (0, 4, "NP"), (2, 4, "NP"))
     return NestedSentence(tokens, spans)
 
 

@@ -8,7 +8,6 @@ import random
 import zlib
 
 from chunkvote import (
-    ChunkSpan,
     CombinerWeights,
     Corpus,
     NestedSentence,
@@ -29,13 +28,13 @@ def rng(seed):
 
 
 def random_spans(r, length, types=CHUNK_TYPES, density=0.5):
-    """Disjoint spans over [0, length), in order."""
+    """Disjoint (begin, end, label) spans over [0, length), in order."""
     spans = []
     i = 0
     while i < length:
         if r.random() < density:
             end = min(length, i + r.randint(1, 3))
-            spans.append(ChunkSpan(i, end, r.choice(types)))
+            spans.append((i, end, r.choice(types)))
             i = end + (0 if r.random() < 0.5 else 1)
         else:
             i += 1
@@ -82,7 +81,7 @@ def random_nested_spans(r, length, types=("NP",), max_depth=3):
                 j = min(end, i + r.randint(1, max(1, end - i)))
                 if (i, j) not in used:
                     used.add((i, j))
-                    spans.append(ChunkSpan(i, j, r.choice(types)))
+                    spans.append((i, j, r.choice(types)))
                     fill(i, j, depth - 1)
                 i = j
             else:
@@ -132,9 +131,9 @@ def split_chunk_types(corpus):
     sentences = []
     for sentence in corpus.sentences:
         spans = []
-        for span in extract_chunks(sentence.chunk_tags):
-            odd = zlib.crc32(sentence.words[span.begin].encode()) & 1
-            spans.append(ChunkSpan(span.begin, span.end, span.label + "2" * odd))
+        for begin, end, label in extract_chunks(sentence.chunk_tags):
+            odd = zlib.crc32(sentence.words[begin].encode()) & 1
+            spans.append((begin, end, label + "2" * odd))
         sentences.append(with_tags(sentence, tags_from_chunks(len(sentence), spans, corpus.scheme)))
     return Corpus(sentences, corpus.scheme)
 

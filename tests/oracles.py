@@ -11,10 +11,9 @@ compare results exactly.
 import itertools
 import math
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 
 from chunkvote import (
-    ChunkSpan,
     CombinerWeights,
     Corpus,
     NestedSentence,
@@ -25,7 +24,6 @@ from chunkvote import (
     TagScheme,
     Token,
     ValidationError,
-    extract_chunks,
     scheme_violation,
     strip_tags,
     tags_from_chunks,
@@ -34,6 +32,11 @@ from chunkvote import (
 )
 from chunkvote.corpus import check_chunk_tag
 from chunkvote.learners import MaxEntModel, MaxEntTrace, _gis_delta
+
+# A chunk span with named fields.  The package holds spans as plain
+# (begin, end, label) tuples, which compare and hash equal to these; the
+# oracles read every span they are given through ``ChunkSpan._make``.
+ChunkSpan = namedtuple("ChunkSpan", "begin end label")
 
 
 def oracle_chunks(tags):
@@ -75,10 +78,10 @@ def oracle_score(gold_sentences, pred_sentences):
     gold_count = Counter()
     correct = Counter()
     for gold, pred in zip(gold_sentences, pred_sentences):
-        pool = list(gold)
-        for span in gold:
+        pool = list(map(ChunkSpan._make, gold))
+        for span in pool:
             gold_count[span.label] += 1
-        for span in pred:
+        for span in map(ChunkSpan._make, pred):
             found[span.label] += 1
             if span in pool:
                 pool.remove(span)
@@ -169,7 +172,7 @@ def oracle_bracket_vote(spans_per_system, length):
         streams = []
         for spans in spans_per_system:
             stream = {}
-            for span in spans:
+            for span in map(ChunkSpan._make, spans):
                 stream[position_of(span)] = span.label  # a later span replaces an earlier
             streams.append(stream)
         result = {}
@@ -371,7 +374,7 @@ def reference_gain_ratio(items, slot):
 
 def oracle_properly_nested(spans):
     """Every pair of spans compared: none may cross."""
-    spans = list(spans)
+    spans = list(map(ChunkSpan._make, spans))
     for i, a in enumerate(spans):
         for b in spans[i + 1:]:
             lo, hi = (a, b) if (a.begin, a.end) <= (b.begin, b.end) else (b, a)
@@ -494,6 +497,7 @@ def oracle_innermost_level(remaining):
             and (inner.begin, inner.end) != (outer.begin, outer.end)
         )
 
+    remaining = list(map(ChunkSpan._make, remaining))
     leaves = [span for span in remaining if not any(strictly_inside(o, span) for o in remaining)]
     by_range = {}
     for span in leaves:
@@ -521,7 +525,7 @@ def oracle_write_nested(sentences):
         tokens = nested.sentence.tokens
         openers = [[] for _ in tokens]
         closers = [0] * len(tokens)
-        for span in sorted(nested.spans, key=lambda s: (s.begin, -s.end, s.label)):
+        for span in sorted(map(ChunkSpan._make, nested.spans), key=lambda s: (s.begin, -s.end, s.label)):
             openers[span.begin].append(span.label)
             closers[span.end - 1] += 1
         for i, token in enumerate(tokens):
@@ -542,7 +546,7 @@ def _reference_original_range(mapping, begin, end):
 
 
 def _reference_collapse(sentence, spans, head):
-    ordered = sorted(spans, key=lambda s: s.begin)
+    ordered = sorted(map(ChunkSpan._make, spans), key=lambda s: s.begin)
     for left, right in zip(ordered, ordered[1:]):
         if right.begin < left.end:
             raise ValidationError(f"cannot collapse overlapping spans {left} and {right}")
@@ -571,7 +575,7 @@ def reference_cascade_bracket(sentence, tagger, max_depth=5, head="last"):
         tags = tagger(current)
         for tag in dict.fromkeys(tags):
             check_chunk_tag(tag)
-        level_spans = extract_chunks(tags)
+        level_spans = oracle_chunks(tags)
         if not level_spans:
             break
         translated = [ChunkSpan(*_reference_original_range(mapping, s.begin, s.end), s.label)
@@ -594,7 +598,7 @@ def reference_cascade_training_corpus(sentences, head="last"):
     flat = []
     for nested in sentences:
         current = nested.sentence
-        remaining = list(nested.spans)
+        remaining = list(map(ChunkSpan._make, nested.spans))
         mapping = tuple((i, i + 1) for i in range(len(current)))
         while remaining:
             begins = {begin: i for i, (begin, _) in enumerate(mapping)}
@@ -689,7 +693,7 @@ def _reference_bracket_spans(rows, first, number, parsed, pool):
             label, begin = stack.pop()
             key = (begin, i + 1, label)
             if key not in pool:
-                pool[key] = ChunkSpan(*key)
+                pool[key] = key
             spans.append(pool[key])
     if stack:
         raise ParseError(f"sentence {number} (line {line}): {len(stack)} unclosed bracket(s)")
@@ -851,5 +855,5 @@ def reference_train_maxent(dataset, iterations, sigma=None, cutoff=2):
     return MaxEntModel(
         weights=dict(zip(features, lambdas)), classes=classes, constant=constant,
         correction=corr_lambda, class_counts=dict(class_counts), slot_names=dataset.slot_names,
-        trace=MaxEntTrace(loglik=tuple(loglik), iterations=iterations),
+        trace=MaxEntTrace(tuple(loglik[:-1]), iterations, last=lambda: loglik[-1]),
     )

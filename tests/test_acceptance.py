@@ -16,7 +16,6 @@ from decimal import Decimal
 import pytest
 
 from chunkvote import (
-    ChunkSpan,
     Corpus,
     Dataset,
     NestedSentence,
@@ -389,13 +388,11 @@ def test_08_cascade_soundness(announce):
     )
     example = NestedSentence(
         tokens,
-        (ChunkSpan(0, 2, "NP"), ChunkSpan(2, 4, "NP"), ChunkSpan(0, 4, "NP")),
+        ((0, 2, "NP"), (2, 4, "NP"), (0, 4, "NP")),
     )
     levels = cascade_training_corpus([example])
     got = cascade_bracket(Sentence(tokens), _replay_tagger(levels), max_depth=5)
-    example_ok = set(got.spans) == {
-        ChunkSpan(0, 2, "NP"), ChunkSpan(2, 4, "NP"), ChunkSpan(0, 4, "NP")
-    } and len(got.spans) == 3
+    example_ok = set(got.spans) == {(0, 2, "NP"), (2, 4, "NP"), (0, 4, "NP")} and len(got.spans) == 3
 
     ok = exact and recovered == total and example_ok
     announce(

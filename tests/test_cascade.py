@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from chunkvote import (
-    ChunkSpan,
     ConfigError,
     LearnerSpec,
     NestedSentence,
@@ -28,7 +27,7 @@ from chunkvote import (
 )
 from chunkvote.cascade import HEAD_CHOICES, _collapse, _innermost_level
 from chunkvote.cli import main
-from chunkvote.corpus import _span_sort_key
+from chunkvote.corpus import span_order
 
 import datagen
 from conftest import make_sentence, make_untagged
@@ -36,7 +35,7 @@ from oracles import oracle_innermost_level, reference_cascade_bracket, reference
 
 
 def span(begin, end, label="NP"):
-    return ChunkSpan(begin, end, label)
+    return (begin, end, label)
 
 
 def collapse(original, spans, head="last", ranges=None):
@@ -47,8 +46,7 @@ def collapse(original, spans, head="last", ranges=None):
         ranges = [(i, i + 1) for i in range(len(original))]
     firsts = [begin for begin, _ in ranges]
     lasts = [end - 1 for _, end in ranges]
-    level = [(s.begin, s.end, s.label) for s in spans]
-    firsts, lasts, collapsed = _collapse(original, firsts, lasts, level, head)
+    firsts, lasts, collapsed = _collapse(original, firsts, lasts, spans, head)
     return collapsed, tuple((first, last + 1) for first, last in zip(firsts, lasts))
 
 
@@ -142,6 +140,7 @@ class TestMaps:
         tagger = scripted([["B-NP", "I-NP", "I-NP", "O", "O"], ["B-VP", "I-VP", "B-PP"]])
         got = cascade_bracket(FIVE, tagger)
         assert got.spans == (span(0, 4, "VP"), span(0, 3), span(4, 5, "PP"))
+        assert [(s.begin, s.end, s.label) for s in got.spans] == list(got.spans)
         assert tagger.calls == [5, 3, 2]
 
     def test_local_spans(self):
@@ -169,11 +168,10 @@ class TestMaps:
             for level in cascade_training_corpus([nested]).sentences:
                 local = extract_chunks(level.chunk_tags)
                 want = oracle_innermost_level(remaining)
-                assert [ChunkSpan(firsts[s.begin], lasts[s.end - 1] + 1, s.label) for s in local] == want
+                assert [(firsts[begin], lasts[end - 1] + 1, label) for begin, end, label in local] == want
                 for s in want:
                     remaining.remove(s)
-                level = [(s.begin, s.end, s.label) for s in local]
-                firsts, lasts, _ = _collapse(nested.sentence, firsts, lasts, level, "last")
+                firsts, lasts, _ = _collapse(nested.sentence, firsts, lasts, local, "last")
             assert remaining == []
 
     @pytest.mark.parametrize("seed", range(10))
@@ -191,8 +189,8 @@ class TestMaps:
 def with_chains(r, nested):
     """``nested`` with a second span over some of its ranges, so that
     chains of spans sharing a range surface over several levels."""
-    chains = [span(s.begin, s.end, r.choice(("NP", "PP", s.label)))
-              for s in nested.spans if r.random() < 0.4]
+    chains = [span(begin, end, r.choice(("NP", "PP", label)))
+              for begin, end, label in nested.spans if r.random() < 0.4]
     return NestedSentence(nested.sentence, nested.spans + tuple(chains))
 
 
@@ -395,8 +393,8 @@ class TestCascadeBracket:
             sentence = plain(*[(f"w{i}", "NN") for i in range(length)])
             got = cascade_bracket(sentence, chaotic, max_depth=4)
             assert properly_nested(got.spans)
-            for si in got.spans:
-                assert 0 <= si.begin < si.end <= length
+            for begin, end, _ in got.spans:
+                assert 0 <= begin < end <= length
 
     @pytest.mark.parametrize("seed", range(10))
     def test_replaying_the_training_levels_recovers_the_spans(self, seed):
@@ -516,7 +514,7 @@ class TestSpansNeedNoCheck:
                 got = cascade_bracket(sentence, lambda s: calls.append(s) or tagger(s), depth, head)
                 checked = NestedSentence(strip_tags(sentence), r.sample(got.spans, len(got.spans)))
                 assert got.spans == checked.spans and got == checked
-                chained += len(got.spans) - len({(s.begin, s.end) for s in got.spans})
+                chained += len(got.spans) - len({(begin, end) for begin, end, _ in got.spans})
                 stopped += len(calls) == depth
         assert chained > 0 and stopped > 0
 
@@ -527,9 +525,9 @@ class TestInnermostLevel:
         r = datagen.rng(33_000 + seed)
         spans = datagen.random_nested_spans(r, r.randint(1, 14), types=("NP", "PP"))
         # repeated-range chains, some with repeated labels
-        spans += [span(s.begin, s.end, r.choice(("NP", "PP", s.label))) for s in spans if r.random() < 0.4]
+        spans += [span(begin, end, r.choice(("NP", "PP", label))) for begin, end, label in spans if r.random() < 0.4]
         old = list(spans)
-        new = sorted(spans, key=_span_sort_key)
+        new = sorted(spans, key=span_order)
         while old:
             want = oracle_innermost_level(old)
             taken = _innermost_level(new)

@@ -7,7 +7,6 @@ import pytest
 import chunkvote.learners
 from chunkvote import (
     AlignmentError,
-    ChunkSpan,
     ChunkvoteError,
     CombinerWeights,
     ConfigError,
@@ -53,10 +52,6 @@ from oracles import (
 )
 
 TAGS = ("B-NP", "I-NP", "O")
-
-
-def spans(*triples):
-    return [ChunkSpan(b, e, label) for b, e, label in triples]
 
 
 def column(table, system):
@@ -921,23 +916,23 @@ def bracket_table(outputs, lengths):
 
 class TestBracketCombination:
     def test_unanimous_flat_spans_are_a_fixed_point(self):
-        chunked = spans((0, 2, "NP"), (2, 4, "NP"), (5, 6, "VP"))
+        chunked = [(0, 2, "NP"), (2, 4, "NP"), (5, 6, "VP")]
         got = combine_bracket_sentence([chunked, chunked, chunked], 7)
         assert got == chunked
 
     def test_majority_on_each_bracket_stream(self):
         per_system = [
-            spans((0, 2, "NP")),
-            spans((0, 2, "NP")),
-            spans((0, 3, "NP")),
+            [(0, 2, "NP")],
+            [(0, 2, "NP")],
+            [(0, 3, "NP")],
         ]
         got = combine_bracket_sentence(per_system, 4)
-        assert got == spans((0, 2, "NP"))
+        assert got == [(0, 2, "NP")]
 
     def test_start_without_a_matching_end_is_dropped(self):
         per_system = [
-            spans((0, 2, "NP")),
-            spans((0, 1, "NP")),
+            [(0, 2, "NP")],
+            [(0, 1, "NP")],
             [],
         ]
         got = combine_bracket_sentence(per_system, 3)
@@ -947,31 +942,31 @@ class TestBracketCombination:
         # both systems agree on starts at 0 and 2 but disagree on the
         # first chunk's end, so the end at 3 must not leak backwards
         per_system = [
-            spans((0, 2, "NP"), (2, 4, "NP")),
-            spans((0, 1, "NP"), (2, 4, "NP")),
-            spans((0, 2, "NP"), (2, 4, "NP")),
+            [(0, 2, "NP"), (2, 4, "NP")],
+            [(0, 1, "NP"), (2, 4, "NP")],
+            [(0, 2, "NP"), (2, 4, "NP")],
         ]
         got = combine_bracket_sentence(per_system, 5)
-        assert got == spans((0, 2, "NP"), (2, 4, "NP"))
+        assert got == [(0, 2, "NP"), (2, 4, "NP")]
 
     def test_nested_input_is_flattened_by_the_overlap_sweep(self):
-        nested = spans((0, 4, "NP"), (1, 3, "VP"))
+        nested = [(0, 4, "NP"), (1, 3, "VP")]
         got = combine_bracket_sentence([nested], 5)
-        assert got == spans((0, 4, "NP"))
+        assert got == [(0, 4, "NP")]
 
     def test_combine_brackets_over_a_corpus(self):
         # sentence 2 splits one against one; the tie rule prefers the
         # label name over the no-bracket marker, so the span survives
         outputs = {
-            "a": [spans((0, 2, "NP")), []],
-            "b": [spans((0, 2, "NP")), spans((0, 1, "NP"))],
+            "a": [[(0, 2, "NP")], []],
+            "b": [[(0, 2, "NP")], [(0, 1, "NP")]],
         }
         assert corpus_spans(combine_corpus(bracket_table(outputs, [3, 2]), bracket_level=True)) == [
-            spans((0, 2, "NP")), spans((0, 1, "NP")),
+            [(0, 2, "NP")], [(0, 1, "NP")],
         ]
-        third = {**outputs, "c": [spans((0, 2, "NP")), []]}
+        third = {**outputs, "c": [[(0, 2, "NP")], []]}
         assert corpus_spans(combine_corpus(bracket_table(third, [3, 2]), bracket_level=True)) == [
-            spans((0, 2, "NP")), [],
+            [(0, 2, "NP")], [],
         ]
 
     def test_combine_brackets_errors(self):
@@ -984,7 +979,7 @@ class TestBracketCombination:
 
     def test_weights_do_not_break_ties(self):
         # tuning counts are of tags: O would win every tie with "no bracket"
-        outputs = {"a": [spans((0, 2, "NP"))], "b": [[]]}
+        outputs = {"a": [[(0, 2, "NP")]], "b": [[]]}
         table = bracket_table(outputs, [2])
         tuning = table_from_rows(["a", "b"], [[("DT", ("O", "O"))]], gold=[["O"]])
         weighted = combine_corpus(table, bracket_level=True, weights=estimate_weights(tuning))
@@ -994,7 +989,7 @@ class TestBracketCombination:
     def test_methods_other_than_majority_are_rejected(self):
         # Weights are keyed by whole tags such as B-VP, never by a bracket
         # value such as VP, so no weighted method has anything to weigh.
-        outputs = {"a": [spans((0, 2, "VP"))], "b": [spans((0, 2, "VP"))], "c": [[]]}
+        outputs = {"a": [[(0, 2, "VP")]], "b": [[(0, 2, "VP")]], "c": [[]]}
         table = bracket_table(outputs, [2])
         tuning = table_from_rows(["a", "b", "c"], [[("VB", ("B-VP",) * 3), ("NN", ("O",) * 3)]],
                                  gold=[["B-VP", "O"]])
@@ -1029,7 +1024,7 @@ class TestBracketCombination:
                 system = datagen.random_spans(r, length, ("NP", "PP", "VP", "ADJP"))
                 if r.random() < 0.3:  # nested and crossing spans
                     extra = datagen.random_spans(r, length)
-                    system = sorted(system + extra, key=lambda s: s.begin)
+                    system = sorted(system + extra, key=lambda s: s[0])  # stable on equal begins
                 per_system.append(system)
             assert combine_bracket_sentence(per_system, length) == oracle_bracket_vote(
                 per_system, length
@@ -1043,8 +1038,8 @@ class TestBracketCombination:
             names = ["a", "b", "c"]
             per_system = [datagen.random_spans(r, length) for _ in names]
             got = combine_bracket_sentence(per_system, length)
-            for first, second in zip(got, got[1:]):
-                assert first.end <= second.begin
+            for (_, first_end, _), (second_begin, _, _) in zip(got, got[1:]):
+                assert first_end <= second_begin
 
 
 class TestCombineCorpus:

@@ -4,7 +4,6 @@ import pytest
 
 from chunkvote import (
     AlignmentError,
-    ChunkSpan,
     ConfigError,
     Corpus,
     Counts,
@@ -26,10 +25,6 @@ from chunkvote import (
 import datagen
 from conftest import make_sentence
 from oracles import oracle_chunks, oracle_f, oracle_score
-
-
-def spans(*triples):
-    return [ChunkSpan(b, e, label) for b, e, label in triples]
 
 
 class TestFBeta:
@@ -93,28 +88,28 @@ class TestCounts:
 
 class TestScoreChunks:
     def test_exact_matching_only(self):
-        gold = [spans((0, 2, "NP"), (2, 3, "VP"))]
-        pred = [spans((0, 2, "NP"), (2, 4, "VP"))]
+        gold = [[(0, 2, "NP"), (2, 3, "VP")]]
+        pred = [[(0, 2, "NP"), (2, 4, "VP")]]
         report = score_chunks(gold, pred)
         assert report.overall == Counts(found=2, gold=2, correct=1)
         assert report.per_label["NP"] == Counts(1, 1, 1)
         assert report.per_label["VP"] == Counts(1, 1, 0)
 
     def test_each_gold_span_matches_at_most_once(self):
-        gold = [spans((0, 2, "NP"), (0, 2, "NP"))]
-        assert score_chunks(gold, [spans((0, 2, "NP"))]).overall.correct == 1
-        triple = [spans((0, 2, "NP"), (0, 2, "NP"), (0, 2, "NP"))]
+        gold = [[(0, 2, "NP"), (0, 2, "NP")]]
+        assert score_chunks(gold, [[(0, 2, "NP")]]).overall.correct == 1
+        triple = [[(0, 2, "NP"), (0, 2, "NP"), (0, 2, "NP")]]
         report = score_chunks(gold, triple)
         assert report.overall == Counts(found=3, gold=2, correct=2)
 
     def test_matching_is_per_sentence(self):
-        gold = [spans((0, 2, "NP")), []]
-        pred = [[], spans((0, 2, "NP"))]
+        gold = [[(0, 2, "NP")], []]
+        pred = [[], [(0, 2, "NP")]]
         assert score_chunks(gold, pred).overall.correct == 0
 
     def test_per_label_is_sorted_and_sums_to_overall(self):
-        gold = [spans((0, 1, "VP"), (1, 2, "NP"), (2, 3, "PP"))]
-        pred = [spans((0, 1, "VP"), (1, 2, "PP"))]
+        gold = [[(0, 1, "VP"), (1, 2, "NP"), (2, 3, "PP")]]
+        pred = [[(0, 1, "VP"), (1, 2, "PP")]]
         report = score_chunks(gold, pred)
         assert list(report.per_label) == ["NP", "PP", "VP"]
         assert report.overall.found == sum(c.found for c in report.per_label.values())
@@ -126,7 +121,7 @@ class TestScoreChunks:
             score_chunks([[]], [[], []])
 
     def test_beta_is_carried_into_the_report(self):
-        report = score_chunks([spans((0, 1, "NP"))], [[]], beta=2.0)
+        report = score_chunks([[(0, 1, "NP")]], [[]], beta=2.0)
         assert report.beta == 2.0
         assert report.f_rate == 0.0
 
@@ -134,10 +129,10 @@ class TestScoreChunks:
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0, 1e160, 1e200])
     def test_beta_must_be_finite_and_non_negative(self, beta):
         with pytest.raises(ConfigError, match="beta"):
-            score_chunks([spans((0, 1, "NP"))], [[]], beta=beta)
+            score_chunks([[(0, 1, "NP")]], [[]], beta=beta)
 
     def test_beta_zero_scores_precision_only(self):
-        report = score_chunks([spans((0, 1, "NP"), (2, 3, "NP"))], [spans((0, 1, "NP"))], beta=0.0)
+        report = score_chunks([[(0, 1, "NP"), (2, 3, "NP")]], [[(0, 1, "NP")]], beta=0.0)
         assert report.f_rate == report.overall.precision == 1.0
 
     @pytest.mark.parametrize("seed", range(30))
@@ -240,7 +235,7 @@ class TestScoreNested:
     def test_multiset_matching(self, money_example):
         missing_wrap = NestedSentence(
             money_example.sentence,
-            spans((0, 2, "NP"), (2, 4, "NP")),
+            [(0, 2, "NP"), (2, 4, "NP")],
         )
         report = score_nested([money_example], [missing_wrap])
         assert report.overall == Counts(found=2, gold=3, correct=2)
@@ -249,8 +244,8 @@ class TestScoreNested:
 
     def test_duplicate_spans_need_duplicate_matches(self):
         tokens = (Token("a", "DT"), Token("b", "NN"))
-        twice = NestedSentence(tokens, spans((0, 2, "NP"), (0, 2, "NP")))
-        once = NestedSentence(tokens, spans((0, 2, "NP")))
+        twice = NestedSentence(tokens, [(0, 2, "NP"), (0, 2, "NP")])
+        once = NestedSentence(tokens, [(0, 2, "NP")])
         assert score_nested([twice], [once]).overall == Counts(1, 2, 1)
         assert score_nested([twice], [twice]).overall == Counts(2, 2, 2)
 
@@ -302,8 +297,8 @@ class TestAlignment:
 
 class TestReportFormatting:
     def report(self):
-        gold = [spans((0, 2, "NP"), (2, 3, "VP"))]
-        pred = [spans((0, 2, "NP"), (3, 4, "VP"))]
+        gold = [[(0, 2, "NP"), (2, 3, "VP")]]
+        pred = [[(0, 2, "NP"), (3, 4, "VP")]]
         return score_chunks(gold, pred)
 
     def test_format_report(self):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import chunkvote
+import oracles
 
 
 def test_every_export_resolves():
@@ -84,6 +85,22 @@ def test_benchmark_calls_into_the_package_still_bind(source):
                     and isinstance(node.func.value, ast.Name) and node.func.value.id in instances:
                 method = getattr(instances[node.func.value.id], node.func.attr)
                 _bind(inspect.signature(method), node, bound_self=True)
+
+
+def test_benchmark_calls_into_the_oracles_still_bind():
+    """``checks.py`` loads ``tests/oracles.py`` by path: every ``oracles.<name>``
+    it reads exists there, and every call of one binds to its signature."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "checks.py").read_text())
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "oracles":
+            assert hasattr(oracles, node.attr), f"oracles.{node.attr}"
+            read.add(node.attr)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "oracles":
+            _bind(inspect.signature(getattr(oracles, node.func.attr)), node)
+    assert read >= {"ChunkSpan", "oracle_chunks", "oracle_score", "oracle_f", "oracle_vote", "oracle_knn"}
 
 
 def test_exports_are_the_objects_of_their_defining_modules():
