@@ -20,6 +20,7 @@ from pathlib import Path
 from . import __version__
 from .corpus import (
     Corpus,
+    Sentence,
     TagScheme,
     check_system_name,
     conll_text,
@@ -407,6 +408,7 @@ def _cmd_best_n(args) -> None:
 
 def _cmd_cascade(args) -> None:
     from .cascade import _check_head, _check_max_depth, cascade_bracket
+    from .fanout import fan_out
     from .learners import tag_sentence
     from .model_io import loads_model
 
@@ -414,11 +416,15 @@ def _cmd_cascade(args) -> None:
     _check_head(args.head)
     tagger = functools.partial(tag_sentence, loads_model(_read_text(args.model)))
     corpus = _read_corpus(args.input, "iob1", args.columns, strict=False)
-    nested = (
-        nested_text(cascade_bracket(s, tagger, max_depth=args.max_depth, head=args.head))
-        for s in corpus.sentences
-    )
-    _write_text(args.output, "".join(nested))
+
+    def bracket(sentence: Sentence) -> str:
+        return nested_text(cascade_bracket(sentence, tagger, max_depth=args.max_depth,
+                                           head=args.head))
+
+    # The first sentence is bracketed before the fork, so a model's index,
+    # built on its first prediction, is built once and its pages are shared.
+    first = [bracket(s) for s in corpus.sentences[:1]]
+    _write_text(args.output, "".join(first + fan_out(bracket, corpus.sentences[1:])))
 
 
 def _cmd_report(args) -> None:

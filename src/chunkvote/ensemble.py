@@ -229,6 +229,7 @@ def cv_tuning_table(corpus: Corpus, specs: Sequence[LearnerSpec], folds: int = 1
     is retrained once per fold on the other partitions.  The table keeps
     the original sentence order and carries the gold tags.
     """
+    from .fanout import fan_out
     from .features import Dataset
     from .learners import tag_sentence
 
@@ -249,26 +250,38 @@ def cv_tuning_table(corpus: Corpus, specs: Sequence[LearnerSpec], folds: int = 1
     # Training items carry gold left tags, so a sentence's items are the same
     # in every fold: featurize the corpus once per (window, io_encoding) and
     # cut each fold's training set out of it, in sentence order, as
-    # featurizing that fold's sentences would have made it.
+    # featurizing that fold's sentences would have made it.  The (group,
+    # fold) fits are independent; each process meets its share of them
+    # group by group, so it featurizes a group at most once.
     groups: dict[tuple, list[LearnerSpec]] = {}
     for spec in specs:
         spec.check_options()  # every spec's, before the first group trains
         groups.setdefault((spec.resolved_window(), spec.io_encoding), []).append(spec)
     bounds = [0, *itertools.accumulate(map(len, sentences))]
-    for group in groups.values():
-        featurized = group[0].featurize(corpus)
-        for fold in range(folds):
-            train = Dataset(tuple(itertools.chain.from_iterable(
-                featurized.items[bounds[i]:bounds[i + 1]]
-                for i in range(len(sentences)) if i % folds != fold
-            )), featurized.slot_names)
-            for spec in group:
-                model = spec.fit(train)
-                for i in range(fold, len(sentences), folds):
-                    predicted[spec.name][i] = tag_sentence(model, sentences[i])
-                del model  # weights, trace and index, before the next fit
-            del train
-        del featurized  # before the next group featurizes
+    featurized: dict[tuple, Dataset] = {}  # the group being fitted
+
+    def fit_fold(item: tuple[tuple, int]) -> list[list[list[str]]]:
+        """Per spec of the group, the tags of the fold's sentences."""
+        key, fold = item
+        if key not in featurized:
+            featurized.clear()  # before the next group featurizes
+            featurized[key] = groups[key][0].featurize(corpus)
+        data = featurized[key]
+        train = Dataset(tuple(itertools.chain.from_iterable(
+            data.items[bounds[i]:bounds[i + 1]] for i in range(len(sentences)) if i % folds != fold
+        )), data.slot_names)
+        tags = []
+        for spec in groups[key]:
+            model = spec.fit(train)
+            tags.append([tag_sentence(model, s) for s in sentences[fold::folds]])
+            del model  # weights, trace and index, before the next fit
+        return tags
+
+    work = [(key, fold) for key in groups for fold in range(folds)]
+    for (key, fold), tags in zip(work, fan_out(fit_fold, work)):
+        for spec, fold_tags in zip(groups[key], tags):
+            predicted[spec.name][fold::folds] = fold_tags
+    featurized.clear()
     gold = [sentence.chunk_tags for sentence in sentences]
     return _table(sentences, predicted, gold)  # type: ignore[arg-type]
 

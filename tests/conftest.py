@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from chunkvote import NestedSentence, Sentence, TagScheme, Token, parse_conll
@@ -42,6 +44,26 @@ snow NN B-NP
 sat VBD B-VP
 . . O
 """
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid or '(running)'} unreaped")
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """``usable_cpus(n)`` makes this process see ``n`` usable CPUs."""
+    def pin(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return pin
 
 
 @pytest.fixture

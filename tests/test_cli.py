@@ -812,7 +812,8 @@ class TestCascadeCommand:
             assert capsys.readouterr().err == "error: max_depth must be >= 1, got 0\n"
         assert not Path(out).exists()
 
-    def test_each_sentence_is_stripped_once(self, files, monkeypatch):
+    def test_each_sentence_is_stripped_once(self, files, monkeypatch, usable_cpus):
+        usable_cpus(1)  # the spy sees the sentences of this process only
         train = files("train.conll", TINY_TRAIN)
         model_path = out_path(files, "model.txt")
         assert main(["train", train, "--learner", "igtree", "-o", model_path]) == 0
@@ -1162,7 +1163,7 @@ class TestStartUp:
         ("train {d}/train.conll --learner knn", LEARN | {"model_io"}),
         ("tag {d}/model.txt {d}/train.conll", LEARN | {"model_io"}),
         ("baseline {d}/train.conll {d}/train.conll", LEARN),
-        ("cv-tune {d}/train.conll --system a=igtree --folds 2", LEARN | {"ensemble"}),
+        ("cv-tune {d}/train.conll --system a=igtree --folds 2", LEARN | {"ensemble", "fanout"}),
         ("weights {d}/table.txt", {"ensemble"}),
         ("best-n {d}/table.txt -n 1", {"ensemble", "metrics"}),
         ("combine {d}/table.txt", {"ensemble"}),
@@ -1171,7 +1172,7 @@ class TestStartUp:
         ("combine {d}/table.txt --bracket-level", {"ensemble"}),
         ("combine {d}/table.txt --method stacked-knn-pos --tuning {d}/table.txt",
          LEARN | {"ensemble"}),
-        ("cascade {d}/model.txt {d}/train.conll", LEARN | {"model_io", "cascade"}),
+        ("cascade {d}/model.txt {d}/train.conll", LEARN | {"model_io", "cascade", "fanout"}),
     ], ids=lambda value: value.replace("{d}/", "") if isinstance(value, str) else "")
     def test_subcommand_loads_only_what_it_runs(self, startup_dir, argv, loads):
         args = argv.format(d=startup_dir).split() + ["-o", str(startup_dir / "out")]

@@ -335,8 +335,10 @@ class TestCvTuningTable:
         # tree and nn share the default window; rio reads it io-encoded
         assert len(windows) == 4
 
-    def test_each_model_is_freed_before_the_next_fit(self, tiny_corpus, monkeypatch):
-        # A maxent model holds its weights, trace and scoring index.
+    def test_each_model_is_freed_before_the_next_fit(self, tiny_corpus, monkeypatch, usable_cpus):
+        # A maxent model holds its weights, trace and scoring index.  The spy
+        # sees the fits of this process only.
+        usable_cpus(1)
         models, alive = [], []
         fit = LearnerSpec.fit
 

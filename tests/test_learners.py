@@ -891,7 +891,8 @@ class TestMaxEntDeferredTrace:
                     assert isinstance(obj, (dict, tuple, float, int, str)), type(obj)
         assert len(seen) < 2 * len(trace.loglik) + 8
 
-    def test_cv_tuning_table_never_runs_the_pass(self, monkeypatch, tiny_corpus):
+    def test_cv_tuning_table_never_runs_the_pass(self, monkeypatch, tiny_corpus, usable_cpus):
+        usable_cpus(1)  # the spy sees the fits of this process only
         traces = []
         fit = LearnerSpec.fit
 
